@@ -3,13 +3,10 @@
 from .core import (
     Bathymetry,
     DepthError,
-    DepthField,
-    DepthVerdict,
     FactorizationError,
     Grid,
     Parameters,
     State,
-    check_depth_condition,
     compute_depth,
 )
 from .diagnostics import (
@@ -24,7 +21,6 @@ from .diagnostics import (
 from .gn_rhs import Tendency, apply_A, condensed_rhs, eval_B, nonlinear_rhs, q1_apply, q2_eval, q_total
 from .grid_ops import (
     BandedOperator,
-    SpectralField,
     apply_symbol,
     d1_fd,
     d1_spectral,
@@ -56,7 +52,6 @@ from .scenarios import (
 )
 from .t_operator import (
     CoercivityReport,
-    FactorOps,
     TOperator,
     apply_T,
     assemble_T,
@@ -64,6 +59,7 @@ from .t_operator import (
     coercivity_bound,
     coercivity_report,
     inverse_bound_sweep,
+    rayleigh_ratio,
     solve_T,
     solve_T_dx,
     sweep_spreads,

@@ -27,19 +27,23 @@ from .core import (
     State,
     compute_depth,
 )
-from .diagnostics import DiagnosticRecord, equivalence_report, record_for
-from .gn_rhs import condensed_rhs, nonlinear_rhs, q1_apply, q2_eval, q_total
-from .grid_ops import d1_spectral, inner_product, lambda_s
-from .linearized import Mollifier, ReferenceTrajectory, mollify, picard_solve, solve_linear
-from .scenarios import SCENARIOS, build_scenario, solitary_wave
-from .t_operator import (
-    apply_T,
-    assemble_T,
-    coercivity_report,
-    inverse_bound_sweep,
-    solve_T,
-    sweep_spreads,
+from .checks import (
+    energy_drift,
+    equivalence_spreads,
+    formulation_gap,
+    mass_drift,
+    mollifier_adjoint_defect,
+    mollifier_commutation,
+    round_trip,
+    solve_residual,
+    source_defect,
+    symmetry_defect,
 )
+from .diagnostics import DiagnosticRecord, equivalence_report, record_for, weighted_velocity_form
+from .grid_ops import inner_product
+from .linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
+from .scenarios import SCENARIOS, build_scenario, solitary_wave
+from .t_operator import apply_T, assemble_T, coercivity_report, inverse_bound_sweep, sweep_spreads
 from .time_integrator import StepControl, run
 
 
@@ -201,6 +205,10 @@ def load_bathymetry(path: str, grid: Grid) -> Bathymetry:
 
     m = len(rows)
     coeff = np.fft.rfft(bs) / m
+    if m % 2 == 0:
+        # the sampled Nyquist mode is a cosine about the first sample,
+        # shared equally by wavenumbers +m/2 and -m/2 (Trefethen ch. 3)
+        coeff[m // 2] *= 0.5
     # place the sampled modes into the target resolution, shifting phases
     # so the interpolant is evaluated at the grid nodes starting from 0
     n = grid.n
@@ -209,7 +217,8 @@ def load_bathymetry(path: str, grid: Grid) -> Bathymetry:
     target[: keep + 1] = coeff[: keep + 1]
     j = np.arange(keep + 1)
     target[: keep + 1] *= np.exp(-2j * np.pi * j * xs[0] / grid.length)
-    target[n // 2] = target[n // 2].real  # the top mode must stay a pure cosine
+    # on the grid nodes +n/2 and -n/2 coincide as one pure cosine
+    target[n // 2] = 2.0 * target[n // 2].real
     b = np.fft.irfft(target * n, n)
     return Bathymetry.from_profile(b, grid)
 
@@ -231,7 +240,7 @@ def emit_timeseries(records: list[DiagnosticRecord], path: str) -> None:
 def emit_snapshot(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid, path: str
 ) -> None:
-    h = compute_depth(state, bathymetry, params).values
+    h = compute_depth(state, bathymetry, params)
     x = grid.nodes()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_SNAPSHOT_HEADER + "\n")
@@ -258,30 +267,40 @@ class PreparedRun:
 
 def prepare_run(cfg: RunConfig) -> PreparedRun:
     """Materialize grid, parameters, initial data, and bathymetry."""
-    try:
-        grid = Grid(cfg.n, cfg.length)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # every comparison below is written so that NaN fails it
     if cfg.mode not in ("nonlinear", "linearized", "picard"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
-
-    # build with a provisional floor; the configured/derived floor is applied below
+    if not cfg.n >= 8:
+        raise ConfigError(f"n must be at least 8 for the 5-point stencil, got {cfg.n}")
+    if not math.isfinite(cfg.s):
+        raise ConfigError(f"s must be finite, got {cfg.s}")
+    for name in ("blowup_factor", "picard_tol"):
+        if not getattr(cfg, name) > 0.0:
+            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
+    if not cfg.picard_max_iters >= 1:
+        raise ConfigError(f"picard_max_iters must be at least 1, got {cfg.picard_max_iters}")
+    for name in ("h0", "dt_max", "snapshot_every", "mollifier_delta"):
+        if not getattr(cfg, name) >= 0.0:
+            raise ConfigError(f"{name} must be >= 0 (0 disables it), got {getattr(cfg, name)}")
     try:
+        grid = Grid(cfg.n, cfg.length)
+        control = StepControl(
+            t_end=cfg.t_end,
+            cfl=cfg.cfl,
+            dt_max=cfg.dt_max if cfg.dt_max > 0.0 else math.inf,
+        )
+        # build with a provisional floor; the configured/derived floor is applied below
         probe = Parameters(cfg.epsilon, cfg.mu, h0=1e-12)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    x0 = None if cfg.x0 < 0.0 else cfg.x0
-    try:
         state, bathymetry = build_scenario(
             cfg.scenario, grid, probe, cfg.amplitude, cfg.width,
-            cfg.bar_height, cfg.bar_width, x0,
+            cfg.bar_height, cfg.bar_width, None if cfg.x0 < 0.0 else cfg.x0,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.bathymetry_file:
         bathymetry = load_bathymetry(cfg.bathymetry_file, grid)
 
-    min_h = compute_depth(state, bathymetry, probe).min_value
+    min_h = float(compute_depth(state, bathymetry, probe).min())
     if cfg.h0 > 0.0:
         h0 = cfg.h0
     else:
@@ -294,20 +313,11 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(
             f"initial state violates the depth floor: min depth {min_h:.6g} < h0 {params.h0:.6g}"
         )
-    try:
-        control = StepControl(
-            t_end=cfg.t_end,
-            cfl=cfg.cfl,
-            dt_max=cfg.dt_max if cfg.dt_max > 0.0 else math.inf,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return PreparedRun(cfg, grid, params, state, bathymetry, control)
 
 
 def _run_nonlinear(prep: PreparedRun) -> int:
     cfg = prep.cfg
-    os.makedirs(cfg.output_dir, exist_ok=True)
     sink = None
     if cfg.snapshot_every > 0.0:
         def sink(step: int, state: State) -> None:
@@ -343,26 +353,33 @@ def _reference_from_nonlinear(prep: PreparedRun) -> ReferenceTrajectory | None:
     return ReferenceTrajectory.from_states(states)
 
 
+def _mollifier(prep: PreparedRun) -> Mollifier | None:
+    delta = prep.cfg.mollifier_delta
+    return Mollifier.for_grid(delta, prep.grid) if delta > 0.0 else None
+
+
+def _emit_trajectory(prep: PreparedRun, sol: ReferenceTrajectory) -> list[DiagnosticRecord]:
+    """Write one diagnostic record per stored snapshot to timeseries.dat."""
+    records = [
+        record_for(
+            State(sol.zetas[j], sol.us[j], float(sol.times[j])),
+            prep.bathymetry, prep.params, prep.grid, prep.cfg.s,
+        )
+        for j in range(sol.times.size)
+    ]
+    emit_timeseries(records, os.path.join(prep.cfg.output_dir, "timeseries.dat"))
+    return records
+
+
 def _run_linearized(prep: PreparedRun) -> int:
-    cfg = prep.cfg
-    os.makedirs(cfg.output_dir, exist_ok=True)
     reference = _reference_from_nonlinear(prep)
     if reference is None:
         return 1
-    mol = (
-        Mollifier.for_grid(cfg.mollifier_delta, prep.grid)
-        if cfg.mollifier_delta > 0.0
-        else None
-    )
     sol = solve_linear(
         reference, prep.state, prep.bathymetry, prep.params, prep.grid,
-        prep.control, mollifier=mol,
+        prep.control, mollifier=_mollifier(prep),
     )
-    records = []
-    for j in range(sol.times.size):
-        st = State(sol.zetas[j], sol.us[j], float(sol.times[j]))
-        records.append(record_for(st, prep.bathymetry, prep.params, prep.grid, cfg.s))
-    emit_timeseries(records, os.path.join(cfg.output_dir, "timeseries.dat"))
+    records = _emit_trajectory(prep, sol)
     print(
         f"completed: linearized solve to t = {sol.t1:.6g} "
         f"({sol.times.size - 1} steps), es_norm = {records[-1].es:.12g}"
@@ -372,24 +389,14 @@ def _run_linearized(prep: PreparedRun) -> int:
 
 def _run_picard(prep: PreparedRun) -> int:
     cfg = prep.cfg
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    mol = (
-        Mollifier.for_grid(cfg.mollifier_delta, prep.grid)
-        if cfg.mollifier_delta > 0.0
-        else None
-    )
     result = picard_solve(
         prep.state, prep.bathymetry, prep.params, prep.grid, prep.control,
-        max_iters=cfg.picard_max_iters, tol=cfg.picard_tol, s=cfg.s, mollifier=mol,
+        max_iters=cfg.picard_max_iters, tol=cfg.picard_tol, s=cfg.s,
+        mollifier=_mollifier(prep),
     )
     for i, gap in enumerate(result.gaps, start=1):
         print(f"iteration {i}: gap = {gap:.6e}")
-    sol = result.trajectory
-    records = []
-    for j in range(sol.times.size):
-        st = State(sol.zetas[j], sol.us[j], float(sol.times[j]))
-        records.append(record_for(st, prep.bathymetry, prep.params, prep.grid, cfg.s))
-    emit_timeseries(records, os.path.join(cfg.output_dir, "timeseries.dat"))
+    _emit_trajectory(prep, result.trajectory)
     if result.converged:
         print(f"converged in {result.iterations} iterations")
         return 0
@@ -399,6 +406,7 @@ def _run_picard(prep: PreparedRun) -> int:
 
 def command_run(cfg: RunConfig) -> int:
     prep = prepare_run(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     try:
         if cfg.mode == "nonlinear":
             return _run_nonlinear(prep)
@@ -414,34 +422,29 @@ def command_run(cfg: RunConfig) -> int:
 # verification suite
 
 
-@dataclass
-class _Check:
-    name: str
-    measured: float
-    threshold: float
-    ok: bool
-    compare: str = "<="
+def _check(name: str, measured: float, threshold: float, compare: str = "<=", ok=None):
+    """One table row; ok defaults to the comparison it prints."""
+    if ok is None:
+        ok = measured <= threshold if compare == "<=" else measured >= threshold
+    return name, measured, compare, threshold, ok
 
 
-def _report(checks: list[_Check]) -> int:
-    width = max(len(c.name) for c in checks)
-    failures = 0
-    for c in checks:
-        status = "PASS" if c.ok else "FAIL"
+def _report(checks: list[tuple]) -> int:
+    width = max(len(c[0]) for c in checks)
+    for name, measured, compare, threshold, ok in checks:
         print(
-            f"{c.name:<{width}}  measured {c.measured:.6e}  "
-            f"required {c.compare} {c.threshold:.6e}  {status}"
+            f"{name:<{width}}  measured {measured:.6e}  "
+            f"required {compare} {threshold:.6e}  {'PASS' if ok else 'FAIL'}"
         )
-        failures += 0 if c.ok else 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 0 if failures == 0 else 3
+    passed = sum(c[-1] for c in checks)
+    print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 3
 
 
-def _verify_state(rng, grid, bathymetry, params, k_cut=None):
+def _verify_state(rng, grid, bathymetry, params):
     """Random band-limited admissible state over the given bottom."""
     k = grid.wavenumbers()
-    if k_cut is None:
-        k_cut = k.max() / 5.0
+    k_cut = k.max() / 5.0
     def field(scale):
         coeff = np.fft.rfft(rng.standard_normal(grid.n))
         coeff[k > k_cut] = 0.0
@@ -465,90 +468,41 @@ def verify_suite(cfg: RunConfig) -> int:
         0.15 * np.cos(2.0 * x) + 0.08 * np.sin(5.0 * x), grid
     )
     params = Parameters(0.5, 0.3, h0=0.25)
-    checks: list[_Check] = []
 
     # operator symmetry, coercivity, and solve accuracy
     sym_worst = res_worst = round_worst = 0.0
     coer_margin = np.inf
-    assembly_ok = True
     for _ in range(6):
         state = _verify_state(rng, grid, bathymetry, params)
         if cfg.verify_break_depth:
             state = State(state.zeta - 2.0 / params.epsilon, state.u)
         try:
-            h = compute_depth(state, bathymetry, params).values
-            op = assemble_T(h, bathymetry, params, grid)
+            op = assemble_T(compute_depth(state, bathymetry, params), bathymetry, params, grid)
         except (DepthError, FactorizationError):
-            assembly_ok = False
-            break
-        sym_worst = max(sym_worst, float(np.max(np.abs(op.dense - op.dense.T))))
+            return _report([_check("operator assembly succeeded", 0.0, 1.0, ">=")])
+        sym_worst = max(sym_worst, symmetry_defect(op))
         rep = coercivity_report(op, trials=8, seed=int(rng.integers(2**31)))
         coer_margin = min(coer_margin, rep.min_ratio / rep.bound)
-        f = rng.standard_normal(grid.n)
-        w = solve_T(op, f)
-        res_worst = max(
-            res_worst,
-            float(np.linalg.norm(apply_T(op, w) - f) / np.linalg.norm(f)),
-        )
-        g = rng.standard_normal(grid.n)
-        round_worst = max(
-            round_worst,
-            float(
-                np.linalg.norm(solve_T(op, apply_T(op, g)) - g) / np.linalg.norm(g)
-            ),
-        )
-    if not assembly_ok:
-        checks.append(_Check("operator assembly succeeded", 0.0, 1.0, False, compare=">="))
-        return _report(checks)
-    checks.append(_Check("operator symmetry (max abs)", sym_worst, 0.0, sym_worst == 0.0))
-    checks.append(
-        _Check("coercivity margin (min ratio/bound)", coer_margin, 1.0, coer_margin >= 1.0, ">=")
-    )
-    checks.append(_Check("solve residual (relative)", res_worst, 1e-12, res_worst <= 1e-12))
-    checks.append(_Check("solve round-trip (relative)", round_worst, 1e-12, round_worst <= 1e-12))
+        res_worst = max(res_worst, solve_residual(op, rng.standard_normal(grid.n)))
+        round_worst = max(round_worst, round_trip(op, rng.standard_normal(grid.n)))
 
     # energy identity: assembled quadratic form vs factorized evaluation
     ident_worst = 0.0
     for _ in range(4):
         state = _verify_state(rng, grid, bathymetry, params)
-        h = compute_depth(state, bathymetry, params).values
+        h = compute_depth(state, bathymetry, params)
         op = assemble_T(h, bathymetry, params, grid)
         w = rng.standard_normal(grid.n)
         quad = inner_product(apply_T(op, w), w, grid)
-        t1w = op.factors.apply_t1(w)
-        t2w = op.factors.apply_t2(w)
-        split = (
-            inner_product(h * w, w, grid)
-            + params.mu * inner_product(h * t1w, t1w, grid)
-            + params.mu * inner_product(h * t2w, t2w, grid)
-        )
+        split = weighted_velocity_form(w, h, bathymetry, params, grid)
         ident_worst = max(ident_worst, abs(quad - split) / abs(split))
-    checks.append(_Check("energy identity (relative)", ident_worst, 1e-13, ident_worst <= 1e-13))
 
     # source decomposition and formulation equivalence on band-limited states
     dec_worst = equiv_worst = 0.0
     for _ in range(6):
         state = _verify_state(rng, grid, bathymetry, params)
-        h = compute_depth(state, bathymetry, params).values
-        ux = d1_spectral(state.u, grid)
-        lhs = params.epsilon * params.mu * h * q_total(h, state.u, bathymetry, params, grid)
-        split = q1_apply(state, ux, bathymetry, params, grid) + q2_eval(
-            state, bathymetry, params, grid
-        )
-        dec_worst = max(
-            dec_worst, float(np.linalg.norm(split - lhs) / np.linalg.norm(lhs))
-        )
-        dz1, du1 = nonlinear_rhs(state, bathymetry, params, grid)
-        dz2, du2 = condensed_rhs(state, bathymetry, params, grid)
-        scale = np.linalg.norm(np.concatenate([dz1, du1]))
-        equiv_worst = max(
-            equiv_worst,
-            float(np.linalg.norm(np.concatenate([dz1 - dz2, du1 - du2])) / scale),
-        )
-    checks.append(_Check("source decomposition (relative)", dec_worst, 1e-10, dec_worst <= 1e-10))
-    checks.append(
-        _Check("formulation equivalence (relative)", equiv_worst, 1e-9, equiv_worst <= 1e-9)
-    )
+        dec_worst = max(dec_worst, source_defect(state, bathymetry, params, grid))
+        equiv_worst = max(equiv_worst, formulation_gap(state, bathymetry, params, grid))
 
     # cutoff operator: smoothing-commutation and self-adjointness
     mol = Mollifier.for_grid(4.0 / grid.wavenumbers().max(), grid)
@@ -556,27 +510,14 @@ def verify_suite(cfg: RunConfig) -> int:
     for _ in range(4):
         f = rng.standard_normal(grid.n)
         g = rng.standard_normal(grid.n)
-        a = lambda_s(mollify(f, mol, grid), 2.0, grid)
-        b = mollify(lambda_s(f, 2.0, grid), mol, grid)
-        denom = np.linalg.norm(a) or 1.0
-        comm_worst = max(comm_worst, float(np.linalg.norm(a - b) / denom))
-        adj = abs(
-            inner_product(mollify(f, mol, grid), g, grid)
-            - inner_product(f, mollify(g, mol, grid), grid)
-        )
-        adj_worst = max(adj_worst, adj / abs(inner_product(f, f, grid)))
-    checks.append(
-        _Check("cutoff commutation (relative)", comm_worst, 1e-13, comm_worst <= 1e-13)
-    )
-    checks.append(
-        _Check("cutoff self-adjointness (relative)", adj_worst, 1e-13, adj_worst <= 1e-13)
-    )
+        comm_worst = max(comm_worst, mollifier_commutation(f, mol, grid))
+        adj_worst = max(adj_worst, mollifier_adjoint_defect(f, g, mol, grid))
 
     # parameter sweeps: inverse bounds and norm equivalence
     sweep_states = []
     for _ in range(2):
         st = _verify_state(rng, grid, bathymetry, params)
-        sweep_states.append((compute_depth(st, bathymetry, params).values, bathymetry))
+        sweep_states.append((compute_depth(st, bathymetry, params), bathymetry))
     mus = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
     records = inverse_bound_sweep(
         sweep_states,
@@ -584,8 +525,6 @@ def verify_suite(cfg: RunConfig) -> int:
         s=2.0, grid=grid, trials=3, seed=cfg.seed + 1,
     )
     spread1, spread2 = sweep_spreads(records)
-    checks.append(_Check("inverse bound spread (first)", spread1, 10.0, spread1 <= 10.0))
-    checks.append(_Check("inverse bound spread (derivative)", spread2, 10.0, spread2 <= 10.0))
 
     pair_states = []
     for _ in range(4):
@@ -596,10 +535,7 @@ def verify_suite(cfg: RunConfig) -> int:
         pair_states, bathymetry,
         [(e, m) for e in (0.1, 1.0) for m in mus], grid, s=2.0, h0=0.05,
     )
-    hi = max(r.ratio_max for r in eq) / min(r.ratio_max for r in eq)
-    lo = max(r.ratio_min for r in eq) / min(r.ratio_min for r in eq)
-    checks.append(_Check("norm equivalence spread (upper)", hi, 10.0, hi <= 10.0))
-    checks.append(_Check("norm equivalence spread (lower)", lo, 10.0, lo <= 10.0))
+    hi, lo = equivalence_spreads(eq)
 
     # short conservation run on the demo solitary wave
     run_grid = Grid(256, 60.0)
@@ -609,16 +545,25 @@ def verify_suite(cfg: RunConfig) -> int:
         wave, Bathymetry.flat(run_grid), run_params, run_grid,
         StepControl(t_end=2.0, cfl=0.5),
     )
-    e0 = outcome.history[0].energy
-    drift = max(abs(r.energy - e0) for r in outcome.history) / e0
-    checks.append(
-        _Check("energy drift (relative, t=2)", drift, 1e-6, outcome.completed and drift <= 1e-6)
-    )
-    m0 = outcome.history[0].mass
-    mdrift = max(abs(r.mass - m0) for r in outcome.history)
-    checks.append(_Check("mass drift (absolute, t=2)", mdrift, 1e-12, mdrift <= 1e-12))
+    drift = energy_drift(outcome.history)
 
-    return _report(checks)
+    return _report([
+        _check("operator symmetry (max abs)", sym_worst, 0.0),
+        _check("coercivity margin (min ratio/bound)", coer_margin, 1.0, ">="),
+        _check("solve residual (relative)", res_worst, 1e-12),
+        _check("solve round-trip (relative)", round_worst, 1e-12),
+        _check("energy identity (relative)", ident_worst, 1e-13),
+        _check("source decomposition (relative)", dec_worst, 1e-10),
+        _check("formulation equivalence (relative)", equiv_worst, 1e-9),
+        _check("cutoff commutation (relative)", comm_worst, 1e-13),
+        _check("cutoff self-adjointness (relative)", adj_worst, 1e-13),
+        _check("inverse bound spread (first)", spread1, 10.0),
+        _check("inverse bound spread (derivative)", spread2, 10.0),
+        _check("norm equivalence spread (upper)", hi, 10.0),
+        _check("norm equivalence spread (lower)", lo, 10.0),
+        _check("energy drift (relative, t=2)", drift, 1e-6, ok=outcome.completed and drift <= 1e-6),
+        _check("mass drift (absolute, t=2)", mass_drift(outcome.history), 1e-12),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ grid is uniform and periodic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,52 +150,17 @@ class State:
                 f"zeta and u must share one shape, got {self.zeta.shape} and {self.u.shape}"
             )
 
-    @property
-    def n(self) -> int:
-        return self.zeta.size
-
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.zeta)) and np.all(np.isfinite(self.u)))
 
 
-@dataclass(frozen=True)
-class DepthField:
+def compute_depth(state: State, bathymetry: Bathymetry, params: Parameters) -> np.ndarray:
     """Total depth h = 1 + epsilon*(zeta - b) sampled on the grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_field(self.values, "depth"))
-
-    @property
-    def min_value(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def min_location(self) -> int:
-        return int(self.values.argmin())
-
-
-@dataclass(frozen=True)
-class DepthVerdict:
-    """Outcome of the admissibility check: ok iff min depth >= h0."""
-
-    ok: bool
-    min_value: float
-    location: int
-
-
-def compute_depth(state: State, bathymetry: Bathymetry, params: Parameters) -> DepthField:
     if state.zeta.shape != bathymetry.b.shape:
         raise ValueError(
             f"state has {state.zeta.size} nodes, bathymetry has {bathymetry.b.size}"
         )
-    return DepthField(1.0 + params.epsilon * (state.zeta - bathymetry.b))
-
-
-def check_depth_condition(depth: DepthField, params: Parameters) -> DepthVerdict:
-    m = depth.min_value
-    return DepthVerdict(ok=bool(m >= params.h0), min_value=m, location=depth.min_location)
+    return 1.0 + params.epsilon * (state.zeta - bathymetry.b)
 
 
 def require_depth(h: np.ndarray, params: Parameters) -> None:

@@ -21,13 +21,13 @@ def mass(state: State, grid: Grid) -> float:
     return float(grid.dx * state.zeta.sum())
 
 
-def _weighted_velocity_form(
+def weighted_velocity_form(
     w: np.ndarray, h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> float:
     """(T w, w) evaluated as (h w, w) + mu |sqrt(h) T1 w|^2 + mu |sqrt(h) T2 w|^2."""
-    ops = build_factor_ops(h, bathymetry, params, grid)
-    t1w = ops.apply_t1(w)
-    t2w = ops.apply_t2(w)
+    t1, t2_diag = build_factor_ops(h, bathymetry, params, grid)
+    t1w = t1.apply(w)
+    t2w = t2_diag * w
     return (
         inner_product(h * w, w, grid)
         + params.mu * inner_product(h * t1w, t1w, grid)
@@ -39,8 +39,8 @@ def conserved_energy(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> float:
     """|zeta|_2^2 + (T u, u), the invariant of the nonlinear evolution."""
-    h = compute_depth(state, bathymetry, params).values
-    return inner_product(state.zeta, state.zeta, grid) + _weighted_velocity_form(
+    h = compute_depth(state, bathymetry, params)
+    return inner_product(state.zeta, state.zeta, grid) + weighted_velocity_form(
         state.u, h, bathymetry, params, grid
     )
 
@@ -69,13 +69,13 @@ def es_norm(
 
     E^s(U)^2 = |Lambda^s zeta|_2^2 + (T[h_ref] Lambda^s u, Lambda^s u).
     """
-    h = compute_depth(ref, bathymetry, params).values
+    h = compute_depth(ref, bathymetry, params)
     lz = lambda_s(state.zeta, s, grid)
     lu = lambda_s(state.u, s, grid)
     return float(
         np.sqrt(
             inner_product(lz, lz, grid)
-            + _weighted_velocity_form(lu, h, bathymetry, params, grid)
+            + weighted_velocity_form(lu, h, bathymetry, params, grid)
         )
     )
 
@@ -93,12 +93,11 @@ class DiagnosticRecord:
 def record_for(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid, s: float = 2.0
 ) -> DiagnosticRecord:
-    depth = compute_depth(state, bathymetry, params)
     return DiagnosticRecord(
         t=state.time,
         energy=conserved_energy(state, bathymetry, params, grid),
         mass=mass(state, grid),
-        min_h=depth.min_value,
+        min_h=float(compute_depth(state, bathymetry, params).min()),
         xs=xs_norm(state, params, grid, s),
         es=es_norm(state, state, bathymetry, params, grid, s),
     )

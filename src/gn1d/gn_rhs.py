@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth
-from .grid_ops import d1_spectral
+from .grid_ops import apply_symbol, d1_spectral
 from .t_operator import TOperator, assemble_T, solve_T
 
 
@@ -49,7 +49,7 @@ def q1_apply(
     """First-order part of the dispersive source, applied to a field f."""
     eps, mu = params.epsilon, params.mu
     bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    h = compute_depth(ref, bathymetry, params).values
+    h = compute_depth(ref, bathymetry, params)
     ux = d1_spectral(ref.u, grid)
     return (
         (2.0 / 3.0) * eps * mu * d1_spectral(h**3 * ux * f, grid)
@@ -62,7 +62,7 @@ def q2_eval(ref: State, bathymetry: Bathymetry, params: Parameters, grid: Grid) 
     """Zero-order remainder of the dispersive source."""
     eps, mu = params.epsilon, params.mu
     bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    h = compute_depth(ref, bathymetry, params).values
+    h = compute_depth(ref, bathymetry, params)
     u = ref.u
     return eps**3 * mu * h * bxx * bx * u**2 + 0.5 * eps**2 * mu * d1_spectral(
         h**2 * bxx, grid
@@ -79,7 +79,7 @@ def nonlinear_rhs(
     which treats them as blow-up events.
     """
     eps, mu = params.epsilon, params.mu
-    h = compute_depth(state, bathymetry, params).values
+    h = compute_depth(state, bathymetry, params)
     op = assemble_T(h, bathymetry, params, grid)
     dzeta = -d1_spectral(h * state.u, grid)
     zx = d1_spectral(state.zeta, grid)
@@ -99,7 +99,7 @@ def apply_A(
     """Advection-structure map of the condensed form applied to (v1, v2)."""
     eps = params.epsilon
     v1, v2 = fields
-    h = compute_depth(ref, bathymetry, params).values
+    h = compute_depth(ref, bathymetry, params)
     if op is None:
         op = assemble_T(h, bathymetry, params, grid)
     a1 = eps * ref.u * v1 + h * v2
@@ -116,21 +116,41 @@ def eval_B(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order source of the condensed form."""
     if op is None:
-        h = compute_depth(ref, bathymetry, params).values
+        h = compute_depth(ref, bathymetry, params)
         op = assemble_T(h, bathymetry, params, grid)
     b1 = -params.epsilon * bathymetry.b_x * ref.u
     b2 = solve_T(op, q2_eval(ref, bathymetry, params, grid))
     return b1, b2
 
 
+def condensed_tendency(
+    coeff: State,
+    op: TOperator,
+    zeta: np.ndarray,
+    u: np.ndarray,
+    bathymetry: Bathymetry,
+    params: Parameters,
+    grid: Grid,
+    cutoff: np.ndarray | None = None,
+) -> Tendency:
+    """-(J A[coeff] J U_x + B(coeff)) for U = (zeta, u), with op = T at coeff.
+
+    J is the Fourier multiplier cutoff (the identity when None).  At
+    coeff = U without cutoff this is the condensed form of the nonlinear
+    tendency; otherwise it is the tendency of the linearized system.
+    """
+    def cut(f):
+        return f if cutoff is None else apply_symbol(f, cutoff, grid)
+
+    v = (cut(d1_spectral(zeta, grid)), cut(d1_spectral(u, grid)))
+    a1, a2 = apply_A(coeff, v, bathymetry, params, grid, op=op)
+    b1, b2 = eval_B(coeff, bathymetry, params, grid, op=op)
+    return Tendency(-(cut(a1) + b1), -(cut(a2) + b2))
+
+
 def condensed_rhs(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> Tendency:
     """Tendency evaluated through the condensed quasilinear form."""
-    h = compute_depth(state, bathymetry, params).values
-    op = assemble_T(h, bathymetry, params, grid)
-    zx = d1_spectral(state.zeta, grid)
-    ux = d1_spectral(state.u, grid)
-    a1, a2 = apply_A(state, (zx, ux), bathymetry, params, grid, op=op)
-    b1, b2 = eval_B(state, bathymetry, params, grid, op=op)
-    return Tendency(-(a1 + b1), -(a2 + b2))
+    op = assemble_T(compute_depth(state, bathymetry, params), bathymetry, params, grid)
+    return condensed_tendency(state, op, state.zeta, state.u, bathymetry, params, grid)

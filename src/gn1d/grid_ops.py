@@ -35,19 +35,12 @@ class BandedOperator:
             y += c * np.roll(x, -o)
         return y
 
-    def transpose(self) -> "BandedOperator":
-        # (A^T)[i, (i+o) % n] = A[(i+o) % n, i], i.e. band -o rolled by o
-        return BandedOperator(self.n, {-o: np.roll(c, o) for o, c in self.bands.items()})
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         i = np.arange(self.n)
         for o, c in sorted(self.bands.items()):
             np.add.at(a, (i, (i + o) % self.n), c)
         return a
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
 
 
 def d1_fd(grid: Grid) -> BandedOperator:
@@ -72,37 +65,15 @@ def fd_symbol(k: np.ndarray, dx: float) -> np.ndarray:
     return (8.0 * np.sin(k * dx) - np.sin(2.0 * k * dx)) / (6.0 * dx)
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Real FFT coefficients of a real field, tied to a grid."""
-
-    coeff: np.ndarray
-    grid: Grid
-
-    @classmethod
-    def from_physical(cls, f: np.ndarray, grid: Grid) -> "SpectralField":
-        if f.size != grid.n:
-            raise ValueError(f"field has {f.size} values, grid has {grid.n} nodes")
-        return cls(np.fft.rfft(f), grid)
-
-    def to_physical(self) -> np.ndarray:
-        return np.fft.irfft(self.coeff, self.grid.n)
-
-    def multiplied(self, symbol: np.ndarray) -> "SpectralField":
-        return SpectralField(symbol * self.coeff, self.grid)
-
-
 def apply_symbol(f: np.ndarray, symbol: np.ndarray, grid: Grid) -> np.ndarray:
     """Apply a Fourier multiplier given on the nonnegative-wavenumber modes."""
-    return SpectralField.from_physical(f, grid).multiplied(symbol).to_physical()
+    return np.fft.irfft(symbol * np.fft.rfft(f), grid.n)
 
 
 def d1_spectral(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Exact derivative of the trigonometric interpolant (Nyquist zeroed)."""
     sym = 1j * grid.wavenumbers()
-    if grid.n % 2 == 0:
-        sym = sym.copy()
-        sym[-1] = 0.0  # the Nyquist mode has no resolvable sine partner
+    sym[-1] = 0.0  # on an even grid the Nyquist mode has no resolvable sine partner
     return apply_symbol(f, sym, grid)
 
 

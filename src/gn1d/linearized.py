@@ -18,10 +18,10 @@ import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth, require_depth
 from .diagnostics import es_norm
-from .gn_rhs import Tendency, apply_A, eval_B
-from .grid_ops import apply_symbol, d1_spectral, dealias
+from .gn_rhs import Tendency, condensed_tendency
+from .grid_ops import apply_symbol
 from .t_operator import assemble_T
-from .time_integrator import StepControl, cfl_dt
+from .time_integrator import StepControl, _rk4, cfl_dt, max_wave_speed
 
 
 def cutoff_profile(r) -> np.ndarray:
@@ -125,55 +125,14 @@ class ReferenceTrajectory:
 
     def max_speed(self, bathymetry: Bathymetry, params: Parameters) -> float:
         h = 1.0 + params.epsilon * (self.zetas - bathymetry.b)
-        return float(
-            np.max(params.epsilon * np.abs(self.us) + np.sqrt(np.maximum(h, 0.0)))
-        )
-
-
-def _coeff_tendency(
-    coeff: State,
-    op,
-    zeta: np.ndarray,
-    u: np.ndarray,
-    bathymetry: Bathymetry,
-    params: Parameters,
-    grid: Grid,
-    mollifier: Mollifier | None,
-) -> Tendency:
-    v1 = d1_spectral(zeta, grid)
-    v2 = d1_spectral(u, grid)
-    if mollifier is not None:
-        v1 = mollify(v1, mollifier, grid)
-        v2 = mollify(v2, mollifier, grid)
-    a1, a2 = apply_A(coeff, (v1, v2), bathymetry, params, grid, op=op)
-    if mollifier is not None:
-        a1 = mollify(a1, mollifier, grid)
-        a2 = mollify(a2, mollifier, grid)
-    b1, b2 = eval_B(coeff, bathymetry, params, grid, op=op)
-    return Tendency(-(a1 + b1), -(a2 + b2))
-
-
-def _truncated(
-    coeff: State,
-    op,
-    zeta: np.ndarray,
-    u: np.ndarray,
-    bathymetry: Bathymetry,
-    params: Parameters,
-    grid: Grid,
-    mollifier: Mollifier | None,
-) -> Tendency:
-    # stage tendencies live on the alias-free band, like the nonlinear stepper
-    dz, du = _coeff_tendency(coeff, op, zeta, u, bathymetry, params, grid, mollifier)
-    return Tendency(dealias(dz, grid), dealias(du, grid))
+        return max_wave_speed(self.us, h, params)
 
 
 def _frozen_coefficients(
     ref: ReferenceTrajectory, t: float, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ):
     coeff = ref.state_at(t)
-    h = compute_depth(coeff, bathymetry, params).values
-    return coeff, assemble_T(h, bathymetry, params, grid)
+    return coeff, assemble_T(compute_depth(coeff, bathymetry, params), bathymetry, params, grid)
 
 
 def linear_rhs(
@@ -188,7 +147,8 @@ def linear_rhs(
 ) -> Tendency:
     """Tendency of the (optionally mollified) linearized system at time t."""
     coeff, op = _frozen_coefficients(ref, t, bathymetry, params, grid)
-    return _coeff_tendency(coeff, op, zeta, u, bathymetry, params, grid, mollifier)
+    cutoff = None if mollifier is None else mollifier.symbol
+    return condensed_tendency(coeff, op, zeta, u, bathymetry, params, grid, cutoff)
 
 
 def solve_linear(
@@ -217,10 +177,7 @@ def solve_linear(
             f"reference trajectory ends at {ref.t1}, before t_end {control.t_end}"
         )
     if dt is None:
-        speed = ref.max_speed(bathymetry, params)
-        dt = control.dt_max if speed <= 0.0 else min(
-            control.dt_max, control.cfl * grid.dx / speed
-        )
+        dt = control.step_for(ref.max_speed(bathymetry, params), grid.dx)
     m = max(1, math.ceil(span / dt - 1e-12))
     dt = span / m
 
@@ -229,30 +186,28 @@ def solve_linear(
     us = np.empty((m + 1, grid.n))
     z, u = initial.zeta.copy(), initial.u.copy()
     zetas[0], us[0] = z, u
-    # coefficient operators are frozen per stage time; the step-end pair
-    # rolls over as the next step's start
+    cutoff = None if mollifier is None else mollifier.symbol
+    # coefficient operators are frozen per stage offset; stages 2 and 3
+    # share the midpoint, and the step-end pair rolls over as the next start
     start = _frozen_coefficients(ref, float(times[0]), bathymetry, params, grid)
     for j in range(m):
         t = float(times[j])
-        mid = _frozen_coefficients(ref, t + 0.5 * dt, bathymetry, params, grid)
-        end = _frozen_coefficients(ref, t + dt, bathymetry, params, grid)
-        k1 = _truncated(*start, z, u, bathymetry, params, grid, mollifier)
-        k2 = _truncated(
-            *mid, z + 0.5 * dt * k1.dzeta, u + 0.5 * dt * k1.du,
-            bathymetry, params, grid, mollifier,
-        )
-        k3 = _truncated(
-            *mid, z + 0.5 * dt * k2.dzeta, u + 0.5 * dt * k2.du,
-            bathymetry, params, grid, mollifier,
-        )
-        k4 = _truncated(
-            *end, z + dt * k3.dzeta, u + dt * k3.du,
-            bathymetry, params, grid, mollifier,
-        )
-        z = z + (dt / 6.0) * (k1.dzeta + 2.0 * k2.dzeta + 2.0 * k3.dzeta + k4.dzeta)
-        u = u + (dt / 6.0) * (k1.du + 2.0 * k2.du + 2.0 * k3.du + k4.du)
+        frozen = {
+            0.0: start,
+            0.5: _frozen_coefficients(ref, t + 0.5 * dt, bathymetry, params, grid),
+            1.0: _frozen_coefficients(ref, t + dt, bathymetry, params, grid),
+        }
+        start = frozen[1.0]
+
+        def tendency(c, stage_z, stage_u):
+            return condensed_tendency(
+                *frozen[c], stage_z, stage_u, bathymetry, params, grid, cutoff
+            )
+
+        dz, du = _rk4(z, u, dt, grid, tendency)
+        z = z + dz
+        u = u + du
         zetas[j + 1], us[j + 1] = z, u
-        start = end
     return ReferenceTrajectory(times, zetas, us)
 
 
@@ -282,14 +237,8 @@ def picard_solve(
     consecutive iterates is the sup over snapshot times of the energy
     norm weighted at the previous iterate's coefficients.
     """
-    h = compute_depth(initial, bathymetry, params).values
-    require_depth(h, params)
-    speed = float(
-        np.max(params.epsilon * np.abs(initial.u) + np.sqrt(np.maximum(h, 0.0)))
-    )
-    dt = control.dt_max if speed <= 0.0 else min(
-        control.dt_max, control.cfl * grid.dx / speed
-    )
+    require_depth(compute_depth(initial, bathymetry, params), params)
+    dt = cfl_dt(initial, bathymetry, params, grid, control)
 
     ref = ReferenceTrajectory.constant(initial, control.t_end)
     gaps: list[float] = []

@@ -33,43 +33,24 @@ from .grid_ops import BandedOperator, d1_fd, d1_spectral, hs_norm, inner_product
 _SQRT3 = np.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class FactorOps:
-    """First-order factors whose weighted Gram sum builds the operator."""
-
-    t1: BandedOperator
-    t2_diag: np.ndarray
-    h: np.ndarray
-
-    def apply_t1(self, w: np.ndarray) -> np.ndarray:
-        return self.t1.apply(w)
-
-    def apply_t2(self, w: np.ndarray) -> np.ndarray:
-        return self.t2_diag * w
-
-
 def build_factor_ops(
     h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
-) -> FactorOps:
+) -> tuple[BandedOperator, np.ndarray]:
+    """First-order factors (T1 as a banded operator, T2 as a diagonal) of the operator."""
     d = d1_fd(grid)
     bands = {o: (h / _SQRT3) * c for o, c in d.bands.items()}
     bands[0] = -(_SQRT3 / 2.0) * params.epsilon * bathymetry.b_x
-    return FactorOps(
-        t1=BandedOperator(grid.n, bands),
-        t2_diag=(params.epsilon / 2.0) * bathymetry.b_x,
-        h=h,
-    )
+    return BandedOperator(grid.n, bands), (params.epsilon / 2.0) * bathymetry.b_x
 
 
 class TOperator:
     """Assembled and factorized operator tied to one (h, bathymetry) pair."""
 
-    def __init__(self, grid, params, h, bathymetry, factors, banded, cho, deriv):
+    def __init__(self, grid, params, h, bathymetry, banded, cho, deriv):
         self.grid = grid
         self.params = params
         self.h = h
         self.bathymetry = bathymetry
-        self.factors = factors
         self.banded = banded
         self.cho = cho  # lower banded Cholesky factor in interleaved order
         self.deriv = deriv
@@ -128,11 +109,11 @@ def assemble_T(
     """
     h = np.asarray(h, dtype=float)
     require_depth(h, params)
-    factors = build_factor_ops(h, bathymetry, params, grid)
+    t1, t2_diag = build_factor_ops(h, bathymetry, params, grid)
 
-    gram = _gram_bands(factors.t1.bands, h, grid.n)
+    gram = _gram_bands(t1.bands, h, grid.n)
     bands = {d: params.mu * gram[d] for d in range(1, 5)}
-    bands[0] = h + params.mu * (gram[0] + h * factors.t2_diag**2)
+    bands[0] = h + params.mu * (gram[0] + h * t2_diag**2)
     for d in range(1, 5):
         bands[-d] = np.roll(bands[d], d)  # mirror keeps symmetry exact
 
@@ -141,7 +122,7 @@ def assemble_T(
         cho = cholesky_banded(_lower_band_storage(banded), lower=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(float(h.min())) from exc
-    return TOperator(grid, params, h, bathymetry, factors, banded, cho, d1_fd(grid))
+    return TOperator(grid, params, h, bathymetry, banded, cho, d1_fd(grid))
 
 
 def apply_T(op: TOperator, w: np.ndarray) -> np.ndarray:
@@ -182,21 +163,25 @@ def coercivity_bound(params: Parameters) -> float:
     return params.h0 / max(1.0, 18.0 / params.h0**2)
 
 
+def rayleigh_ratio(op: TOperator, v: np.ndarray) -> float:
+    """(T v, v) / (|v|^2 + mu |D v|^2), bounded below by coercivity_bound(params)."""
+    grid, mu = op.grid, op.params.mu
+    dv = op.deriv.apply(v)
+    return inner_product(apply_T(op, v), v, grid) / (
+        inner_product(v, v, grid) + mu * inner_product(dv, dv, grid)
+    )
+
+
 def coercivity_report(op: TOperator, trials: int = 16, seed: int = 0) -> CoercivityReport:
-    """Measure (T v, v) / (|v|^2 + mu |D v|^2) over random test fields.
+    """Measure the Rayleigh ratio over random test fields.
 
     The ratio is bounded below by coercivity_bound(params) for every
     field whenever min(h) >= h0; the report records the observed range.
     """
     rng = np.random.default_rng(seed)
-    grid, mu = op.grid, op.params.mu
     lo, hi = np.inf, -np.inf
     for _ in range(trials):
-        v = rng.standard_normal(grid.n)
-        quad = inner_product(apply_T(op, v), v, grid)
-        dv = op.deriv.apply(v)
-        star = inner_product(v, v, grid) + mu * inner_product(dv, dv, grid)
-        ratio = quad / star
+        ratio = rayleigh_ratio(op, rng.standard_normal(op.grid.n))
         lo, hi = min(lo, ratio), max(hi, ratio)
     return CoercivityReport(coercivity_bound(op.params), lo, hi, trials)
 

@@ -40,24 +40,44 @@ class StepControl:
         if not self.dt_max > 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
+    def step_for(self, speed: float, dx: float) -> float:
+        """The step this policy allows on spacing dx at the given max wave speed."""
+        if speed <= 0.0:
+            return self.dt_max
+        return min(self.dt_max, self.cfl * dx / speed)
+
+
+def max_wave_speed(u: np.ndarray, h: np.ndarray, params: Parameters) -> float:
+    """Largest advective-acoustic speed eps |u| + sqrt(h) over all samples."""
+    return float(np.max(params.epsilon * np.abs(u) + np.sqrt(np.maximum(h, 0.0))))
+
 
 def cfl_dt(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid, control: StepControl
 ) -> float:
     """Advective-acoustic step bound from the current fields."""
-    h = compute_depth(state, bathymetry, params).values
-    speed = float(np.max(params.epsilon * np.abs(state.u) + np.sqrt(np.maximum(h, 0.0))))
-    if speed <= 0.0:
-        return control.dt_max
-    return min(control.dt_max, control.cfl * grid.dx / speed)
+    h = compute_depth(state, bathymetry, params)
+    return control.step_for(max_wave_speed(state.u, h, params), grid.dx)
 
 
-def _stage_tendency(
-    state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    # truncating the tendency keeps band-limited data on the alias-free band
-    dz, du = nonlinear_rhs(state, bathymetry, params, grid)
-    return dealias(dz, grid), dealias(du, grid)
+def _rk4(z: np.ndarray, u: np.ndarray, dt: float, grid: Grid, tendency):
+    """Increments (dz, du) of one classical Runge-Kutta step.
+
+    tendency(c, z, u) is evaluated at stage time t + c dt, and each stage
+    tendency is truncated to the alias-free band.
+    """
+    def stage(c, stage_z, stage_u):
+        dz, du = tendency(c, stage_z, stage_u)
+        return dealias(dz, grid), dealias(du, grid)
+
+    k1z, k1u = stage(0.0, z, u)
+    k2z, k2u = stage(0.5, z + 0.5 * dt * k1z, u + 0.5 * dt * k1u)
+    k3z, k3u = stage(0.5, z + 0.5 * dt * k2z, u + 0.5 * dt * k2u)
+    k4z, k4u = stage(1.0, z + dt * k3z, u + dt * k3u)
+    return (
+        (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
+        (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+    )
 
 
 def rk4_step(
@@ -66,19 +86,11 @@ def rk4_step(
     """One classical Runge-Kutta step; raises on depth or factorization loss."""
     z, u, t = state.zeta, state.u, state.time
 
-    k1z, k1u = _stage_tendency(state, bathymetry, params, grid)
-    s2 = State(z + 0.5 * dt * k1z, u + 0.5 * dt * k1u, t + 0.5 * dt)
-    k2z, k2u = _stage_tendency(s2, bathymetry, params, grid)
-    s3 = State(z + 0.5 * dt * k2z, u + 0.5 * dt * k2u, t + 0.5 * dt)
-    k3z, k3u = _stage_tendency(s3, bathymetry, params, grid)
-    s4 = State(z + dt * k3z, u + dt * k3u, t + dt)
-    k4z, k4u = _stage_tendency(s4, bathymetry, params, grid)
+    def tendency(c, stage_z, stage_u):
+        return nonlinear_rhs(State(stage_z, stage_u, t + c * dt), bathymetry, params, grid)
 
-    return State(
-        z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-        u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-        t + dt,
-    )
+    dz, du = _rk4(z, u, dt, grid, tendency)
+    return State(z + dz, u + du, t + dt)
 
 
 @dataclass

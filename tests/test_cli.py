@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,44 @@ def test_load_bathymetry_handles_offset_sample_origin(tmp_path):
     assert np.allclose(bath.b, profile(grid.nodes()), rtol=0.0, atol=1e-12)
 
 
+def test_load_bathymetry_upsampling_splits_the_nyquist_mode(tmp_path):
+    # 8 samples of cos(4x) alternate in sign; their interpolant is cos(4x)
+    grid = Grid(16, 2.0 * np.pi)
+    profile = lambda x: 0.1 * np.cos(4.0 * x) + 0.05 * np.sin(x + 0.2)
+    xs = np.arange(8) * 2.0 * np.pi / 8
+    path = tmp_path / "bath.dat"
+    _write_samples(path, xs, profile(xs))
+    bath = load_bathymetry(str(path), grid)
+    assert np.allclose(bath.b, profile(grid.nodes()), rtol=0.0, atol=1e-12)
+
+
+def test_load_bathymetry_downsampling_keeps_the_target_nyquist_mode(tmp_path):
+    # cos(4x) is the Nyquist mode of an 8-node grid, where both of its
+    # exponentials land on one coefficient
+    grid = Grid(8, 2.0 * np.pi)
+    profile = lambda x: 0.1 * np.cos(4.0 * x) + 0.05 * np.sin(x + 0.2)
+    xs = np.arange(16) * 2.0 * np.pi / 16
+    path = tmp_path / "bath.dat"
+    _write_samples(path, xs, profile(xs))
+    bath = load_bathymetry(str(path), grid)
+    assert np.allclose(bath.b, profile(grid.nodes()), rtol=0.0, atol=1e-12)
+
+
+def test_load_bathymetry_offset_nyquist_mode_is_a_cosine_about_the_first_sample(tmp_path):
+    # the samples of cos(4x) from x0 = 0.3 are cos(1.2) (-1)^k, whose
+    # interpolant is cos(1.2) cos(4 (x - 0.3)) (Trefethen, Spectral
+    # Methods in MATLAB, ch. 3)
+    grid = Grid(16, 2.0 * np.pi)
+    x0 = 0.3
+    xs = x0 + np.arange(8) * 2.0 * np.pi / 8
+    path = tmp_path / "bath.dat"
+    _write_samples(path, xs, 0.1 * np.cos(4.0 * xs) + 0.05 * np.sin(xs + 0.2))
+    bath = load_bathymetry(str(path), grid)
+    x = grid.nodes()
+    want = 0.1 * np.cos(4.0 * x0) * np.cos(4.0 * (x - x0)) + 0.05 * np.sin(x + 0.2)
+    assert np.allclose(bath.b, want, rtol=0.0, atol=1e-12)
+
+
 def test_load_bathymetry_same_resolution_round_trip(tmp_path):
     grid = Grid(32, 10.0)
     rng = np.random.default_rng(5)
@@ -190,7 +229,7 @@ def test_emit_snapshot_columns(tmp_path):
     assert header == "# x zeta u b h"
     data = np.loadtxt(path)
     assert data.shape == (grid.n, 5)
-    h = compute_depth(state, bath, params).values
+    h = compute_depth(state, bath, params)
     assert np.array_equal(data[:, 0], grid.nodes())
     assert np.array_equal(data[:, 1], state.zeta)
     assert np.array_equal(data[:, 2], state.u)
@@ -351,6 +390,30 @@ def test_main_config_error_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"n": 6},
+        {"blowup_factor": math.nan},
+        {"s": math.nan},
+        {"snapshot_every": math.nan},
+        {"h0": math.nan},
+        {"dt_max": math.nan},
+        {"mollifier_delta": math.nan},
+        {"picard_tol": math.nan},
+        {"picard_max_iters": 0},
+    ],
+    ids=lambda o: next(iter(o)),
+)
+def test_main_rejects_bad_config_values_with_exit_two(tmp_path, capsys, override):
+    cfg_path = tmp_path / "run.cfg"
+    base = dict(scenario="hump", n=64, length=2.0 * math.pi, epsilon=0.2, amplitude=0.2,
+                width=0.5, t_end=0.05, output_dir=str(tmp_path / "out"))
+    _write_config(cfg_path, **{**base, **override})
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_scenarios_lists_the_registry(capsys):
     assert main(["scenarios"]) == 0
     out = capsys.readouterr().out
@@ -364,11 +427,34 @@ def test_main_dump_config_round_trips(capsys):
     assert parse_config(text) == RunConfig()
 
 
+VERIFY_CHECKS = [
+    "operator symmetry (max abs)",
+    "coercivity margin (min ratio/bound)",
+    "solve residual (relative)",
+    "solve round-trip (relative)",
+    "energy identity (relative)",
+    "source decomposition (relative)",
+    "formulation equivalence (relative)",
+    "cutoff commutation (relative)",
+    "cutoff self-adjointness (relative)",
+    "inverse bound spread (first)",
+    "inverse bound spread (derivative)",
+    "norm equivalence spread (upper)",
+    "norm equivalence spread (lower)",
+    "energy drift (relative, t=2)",
+    "mass drift (absolute, t=2)",
+]
+
+
 def test_verify_suite_passes_on_defaults(capsys):
-    assert verify_suite(RunConfig()) == 0
-    out = capsys.readouterr().out
-    assert "15/15 checks passed" in out
-    assert "FAIL" not in out
+    # the benchmark parses this table: keep the names, their order, the
+    # summary line and the "name  measured value" layout
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  measured ")[0].rstrip() for line in lines[:-1]] == VERIFY_CHECKS
+    assert lines[-1] == "15/15 checks passed"
+    assert any(re.match(r"^energy drift \(relative, t=2\)\s+measured \S+", x) for x in lines)
+    assert not any(line.endswith("FAIL") for line in lines)
 
 
 def test_verify_suite_detects_broken_depth(capsys):

@@ -9,7 +9,6 @@ from gn1d import (
     Grid,
     Parameters,
     State,
-    check_depth_condition,
     compute_depth,
 )
 from gn1d.core import require_depth
@@ -77,24 +76,7 @@ def test_depth_formula_elementwise():
     bath = Bathymetry.from_profile(0.1 * np.cos(x), grid)
     state = State(0.2 * np.sin(x), np.zeros(grid.n))
     depth = compute_depth(state, bath, params)
-    assert np.allclose(depth.values, 1.0 + 0.5 * (state.zeta - bath.b), atol=0.0)
-
-
-def test_depth_condition_verdict_and_location():
-    grid = Grid(16, 2.0 * np.pi)
-    params = Parameters(0.5, 0.5, h0=0.5)
-    zeta = np.zeros(grid.n)
-    zeta[5] = -1.2  # h = 0.4 there, below the floor
-    depth = compute_depth(State(zeta, np.zeros(grid.n)), Bathymetry.flat(grid), params)
-    verdict = check_depth_condition(depth, params)
-    assert not verdict.ok
-    assert verdict.location == 5
-    assert verdict.min_value == pytest.approx(0.4)
-
-    ok = check_depth_condition(
-        compute_depth(State(np.zeros(grid.n), zeta), Bathymetry.flat(grid), params), params
-    )
-    assert ok.ok and ok.min_value == 1.0
+    assert np.allclose(depth, 1.0 + 0.5 * (state.zeta - bath.b), atol=0.0)
 
 
 def test_require_depth_raises_with_details():

@@ -183,6 +183,31 @@ def test_linearization_about_rest_recovers_dispersive_waves():
     assert l2_diff(final, ic, grid) <= 1e-6
 
 
+def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
+    """Stages 2 and 3 share the midpoint operator and each step-end
+    operator is reused as the next step's start: 2m + 1 assemblies."""
+    import gn1d.linearized
+
+    calls = []
+    original = gn1d.linearized.assemble_T
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gn1d.linearized, "assemble_T", counting)
+    grid = Grid(32, 2.0 * np.pi)
+    params = Parameters(0.2, 0.5, h0=0.4)
+    hump = gaussian_hump(0.3, 0.5, grid)
+    ref = ReferenceTrajectory.constant(hump, 0.1)
+    out = solve_linear(
+        ref, hump, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.1), dt=0.02
+    )
+    m = out.times.size - 1
+    assert m == 5
+    assert len(calls) == 2 * m + 1
+
+
 def test_linear_march_requires_a_covering_reference():
     grid = Grid(32, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.5)

@@ -159,13 +159,13 @@ def test_quadratic_form_stays_above_bound():
 def test_quadratic_form_matches_factored_sum():
     """(T v, v) equals |sqrt(h) v|^2 + mu |sqrt(h) T1 v|^2 + mu |sqrt(h) T2 v|^2."""
     op, grid, params = _random_operator(seed=3)
-    factors = op.factors
+    t1, t2_diag = build_factor_ops(op.h, op.bathymetry, params, grid)
     rng = np.random.default_rng(12)
     for _ in range(5):
         v = rng.standard_normal(grid.n)
         quad = inner_product(apply_T(op, v), v, grid)
-        t1v = factors.apply_t1(v)
-        t2v = factors.apply_t2(v)
+        t1v = t1.apply(v)
+        t2v = t2_diag * v
         parts = (
             inner_product(op.h * v, v, grid)
             + params.mu * inner_product(op.h * t1v, t1v, grid)
@@ -179,14 +179,14 @@ def test_factor_ops_match_their_definitions():
     params = Parameters(0.8, 0.5, h0=0.5)
     bath = bumpy_bathymetry(grid)
     h = admissible_depth(grid, params, 4)
-    factors = build_factor_ops(h, bath, params, grid)
+    t1, t2_diag = build_factor_ops(h, bath, params, grid)
     rng = np.random.default_rng(5)
     w = rng.standard_normal(grid.n)
     from gn1d.grid_ops import d1_fd
 
     want = (h / np.sqrt(3.0)) * d1_fd(grid).apply(w) - (np.sqrt(3.0) / 2.0) * params.epsilon * bath.b_x * w
-    assert np.allclose(factors.apply_t1(w), want, atol=1e-13)
-    assert np.allclose(factors.apply_t2(w), 0.5 * params.epsilon * bath.b_x * w, atol=1e-15)
+    assert np.allclose(t1.apply(w), want, atol=1e-13)
+    assert np.allclose(t2_diag * w, 0.5 * params.epsilon * bath.b_x * w, atol=1e-15)
 
 
 def test_inverse_constants_stay_bounded_as_mu_vanishes():
@@ -198,7 +198,7 @@ def test_inverse_constants_stay_bounded_as_mu_vanishes():
     states = []
     for seed in range(3):
         st = random_state(grid, seed=seed + 40)
-        states.append((compute_depth(st, bath, base).values, bath))
+        states.append((compute_depth(st, bath, base), bath))
     params_grid = [(eps, mu) for eps in (0.1, 1.0) for mu in (1e-4, 1e-2, 1.0)]
     records = inverse_bound_sweep(states, params_grid, s=2.0, grid=grid, trials=4, seed=7, h0=0.05)
     assert len(records) == len(states) * len(params_grid)

@@ -7,7 +7,7 @@ import pytest
 
 from gn1d import Bathymetry, Grid, Parameters, State, solitary_wave
 from gn1d.scenarios import bar_bathymetry, rest_state
-from gn1d.time_integrator import RunOutcome, StepControl, cfl_dt, rk4_step, run
+from gn1d.time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, rk4_step, run
 
 from helpers import l2_diff
 
@@ -161,3 +161,34 @@ def test_stage_tendencies_leave_the_top_band_alone():
         st = rk4_step(st, 0.02, Bathymetry.flat(grid), params, grid)
     top = np.abs(np.fft.rfft(st.zeta)[grid.n // 3 + 1 :])
     assert np.max(np.abs(top - top0)) <= 1e-10
+
+
+def test_rk4_kernel_integrates_a_cubic_in_time_exactly():
+    """With a tendency that depends on time alone, RK4 is Simpson's rule,
+    exact for cubics; this pins the stage offsets and the weights."""
+    grid = Grid(16, 1.0)
+    t0, dt = 0.7, 0.3
+    one = np.ones(grid.n)
+
+    def p(t):
+        return 1.0 - 2.0 * t + 3.0 * t**2 + 4.0 * t**3
+
+    def integral(t):
+        return t - t**2 + t**3 + t**4
+
+    dz, du = _rk4(one, one, dt, grid, lambda c, z, u: (p(t0 + c * dt) * one, -p(t0 + c * dt) * one))
+    exact = integral(t0 + dt) - integral(t0)
+    assert np.allclose(dz, exact, rtol=1e-14, atol=0.0)
+    assert np.allclose(du, -exact, rtol=1e-14, atol=0.0)
+
+
+def test_rk4_kernel_matches_the_taylor_polynomial_on_linear_decay():
+    """For z' = lam z one step multiplies z by the degree-4 Taylor
+    polynomial of exp(lam dt); this pins how the stages feed each other."""
+    grid = Grid(16, 1.0)
+    lam, dt = -1.3, 0.2
+    z = np.full(grid.n, 2.0)
+    dz, du = _rk4(z, z, dt, grid, lambda c, zs, us: (lam * zs, 0.0 * us))
+    x = lam * dt
+    assert np.allclose(z + dz, 2.0 * (1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24), rtol=1e-14, atol=0.0)
+    assert np.array_equal(du, np.zeros(grid.n))
