@@ -39,7 +39,9 @@ def source_defect(state: State, bathymetry: Bathymetry, params: Parameters, grid
     h = compute_depth(state, bathymetry, params)
     ux = d1_spectral(state.u, grid)
     whole = params.epsilon * params.mu * h * q_total(h, state.u, bathymetry, params, grid)
-    split = q1_apply(state, ux, bathymetry, params, grid) + q2_eval(state, bathymetry, params, grid)
+    split = q1_apply(h, state.u, ux, bathymetry, params, grid) + q2_eval(
+        h, state.u, bathymetry, params, grid
+    )
     return float(np.linalg.norm(split - whole) / np.linalg.norm(whole))
 
 

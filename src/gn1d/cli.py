@@ -272,8 +272,9 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if not cfg.n >= 8:
         raise ConfigError(f"n must be at least 8 for the 5-point stencil, got {cfg.n}")
-    if not math.isfinite(cfg.s):
-        raise ConfigError(f"s must be finite, got {cfg.s}")
+    for name in ("s", "x0", "amplitude", "bar_height"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     for name in ("blowup_factor", "picard_tol"):
         if not getattr(cfg, name) > 0.0:
             raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")

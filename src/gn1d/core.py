@@ -8,6 +8,7 @@ grid is uniform and periodic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,8 +91,19 @@ class Grid:
         return self.dx * np.arange(self.n)
 
     def wavenumbers(self) -> np.ndarray:
-        """Nonnegative wavenumbers 2*pi*j/length carried by the real FFT."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        """Nonnegative wavenumbers 2*pi*j/length carried by the real FFT (read-only)."""
+        return _wavenumbers(self)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array held in a per-grid cache read-only and return it."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _wavenumbers(grid: Grid) -> np.ndarray:
+    return read_only(2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx))
 
 
 @dataclass(frozen=True)

@@ -44,26 +44,30 @@ def q_total(
 
 
 def q1_apply(
-    ref: State, f: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
+    h: np.ndarray,
+    u: np.ndarray,
+    f: np.ndarray,
+    bathymetry: Bathymetry,
+    params: Parameters,
+    grid: Grid,
 ) -> np.ndarray:
-    """First-order part of the dispersive source, applied to a field f."""
+    """First-order part of the dispersive source at depth h and velocity u, applied to f."""
     eps, mu = params.epsilon, params.mu
     bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    h = compute_depth(ref, bathymetry, params)
-    ux = d1_spectral(ref.u, grid)
+    ux = d1_spectral(u, grid)
     return (
         (2.0 / 3.0) * eps * mu * d1_spectral(h**3 * ux * f, grid)
         + eps**2 * mu * h**2 * bx * ux * f
-        + eps**2 * mu * h**2 * bxx * ref.u * f
+        + eps**2 * mu * h**2 * bxx * u * f
     )
 
 
-def q2_eval(ref: State, bathymetry: Bathymetry, params: Parameters, grid: Grid) -> np.ndarray:
-    """Zero-order remainder of the dispersive source."""
+def q2_eval(
+    h: np.ndarray, u: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
+) -> np.ndarray:
+    """Zero-order remainder of the dispersive source at depth h and velocity u."""
     eps, mu = params.epsilon, params.mu
     bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    h = compute_depth(ref, bathymetry, params)
-    u = ref.u
     return eps**3 * mu * h * bxx * bx * u**2 + 0.5 * eps**2 * mu * d1_spectral(
         h**2 * bxx, grid
     ) * u**2
@@ -96,14 +100,18 @@ def apply_A(
     grid: Grid,
     op: TOperator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advection-structure map of the condensed form applied to (v1, v2)."""
+    """Advection-structure map of the condensed form applied to (v1, v2).
+
+    op is T at ref (assembled here when None); its depth op.h is used.
+    """
     eps = params.epsilon
     v1, v2 = fields
-    h = compute_depth(ref, bathymetry, params)
     if op is None:
-        op = assemble_T(h, bathymetry, params, grid)
+        op = assemble_T(compute_depth(ref, bathymetry, params), bathymetry, params, grid)
+    h = op.h
     a1 = eps * ref.u * v1 + h * v2
-    a2 = solve_T(op, h * v1 + q1_apply(ref, v2, bathymetry, params, grid)) + eps * ref.u * v2
+    q1 = q1_apply(h, ref.u, v2, bathymetry, params, grid)
+    a2 = solve_T(op, h * v1 + q1) + eps * ref.u * v2
     return a1, a2
 
 
@@ -114,12 +122,11 @@ def eval_B(
     grid: Grid,
     op: TOperator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order source of the condensed form."""
+    """Zero-order source of the condensed form (op as in apply_A)."""
     if op is None:
-        h = compute_depth(ref, bathymetry, params)
-        op = assemble_T(h, bathymetry, params, grid)
+        op = assemble_T(compute_depth(ref, bathymetry, params), bathymetry, params, grid)
     b1 = -params.epsilon * bathymetry.b_x * ref.u
-    b2 = solve_T(op, q2_eval(ref, bathymetry, params, grid))
+    b2 = solve_T(op, q2_eval(op.h, ref.u, bathymetry, params, grid))
     return b1, b2
 
 

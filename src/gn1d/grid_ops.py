@@ -6,15 +6,24 @@ must exist (the symmetric elliptic assembly); exact trigonometric
 derivatives are used everywhere else.  Inner products use the rectangle
 rule, which on a uniform periodic grid is what makes banded transposes
 genuine adjoints.
+
+Everything that depends only on the grid is built once per grid and held
+read-only: the banded first derivative d1_fd(grid) and the spectral
+derivative symbol, like Grid.wavenumbers() itself.  A banded operator is
+applied through one periodic halo of _HALO cells around its argument
+instead of one shifted copy per band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid
+from .core import Grid, read_only
+
+_HALO = 4  # widest band offset of any operator here (the elliptic T)
 
 
 @dataclass(frozen=True)
@@ -25,14 +34,20 @@ class BandedOperator:
     bands: dict[int, np.ndarray]
 
     def __post_init__(self):
+        if self.n < _HALO:
+            raise ValueError(f"banded operators need n >= {_HALO}, got {self.n}")
         for o, c in self.bands.items():
             if c.shape != (self.n,):
                 raise ValueError(f"band {o} has shape {c.shape}, expected ({self.n},)")
+            if abs(o) > _HALO:
+                raise ValueError(f"band offset {o} exceeds the periodic halo of {_HALO}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.n)
+        n = self.n
+        xpad = np.concatenate((x[n - _HALO :], x, x[:_HALO]))  # xpad[_HALO + j] = x[j % n]
+        y = np.zeros(n)
         for o, c in sorted(self.bands.items()):
-            y += c * np.roll(x, -o)
+            y += c * xpad[_HALO + o : _HALO + o + n]
         return y
 
     def to_dense(self) -> np.ndarray:
@@ -43,21 +58,21 @@ class BandedOperator:
         return a
 
 
+@lru_cache(maxsize=16)
 def d1_fd(grid: Grid) -> BandedOperator:
     """Fourth-order centered first derivative as a banded operator.
 
     Stencil (-1, 8, 0, -8, 1)/(12 dx) on offsets (2, 1, 0, -1, -2); it is
     exactly antisymmetric, so its transpose is its negative bit for bit.
+    Built once per grid; its bands are read-only.
     """
     if grid.n < 8:
         raise ValueError(f"grid too small for the 5-point stencil: n = {grid.n}")
     one = np.ones(grid.n)
     c1 = 8.0 / (12.0 * grid.dx)
     c2 = 1.0 / (12.0 * grid.dx)
-    return BandedOperator(
-        grid.n,
-        {1: c1 * one, -1: -c1 * one, 2: -c2 * one, -2: c2 * one},
-    )
+    bands = {1: c1 * one, -1: -c1 * one, 2: -c2 * one, -2: c2 * one}
+    return BandedOperator(grid.n, {o: read_only(c) for o, c in bands.items()})
 
 
 def fd_symbol(k: np.ndarray, dx: float) -> np.ndarray:
@@ -70,11 +85,16 @@ def apply_symbol(f: np.ndarray, symbol: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfft(symbol * np.fft.rfft(f), grid.n)
 
 
-def d1_spectral(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Exact derivative of the trigonometric interpolant (Nyquist zeroed)."""
+@lru_cache(maxsize=16)
+def _d1_symbol(grid: Grid) -> np.ndarray:
     sym = 1j * grid.wavenumbers()
     sym[-1] = 0.0  # on an even grid the Nyquist mode has no resolvable sine partner
-    return apply_symbol(f, sym, grid)
+    return read_only(sym)
+
+
+def d1_spectral(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Exact derivative of the trigonometric interpolant (Nyquist zeroed)."""
+    return apply_symbol(f, _d1_symbol(grid), grid)
 
 
 def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:

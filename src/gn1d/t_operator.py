@@ -17,17 +17,22 @@ order 0, n-1, 1, n-2, 2, ... puts every periodic coupling within eight
 places of the diagonal, so T is factored exactly as an ordinary band
 matrix of half-width 8 (LAPACK pbtrf) at O(n) cost, with no wrap-around
 corners and no dense n x n matrix.
+
+The index patterns of the assembly depend only on n and are built once
+per n, read-only: the interleaved order and its inverse, and the
+(source, destination) plan that scatters the nine bands into lower band
+storage with one bincount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .core import Bathymetry, FactorizationError, Grid, Parameters, require_depth
+from .core import Bathymetry, FactorizationError, Grid, Parameters, read_only, require_depth
 from .grid_ops import BandedOperator, d1_fd, d1_spectral, hs_norm, inner_product
 
 _SQRT3 = np.sqrt(3.0)
@@ -61,6 +66,7 @@ class TOperator:
         return self.banded.to_dense()
 
 
+@lru_cache(maxsize=16)
 def _interleaved_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Node at each interleaved position (0, n-1, 1, n-2, ...) and its inverse."""
     order = np.empty(n, dtype=np.intp)
@@ -68,21 +74,38 @@ def _interleaved_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
-    return order, position
+    return read_only(order), read_only(position)
+
+
+@lru_cache(maxsize=16)
+def _band_storage_plan(n: int, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each stored entry in the concatenated bands, and its flat place in ab."""
+    _, p = _interleaved_order(n)
+    i = np.arange(n)
+    src, dst = [], []
+    for k, o in enumerate(offsets):
+        q = p[(i + o) % n]
+        low = p >= q
+        src.append(k * n + i[low])
+        dst.append((p[low] - q[low]) * n + q[low])
+    return read_only(np.concatenate(src)), read_only(np.concatenate(dst))
 
 
 def _lower_band_storage(banded: BandedOperator) -> np.ndarray:
     """Lower band storage ab[p - q, q] = A[p, q] (p >= q) of A in interleaved order."""
     n = banded.n
-    _, p = _interleaved_order(n)
-    ab = np.zeros((min(8, n - 1) + 1, n))
-    for o, c in sorted(banded.bands.items()):
-        q = p[(np.arange(n) + o) % n]
-        low = p >= q
-        # within one band the (p, q) pairs are distinct; at n = 8 bands +4
-        # and -4 share entries and accumulate across iterations
-        ab[p[low] - q[low], q[low]] += c[low]
-    return ab
+    offsets = tuple(sorted(banded.bands))
+    src, dst = _band_storage_plan(n, offsets)
+    rows = min(8, n - 1) + 1
+    values = np.concatenate([banded.bands[o] for o in offsets])[src]
+    # within one band the destinations are distinct; at n = 8 bands -4 and
+    # +4 share entries, which bincount sums in band order
+    return np.bincount(dst, weights=values, minlength=rows * n).reshape(rows, n)
+
+
+def _shift(a: np.ndarray, k: int) -> np.ndarray:
+    """Periodic shift, out[i] = a[(i - k) % n], for |k| < n."""
+    return np.concatenate((a[-k:], a[:-k]))
 
 
 def _gram_bands(a: dict[int, np.ndarray], w: np.ndarray, n: int) -> dict[int, np.ndarray]:
@@ -93,7 +116,7 @@ def _gram_bands(a: dict[int, np.ndarray], w: np.ndarray, n: int) -> dict[int, np
         acc = np.zeros(n)
         for p in offsets:
             if p + d in a:
-                acc += np.roll(a[p] * w * a[p + d], p)
+                acc += _shift(a[p] * w * a[p + d], p)
         out[d] = acc
     return out
 
@@ -115,7 +138,7 @@ def assemble_T(
     bands = {d: params.mu * gram[d] for d in range(1, 5)}
     bands[0] = h + params.mu * (gram[0] + h * t2_diag**2)
     for d in range(1, 5):
-        bands[-d] = np.roll(bands[d], d)  # mirror keeps symmetry exact
+        bands[-d] = _shift(bands[d], d)  # mirror keeps symmetry exact
 
     banded = BandedOperator(grid.n, bands)
     try:

@@ -402,6 +402,9 @@ def test_main_config_error_exits_two(tmp_path, capsys):
         {"mollifier_delta": math.nan},
         {"picard_tol": math.nan},
         {"picard_max_iters": 0},
+        {"x0": math.nan},
+        {"amplitude": math.nan},
+        {"bar_height": math.nan},
     ],
     ids=lambda o: next(iter(o)),
 )
@@ -411,7 +414,9 @@ def test_main_rejects_bad_config_values_with_exit_two(tmp_path, capsys, override
                 width=0.5, t_end=0.05, output_dir=str(tmp_path / "out"))
     _write_config(cfg_path, **{**base, **override})
     assert main(["run", "--config", str(cfg_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert next(iter(override)) in err
 
 
 def test_main_scenarios_lists_the_registry(capsys):

@@ -32,8 +32,10 @@ def test_remainder_source_is_quadratic_in_velocity():
     params = Parameters(0.5, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
     st = random_state(grid, 17, kc=10)
-    doubled = State(st.zeta, 2.0 * st.u)
-    assert np.array_equal(q2_eval(doubled, bath, params, grid), 4.0 * q2_eval(st, bath, params, grid))
+    h = 1.0 + params.epsilon * (st.zeta - bath.b)
+    assert np.array_equal(
+        q2_eval(h, 2.0 * st.u, bath, params, grid), 4.0 * q2_eval(h, st.u, bath, params, grid)
+    )
 
 
 def test_first_order_source_is_linear_in_its_argument():
@@ -44,11 +46,13 @@ def test_first_order_source_is_linear_in_its_argument():
     rng = np.random.default_rng(1)
     f = rng.standard_normal(grid.n)
     g = rng.standard_normal(grid.n)
+    h = 1.0 + params.epsilon * (st.zeta - bath.b)
     assert np.array_equal(
-        q1_apply(st, 2.0 * f, bath, params, grid), 2.0 * q1_apply(st, f, bath, params, grid)
+        q1_apply(h, st.u, 2.0 * f, bath, params, grid),
+        2.0 * q1_apply(h, st.u, f, bath, params, grid),
     )
-    lhs = q1_apply(st, f + g, bath, params, grid)
-    rhs = q1_apply(st, f, bath, params, grid) + q1_apply(st, g, bath, params, grid)
+    lhs = q1_apply(h, st.u, f + g, bath, params, grid)
+    rhs = q1_apply(h, st.u, f, bath, params, grid) + q1_apply(h, st.u, g, bath, params, grid)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -108,7 +112,7 @@ def test_source_split_reassembles_the_dispersive_source():
         h = 1.0 + params.epsilon * (st.zeta - bath.b)
         ux = d1_spectral(st.u, grid)
         whole = params.epsilon * params.mu * h * q_total(h, st.u, bath, params, grid)
-        split = q1_apply(st, ux, bath, params, grid) + q2_eval(st, bath, params, grid)
+        split = q1_apply(h, st.u, ux, bath, params, grid) + q2_eval(h, st.u, bath, params, grid)
         assert l2_norm(whole - split, grid) <= 1e-12 * l2_norm(whole, grid)
 
 

@@ -25,18 +25,33 @@ from gn1d.grid_ops import (
 
 def test_banded_apply_matches_dense():
     rng = np.random.default_rng(3)
-    n = 16
-    bands = {o: rng.standard_normal(n) for o in (-2, -1, 0, 1, 3)}
-    op = BandedOperator(n, bands)
-    dense = op.to_dense()
-    for _ in range(10):
-        x = rng.standard_normal(n)
-        assert np.allclose(op.apply(x), dense @ x, atol=1e-13)
+    # at n = 8 with offsets -4..4 the periodic halo of apply is n / 2 wide
+    for n, offsets in ((16, (-2, -1, 0, 1, 3)), (8, range(-4, 5))):
+        bands = {o: rng.standard_normal(n) for o in offsets}
+        op = BandedOperator(n, bands)
+        dense = op.to_dense()
+        for _ in range(10):
+            x = rng.standard_normal(n)
+            assert np.allclose(op.apply(x), dense @ x, atol=1e-13)
 
 
 def test_banded_rejects_wrong_band_length():
     with pytest.raises(ValueError):
         BandedOperator(8, {0: np.ones(7)})
+
+
+def test_banded_rejects_offsets_beyond_the_halo():
+    with pytest.raises(ValueError):
+        BandedOperator(16, {5: np.ones(16)})
+
+
+def test_cached_grid_arrays_cannot_be_corrupted():
+    grid = Grid(32, 2.0 * np.pi)
+    for arr in (grid.wavenumbers(), d1_fd(grid).bands[1]):
+        with pytest.raises(ValueError):
+            arr[0] = 99.0
+    assert np.array_equal(grid.wavenumbers(), 2.0 * np.pi * np.fft.rfftfreq(32, d=grid.dx))
+    assert np.all(d1_fd(grid).bands[1] == 8.0 / (12.0 * grid.dx))
 
 
 def test_fd_derivative_is_exactly_antisymmetric():

@@ -94,6 +94,19 @@ def test_banded_solve_matches_dense_solve():
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_band_storage_is_the_interleaved_lower_band_of_the_dense_matrix():
+    # the per-n plan must place every entry, and sum the ones bands +4 and
+    # -4 share at n = 8, exactly as the dense matrix does
+    for n in (8, 10, 12, 16, 64):
+        op, _, _ = _random_operator(n=n, seed=n)
+        order, _ = gn1d.t_operator._interleaved_order(n)
+        a = op.dense[np.ix_(order, order)]
+        want = np.zeros((min(8, n - 1) + 1, n))
+        for k in range(want.shape[0]):
+            want[k, : n - k] = np.diagonal(a, -k)
+        assert np.array_equal(gn1d.t_operator._lower_band_storage(op.banded), want)
+
+
 def test_assembly_and_solve_build_no_dense_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError("dense matrix built on the solve path")
