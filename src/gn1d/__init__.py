@@ -5,6 +5,7 @@ from .core import (
     DepthError,
     FactorizationError,
     Grid,
+    NonFiniteError,
     Parameters,
     State,
     compute_depth,

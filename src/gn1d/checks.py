@@ -38,7 +38,7 @@ def source_defect(state: State, bathymetry: Bathymetry, params: Parameters, grid
     """Relative defect of the split source Q1[U] u_x + q2(U) against eps mu h Q(u)."""
     h = compute_depth(state, bathymetry, params)
     ux = d1_spectral(state.u, grid)
-    whole = params.epsilon * params.mu * h * q_total(h, state.u, bathymetry, params, grid)
+    whole = params.epsilon * params.mu * h * q_total(h, state.u, ux, bathymetry, params, grid)
     split = q1_apply(h, state.u, ux, bathymetry, params, grid) + q2_eval(
         h, state.u, bathymetry, params, grid
     )

@@ -23,6 +23,7 @@ from .core import (
     DepthError,
     FactorizationError,
     Grid,
+    NonFiniteError,
     Parameters,
     State,
     compute_depth,
@@ -225,6 +226,7 @@ def load_bathymetry(path: str, grid: Grid) -> Bathymetry:
 
 _TIMESERIES_HEADER = "# t energy mass min_h xs_norm es_norm"
 _SNAPSHOT_HEADER = "# x zeta u b h"
+_SNAPSHOT_ROW = "%.17g %.17g %.17g %.17g %.17g\n"
 
 
 def emit_timeseries(records: list[DiagnosticRecord], path: str) -> None:
@@ -241,14 +243,10 @@ def emit_snapshot(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid, path: str
 ) -> None:
     h = compute_depth(state, bathymetry, params)
-    x = grid.nodes()
+    rows = np.stack((grid.nodes(), state.zeta, state.u, bathymetry.b, h), axis=1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_SNAPSHOT_HEADER + "\n")
-        for i in range(grid.n):
-            fh.write(
-                f"{x[i]:.17g} {state.zeta[i]:.17g} {state.u[i]:.17g} "
-                f"{bathymetry.b[i]:.17g} {h[i]:.17g}\n"
-            )
+        fh.write((_SNAPSHOT_ROW * grid.n) % tuple(rows.ravel().tolist()))
 
 
 def snapshot_path(output_dir: str, step: int) -> str:
@@ -414,7 +412,7 @@ def command_run(cfg: RunConfig) -> int:
         if cfg.mode == "linearized":
             return _run_linearized(prep)
         return _run_picard(prep)
-    except (DepthError, FactorizationError) as exc:
+    except (DepthError, FactorizationError, NonFiniteError) as exc:
         print(f"terminated: {exc}", file=sys.stderr)
         return 1
 

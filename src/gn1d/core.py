@@ -41,6 +41,19 @@ class FactorizationError(Exception):
         )
 
 
+class NonFiniteError(Exception):
+    """An array about to be handed to LAPACK holds an infinity or a NaN.
+
+    Raised by the explicit finite checks of the elliptic assembly and
+    solve; a run treats it as a norm blow-up.
+    """
+
+    def __init__(self, what: str, location: int):
+        self.what = what
+        self.location = int(location)
+        super().__init__(f"non-finite value in the {what} at grid index {self.location}")
+
+
 def _as_field(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:

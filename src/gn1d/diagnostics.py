@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth
-from .grid_ops import d1_spectral, hs_norm, inner_product, lambda_s
+from .grid_ops import d1_spectral, inner_product, l2_norm, lambda_s
 from .t_operator import build_factor_ops
 
 
@@ -48,11 +48,12 @@ def conserved_energy(
 def xs_norm(state: State, params: Parameters, grid: Grid, s: float = 2.0) -> float:
     """Dispersive Sobolev norm: |zeta|_{H^s}^2 + |u|_{H^s}^2 + mu |u_x|_{H^s}^2."""
     ux = d1_spectral(state.u, grid)
+    lz, lu, lux = lambda_s(np.stack((state.zeta, state.u, ux)), s, grid)
     return float(
         np.sqrt(
-            hs_norm(state.zeta, s, grid) ** 2
-            + hs_norm(state.u, s, grid) ** 2
-            + params.mu * hs_norm(ux, s, grid) ** 2
+            l2_norm(lz, grid) ** 2
+            + l2_norm(lu, grid) ** 2
+            + params.mu * l2_norm(lux, grid) ** 2
         )
     )
 
@@ -70,8 +71,7 @@ def es_norm(
     E^s(U)^2 = |Lambda^s zeta|_2^2 + (T[h_ref] Lambda^s u, Lambda^s u).
     """
     h = compute_depth(ref, bathymetry, params)
-    lz = lambda_s(state.zeta, s, grid)
-    lu = lambda_s(state.u, s, grid)
+    lz, lu = lambda_s(np.stack((state.zeta, state.u)), s, grid)
     return float(
         np.sqrt(
             inner_product(lz, lz, grid)

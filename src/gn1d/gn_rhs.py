@@ -29,16 +29,21 @@ class Tendency(NamedTuple):
 
 
 def q_total(
-    h: np.ndarray, u: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
+    h: np.ndarray,
+    u: np.ndarray,
+    ux: np.ndarray,
+    bathymetry: Bathymetry,
+    params: Parameters,
+    grid: Grid,
 ) -> np.ndarray:
-    """The dispersive source Q[h, eps b](u) (unscaled)."""
+    """The dispersive source Q[h, eps b](u) (unscaled), given ux = d1_spectral(u)."""
     eps = params.epsilon
     bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    ux = d1_spectral(u, grid)
+    d_cubic, d_bottom = d1_spectral(np.stack((h**3 * ux**2, h**2 * u**2 * bxx)), grid)
     return (
-        (2.0 / (3.0 * h)) * d1_spectral(h**3 * ux**2, grid)
+        (2.0 / (3.0 * h)) * d_cubic
         + eps * h * ux**2 * bx
-        + (eps / (2.0 * h)) * d1_spectral(h**2 * u**2 * bxx, grid)
+        + (eps / (2.0 * h)) * d_bottom
         + eps**2 * u**2 * bxx * bx
     )
 
@@ -79,17 +84,16 @@ def nonlinear_rhs(
     """Tendency of the full nonlinear system at one state.
 
     Assembles and factorizes the dispersive operator for the current
-    depth; propagates DepthError / FactorizationError to the caller,
-    which treats them as blow-up events.
+    depth; propagates DepthError / FactorizationError / NonFiniteError to
+    the caller, which treats them as blow-up events.
     """
     eps, mu = params.epsilon, params.mu
     h = compute_depth(state, bathymetry, params)
     op = assemble_T(h, bathymetry, params, grid)
-    dzeta = -d1_spectral(h * state.u, grid)
-    zx = d1_spectral(state.zeta, grid)
-    q = q_total(h, state.u, bathymetry, params, grid)
-    du = -eps * state.u * d1_spectral(state.u, grid) - solve_T(op, h * zx + eps * mu * h * q)
-    return Tendency(dzeta, du)
+    hux, zx, ux = d1_spectral(np.stack((h * state.u, state.zeta, state.u)), grid)
+    q = q_total(h, state.u, ux, bathymetry, params, grid)
+    du = -eps * state.u * ux - solve_T(op, h * zx + eps * mu * h * q)
+    return Tendency(-hux, du)
 
 
 def apply_A(
@@ -149,7 +153,7 @@ def condensed_tendency(
     def cut(f):
         return f if cutoff is None else apply_symbol(f, cutoff, grid)
 
-    v = (cut(d1_spectral(zeta, grid)), cut(d1_spectral(u, grid)))
+    v = cut(d1_spectral(np.stack((zeta, u)), grid))
     a1, a2 = apply_A(coeff, v, bathymetry, params, grid, op=op)
     b1, b2 = eval_B(coeff, bathymetry, params, grid, op=op)
     return Tendency(-(cut(a1) + b1), -(cut(a2) + b2))

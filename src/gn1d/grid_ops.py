@@ -12,6 +12,11 @@ read-only: the banded first derivative d1_fd(grid) and the spectral
 derivative symbol, like Grid.wavenumbers() itself.  A banded operator is
 applied through one periodic halo of _HALO cells around its argument
 instead of one shifted copy per band.
+
+The spectral operators (apply_symbol, d1_spectral, dealias, lambda_s)
+take one field or a (k, n) stack of fields and transform along the last
+axis, so k fields cost one rfft/irfft pair.  Each row of a stacked result
+is bit-identical to the single-field call on that row.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
     already confined to the retained band pass through up to roundoff.
     """
     coeff = np.fft.rfft(f)
-    coeff[grid.n // 3 + 1 :] = 0.0
+    coeff[..., grid.n // 3 + 1 :] = 0.0
     return np.fft.irfft(coeff, grid.n)
 
 

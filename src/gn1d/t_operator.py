@@ -15,8 +15,13 @@ exactly: each band is computed once and mirrored.
 T has nine periodic bands.  Renumbering the nodes in the interleaved
 order 0, n-1, 1, n-2, 2, ... puts every periodic coupling within eight
 places of the diagonal, so T is factored exactly as an ordinary band
-matrix of half-width 8 (LAPACK pbtrf) at O(n) cost, with no wrap-around
-corners and no dense n x n matrix.
+matrix of half-width 8 at O(n) cost, with no wrap-around corners and no
+dense n x n matrix.  LAPACK's pbtrf and pbtrs are looked up once at
+import and called directly.  In place of scipy's per-call finite scans,
+every array handed to them passes one explicit np.isfinite check: the
+band storage before pbtrf, and each right-hand side before pbtrs.  A
+failed check raises NonFiniteError with the grid index of an offending
+node.
 
 The index patterns of the assembly depend only on n and are built once
 per n, read-only: the interleaved order and its inverse, and the
@@ -30,12 +35,21 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import get_lapack_funcs
 
-from .core import Bathymetry, FactorizationError, Grid, Parameters, read_only, require_depth
+from .core import (
+    Bathymetry,
+    FactorizationError,
+    Grid,
+    NonFiniteError,
+    Parameters,
+    read_only,
+    require_depth,
+)
 from .grid_ops import BandedOperator, d1_fd, d1_spectral, hs_norm, inner_product
 
 _SQRT3 = np.sqrt(3.0)
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 def build_factor_ops(
@@ -103,6 +117,14 @@ def _lower_band_storage(banded: BandedOperator) -> np.ndarray:
     return np.bincount(dst, weights=values, minlength=rows * n).reshape(rows, n)
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Raise NonFiniteError unless a, whose columns are in interleaved order, is all finite."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        order, _ = _interleaved_order(a.shape[-1])
+        raise NonFiniteError(what, order[np.nonzero(~finite)[-1][0]])
+
+
 def _shift(a: np.ndarray, k: int) -> np.ndarray:
     """Periodic shift, out[i] = a[(i - k) % n], for |k| < n."""
     return np.concatenate((a[-k:], a[:-k]))
@@ -126,7 +148,8 @@ def assemble_T(
 ) -> TOperator:
     """Assemble and Cholesky-factorize the operator for the given depth.
 
-    Raises DepthError if min(h) < h0 and FactorizationError if the banded
+    Raises DepthError if min(h) < h0, NonFiniteError if the band storage
+    holds an infinity or a NaN, and FactorizationError if the banded
     factorization fails; the latter only happens when positive
     definiteness is lost, so it is reported with the minimum depth.
     """
@@ -141,10 +164,13 @@ def assemble_T(
         bands[-d] = _shift(bands[d], d)  # mirror keeps symmetry exact
 
     banded = BandedOperator(grid.n, bands)
-    try:
-        cho = cholesky_banded(_lower_band_storage(banded), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(float(h.min())) from exc
+    ab = _lower_band_storage(banded)
+    _require_finite(ab, "band storage of T")
+    cho, info = _PBTRF(ab, lower=1, overwrite_ab=1)
+    if info > 0:  # a leading minor is not positive definite
+        raise FactorizationError(float(h.min()))
+    if info != 0:
+        raise ValueError(f"pbtrf rejected its argument {-info}")
     return TOperator(grid, params, h, bathymetry, banded, cho, d1_fd(grid))
 
 
@@ -154,11 +180,20 @@ def apply_T(op: TOperator, w: np.ndarray) -> np.ndarray:
 
 def _cho_solve(op: TOperator, f: np.ndarray) -> np.ndarray:
     order, position = _interleaved_order(op.grid.n)
-    return cho_solve_banded((op.cho, True), f[order])[position]
+    b = f[order]
+    _require_finite(b, "right-hand side of a solve with T")
+    w, info = _PBTRS(op.cho, b, lower=1, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"pbtrs rejected its argument {-info}")
+    return w[position]
 
 
 def solve_T(op: TOperator, f: np.ndarray) -> np.ndarray:
-    """Solve T w = f by the banded Cholesky factor plus one refinement pass."""
+    """Solve T w = f by the banded Cholesky factor plus one refinement pass.
+
+    Raises NonFiniteError if f, or the residual of the first pass, holds an
+    infinity or a NaN.
+    """
     w = _cho_solve(op, f)
     r = f - apply_T(op, w)
     return w + _cho_solve(op, r)

@@ -8,7 +8,8 @@ the finite-difference symbol inside the elliptic operator is too weak to
 regularize it, and without the truncation that band grows until the norm
 monitor trips.  Runs terminate early (with a labeled outcome, never an
 exception) when the depth drops below the floor, the factorization
-fails, or the solution norm blows up.
+fails, or the solution norm blows up (a stage whose state or tendency
+overflows to a non-finite value counts as a norm blow-up).
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Bathymetry, DepthError, FactorizationError, Grid, Parameters, State, compute_depth
+from .core import (
+    Bathymetry,
+    DepthError,
+    FactorizationError,
+    Grid,
+    NonFiniteError,
+    Parameters,
+    State,
+    compute_depth,
+)
 from .diagnostics import DiagnosticRecord, record_for
 from .gn_rhs import nonlinear_rhs
 from .grid_ops import dealias
@@ -64,20 +74,19 @@ def _rk4(z: np.ndarray, u: np.ndarray, dt: float, grid: Grid, tendency):
     """Increments (dz, du) of one classical Runge-Kutta step.
 
     tendency(c, z, u) is evaluated at stage time t + c dt, and each stage
-    tendency is truncated to the alias-free band.
+    tendency is truncated to the alias-free band.  The pair (z, u) is
+    carried as one (2, n) stack, so each stage dealiases both fields in one
+    transform pair; the increments are the two rows of the result.
     """
-    def stage(c, stage_z, stage_u):
-        dz, du = tendency(c, stage_z, stage_u)
-        return dealias(dz, grid), dealias(du, grid)
+    def stage(c, stage_zu):
+        return dealias(np.stack(tendency(c, *stage_zu)), grid)
 
-    k1z, k1u = stage(0.0, z, u)
-    k2z, k2u = stage(0.5, z + 0.5 * dt * k1z, u + 0.5 * dt * k1u)
-    k3z, k3u = stage(0.5, z + 0.5 * dt * k2z, u + 0.5 * dt * k2u)
-    k4z, k4u = stage(1.0, z + dt * k3z, u + dt * k3u)
-    return (
-        (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-        (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-    )
+    zu = np.stack((z, u))
+    k1 = stage(0.0, zu)
+    k2 = stage(0.5, zu + 0.5 * dt * k1)
+    k3 = stage(0.5, zu + 0.5 * dt * k2)
+    k4 = stage(1.0, zu + dt * k3)
+    return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(
@@ -146,6 +155,8 @@ def run(
             return RunOutcome("blowup_depth", state, history, steps)
         except FactorizationError:
             return RunOutcome("solver_failure", state, history, steps)
+        except NonFiniteError:
+            return RunOutcome("blowup_norm", state, history, steps)
         steps += 1
 
         if not state.is_finite():

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import gn1d.linearized
 from gn1d.cli import (
     ConfigError,
     RunConfig,
@@ -237,6 +238,25 @@ def test_emit_snapshot_columns(tmp_path):
     assert np.array_equal(data[:, 4], h)
 
 
+def test_emit_snapshot_writes_the_bytes_of_the_per_node_formatter(tmp_path):
+    grid = Grid(8, 4.0)
+    params = Parameters(0.5, 0.5, h0=0.2)
+    zeta = np.array([-0.0, 1e300, 5e-324, 0.1, -1e-300, np.inf, np.nan, 1.0 / 3.0])
+    u = np.array([5e-324, -0.0, 1e300, -np.inf, 2.0 / 3.0, 0.0, 1e-7, -5e-324])
+    b = np.array([0.0, -0.0, 5e-324, 1e300, 0.25, -1e-17, 0.0, 1e-300])
+    state = State(zeta, u)
+    bath = Bathymetry(b, np.zeros(grid.n), np.zeros(grid.n))
+    path = tmp_path / "snap.dat"
+    emit_snapshot(state, bath, params, grid, str(path))
+    x = grid.nodes()
+    h = compute_depth(state, bath, params)
+    want = "# x zeta u b h\n" + "".join(
+        f"{x[i]:.17g} {zeta[i]:.17g} {u[i]:.17g} {b[i]:.17g} {h[i]:.17g}\n"
+        for i in range(grid.n)
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_snapshot_path_padding(tmp_path):
     assert snapshot_path(str(tmp_path), 42) == os.path.join(str(tmp_path), "snap_000042.dat")
 
@@ -379,6 +399,37 @@ def test_main_run_picard_mode(tmp_path, capsys):
     assert "iteration 1: gap" in captured.out
     assert "converged in" in captured.out
     assert (out / "timeseries.dat").exists()
+
+
+@pytest.mark.parametrize("mode", ("linearized", "picard"))
+def test_main_run_reports_a_non_finite_operator_with_exit_one(tmp_path, capsys, monkeypatch, mode):
+    # an infinite depth passes the depth floor; the finite check on the
+    # band storage inside the linear march must end the run with exit 1
+    real_assemble = gn1d.linearized.assemble_T
+
+    def infinite_depth_at_node_3(h, *args):
+        h = h.copy()
+        h[3] = np.inf
+        return real_assemble(h, *args)
+
+    monkeypatch.setattr(gn1d.linearized, "assemble_T", infinite_depth_at_node_3)
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path,
+        scenario="hump",
+        mode=mode,
+        n=64,
+        length=2.0 * math.pi,
+        epsilon=0.2,
+        amplitude=0.2,
+        width=0.5,
+        t_end=0.1,
+        output_dir=str(tmp_path / "out"),
+    )
+    with np.errstate(invalid="ignore"):
+        code = main(["run", "--config", str(cfg_path)])
+    assert code == 1
+    assert "terminated: non-finite value in the band storage of T" in capsys.readouterr().err
 
 
 def test_main_config_error_exits_two(tmp_path, capsys):

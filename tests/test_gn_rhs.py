@@ -23,7 +23,8 @@ def test_dispersive_source_flat_bottom_oracle():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.5)
     x = grid.nodes()
-    q = q_total(np.ones(grid.n), np.sin(x), Bathymetry.flat(grid), params, grid)
+    u = np.sin(x)
+    q = q_total(np.ones(grid.n), u, d1_spectral(u, grid), Bathymetry.flat(grid), params, grid)
     assert np.allclose(q, -(2.0 / 3.0) * np.sin(2.0 * x), atol=1e-12)
 
 
@@ -111,7 +112,7 @@ def test_source_split_reassembles_the_dispersive_source():
         st = random_state(grid, seed + 100, kc=24)
         h = 1.0 + params.epsilon * (st.zeta - bath.b)
         ux = d1_spectral(st.u, grid)
-        whole = params.epsilon * params.mu * h * q_total(h, st.u, bath, params, grid)
+        whole = params.epsilon * params.mu * h * q_total(h, st.u, ux, bath, params, grid)
         split = q1_apply(h, st.u, ux, bath, params, grid) + q2_eval(h, st.u, bath, params, grid)
         assert l2_norm(whole - split, grid) <= 1e-12 * l2_norm(whole, grid)
 

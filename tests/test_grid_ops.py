@@ -174,3 +174,23 @@ def test_parseval_for_rectangle_rule():
     weights[-1] = 1.0  # even n: the Nyquist coefficient appears once
     spectral = np.sqrt(grid.length * np.sum(weights * np.abs(coeff) ** 2))
     assert l2_norm(f, grid) == pytest.approx(spectral, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", (8, 10, 64, 512))
+def test_stacked_transforms_equal_the_row_by_row_calls(n):
+    """A (3, n) stack transforms along its last axis, bit for bit per row."""
+    grid = Grid(n, 3.0)
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((3, n))
+    symbol = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    ops = {
+        "d1_spectral": lambda f: d1_spectral(f, grid),
+        "dealias": lambda f: dealias(f, grid),
+        "lambda_s": lambda f: lambda_s(f, 1.5, grid),
+        "apply_symbol": lambda f: apply_symbol(f, symbol, grid),
+    }
+    for name, op in ops.items():
+        got = op(stack)
+        assert got.shape == stack.shape, name
+        for row, f in zip(got, stack):
+            assert np.array_equal(row, op(f)), name

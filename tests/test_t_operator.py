@@ -8,8 +8,17 @@ oracles below; everything else is exact symmetry and measured bounds.
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from gn1d import Bathymetry, DepthError, FactorizationError, Grid, Parameters, compute_depth
+from gn1d import (
+    Bathymetry,
+    DepthError,
+    FactorizationError,
+    Grid,
+    NonFiniteError,
+    Parameters,
+    compute_depth,
+)
 from gn1d.grid_ops import BandedOperator, fd_symbol, inner_product
 from gn1d.t_operator import (
     apply_T,
@@ -117,6 +126,49 @@ def test_assembly_and_solve_build_no_dense_matrix(monkeypatch):
     w = solve_T(op, f)
     assert np.max(np.abs(apply_T(op, w) - f)) <= 1e-12 * np.max(np.abs(f))
     assert solve_T_dx(op, f).shape == (grid.n,)
+
+
+def test_direct_lapack_calls_equal_the_scipy_wrappers():
+    # pbtrf and pbtrs are called directly; scipy's checked wrappers on the
+    # same band storage are the reference, bit for bit
+    rng = np.random.default_rng(31)
+    for n in (8, 10, 16, 64):
+        op, grid, _ = _random_operator(n=n, seed=n, eps=0.9, mu=0.3)
+        cho = cholesky_banded(gn1d.t_operator._lower_band_storage(op.banded), lower=True)
+        assert np.array_equal(op.cho, cho)
+        order, position = gn1d.t_operator._interleaved_order(n)
+
+        def scipy_solve(f):
+            return cho_solve_banded((cho, True), f[order])[position]
+
+        f = rng.standard_normal(n)
+        w = scipy_solve(f)
+        assert np.array_equal(solve_T(op, f), w + scipy_solve(f - apply_T(op, w)))
+
+
+def test_non_finite_data_raise_the_labeled_error():
+    op, grid, params = _random_operator(n=32, seed=4)
+    f = np.ones(grid.n)
+    f[5] = np.nan
+    with pytest.raises(NonFiniteError) as info:
+        solve_T(op, f)
+    assert info.value.location == 5
+    f[5] = np.inf
+    with pytest.raises(NonFiniteError):
+        solve_T(op, f)
+
+    # an infinite depth passes the depth floor; the band check catches it
+    # within the stencil's reach of the bad node
+    h = op.h.copy()
+    h[3] = np.inf
+    bx = op.bathymetry.b_x.copy()
+    bx[3] = np.nan
+    cases = [(h, op.bathymetry), (op.h, Bathymetry(op.bathymetry.b, bx, op.bathymetry.b_xx))]
+    for depth, bath in cases:
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
+            assemble_T(depth, bath, params, grid)
+        d = (info.value.location - 3) % grid.n
+        assert min(d, grid.n - d) <= 4
 
 
 def test_derivative_solve_matches_flat_oracle():

@@ -127,6 +127,23 @@ def test_reported_depth_minimum_matches_states():
         assert rec.t == st.time
 
 
+def test_stage_overflow_ends_the_run_as_a_norm_blowup():
+    """A velocity that overflows inside the first RK4 stage gives a labeled
+    outcome instead of an exception escaping run()."""
+    grid = Grid(64, 60.0)
+    params = Parameters(0.5, 0.5, h0=0.25)
+    wave = solitary_wave(0.4, params, grid)
+    u = wave.u.copy()
+    u[3] = 1e200
+    with np.errstate(all="ignore"):
+        outcome = run(
+            State(wave.zeta, u), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0)
+        )
+    assert outcome.status == "blowup_norm"
+    assert outcome.steps == 0
+    assert outcome.final_state.u[3] == 1e200
+
+
 def test_snapshot_cadence_without_duplicates():
     grid = Grid(128, 60.0)
     params = Parameters(0.5, 0.5, h0=0.25)
