@@ -37,7 +37,6 @@ from .linearized import (
     PicardResult,
     ReferenceTrajectory,
     cutoff_profile,
-    linear_rhs,
     mollify,
     picard_solve,
     solve_linear,

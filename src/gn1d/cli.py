@@ -532,7 +532,7 @@ def verify_suite(cfg: RunConfig) -> int:
         pair_states.append((st, ref))
     eq = equivalence_report(
         pair_states, bathymetry,
-        [(e, m) for e in (0.1, 1.0) for m in mus], grid, s=2.0, h0=0.05,
+        [(e, m) for e in (0.1, 1.0) for m in mus], grid, s=2.0,
     )
     hi, lo = equivalence_spreads(eq)
 

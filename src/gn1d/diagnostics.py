@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth
 from .grid_ops import d1_spectral, inner_product, l2_norm, lambda_s
-from .t_operator import build_factor_ops
+from .t_operator import SWEEP_H0, build_factor_ops
 
 
 def mass(state: State, grid: Grid) -> float:
@@ -117,7 +117,6 @@ def equivalence_report(
     params_grid: list[tuple[float, float]],
     grid: Grid,
     s: float = 2.0,
-    h0: float = 0.05,
 ) -> list[EquivalenceRecord]:
     """Measure E^s / X^s over (state, reference) pairs for each (eps, mu).
 
@@ -127,7 +126,7 @@ def equivalence_report(
     """
     out = []
     for eps, mu in params_grid:
-        params = Parameters(epsilon=eps, mu=mu, h0=h0)
+        params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
         hi, lo = -np.inf, np.inf
         for state, ref in states:
             ratio = es_norm(state, ref, bathymetry, params, grid, s) / xs_norm(

@@ -97,65 +97,47 @@ def nonlinear_rhs(
 
 
 def apply_A(
-    ref: State,
-    fields: tuple[np.ndarray, np.ndarray],
-    bathymetry: Bathymetry,
-    params: Parameters,
-    grid: Grid,
-    op: TOperator | None = None,
+    op: TOperator, u: np.ndarray, fields: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advection-structure map of the condensed form applied to (v1, v2).
-
-    op is T at ref (assembled here when None); its depth op.h is used.
-    """
-    eps = params.epsilon
+    """Advection-structure map of the condensed form at the coefficient state
+    (op, u), applied to (v1, v2); op is T at that state and carries its depth."""
+    eps, h = op.params.epsilon, op.h
     v1, v2 = fields
-    if op is None:
-        op = assemble_T(compute_depth(ref, bathymetry, params), bathymetry, params, grid)
-    h = op.h
-    a1 = eps * ref.u * v1 + h * v2
-    q1 = q1_apply(h, ref.u, v2, bathymetry, params, grid)
-    a2 = solve_T(op, h * v1 + q1) + eps * ref.u * v2
+    a1 = eps * u * v1 + h * v2
+    q1 = q1_apply(h, u, v2, op.bathymetry, op.params, op.grid)
+    a2 = solve_T(op, h * v1 + q1) + eps * u * v2
     return a1, a2
 
 
-def eval_B(
-    ref: State,
-    bathymetry: Bathymetry,
-    params: Parameters,
-    grid: Grid,
-    op: TOperator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order source of the condensed form (op as in apply_A)."""
-    if op is None:
-        op = assemble_T(compute_depth(ref, bathymetry, params), bathymetry, params, grid)
-    b1 = -params.epsilon * bathymetry.b_x * ref.u
-    b2 = solve_T(op, q2_eval(op.h, ref.u, bathymetry, params, grid))
+def eval_B(op: TOperator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order source of the condensed form at the coefficient state (op, u)."""
+    b1 = -op.params.epsilon * op.bathymetry.b_x * u
+    b2 = solve_T(op, q2_eval(op.h, u, op.bathymetry, op.params, op.grid))
     return b1, b2
 
 
 def condensed_tendency(
-    coeff: State,
     op: TOperator,
+    coeff_u: np.ndarray,
     zeta: np.ndarray,
     u: np.ndarray,
-    bathymetry: Bathymetry,
-    params: Parameters,
-    grid: Grid,
     cutoff: np.ndarray | None = None,
 ) -> Tendency:
-    """-(J A[coeff] J U_x + B(coeff)) for U = (zeta, u), with op = T at coeff.
+    """-(J A[coeff] J U_x + B(coeff)) for U = (zeta, u) at the coefficient
+    state coeff = (op, coeff_u), with op = T at coeff.
 
     J is the Fourier multiplier cutoff (the identity when None).  At
     coeff = U without cutoff this is the condensed form of the nonlinear
     tendency; otherwise it is the tendency of the linearized system.
     """
+    grid = op.grid
+
     def cut(f):
         return f if cutoff is None else apply_symbol(f, cutoff, grid)
 
     v = cut(d1_spectral(np.stack((zeta, u)), grid))
-    a1, a2 = apply_A(coeff, v, bathymetry, params, grid, op=op)
-    b1, b2 = eval_B(coeff, bathymetry, params, grid, op=op)
+    a1, a2 = apply_A(op, coeff_u, v)
+    b1, b2 = eval_B(op, coeff_u)
     return Tendency(-(cut(a1) + b1), -(cut(a2) + b2))
 
 
@@ -164,4 +146,4 @@ def condensed_rhs(
 ) -> Tendency:
     """Tendency evaluated through the condensed quasilinear form."""
     op = assemble_T(compute_depth(state, bathymetry, params), bathymetry, params, grid)
-    return condensed_tendency(state, op, state.zeta, state.u, bathymetry, params, grid)
+    return condensed_tendency(op, state.u, state.zeta, state.u)

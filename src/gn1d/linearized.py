@@ -18,9 +18,9 @@ import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth, require_depth
 from .diagnostics import es_norm
-from .gn_rhs import Tendency, condensed_tendency
+from .gn_rhs import condensed_tendency
 from .grid_ops import apply_symbol
-from .t_operator import assemble_T
+from .t_operator import TOperator, assemble_T
 from .time_integrator import StepControl, _rk4, cfl_dt, max_wave_speed
 
 
@@ -130,25 +130,10 @@ class ReferenceTrajectory:
 
 def _frozen_coefficients(
     ref: ReferenceTrajectory, t: float, bathymetry: Bathymetry, params: Parameters, grid: Grid
-):
+) -> tuple[TOperator, np.ndarray]:
+    """The coefficient state (op, u) frozen at time t: T at its depth, and its velocity."""
     coeff = ref.state_at(t)
-    return coeff, assemble_T(compute_depth(coeff, bathymetry, params), bathymetry, params, grid)
-
-
-def linear_rhs(
-    ref: ReferenceTrajectory,
-    t: float,
-    zeta: np.ndarray,
-    u: np.ndarray,
-    bathymetry: Bathymetry,
-    params: Parameters,
-    grid: Grid,
-    mollifier: Mollifier | None = None,
-) -> Tendency:
-    """Tendency of the (optionally mollified) linearized system at time t."""
-    coeff, op = _frozen_coefficients(ref, t, bathymetry, params, grid)
-    cutoff = None if mollifier is None else mollifier.symbol
-    return condensed_tendency(coeff, op, zeta, u, bathymetry, params, grid, cutoff)
+    return assemble_T(compute_depth(coeff, bathymetry, params), bathymetry, params, grid), coeff.u
 
 
 def solve_linear(
@@ -181,17 +166,14 @@ def solve_linear(
     m = max(1, math.ceil(span / dt - 1e-12))
     dt = span / m
 
-    times = t0 + dt * np.arange(m + 1)
-    zetas = np.empty((m + 1, grid.n))
-    us = np.empty((m + 1, grid.n))
     z, u = initial.zeta.copy(), initial.u.copy()
-    zetas[0], us[0] = z, u
+    zetas, us = [z], [u]
     cutoff = None if mollifier is None else mollifier.symbol
     # coefficient operators are frozen per stage offset; stages 2 and 3
     # share the midpoint, and the step-end pair rolls over as the next start
-    start = _frozen_coefficients(ref, float(times[0]), bathymetry, params, grid)
+    start = _frozen_coefficients(ref, t0, bathymetry, params, grid)
     for j in range(m):
-        t = float(times[j])
+        t = t0 + dt * j
         frozen = {
             0.0: start,
             0.5: _frozen_coefficients(ref, t + 0.5 * dt, bathymetry, params, grid),
@@ -200,15 +182,15 @@ def solve_linear(
         start = frozen[1.0]
 
         def tendency(c, stage_z, stage_u):
-            return condensed_tendency(
-                *frozen[c], stage_z, stage_u, bathymetry, params, grid, cutoff
-            )
+            return condensed_tendency(*frozen[c], stage_z, stage_u, cutoff)
 
         dz, du = _rk4(z, u, dt, grid, tendency)
         z = z + dz
         u = u + du
-        zetas[j + 1], us[j + 1] = z, u
-    return ReferenceTrajectory(times, zetas, us)
+        zetas.append(z)
+        us.append(u)
+    times = t0 + dt * np.arange(m + 1)
+    return ReferenceTrajectory(times, np.stack(zetas), np.stack(us))
 
 
 @dataclass

@@ -17,6 +17,9 @@ import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State
 
+# largest relative size a solitary profile may keep at the periodic seam
+SEAM_TOL = 1e-12
+
 
 def _wrapped_offset(x: np.ndarray, x0: float, length: float) -> np.ndarray:
     """Signed distance to x0 along the shorter way around the circle."""
@@ -28,7 +31,6 @@ def solitary_wave(
     params: Parameters,
     grid: Grid,
     x0: float | None = None,
-    seam_tol: float = 1e-12,
 ) -> State:
     """Right-moving solitary wave over a flat bottom.
 
@@ -36,7 +38,7 @@ def solitary_wave(
     kappa = sqrt(3 eps a / (4 mu (1 + eps a))),  c = sqrt(1 + eps a).
 
     The domain must be long enough that the profile's relative size at
-    the periodic seam is below seam_tol.
+    the periodic seam is below SEAM_TOL.
     """
     if not amplitude > 0.0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
@@ -45,10 +47,10 @@ def solitary_wave(
         x0 = 0.5 * grid.length
     kappa = np.sqrt(3.0 * eps * amplitude / (4.0 * mu * (1.0 + eps * amplitude)))
     seam = 1.0 / np.cosh(kappa * 0.5 * grid.length) ** 2
-    if seam > seam_tol:
+    if seam > SEAM_TOL:
         raise ValueError(
             f"domain too short for a clean solitary wave: seam value {seam:.3e} "
-            f"exceeds {seam_tol:.3e}; lengthen the domain or loosen seam_tol"
+            f"exceeds {SEAM_TOL:.3e}; lengthen the domain"
         )
     c = np.sqrt(1.0 + eps * amplitude)
     r = _wrapped_offset(grid.nodes(), x0, grid.length)

@@ -50,6 +50,8 @@ from .grid_ops import BandedOperator, d1_fd, d1_spectral, hs_norm, inner_product
 
 _SQRT3 = np.sqrt(3.0)
 _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+# depth floor of the (eps, mu) sweeps: inverse_bound_sweep, equivalence_report
+SWEEP_H0 = 0.05
 
 
 def build_factor_ops(
@@ -65,14 +67,13 @@ def build_factor_ops(
 class TOperator:
     """Assembled and factorized operator tied to one (h, bathymetry) pair."""
 
-    def __init__(self, grid, params, h, bathymetry, banded, cho, deriv):
+    def __init__(self, grid, params, h, bathymetry, banded, cho):
         self.grid = grid
         self.params = params
         self.h = h
         self.bathymetry = bathymetry
         self.banded = banded
         self.cho = cho  # lower banded Cholesky factor in interleaved order
-        self.deriv = deriv
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -171,7 +172,7 @@ def assemble_T(
         raise FactorizationError(float(h.min()))
     if info != 0:
         raise ValueError(f"pbtrf rejected its argument {-info}")
-    return TOperator(grid, params, h, bathymetry, banded, cho, d1_fd(grid))
+    return TOperator(grid, params, h, bathymetry, banded, cho)
 
 
 def apply_T(op: TOperator, w: np.ndarray) -> np.ndarray:
@@ -201,7 +202,7 @@ def solve_T(op: TOperator, f: np.ndarray) -> np.ndarray:
 
 def solve_T_dx(op: TOperator, g: np.ndarray) -> np.ndarray:
     """Solve T w = D g with the same banded derivative used in assembly."""
-    return solve_T(op, op.deriv.apply(g))
+    return solve_T(op, d1_fd(op.grid).apply(g))
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def coercivity_bound(params: Parameters) -> float:
 def rayleigh_ratio(op: TOperator, v: np.ndarray) -> float:
     """(T v, v) / (|v|^2 + mu |D v|^2), bounded below by coercivity_bound(params)."""
     grid, mu = op.grid, op.params.mu
-    dv = op.deriv.apply(v)
+    dv = d1_fd(grid).apply(v)
     return inner_product(apply_T(op, v), v, grid) / (
         inner_product(v, v, grid) + mu * inner_product(dv, dv, grid)
     )
@@ -274,7 +275,6 @@ def inverse_bound_sweep(
     grid: Grid,
     trials: int = 4,
     seed: int = 0,
-    h0: float = 0.05,
 ) -> list[SweepRecord]:
     """Measure the two inverse-operator constants over a parameter sweep.
 
@@ -288,7 +288,7 @@ def inverse_bound_sweep(
     records = []
     for idx, (h, bathymetry) in enumerate(states):
         for eps, mu in params_grid:
-            params = Parameters(epsilon=eps, mu=mu, h0=h0)
+            params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
             op = assemble_T(h, bathymetry, params, grid)
             r1 = r2 = 0.0
             for f, g in zip(fs, gs):

@@ -432,6 +432,19 @@ def test_main_run_reports_a_non_finite_operator_with_exit_one(tmp_path, capsys, 
     assert "terminated: non-finite value in the band storage of T" in capsys.readouterr().err
 
 
+def test_main_run_picard_on_an_overflowing_state_exits_one(tmp_path, capsys):
+    # the CFL step of this state is absurdly small; the march must still
+    # end at its first stage with the labeled error, not a failed allocation
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, mode="picard", amplitude=1e200, h0=0.5, output_dir=str(tmp_path / "out")
+    )
+    with np.errstate(all="ignore"):
+        code = main(["run", "--config", str(cfg_path)])
+    assert code == 1
+    assert "terminated: non-finite value" in capsys.readouterr().err
+
+
 def test_main_config_error_exits_two(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     with open(cfg_path, "w", encoding="utf-8") as fh:

@@ -106,7 +106,7 @@ def test_norm_equivalence_bounded_over_parameter_sweep():
     for seed in range(6):
         pairs.append((random_state(grid, seed, kc=20), random_state(grid, seed + 500, kc=20)))
     params_grid = [(eps, mu) for eps in (0.1, 1.0) for mu in (1e-4, 1e-2, 1.0)]
-    records = equivalence_report(pairs, bath, params_grid, grid, s=2.0, h0=0.05)
+    records = equivalence_report(pairs, bath, params_grid, grid, s=2.0)
     assert len(records) == len(params_grid)
     hi = max(r.ratio_max for r in records)
     lo = min(r.ratio_min for r in records)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from gn1d import Bathymetry, Grid, Parameters, State
+from gn1d import Bathymetry, Grid, Parameters, State, compute_depth
 from gn1d.gn_rhs import (
-    apply_A,
     condensed_rhs,
     eval_B,
     nonlinear_rhs,
@@ -14,6 +13,7 @@ from gn1d.gn_rhs import (
     q_total,
 )
 from gn1d.grid_ops import d1_spectral, fd_symbol, l2_norm
+from gn1d.t_operator import assemble_T
 
 from helpers import bumpy_bathymetry, random_state
 
@@ -117,27 +117,12 @@ def test_source_split_reassembles_the_dispersive_source():
         assert l2_norm(whole - split, grid) <= 1e-12 * l2_norm(whole, grid)
 
 
-def test_advection_map_accepts_prebuilt_operator():
-    grid = Grid(64, 2.0 * np.pi)
-    params = Parameters(0.5, 0.5, h0=0.3)
-    bath = bumpy_bathymetry(grid)
-    st = random_state(grid, 41, kc=10)
-    from gn1d.t_operator import assemble_T
-
-    h = 1.0 + params.epsilon * (st.zeta - bath.b)
-    op = assemble_T(h, bath, params, grid)
-    v = (d1_spectral(st.zeta, grid), d1_spectral(st.u, grid))
-    a_with = apply_A(st, v, bath, params, grid, op=op)
-    a_without = apply_A(st, v, bath, params, grid)
-    assert np.array_equal(a_with[0], a_without[0])
-    assert np.array_equal(a_with[1], a_without[1])
-
-
 def test_zero_order_source_vanishes_on_flat_bottom():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.3)
     st = random_state(grid, 51, kc=10)
-    b1, b2 = eval_B(st, Bathymetry.flat(grid), params, grid)
+    flat = Bathymetry.flat(grid)
+    b1, b2 = eval_B(assemble_T(compute_depth(st, flat, params), flat, params, grid), st.u)
     assert not b1.any()
     assert not b2.any()
 
@@ -148,7 +133,7 @@ def test_zero_order_source_slope_term():
     params = Parameters(0.6, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
     st = random_state(grid, 61, kc=10)
-    b1, _ = eval_B(st, bath, params, grid)
+    b1, _ = eval_B(assemble_T(compute_depth(st, bath, params), bath, params, grid), st.u)
     assert np.allclose(b1, -params.epsilon * bath.b_x * st.u, atol=1e-15)
 
 

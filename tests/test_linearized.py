@@ -3,15 +3,24 @@
 import numpy as np
 import pytest
 
-from gn1d import Bathymetry, DepthError, Grid, Parameters, State, gaussian_hump, solitary_wave
+from gn1d import (
+    Bathymetry,
+    DepthError,
+    Grid,
+    NonFiniteError,
+    Parameters,
+    State,
+    gaussian_hump,
+    solitary_wave,
+)
 from gn1d.diagnostics import xs_norm
-from gn1d.gn_rhs import condensed_rhs
+from gn1d.gn_rhs import condensed_rhs, condensed_tendency
 from gn1d.grid_ops import apply_symbol, fd_symbol, inner_product, lambda_s
 from gn1d.linearized import (
     Mollifier,
     ReferenceTrajectory,
+    _frozen_coefficients,
     cutoff_profile,
-    linear_rhs,
     mollify,
     picard_solve,
     solve_linear,
@@ -159,7 +168,7 @@ def test_linearized_tendency_at_the_reference_is_the_nonlinear_one():
     bath = bumpy_bathymetry(grid)
     st = random_state(grid, 33, kc=24)
     ref = ReferenceTrajectory.constant(st, 1.0)
-    lin = linear_rhs(ref, 0.0, st.zeta, st.u, bath, params, grid)
+    lin = condensed_tendency(*_frozen_coefficients(ref, 0.0, bath, params, grid), st.zeta, st.u)
     cond = condensed_rhs(st, bath, params, grid)
     assert np.array_equal(lin.dzeta, cond.dzeta)
     assert np.array_equal(lin.du, cond.du)
@@ -185,17 +194,24 @@ def test_linearization_about_rest_recovers_dispersive_waves():
 
 def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     """Stages 2 and 3 share the midpoint operator and each step-end
-    operator is reused as the next step's start: 2m + 1 assemblies."""
+    operator is reused as the next step's start: 2m + 1 assemblies.
+    Each of the 4m stage tendencies solves once in A and once in B."""
+    import gn1d.gn_rhs
     import gn1d.linearized
 
-    calls = []
-    original = gn1d.linearized.assemble_T
+    calls = {"assemble": 0, "solve": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(module, name, key):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(gn1d.linearized, "assemble_T", counting)
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(gn1d.linearized, "assemble_T", "assemble")
+    counting(gn1d.gn_rhs, "solve_T", "solve")
     grid = Grid(32, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
     hump = gaussian_hump(0.3, 0.5, grid)
@@ -205,7 +221,8 @@ def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     )
     m = out.times.size - 1
     assert m == 5
-    assert len(calls) == 2 * m + 1
+    assert calls["assemble"] == 2 * m + 1
+    assert calls["solve"] == 8 * m
 
 
 def test_linear_march_requires_a_covering_reference():
@@ -249,3 +266,18 @@ def test_fixed_point_iteration_with_smoothing_still_converges():
         mollifier=m,
     )
     assert result.converged
+
+
+def test_picard_solve_on_an_overflowed_state_raises_the_labeled_error():
+    """The CFL step of an overflowed velocity is about 1e-200, so the march
+    has an absurd step count; the first stage must still end it with a
+    NonFiniteError rather than a failed allocation sized by that count."""
+    grid = Grid(64, 60.0)
+    params = Parameters(0.5, 0.5, h0=0.25)
+    wave = solitary_wave(0.4, params, grid)
+    u = wave.u.copy()
+    u[3] = 1e200
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        picard_solve(
+            State(wave.zeta, u), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0)
+        )

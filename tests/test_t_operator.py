@@ -265,7 +265,7 @@ def test_inverse_constants_stay_bounded_as_mu_vanishes():
         st = random_state(grid, seed=seed + 40)
         states.append((compute_depth(st, bath, base), bath))
     params_grid = [(eps, mu) for eps in (0.1, 1.0) for mu in (1e-4, 1e-2, 1.0)]
-    records = inverse_bound_sweep(states, params_grid, s=2.0, grid=grid, trials=4, seed=7, h0=0.05)
+    records = inverse_bound_sweep(states, params_grid, s=2.0, grid=grid, trials=4, seed=7)
     assert len(records) == len(states) * len(params_grid)
     spread1, spread2 = sweep_spreads(records)
     assert spread1 <= 10.0

@@ -1,17 +1,23 @@
-"""The benchmark's tracer targets must name functions that exist in gn1d.
+"""Names that tooling and docs take from gn1d must still match gn1d.
 
+The benchmark's tracer targets must name functions that exist in gn1d:
 perfbench/worker.py lists (module, public name, span label) triples that
 its tracer wraps.  The tracer reports a name that has gone as null rather
 than failing, so a rename would silently blind the per-layer metrics;
 this test makes it fail here instead.  The lists are read with ast, so
-the worker is never imported.
+the worker is never imported.  The README's config table must list the
+RunConfig fields, in order, so the documented keys cannot drift.
 """
 
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
-WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+from gn1d.cli import RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def _literal_assignments(path: Path, names: set[str]) -> dict:
@@ -36,3 +42,14 @@ def test_every_traced_target_resolves_in_gn1d():
         if not callable(getattr(importlib.import_module(module), name, None)):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def test_readme_config_table_lists_every_run_config_field_in_order():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |")
+    keys = []
+    for line in lines[start + 2:]:
+        if not line.startswith("| `"):
+            break
+        keys.append(line.split("`")[1])
+    assert keys == [f.name for f in fields(RunConfig)]
