@@ -1,5 +1,6 @@
 """Dispersive shallow-water (Green-Naghdi) solver on a periodic 1D domain."""
 
+from .checks import coercivity_bound, inverse_bound_sweep, rayleigh_ratio, sweep_spreads
 from .core import (
     Bathymetry,
     DepthError,
@@ -50,20 +51,7 @@ from .scenarios import (
     solitary_speed,
     solitary_wave,
 )
-from .t_operator import (
-    CoercivityReport,
-    TOperator,
-    apply_T,
-    assemble_T,
-    build_factor_ops,
-    coercivity_bound,
-    coercivity_report,
-    inverse_bound_sweep,
-    rayleigh_ratio,
-    solve_T,
-    solve_T_dx,
-    sweep_spreads,
-)
+from .t_operator import TOperator, apply_T, assemble_T, build_factor_ops, solve_T, solve_T_dx
 from .time_integrator import RunOutcome, StepControl, cfl_dt, rk4_step, run
 
 __version__ = "0.1.0"

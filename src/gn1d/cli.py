@@ -29,22 +29,26 @@ from .core import (
     compute_depth,
 )
 from .checks import (
+    coercivity_bound,
     energy_drift,
     equivalence_spreads,
     formulation_gap,
+    inverse_bound_sweep,
     mass_drift,
     mollifier_adjoint_defect,
     mollifier_commutation,
+    rayleigh_ratio,
     round_trip,
     solve_residual,
     source_defect,
+    sweep_spreads,
     symmetry_defect,
 )
 from .diagnostics import DiagnosticRecord, equivalence_report, record_for, weighted_velocity_form
 from .grid_ops import inner_product
 from .linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
 from .scenarios import SCENARIOS, build_scenario, solitary_wave
-from .t_operator import apply_T, assemble_T, coercivity_report, inverse_bound_sweep, sweep_spreads
+from .t_operator import apply_T, assemble_T
 from .time_integrator import StepControl, run
 
 
@@ -406,12 +410,15 @@ def _run_picard(prep: PreparedRun) -> int:
 def command_run(cfg: RunConfig) -> int:
     prep = prepare_run(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
+    # an overflowing state is reported by the finite checks and monitors;
+    # numpy's warnings on the way there would only precede that message
     try:
-        if cfg.mode == "nonlinear":
-            return _run_nonlinear(prep)
-        if cfg.mode == "linearized":
-            return _run_linearized(prep)
-        return _run_picard(prep)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.mode == "nonlinear":
+                return _run_nonlinear(prep)
+            if cfg.mode == "linearized":
+                return _run_linearized(prep)
+            return _run_picard(prep)
     except (DepthError, FactorizationError, NonFiniteError) as exc:
         print(f"terminated: {exc}", file=sys.stderr)
         return 1
@@ -480,8 +487,9 @@ def verify_suite(cfg: RunConfig) -> int:
         except (DepthError, FactorizationError):
             return _report([_check("operator assembly succeeded", 0.0, 1.0, ">=")])
         sym_worst = max(sym_worst, symmetry_defect(op))
-        rep = coercivity_report(op, trials=8, seed=int(rng.integers(2**31)))
-        coer_margin = min(coer_margin, rep.min_ratio / rep.bound)
+        trial = np.random.default_rng(int(rng.integers(2**31)))
+        ratio = min(rayleigh_ratio(op, trial.standard_normal(grid.n)) for _ in range(8))
+        coer_margin = min(coer_margin, ratio / coercivity_bound(params))
         res_worst = max(res_worst, solve_residual(op, rng.standard_normal(grid.n)))
         round_worst = max(round_worst, round_trip(op, rng.standard_normal(grid.n)))
 

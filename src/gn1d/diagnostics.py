@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth
 from .grid_ops import d1_spectral, inner_product, l2_norm, lambda_s
-from .t_operator import SWEEP_H0, build_factor_ops
+from .t_operator import build_factor_ops
 
 
 def mass(state: State, grid: Grid) -> float:
@@ -101,6 +101,10 @@ def record_for(
         xs=xs_norm(state, params, grid, s),
         es=es_norm(state, state, bathymetry, params, grid, s),
     )
+
+
+# depth floor of the (eps, mu) sweeps: equivalence_report, checks.inverse_bound_sweep
+SWEEP_H0 = 0.05
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,6 @@ def picard_solve(
     consecutive iterates is the sup over snapshot times of the energy
     norm weighted at the previous iterate's coefficients.
     """
-    require_depth(compute_depth(initial, bathymetry, params), params)
     dt = cfl_dt(initial, bathymetry, params, grid, control)
 
     ref = ReferenceTrajectory.constant(initial, control.t_end)

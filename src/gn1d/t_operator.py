@@ -31,8 +31,7 @@ storage with one bincount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -46,12 +45,10 @@ from .core import (
     read_only,
     require_depth,
 )
-from .grid_ops import BandedOperator, d1_fd, d1_spectral, hs_norm, inner_product
+from .grid_ops import BandedOperator, d1_fd
 
 _SQRT3 = np.sqrt(3.0)
 _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
-# depth floor of the (eps, mu) sweeps: inverse_bound_sweep, equivalence_report
-SWEEP_H0 = 0.05
 
 
 def build_factor_ops(
@@ -74,11 +71,6 @@ class TOperator:
         self.bathymetry = bathymetry
         self.banded = banded
         self.cho = cho  # lower banded Cholesky factor in interleaved order
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """The operator as a dense matrix, built on first use for checks only."""
-        return self.banded.to_dense()
 
 
 @lru_cache(maxsize=16)
@@ -203,117 +195,3 @@ def solve_T(op: TOperator, f: np.ndarray) -> np.ndarray:
 def solve_T_dx(op: TOperator, g: np.ndarray) -> np.ndarray:
     """Solve T w = D g with the same banded derivative used in assembly."""
     return solve_T(op, d1_fd(op.grid).apply(g))
-
-
-@dataclass(frozen=True)
-class CoercivityReport:
-    bound: float
-    min_ratio: float
-    max_ratio: float
-    trials: int
-
-    @property
-    def ok(self) -> bool:
-        return self.min_ratio >= self.bound
-
-
-def coercivity_bound(params: Parameters) -> float:
-    """Guaranteed lower bound h0 / max(1, 18/h0^2) on the quadratic form."""
-    return params.h0 / max(1.0, 18.0 / params.h0**2)
-
-
-def rayleigh_ratio(op: TOperator, v: np.ndarray) -> float:
-    """(T v, v) / (|v|^2 + mu |D v|^2), bounded below by coercivity_bound(params)."""
-    grid, mu = op.grid, op.params.mu
-    dv = d1_fd(grid).apply(v)
-    return inner_product(apply_T(op, v), v, grid) / (
-        inner_product(v, v, grid) + mu * inner_product(dv, dv, grid)
-    )
-
-
-def coercivity_report(op: TOperator, trials: int = 16, seed: int = 0) -> CoercivityReport:
-    """Measure the Rayleigh ratio over random test fields.
-
-    The ratio is bounded below by coercivity_bound(params) for every
-    field whenever min(h) >= h0; the report records the observed range.
-    """
-    rng = np.random.default_rng(seed)
-    lo, hi = np.inf, -np.inf
-    for _ in range(trials):
-        ratio = rayleigh_ratio(op, rng.standard_normal(op.grid.n))
-        lo, hi = min(lo, ratio), max(hi, ratio)
-    return CoercivityReport(coercivity_bound(op.params), lo, hi, trials)
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    state_index: int
-    epsilon: float
-    mu: float
-    r1: float
-    r2: float
-
-
-def _sweep_field(rng: np.random.Generator, grid: Grid, s: float) -> np.ndarray:
-    """Random smooth field with an H^s-flat spectrum up to ~0.45 k_max.
-
-    The broad spectral support matters: it keeps the measured inverse
-    bounds sensitive to the mu-dependent part of the operator even at
-    tiny mu, where narrow-band fields would report a vanishing constant.
-    """
-    k = grid.wavenumbers()
-    kc = 0.45 * k.max()
-    coeff = np.fft.rfft(rng.standard_normal(grid.n))
-    coeff *= (1.0 + k * k) ** (-0.5 * s) * np.exp(-((k / kc) ** 2))
-    return np.fft.irfft(coeff, grid.n)
-
-
-def inverse_bound_sweep(
-    states: list[tuple[np.ndarray, Bathymetry]],
-    params_grid: list[tuple[float, float]],
-    s: float,
-    grid: Grid,
-    trials: int = 4,
-    seed: int = 0,
-) -> list[SweepRecord]:
-    """Measure the two inverse-operator constants over a parameter sweep.
-
-    r1 bounds |T^{-1} f| in the dispersive Sobolev pair, r2 bounds
-    sqrt(mu) |T^{-1} D g|; both are reported relative to |.|_{H^s} of
-    the data, maximized over random trial fields.
-    """
-    rng = np.random.default_rng(seed)
-    fs = [_sweep_field(rng, grid, s) for _ in range(trials)]
-    gs = [_sweep_field(rng, grid, s) for _ in range(trials)]
-    records = []
-    for idx, (h, bathymetry) in enumerate(states):
-        for eps, mu in params_grid:
-            params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
-            op = assemble_T(h, bathymetry, params, grid)
-            r1 = r2 = 0.0
-            for f, g in zip(fs, gs):
-                w = solve_T(op, f)
-                wx = d1_spectral(w, grid)
-                r1 = max(
-                    r1,
-                    (hs_norm(w, s, grid) + np.sqrt(mu) * hs_norm(wx, s, grid))
-                    / hs_norm(f, s, grid),
-                )
-                v = solve_T_dx(op, g)
-                r2 = max(r2, np.sqrt(mu) * hs_norm(v, s, grid) / hs_norm(g, s, grid))
-            records.append(SweepRecord(idx, eps, mu, r1, r2))
-    return records
-
-
-def sweep_spreads(records: list[SweepRecord]) -> tuple[float, float]:
-    """Worst max/min ratio of each constant across mu, per (state, eps)."""
-    groups: dict[tuple[int, float], list[SweepRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.state_index, rec.epsilon), []).append(rec)
-    worst1 = worst2 = 1.0
-    for recs in groups.values():
-        r1s = [r.r1 for r in recs]
-        r2s = [r.r2 for r in recs]
-        worst1 = max(worst1, max(r1s) / min(r1s))
-        worst2 = max(worst2, max(r2s) / min(r2s))
-    return worst1, worst2

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,29 @@ def test_main_run_picard_on_an_overflowing_state_exits_one(tmp_path, capsys):
         code = main(["run", "--config", str(cfg_path)])
     assert code == 1
     assert "terminated: non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, stream, message",
+    [
+        ("nonlinear", "out", "blowup_norm: t = 0, steps = 0"),
+        ("linearized", "err", "reference run terminated early: blowup_norm"),
+        ("picard", "err", "terminated: non-finite value in the band storage of T"),
+    ],
+    ids=["nonlinear", "linearized", "picard"],
+)
+def test_main_run_on_an_overflowing_state_prints_only_the_labeled_outcome(
+    tmp_path, capsys, mode, stream, message
+):
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, mode=mode, n=64, amplitude=1e200, h0=0.5, output_dir=str(tmp_path / "out")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--config", str(cfg_path)])
+    assert code == 1
+    assert message in getattr(capsys.readouterr(), stream)
 
 
 def test_main_config_error_exits_two(tmp_path, capsys):

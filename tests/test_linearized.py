@@ -281,3 +281,19 @@ def test_picard_solve_on_an_overflowed_state_raises_the_labeled_error():
         picard_solve(
             State(wave.zeta, u), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0)
         )
+
+
+def test_picard_solve_below_the_depth_floor_raises_depth_error():
+    # the first linear solve validates its constant reference, whose
+    # snapshots are the initial state
+    grid = Grid(16, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5, h0=0.5)
+    zeta = np.zeros(grid.n)
+    zeta[5] = -1.5  # h = 0.25 at node 5
+    with pytest.raises(DepthError) as info:
+        picard_solve(
+            State(zeta, np.zeros(grid.n)), Bathymetry.flat(grid), params, grid,
+            StepControl(t_end=0.1),
+        )
+    assert info.value.min_value == 0.25
+    assert info.value.location == 5
