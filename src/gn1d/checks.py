@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth
-from .diagnostics import SWEEP_H0, DiagnosticRecord, EquivalenceRecord
+from .diagnostics import SWEEP_H0, SWEEP_S, DiagnosticRecord, EquivalenceRecord
 from .gn_rhs import condensed_rhs, nonlinear_rhs, q1_apply, q2_eval, q_total
 from .grid_ops import d1_fd, d1_spectral, hs_norm, inner_product, lambda_s
 from .linearized import Mollifier, mollify
@@ -76,9 +76,9 @@ def _sweep_field(rng: np.random.Generator, grid: Grid, s: float) -> np.ndarray:
 
 
 def inverse_bound_sweep(
-    states: list[tuple[np.ndarray, Bathymetry]],
+    depths: list[np.ndarray],
+    bathymetry: Bathymetry,
     params_grid: list[tuple[float, float]],
-    s: float,
     grid: Grid,
     trials: int = 4,
     seed: int = 0,
@@ -87,13 +87,14 @@ def inverse_bound_sweep(
 
     r1 bounds |T^{-1} f| in the dispersive Sobolev pair, r2 bounds
     sqrt(mu) |T^{-1} D g|; both are reported relative to |.|_{H^s} of
-    the data, maximized over random trial fields.
+    the data (s = SWEEP_S), maximized over random trial fields.
     """
+    s = SWEEP_S
     rng = np.random.default_rng(seed)
     fs = [_sweep_field(rng, grid, s) for _ in range(trials)]
     gs = [_sweep_field(rng, grid, s) for _ in range(trials)]
     records = []
-    for idx, (h, bathymetry) in enumerate(states):
+    for idx, h in enumerate(depths):
         for eps, mu in params_grid:
             params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
             op = assemble_T(h, bathymetry, params, grid)
@@ -128,7 +129,7 @@ def sweep_spreads(records: list[SweepRecord]) -> tuple[float, float]:
 
 def source_defect(state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid) -> float:
     """Relative defect of the split source Q1[U] u_x + q2(U) against eps mu h Q(u)."""
-    h = compute_depth(state, bathymetry, params)
+    h = compute_depth(state.zeta, bathymetry, params)
     ux = d1_spectral(state.u, grid)
     whole = params.epsilon * params.mu * h * q_total(h, state.u, ux, bathymetry, params, grid)
     split = q1_apply(h, state.u, ux, bathymetry, params, grid) + q2_eval(
@@ -154,10 +155,10 @@ def mollifier_adjoint_defect(f: np.ndarray, g: np.ndarray, mol: Mollifier, grid:
     return adj / abs(inner_product(f, f, grid))
 
 
-def mollifier_commutation(f: np.ndarray, mol: Mollifier, grid: Grid, s: float = 2.0) -> float:
-    """|Lambda^s J f - J Lambda^s f| / |Lambda^s J f| for the mollifier J."""
-    a = lambda_s(mollify(f, mol, grid), s, grid)
-    b = mollify(lambda_s(f, s, grid), mol, grid)
+def mollifier_commutation(f: np.ndarray, mol: Mollifier, grid: Grid) -> float:
+    """|Lambda^s J f - J Lambda^s f| / |Lambda^s J f| for the mollifier J, s = SWEEP_S."""
+    a = lambda_s(mollify(f, mol, grid), SWEEP_S, grid)
+    b = mollify(lambda_s(f, SWEEP_S, grid), mol, grid)
     return float(np.linalg.norm(a - b) / np.linalg.norm(a))
 
 

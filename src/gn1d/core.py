@@ -29,8 +29,8 @@ class FactorizationError(Exception):
     """Cholesky factorization of the elliptic operator failed.
 
     The operator is positive definite whenever the depth condition holds,
-    so a factorization failure is reported together with the minimum depth
-    and treated by callers as a depth-type event.
+    so a factorization failure is reported together with the minimum depth;
+    a run ends it as a solver failure (status solver_failure).
     """
 
     def __init__(self, min_depth: float):
@@ -90,8 +90,9 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if self.n <= 0 or self.n % 2 != 0:
-            raise ValueError(f"grid size must be a positive even integer, got {self.n}")
+        # even for the real-FFT layout; d1_fd's stencil and T's nine bands need n >= 8
+        if not (self.n >= 8 and self.n % 2 == 0):
+            raise ValueError(f"grid size must be an even integer of at least 8, got n = {self.n}")
         if not float(self.length) > 0.0:
             raise ValueError(f"domain length must be positive, got {self.length}")
         object.__setattr__(self, "length", float(self.length))
@@ -179,17 +180,15 @@ class State:
         return bool(np.all(np.isfinite(self.zeta)) and np.all(np.isfinite(self.u)))
 
 
-def compute_depth(state: State, bathymetry: Bathymetry, params: Parameters) -> np.ndarray:
-    """Total depth h = 1 + epsilon*(zeta - b) sampled on the grid."""
-    if state.zeta.shape != bathymetry.b.shape:
-        raise ValueError(
-            f"state has {state.zeta.size} nodes, bathymetry has {bathymetry.b.size}"
-        )
-    return 1.0 + params.epsilon * (state.zeta - bathymetry.b)
+def compute_depth(zeta: np.ndarray, bathymetry: Bathymetry, params: Parameters) -> np.ndarray:
+    """Total depth h = 1 + epsilon*(zeta - b) of one surface or an (m, n) stack of them."""
+    if zeta.shape[-1:] != bathymetry.b.shape:
+        raise ValueError(f"surface of shape {zeta.shape} does not end in {bathymetry.b.size} nodes")
+    return 1.0 + params.epsilon * (zeta - bathymetry.b)
 
 
 def require_depth(h: np.ndarray, params: Parameters) -> None:
-    """Raise DepthError unless min(h) >= h0."""
+    """Raise DepthError unless min(h) >= h0; h is one depth or an (m, n) stack."""
     m = float(h.min())
     if not m >= params.h0:  # catches NaN as well
-        raise DepthError(m, int(h.argmin()))
+        raise DepthError(m, int(h.argmin()) % h.shape[-1])

@@ -39,7 +39,7 @@ def conserved_energy(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> float:
     """|zeta|_2^2 + (T u, u), the invariant of the nonlinear evolution."""
-    h = compute_depth(state, bathymetry, params)
+    h = compute_depth(state.zeta, bathymetry, params)
     return inner_product(state.zeta, state.zeta, grid) + weighted_velocity_form(
         state.u, h, bathymetry, params, grid
     )
@@ -60,22 +60,21 @@ def xs_norm(state: State, params: Parameters, grid: Grid, s: float = 2.0) -> flo
 
 def es_norm(
     state: State,
-    ref: State,
+    h_ref: np.ndarray,
     bathymetry: Bathymetry,
     params: Parameters,
     grid: Grid,
     s: float = 2.0,
 ) -> float:
-    """Energy norm with operator weight frozen at the reference state.
+    """Energy norm with operator weight frozen at the reference depth h_ref.
 
     E^s(U)^2 = |Lambda^s zeta|_2^2 + (T[h_ref] Lambda^s u, Lambda^s u).
     """
-    h = compute_depth(ref, bathymetry, params)
     lz, lu = lambda_s(np.stack((state.zeta, state.u)), s, grid)
     return float(
         np.sqrt(
             inner_product(lz, lz, grid)
-            + weighted_velocity_form(lu, h, bathymetry, params, grid)
+            + weighted_velocity_form(lu, h_ref, bathymetry, params, grid)
         )
     )
 
@@ -93,18 +92,21 @@ class DiagnosticRecord:
 def record_for(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid, s: float = 2.0
 ) -> DiagnosticRecord:
+    h = compute_depth(state.zeta, bathymetry, params)
     return DiagnosticRecord(
         t=state.time,
         energy=conserved_energy(state, bathymetry, params, grid),
         mass=mass(state, grid),
-        min_h=float(compute_depth(state, bathymetry, params).min()),
+        min_h=float(h.min()),
         xs=xs_norm(state, params, grid, s),
-        es=es_norm(state, state, bathymetry, params, grid, s),
+        es=es_norm(state, h, bathymetry, params, grid, s),
     )
 
 
 # depth floor of the (eps, mu) sweeps: equivalence_report, checks.inverse_bound_sweep
 SWEEP_H0 = 0.05
+# Sobolev index of the sweeps and of checks.mollifier_commutation
+SWEEP_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,6 @@ def equivalence_report(
     bathymetry: Bathymetry,
     params_grid: list[tuple[float, float]],
     grid: Grid,
-    s: float = 2.0,
 ) -> list[EquivalenceRecord]:
     """Measure E^s / X^s over (state, reference) pairs for each (eps, mu).
 
@@ -133,8 +134,9 @@ def equivalence_report(
         params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
         hi, lo = -np.inf, np.inf
         for state, ref in states:
-            ratio = es_norm(state, ref, bathymetry, params, grid, s) / xs_norm(
-                state, params, grid, s
+            h_ref = compute_depth(ref.zeta, bathymetry, params)
+            ratio = es_norm(state, h_ref, bathymetry, params, grid, SWEEP_S) / xs_norm(
+                state, params, grid, SWEEP_S
             )
             hi, lo = max(hi, ratio), min(lo, ratio)
         out.append(EquivalenceRecord(eps, mu, hi, lo))

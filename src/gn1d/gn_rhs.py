@@ -88,7 +88,7 @@ def nonlinear_rhs(
     the caller, which treats them as blow-up events.
     """
     eps, mu = params.epsilon, params.mu
-    h = compute_depth(state, bathymetry, params)
+    h = compute_depth(state.zeta, bathymetry, params)
     op = assemble_T(h, bathymetry, params, grid)
     hux, zx, ux = d1_spectral(np.stack((h * state.u, state.zeta, state.u)), grid)
     q = q_total(h, state.u, ux, bathymetry, params, grid)
@@ -145,5 +145,5 @@ def condensed_rhs(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> Tendency:
     """Tendency evaluated through the condensed quasilinear form."""
-    op = assemble_T(compute_depth(state, bathymetry, params), bathymetry, params, grid)
+    op = assemble_T(compute_depth(state.zeta, bathymetry, params), bathymetry, params, grid)
     return condensed_tendency(op, state.u, state.zeta, state.u)

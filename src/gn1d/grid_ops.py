@@ -71,8 +71,6 @@ def d1_fd(grid: Grid) -> BandedOperator:
     exactly antisymmetric, so its transpose is its negative bit for bit.
     Built once per grid; its bands are read-only.
     """
-    if grid.n < 8:
-        raise ValueError(f"grid too small for the 5-point stencil: n = {grid.n}")
     one = np.ones(grid.n)
     c1 = 8.0 / (12.0 * grid.dx)
     c2 = 1.0 / (12.0 * grid.dx)

@@ -118,14 +118,10 @@ class ReferenceTrajectory:
 
     def validate_depth(self, bathymetry: Bathymetry, params: Parameters) -> None:
         """Every snapshot must itself be admissible; interpolants then are too."""
-        for j in range(self.times.size):
-            require_depth(
-                1.0 + params.epsilon * (self.zetas[j] - bathymetry.b), params
-            )
+        require_depth(compute_depth(self.zetas, bathymetry, params), params)
 
     def max_speed(self, bathymetry: Bathymetry, params: Parameters) -> float:
-        h = 1.0 + params.epsilon * (self.zetas - bathymetry.b)
-        return max_wave_speed(self.us, h, params)
+        return max_wave_speed(self.us, compute_depth(self.zetas, bathymetry, params), params)
 
 
 def _frozen_coefficients(
@@ -133,7 +129,7 @@ def _frozen_coefficients(
 ) -> tuple[TOperator, np.ndarray]:
     """The coefficient state (op, u) frozen at time t: T at its depth, and its velocity."""
     coeff = ref.state_at(t)
-    return assemble_T(compute_depth(coeff, bathymetry, params), bathymetry, params, grid), coeff.u
+    return assemble_T(compute_depth(coeff.zeta, bathymetry, params), bathymetry, params, grid), coeff.u
 
 
 def solve_linear(
@@ -232,7 +228,8 @@ def picard_solve(
             t = float(sol.times[j])
             prev = ref.state_at(t)
             diff = State(sol.zetas[j] - prev.zeta, sol.us[j] - prev.u, t)
-            gap = max(gap, es_norm(diff, prev, bathymetry, params, grid, s))
+            h_prev = compute_depth(prev.zeta, bathymetry, params)
+            gap = max(gap, es_norm(diff, h_prev, bathymetry, params, grid, s))
         gaps.append(gap)
         ref = sol
         if gap <= tol:

@@ -96,9 +96,8 @@ def rest_state(grid: Grid) -> State:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Named initial-condition builder addressable from the command line."""
+    """Initial-condition builder, registered in SCENARIOS under its command-line name."""
 
-    name: str
     description: str
     build: Callable[..., tuple[State, Bathymetry]]
 
@@ -124,22 +123,18 @@ def _build_rest_over_bar(grid, params, amplitude, width, bar_height, bar_width, 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
     "solitary": ScenarioSpec(
-        "solitary",
         "solitary wave over a flat bottom (exact traveling profile)",
         _build_solitary,
     ),
     "hump": ScenarioSpec(
-        "hump",
         "resting Gaussian hump over a flat bottom",
         _build_hump,
     ),
     "hump_over_bar": ScenarioSpec(
-        "hump_over_bar",
         "resting Gaussian hump with a submerged Gaussian bar downstream",
         _build_hump_over_bar,
     ),
     "rest_over_bar": ScenarioSpec(
-        "rest_over_bar",
         "lake at rest over a submerged Gaussian bar (equilibrium)",
         _build_rest_over_bar,
     ),

@@ -66,7 +66,7 @@ def cfl_dt(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid, control: StepControl
 ) -> float:
     """Advective-acoustic step bound from the current fields."""
-    h = compute_depth(state, bathymetry, params)
+    h = compute_depth(state.zeta, bathymetry, params)
     return control.step_for(max_wave_speed(state.u, h, params), grid.dx)
 
 

@@ -130,7 +130,7 @@ def test_03_operator_exactness():
     worst_sym = worst_res = worst_round = 0.0
     for i in range(100):
         state = random_state(grid, seed=100 + i)
-        op = assemble_T(compute_depth(state, bath, params), bath, params, grid)
+        op = assemble_T(compute_depth(state.zeta, bath, params), bath, params, grid)
         worst_sym = max(worst_sym, symmetry_defect(op))
         rng = np.random.default_rng(5000 + i)
         worst_res = max(worst_res, solve_residual(op, rng.standard_normal(grid.n)))
@@ -153,15 +153,15 @@ def test_04_inverse_bounds_uniform_in_mu():
     grid = Grid(128, 2.0 * np.pi)
     bath = bumpy_bathymetry(grid)
     base = Parameters(0.5, 0.5, h0=0.25)
-    states = []
+    depths = []
     for i in range(3):
         st = random_state(grid, seed=300 + i)
-        states.append((compute_depth(st, bath, base), bath))
+        depths.append(compute_depth(st.zeta, bath, base))
     mus = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
     records = inverse_bound_sweep(
-        states,
+        depths,
+        bath,
         [(eps, mu) for eps in (0.1, 1.0) for mu in mus],
-        s=2.0,
         grid=grid,
         trials=4,
         seed=0,
@@ -283,7 +283,8 @@ def _envelope_fit(n: int):
     for j in range(sol_a.times.size):
         t = float(sol_a.times[j])
         w = State(sol_a.zetas[j] - sol_b.zetas[j], sol_a.us[j] - sol_b.us[j], t)
-        energies.append(es_norm(w, ref.state_at(t), bath, params, grid, 2.0) ** 2)
+        h_ref = compute_depth(ref.state_at(t).zeta, bath, params)
+        energies.append(es_norm(w, h_ref, bath, params, grid, 2.0) ** 2)
     e = np.array(energies)
     x = params.epsilon * (np.asarray(sol_a.times) - sol_a.times[0])
     y = np.log(e / e[0])
@@ -412,7 +413,7 @@ def test_10_norm_equivalence():
     ]
     mus = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
     records = equivalence_report(
-        pairs, bath, [(eps, mu) for eps in (0.1, 1.0) for mu in mus], grid, s=2.0
+        pairs, bath, [(eps, mu) for eps in (0.1, 1.0) for mu in mus], grid
     )
     hi, lo = equivalence_spreads(records)
     ok = hi <= 10.0 and lo <= 10.0

@@ -231,7 +231,7 @@ def test_emit_snapshot_columns(tmp_path):
     assert header == "# x zeta u b h"
     data = np.loadtxt(path)
     assert data.shape == (grid.n, 5)
-    h = compute_depth(state, bath, params)
+    h = compute_depth(state.zeta, bath, params)
     assert np.array_equal(data[:, 0], grid.nodes())
     assert np.array_equal(data[:, 1], state.zeta)
     assert np.array_equal(data[:, 2], state.u)
@@ -250,7 +250,7 @@ def test_emit_snapshot_writes_the_bytes_of_the_per_node_formatter(tmp_path):
     path = tmp_path / "snap.dat"
     emit_snapshot(state, bath, params, grid, str(path))
     x = grid.nodes()
-    h = compute_depth(state, bath, params)
+    h = compute_depth(state.zeta, bath, params)
     want = "# x zeta u b h\n" + "".join(
         f"{x[i]:.17g} {zeta[i]:.17g} {u[i]:.17g} {b[i]:.17g} {h[i]:.17g}\n"
         for i in range(grid.n)

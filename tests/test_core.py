@@ -48,7 +48,7 @@ def test_grid_wavenumbers_match_rfft_layout():
     assert np.allclose(grid.wavenumbers(), [0, 1, 2, 3, 4])
 
 
-@pytest.mark.parametrize("n", [0, -4, 7])
+@pytest.mark.parametrize("n", [0, -4, 6, 7])
 def test_grid_rejects_bad_size(n):
     with pytest.raises(ValueError):
         Grid(n, 1.0)
@@ -75,8 +75,35 @@ def test_depth_formula_elementwise():
     x = grid.nodes()
     bath = Bathymetry.from_profile(0.1 * np.cos(x), grid)
     state = State(0.2 * np.sin(x), np.zeros(grid.n))
-    depth = compute_depth(state, bath, params)
+    depth = compute_depth(state.zeta, bath, params)
     assert np.allclose(depth, 1.0 + 0.5 * (state.zeta - bath.b), atol=0.0)
+
+
+def test_depth_of_a_stack_equals_the_row_by_row_calls():
+    grid = Grid(16, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5)
+    x = grid.nodes()
+    bath = Bathymetry.from_profile(0.1 * np.cos(x), grid)
+    zetas = np.stack([0.2 * np.sin((j + 1) * x) for j in range(3)])
+    depths = compute_depth(zetas, bath, params)
+    assert depths.shape == (3, grid.n)
+    for j in range(3):
+        assert np.array_equal(depths[j], compute_depth(zetas[j], bath, params))
+    with pytest.raises(ValueError):
+        compute_depth(np.zeros(grid.n + 2), bath, params)
+    with pytest.raises(ValueError):
+        compute_depth(np.zeros((3, grid.n - 1)), bath, params)
+
+
+def test_require_depth_on_a_stack_reports_the_grid_index():
+    params = Parameters(0.5, 0.5, h0=0.5)
+    h = np.ones((2, 8))
+    h[0, 2] = 0.4
+    h[1, 5] = 0.1
+    with pytest.raises(DepthError) as info:
+        require_depth(h, params)
+    assert info.value.location == 5
+    assert info.value.min_value == 0.1
 
 
 def test_require_depth_raises_with_details():

@@ -81,7 +81,7 @@ def test_energy_norm_matches_assembled_form():
     direct = np.sqrt(
         inner_product(lz, lz, grid) + inner_product(apply_T(op, lu), lu, grid)
     )
-    assert es_norm(st, ref, bath, params, grid, s=2.0) == pytest.approx(direct, rel=1e-13)
+    assert es_norm(st, h, bath, params, grid, s=2.0) == pytest.approx(direct, rel=1e-13)
 
 
 def test_record_gathers_all_diagnostics():
@@ -94,9 +94,10 @@ def test_record_gathers_all_diagnostics():
     assert rec.t == 1.25
     assert rec.energy == conserved_energy(st, bath, params, grid)
     assert rec.mass == mass(st, grid)
-    assert rec.min_h == np.min(1.0 + params.epsilon * (st.zeta - bath.b))
+    h = 1.0 + params.epsilon * (st.zeta - bath.b)
+    assert rec.min_h == np.min(h)
     assert rec.xs == xs_norm(st, params, grid, s=2.0)
-    assert rec.es == es_norm(st, st, bath, params, grid, s=2.0)
+    assert rec.es == es_norm(st, h, bath, params, grid, s=2.0)
 
 
 def test_norm_equivalence_bounded_over_parameter_sweep():
@@ -106,7 +107,7 @@ def test_norm_equivalence_bounded_over_parameter_sweep():
     for seed in range(6):
         pairs.append((random_state(grid, seed, kc=20), random_state(grid, seed + 500, kc=20)))
     params_grid = [(eps, mu) for eps in (0.1, 1.0) for mu in (1e-4, 1e-2, 1.0)]
-    records = equivalence_report(pairs, bath, params_grid, grid, s=2.0)
+    records = equivalence_report(pairs, bath, params_grid, grid)
     assert len(records) == len(params_grid)
     hi = max(r.ratio_max for r in records)
     lo = min(r.ratio_min for r in records)

@@ -122,7 +122,7 @@ def test_zero_order_source_vanishes_on_flat_bottom():
     params = Parameters(0.5, 0.5, h0=0.3)
     st = random_state(grid, 51, kc=10)
     flat = Bathymetry.flat(grid)
-    b1, b2 = eval_B(assemble_T(compute_depth(st, flat, params), flat, params, grid), st.u)
+    b1, b2 = eval_B(assemble_T(compute_depth(st.zeta, flat, params), flat, params, grid), st.u)
     assert not b1.any()
     assert not b2.any()
 
@@ -133,7 +133,7 @@ def test_zero_order_source_slope_term():
     params = Parameters(0.6, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
     st = random_state(grid, 61, kc=10)
-    b1, _ = eval_B(assemble_T(compute_depth(st, bath, params), bath, params, grid), st.u)
+    b1, _ = eval_B(assemble_T(compute_depth(st.zeta, bath, params), bath, params, grid), st.u)
     assert np.allclose(b1, -params.epsilon * bath.b_x * st.u, atol=1e-15)
 
 

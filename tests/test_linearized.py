@@ -152,6 +152,13 @@ def test_trajectory_depth_guard():
     traj = ReferenceTrajectory.from_states([deep, shallow])
     with pytest.raises(DepthError):
         traj.validate_depth(Bathymetry.flat(grid), params)
+    dip = np.zeros(grid.n)
+    dip[5] = -1.5  # h = 0.25 at node 5 of the second snapshot only
+    traj = ReferenceTrajectory.from_states([deep, State(dip, np.zeros(grid.n), time=1.0)])
+    with pytest.raises(DepthError) as info:
+        traj.validate_depth(Bathymetry.flat(grid), params)
+    assert info.value.location == 5
+    assert info.value.min_value == 0.25
 
 
 def test_trajectory_speed_at_rest():

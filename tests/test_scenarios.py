@@ -144,8 +144,7 @@ def test_rest_state_is_zero():
 
 def test_scenario_registry_contents():
     assert set(SCENARIOS) == {"solitary", "hump", "hump_over_bar", "rest_over_bar"}
-    for name, scen in SCENARIOS.items():
-        assert scen.name == name
+    for scen in SCENARIOS.values():
         assert scen.description
 
 

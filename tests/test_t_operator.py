@@ -263,13 +263,13 @@ def test_inverse_constants_stay_bounded_as_mu_vanishes():
     grid = Grid(128, 2.0 * np.pi)
     bath = bumpy_bathymetry(grid)
     base = Parameters(0.5, 0.5, h0=0.25)
-    states = []
+    depths = []
     for seed in range(3):
         st = random_state(grid, seed=seed + 40)
-        states.append((compute_depth(st, bath, base), bath))
+        depths.append(compute_depth(st.zeta, bath, base))
     params_grid = [(eps, mu) for eps in (0.1, 1.0) for mu in (1e-4, 1e-2, 1.0)]
-    records = inverse_bound_sweep(states, params_grid, s=2.0, grid=grid, trials=4, seed=7)
-    assert len(records) == len(states) * len(params_grid)
+    records = inverse_bound_sweep(depths, bath, params_grid, grid=grid, trials=4, seed=7)
+    assert len(records) == len(depths) * len(params_grid)
     spread1, spread2 = sweep_spreads(records)
     assert spread1 <= 10.0
     assert spread2 <= 10.0

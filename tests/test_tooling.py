@@ -6,7 +6,9 @@ its tracer wraps.  The tracer reports a name that has gone as null rather
 than failing, so a rename would silently blind the per-layer metrics;
 this test makes it fail here instead.  The lists are read with ast, so
 the worker is never imported.  The README's config table must list the
-RunConfig fields, in order, so the documented keys cannot drift.
+RunConfig fields, in order, so the documented keys cannot drift.  No
+module of gn1d may import a name it never uses, so a deletion cannot
+leave a stale import behind (checked with ast; no linter is needed).
 """
 
 import ast
@@ -18,6 +20,7 @@ from gn1d.cli import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKER = ROOT / "perfbench" / "worker.py"
+SRC = ROOT / "src" / "gn1d"
 
 
 def _literal_assignments(path: Path, names: set[str]) -> dict:
@@ -53,3 +56,25 @@ def test_readme_config_table_lists_every_run_config_field_in_order():
             break
         keys.append(line.split("`")[1])
     assert keys == [f.name for f in fields(RunConfig)]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """`file:line: name` for every imported name the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports its names only to export them
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) >= 10
+    assert [line for path in modules for line in _unused_imports(path)] == []
