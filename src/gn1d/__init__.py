@@ -1,6 +1,6 @@
 """Dispersive shallow-water (Green-Naghdi) solver on a periodic 1D domain."""
 
-from .checks import coercivity_bound, inverse_bound_sweep, rayleigh_ratio, sweep_spreads
+from .checks import coercivity_bound, inverse_bound_spreads, rayleigh_ratio
 from .core import (
     Bathymetry,
     DepthError,

@@ -9,12 +9,10 @@ from the seed its caller passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth
-from .diagnostics import SWEEP_H0, SWEEP_S, DiagnosticRecord, EquivalenceRecord
+from .diagnostics import SWEEP_EPSILONS, SWEEP_H0, SWEEP_MUS, SWEEP_S, DiagnosticRecord
 from .gn_rhs import condensed_rhs, nonlinear_rhs, q1_apply, q2_eval, q_total
 from .grid_ops import d1_fd, d1_spectral, hs_norm, inner_product, lambda_s
 from .linearized import Mollifier, mollify
@@ -52,15 +50,6 @@ def rayleigh_ratio(op: TOperator, v: np.ndarray) -> float:
     )
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    state_index: int
-    epsilon: float
-    mu: float
-    r1: float
-    r2: float
-
-
 def _sweep_field(rng: np.random.Generator, grid: Grid, s: float) -> np.ndarray:
     """Random smooth field with an H^s-flat spectrum up to ~0.45 k_max.
 
@@ -75,55 +64,43 @@ def _sweep_field(rng: np.random.Generator, grid: Grid, s: float) -> np.ndarray:
     return np.fft.irfft(coeff, grid.n)
 
 
-def inverse_bound_sweep(
-    depths: list[np.ndarray],
-    bathymetry: Bathymetry,
-    params_grid: list[tuple[float, float]],
-    grid: Grid,
-    trials: int = 4,
-    seed: int = 0,
-) -> list[SweepRecord]:
-    """Measure the two inverse-operator constants over a parameter sweep.
+def inverse_bound_spreads(
+    depths: list[np.ndarray], bathymetry: Bathymetry, grid: Grid, trials: int, seed: int
+) -> tuple[float, float]:
+    """Worst max/min ratio across mu of the two inverse-operator constants.
 
     r1 bounds |T^{-1} f| in the dispersive Sobolev pair, r2 bounds
-    sqrt(mu) |T^{-1} D g|; both are reported relative to |.|_{H^s} of
-    the data (s = SWEEP_S), maximized over random trial fields.
+    sqrt(mu) |T^{-1} D g|; both are measured relative to |.|_{H^s} of
+    the data (s = SWEEP_S), maximized over random trial fields, at every
+    (eps, mu) of the sweep grid.  The spreads are taken across mu for
+    each depth and eps, and the worst is returned.
     """
     s = SWEEP_S
     rng = np.random.default_rng(seed)
     fs = [_sweep_field(rng, grid, s) for _ in range(trials)]
     gs = [_sweep_field(rng, grid, s) for _ in range(trials)]
-    records = []
-    for idx, h in enumerate(depths):
-        for eps, mu in params_grid:
-            params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
-            op = assemble_T(h, bathymetry, params, grid)
-            r1 = r2 = 0.0
-            for f, g in zip(fs, gs):
-                w = solve_T(op, f)
-                wx = d1_spectral(w, grid)
-                r1 = max(
-                    r1,
-                    (hs_norm(w, s, grid) + np.sqrt(mu) * hs_norm(wx, s, grid))
-                    / hs_norm(f, s, grid),
-                )
-                v = solve_T_dx(op, g)
-                r2 = max(r2, np.sqrt(mu) * hs_norm(v, s, grid) / hs_norm(g, s, grid))
-            records.append(SweepRecord(idx, eps, mu, r1, r2))
-    return records
-
-
-def sweep_spreads(records: list[SweepRecord]) -> tuple[float, float]:
-    """Worst max/min ratio of each constant across mu, per (state, eps)."""
-    groups: dict[tuple[int, float], list[SweepRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.state_index, rec.epsilon), []).append(rec)
     worst1 = worst2 = 1.0
-    for recs in groups.values():
-        r1s = [r.r1 for r in recs]
-        r2s = [r.r2 for r in recs]
-        worst1 = max(worst1, max(r1s) / min(r1s))
-        worst2 = max(worst2, max(r2s) / min(r2s))
+    for h in depths:
+        for eps in SWEEP_EPSILONS:
+            r1s, r2s = [], []
+            for mu in SWEEP_MUS:
+                params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
+                op = assemble_T(h, bathymetry, params, grid)
+                r1 = r2 = 0.0
+                for f, g in zip(fs, gs):
+                    w = solve_T(op, f)
+                    wx = d1_spectral(w, grid)
+                    r1 = max(
+                        r1,
+                        (hs_norm(w, s, grid) + np.sqrt(mu) * hs_norm(wx, s, grid))
+                        / hs_norm(f, s, grid),
+                    )
+                    v = solve_T_dx(op, g)
+                    r2 = max(r2, np.sqrt(mu) * hs_norm(v, s, grid) / hs_norm(g, s, grid))
+                r1s.append(r1)
+                r2s.append(r2)
+            worst1 = max(worst1, max(r1s) / min(r1s))
+            worst2 = max(worst2, max(r2s) / min(r2s))
     return worst1, worst2
 
 
@@ -162,11 +139,9 @@ def mollifier_commutation(f: np.ndarray, mol: Mollifier, grid: Grid) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(a))
 
 
-def equivalence_spreads(records: list[EquivalenceRecord]) -> tuple[float, float]:
-    """Max/min spread of the upper and of the lower E^s / X^s ratio across a sweep."""
-    hi = max(r.ratio_max for r in records) / min(r.ratio_max for r in records)
-    lo = max(r.ratio_min for r in records) / min(r.ratio_min for r in records)
-    return hi, lo
+def equivalence_spreads(report: np.ndarray) -> np.ndarray:
+    """Max/min spread of the upper and of the lower E^s / X^s ratio of an equivalence_report."""
+    return report.max(axis=(0, 1)) / report.min(axis=(0, 1))
 
 
 def energy_drift(history: list[DiagnosticRecord]) -> float:

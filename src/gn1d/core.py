@@ -93,8 +93,8 @@ class Grid:
         # even for the real-FFT layout; d1_fd's stencil and T's nine bands need n >= 8
         if not (self.n >= 8 and self.n % 2 == 0):
             raise ValueError(f"grid size must be an even integer of at least 8, got n = {self.n}")
-        if not float(self.length) > 0.0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
+        if not 0.0 < float(self.length) < np.inf:
+            raise ValueError(f"domain length must be positive and finite, got {self.length}")
         object.__setattr__(self, "length", float(self.length))
 
     @property

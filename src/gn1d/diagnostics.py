@@ -103,41 +103,35 @@ def record_for(
     )
 
 
-# depth floor of the (eps, mu) sweeps: equivalence_report, checks.inverse_bound_sweep
+# depth floor of the (eps, mu) sweeps: equivalence_report, checks.inverse_bound_spreads
 SWEEP_H0 = 0.05
 # Sobolev index of the sweeps and of checks.mollifier_commutation
 SWEEP_S = 2.0
-
-
-@dataclass(frozen=True)
-class EquivalenceRecord:
-    epsilon: float
-    mu: float
-    ratio_max: float
-    ratio_min: float
+# the (eps, mu) grid of both sweeps; their bounds read the spread across mu
+SWEEP_EPSILONS = (0.1, 1.0)
+SWEEP_MUS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 def equivalence_report(
-    states: list[tuple[State, State]],
-    bathymetry: Bathymetry,
-    params_grid: list[tuple[float, float]],
-    grid: Grid,
-) -> list[EquivalenceRecord]:
-    """Measure E^s / X^s over (state, reference) pairs for each (eps, mu).
+    states: list[tuple[State, State]], bathymetry: Bathymetry, grid: Grid
+) -> np.ndarray:
+    """Max and min of E^s / X^s over (state, reference) pairs at each (eps, mu).
 
-    Both directions of the norm equivalence are captured by the max and
-    min of the ratio; across an admissible parameter sweep each should
-    vary by a bounded factor.
+    Returns an array of shape (len(SWEEP_EPSILONS), len(SWEEP_MUS), 2)
+    whose last axis holds (max, min).  Both directions of the norm
+    equivalence are captured by them; across an admissible parameter
+    sweep each should vary by a bounded factor.
     """
-    out = []
-    for eps, mu in params_grid:
-        params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
-        hi, lo = -np.inf, np.inf
-        for state, ref in states:
-            h_ref = compute_depth(ref.zeta, bathymetry, params)
-            ratio = es_norm(state, h_ref, bathymetry, params, grid, SWEEP_S) / xs_norm(
-                state, params, grid, SWEEP_S
-            )
-            hi, lo = max(hi, ratio), min(lo, ratio)
-        out.append(EquivalenceRecord(eps, mu, hi, lo))
+    out = np.empty((len(SWEEP_EPSILONS), len(SWEEP_MUS), 2))
+    for i, eps in enumerate(SWEEP_EPSILONS):
+        for j, mu in enumerate(SWEEP_MUS):
+            params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
+            hi, lo = -np.inf, np.inf
+            for state, ref in states:
+                h_ref = compute_depth(ref.zeta, bathymetry, params)
+                ratio = es_norm(state, h_ref, bathymetry, params, grid, SWEEP_S) / xs_norm(
+                    state, params, grid, SWEEP_S
+                )
+                hi, lo = max(hi, ratio), min(lo, ratio)
+            out[i, j] = hi, lo
     return out

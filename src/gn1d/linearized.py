@@ -73,7 +73,7 @@ class ReferenceTrajectory:
             raise ValueError("a trajectory needs at least two snapshots")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("snapshot times must be strictly increasing")
-        if zetas.shape != (times.size, us.shape[1]) or us.shape != zetas.shape:
+        if zetas.ndim != 2 or zetas.shape[0] != times.size or us.shape != zetas.shape:
             raise ValueError(
                 f"snapshot arrays must be (m, n) alike, got {zetas.shape} and {us.shape}"
             )

@@ -46,6 +46,8 @@ def solitary_wave(
     if x0 is None:
         x0 = 0.5 * grid.length
     kappa = np.sqrt(3.0 * eps * amplitude / (4.0 * mu * (1.0 + eps * amplitude)))
+    if not np.isfinite(kappa):
+        raise ValueError(f"amplitude {amplitude} overflows the solitary-wave width")
     seam = 1.0 / np.cosh(kappa * 0.5 * grid.length) ** 2
     if seam > SEAM_TOL:
         raise ValueError(

@@ -25,7 +25,7 @@ from gn1d import (
     es_norm,
     gaussian_hump,
     inner_product,
-    inverse_bound_sweep,
+    inverse_bound_spreads,
     mollify,
     Mollifier,
     picard_solve,
@@ -36,7 +36,6 @@ from gn1d import (
     solitary_wave,
     solve_linear,
     StepControl,
-    sweep_spreads,
     xs_norm,
 )
 from gn1d.checks import (
@@ -157,16 +156,7 @@ def test_04_inverse_bounds_uniform_in_mu():
     for i in range(3):
         st = random_state(grid, seed=300 + i)
         depths.append(compute_depth(st.zeta, bath, base))
-    mus = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-    records = inverse_bound_sweep(
-        depths,
-        bath,
-        [(eps, mu) for eps in (0.1, 1.0) for mu in mus],
-        grid=grid,
-        trials=4,
-        seed=0,
-    )
-    spread1, spread2 = sweep_spreads(records)
+    spread1, spread2 = inverse_bound_spreads(depths, bath, grid, trials=4, seed=0)
     ok = spread1 <= 10.0 and spread2 <= 10.0
     _verdict(
         4,
@@ -411,11 +401,7 @@ def test_10_norm_equivalence():
         (random_state(grid, seed=2000 + i), random_state(grid, seed=3000 + i))
         for i in range(6)
     ]
-    mus = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-    records = equivalence_report(
-        pairs, bath, [(eps, mu) for eps in (0.1, 1.0) for mu in mus], grid
-    )
-    hi, lo = equivalence_spreads(records)
+    hi, lo = equivalence_spreads(equivalence_report(pairs, bath, grid))
     ok = hi <= 10.0 and lo <= 10.0
     _verdict(
         10,

@@ -3,11 +3,14 @@
 import math
 import os
 import re
+import typing
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import gn1d.cli
 import gn1d.linearized
 from gn1d.cli import (
     ConfigError,
@@ -44,6 +47,13 @@ def test_dump_config_round_trips_modified_values():
     )
     # repr floats must survive the text round trip bit for bit
     assert parse_config(dump_config(cfg)) == cfg
+
+
+def test_every_run_config_default_has_its_annotated_type():
+    # parse_config reads the type of each key from its default
+    hints = typing.get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        assert type(f.default) is hints[f.name], f.name
 
 
 def test_parse_config_skips_comments_and_blanks():
@@ -294,11 +304,15 @@ def test_prepare_run_rejects_bad_inputs():
         prepare_run(RunConfig(epsilon=2.0))
 
 
-def test_prepare_run_rejects_floor_violations():
+def test_prepare_run_rejects_floor_violations(monkeypatch):
     # the bar steals 0.15 of depth, so a floor of 0.9 is unreachable
     cfg = RunConfig(scenario="rest_over_bar", h0=0.9, bar_height=0.3, epsilon=0.5)
     with pytest.raises(ConfigError, match="violates the depth floor"):
         prepare_run(cfg)
+    # a NaN depth fails the floor check too
+    monkeypatch.setattr(gn1d.cli, "compute_depth", lambda zeta, *args: np.full_like(zeta, np.nan))
+    with pytest.raises(ConfigError, match="violates the depth floor"):
+        prepare_run(RunConfig(h0=0.25))
 
 
 def _write_config(path, **overrides):
@@ -400,6 +414,55 @@ def test_main_run_picard_mode(tmp_path, capsys):
     assert "iteration 1: gap" in captured.out
     assert "converged in" in captured.out
     assert (out / "timeseries.dat").exists()
+
+
+def test_main_run_picard_that_does_not_converge_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path,
+        scenario="hump",
+        mode="picard",
+        n=64,
+        length=2.0 * math.pi,
+        epsilon=0.2,
+        amplitude=0.2,
+        width=0.5,
+        t_end=0.05,
+        dt_max=0.01,
+        picard_max_iters=1,
+        output_dir=str(out),
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "not converged after 1 iterations" in capsys.readouterr().err
+    assert (out / "timeseries.dat").exists()
+
+
+def test_main_run_snapshots_the_bottom_read_from_the_bathymetry_file(tmp_path):
+    out = tmp_path / "out"
+    length = 2.0 * math.pi
+    xs = np.arange(16) * length / 16
+    bath_path = tmp_path / "bath.dat"
+    _write_samples(bath_path, xs, 0.1 * np.cos(xs) + 0.05 * np.sin(3.0 * xs))
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path,
+        scenario="hump",
+        bathymetry_file=str(bath_path),
+        n=64,
+        length=length,
+        epsilon=0.2,
+        amplitude=0.2,
+        width=0.5,
+        t_end=0.02,
+        snapshot_every=0.01,
+        output_dir=str(out),
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    snap = np.loadtxt(out / "snap_000000.dat")
+    want = load_bathymetry(str(bath_path), Grid(64, length)).b
+    assert np.any(want != 0.0)
+    assert np.array_equal(snap[:, 3], want)
 
 
 @pytest.mark.parametrize("mode", ("linearized", "picard"))
@@ -505,6 +568,20 @@ def test_main_rejects_bad_config_values_with_exit_two(tmp_path, capsys, override
     err = capsys.readouterr().err
     assert "config error" in err
     assert next(iter(override)) in err
+
+
+@pytest.mark.parametrize(
+    "override", [{"length": math.inf}, {"amplitude": 1.7e308}], ids=lambda o: next(iter(o))
+)
+def test_main_rejects_a_run_input_that_overflows_the_initial_state(tmp_path, capsys, override):
+    # the default solitary wave over an infinite domain, or with a width
+    # that overflows, must fail as a config error, not as a NaN run
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(cfg_path, h0=0.25, t_end=0.1, output_dir=str(out), **override)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_scenarios_lists_the_registry(capsys):

@@ -55,8 +55,9 @@ def test_grid_rejects_bad_size(n):
 
 
 def test_grid_rejects_bad_length():
-    with pytest.raises(ValueError):
-        Grid(8, 0.0)
+    for length in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            Grid(8, length)
 
 
 def test_state_finiteness_flags():

@@ -5,6 +5,8 @@ import pytest
 
 from gn1d import Bathymetry, Grid, Parameters, State
 from gn1d.diagnostics import (
+    SWEEP_EPSILONS,
+    SWEEP_MUS,
     conserved_energy,
     equivalence_report,
     es_norm,
@@ -106,10 +108,9 @@ def test_norm_equivalence_bounded_over_parameter_sweep():
     pairs = []
     for seed in range(6):
         pairs.append((random_state(grid, seed, kc=20), random_state(grid, seed + 500, kc=20)))
-    params_grid = [(eps, mu) for eps in (0.1, 1.0) for mu in (1e-4, 1e-2, 1.0)]
-    records = equivalence_report(pairs, bath, params_grid, grid)
-    assert len(records) == len(params_grid)
-    hi = max(r.ratio_max for r in records)
-    lo = min(r.ratio_min for r in records)
+    report = equivalence_report(pairs, bath, grid)
+    assert report.shape == (len(SWEEP_EPSILONS), len(SWEEP_MUS), 2)
+    hi = report[..., 0].max()
+    lo = report[..., 1].min()
     assert 0.0 < lo <= hi
     assert hi / lo <= 10.0

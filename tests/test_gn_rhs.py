@@ -1,7 +1,6 @@
 """Nonlinear tendency, its condensed quasilinear form, and the source split."""
 
 import numpy as np
-import pytest
 
 from gn1d import Bathymetry, Grid, Parameters, State, compute_depth
 from gn1d.gn_rhs import (

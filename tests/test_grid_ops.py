@@ -86,11 +86,6 @@ def test_fd_symbol_vanishes_at_zero_and_nyquist():
     assert abs(fd_symbol(np.array(np.pi / dx), dx)) < 1e-12
 
 
-def test_fd_rejects_tiny_grids():
-    with pytest.raises(ValueError):
-        d1_fd(Grid(6, 1.0))
-
-
 def test_spectral_derivative_exact_on_resolved_modes():
     grid = Grid(64, 2.0 * np.pi)
     x = grid.nodes()

@@ -120,6 +120,9 @@ def test_trajectory_validation():
         ReferenceTrajectory(np.array([1.0, 0.5]), z, z)
     with pytest.raises(ValueError):
         ReferenceTrajectory(np.array([0.0, 1.0]), z, np.zeros((3, 8)))
+    for zetas, us in ((z, np.zeros(8)), (np.zeros(2), np.zeros(2))):
+        with pytest.raises(ValueError, match="snapshot arrays"):
+            ReferenceTrajectory(np.array([0.0, 1.0]), zetas, us)
 
 
 def test_trajectory_interpolates_linearly():

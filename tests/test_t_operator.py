@@ -21,9 +21,8 @@ from gn1d import (
 )
 from gn1d.checks import (
     coercivity_bound,
-    inverse_bound_sweep,
+    inverse_bound_spreads,
     rayleigh_ratio,
-    sweep_spreads,
     symmetry_defect,
 )
 from gn1d.grid_ops import BandedOperator, fd_symbol, inner_product
@@ -267,9 +266,6 @@ def test_inverse_constants_stay_bounded_as_mu_vanishes():
     for seed in range(3):
         st = random_state(grid, seed=seed + 40)
         depths.append(compute_depth(st.zeta, bath, base))
-    params_grid = [(eps, mu) for eps in (0.1, 1.0) for mu in (1e-4, 1e-2, 1.0)]
-    records = inverse_bound_sweep(depths, bath, params_grid, grid=grid, trials=4, seed=7)
-    assert len(records) == len(depths) * len(params_grid)
-    spread1, spread2 = sweep_spreads(records)
+    spread1, spread2 = inverse_bound_spreads(depths, bath, grid, trials=4, seed=7)
     assert spread1 <= 10.0
     assert spread2 <= 10.0

@@ -1,11 +1,10 @@
 """Time stepping: order of accuracy, safety monitors, and snapshots."""
 
-import math
-
 import numpy as np
 import pytest
 
-from gn1d import Bathymetry, Grid, Parameters, State, solitary_wave
+import gn1d.gn_rhs
+from gn1d import Bathymetry, FactorizationError, Grid, Parameters, State, solitary_wave
 from gn1d.scenarios import bar_bathymetry, rest_state
 from gn1d.time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, rk4_step, run
 
@@ -142,6 +141,22 @@ def test_stage_overflow_ends_the_run_as_a_norm_blowup():
     assert outcome.status == "blowup_norm"
     assert outcome.steps == 0
     assert outcome.final_state.u[3] == 1e200
+
+
+def test_stage_factorization_failure_ends_the_run_as_a_solver_failure(monkeypatch):
+    """A factorization that fails inside an RK4 stage gives a labeled
+    outcome instead of an exception escaping run()."""
+    def lost_definiteness(h, *args):
+        raise FactorizationError(float(h.min()))
+
+    monkeypatch.setattr(gn1d.gn_rhs, "assemble_T", lost_definiteness)
+    grid = Grid(64, 60.0)
+    params = Parameters(0.5, 0.5, h0=0.25)
+    wave = solitary_wave(0.4, params, grid)
+    outcome = run(wave, Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
+    assert outcome.status == "solver_failure"
+    assert outcome.steps == 0
+    assert outcome.final_state is wave
 
 
 def test_snapshot_cadence_without_duplicates():

@@ -7,8 +7,9 @@ than failing, so a rename would silently blind the per-layer metrics;
 this test makes it fail here instead.  The lists are read with ast, so
 the worker is never imported.  The README's config table must list the
 RunConfig fields, in order, so the documented keys cannot drift.  No
-module of gn1d may import a name it never uses, so a deletion cannot
-leave a stale import behind (checked with ast; no linter is needed).
+module of gn1d or of its tests may import a name it never uses, so a
+deletion cannot leave a stale import behind (checked with ast; no
+linter is needed).
 """
 
 import ast
@@ -77,4 +78,6 @@ def test_no_module_imports_a_name_it_never_uses():
     # __init__.py imports its names only to export them
     modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     assert len(modules) >= 10
-    assert [line for path in modules for line in _unused_imports(path)] == []
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert len(tests) >= 10
+    assert [line for path in modules + tests for line in _unused_imports(path)] == []
