@@ -27,7 +27,6 @@ from .grid_ops import (
     d1_fd,
     d1_spectral,
     dealias,
-    fd_symbol,
     hs_norm,
     inner_product,
     l2_norm,
@@ -48,7 +47,6 @@ from .scenarios import (
     build_scenario,
     gaussian_hump,
     rest_state,
-    solitary_speed,
     solitary_wave,
 )
 from .t_operator import TOperator, apply_T, assemble_T, build_factor_ops, solve_T, solve_T_dx

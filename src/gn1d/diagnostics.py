@@ -36,10 +36,9 @@ def weighted_velocity_form(
 
 
 def conserved_energy(
-    state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
+    state: State, h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> float:
-    """|zeta|_2^2 + (T u, u), the invariant of the nonlinear evolution."""
-    h = compute_depth(state.zeta, bathymetry, params)
+    """|zeta|_2^2 + (T u, u), the invariant of the nonlinear evolution; h is the state's depth."""
     return inner_product(state.zeta, state.zeta, grid) + weighted_velocity_form(
         state.u, h, bathymetry, params, grid
     )
@@ -95,7 +94,7 @@ def record_for(
     h = compute_depth(state.zeta, bathymetry, params)
     return DiagnosticRecord(
         t=state.time,
-        energy=conserved_energy(state, bathymetry, params, grid),
+        energy=conserved_energy(state, h, bathymetry, params, grid),
         mass=mass(state, grid),
         min_h=float(h.min()),
         xs=xs_norm(state, params, grid, s),

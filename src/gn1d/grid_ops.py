@@ -78,11 +78,6 @@ def d1_fd(grid: Grid) -> BandedOperator:
     return BandedOperator(grid.n, {o: read_only(c) for o, c in bands.items()})
 
 
-def fd_symbol(k: np.ndarray, dx: float) -> np.ndarray:
-    """Wavenumber response of d1_fd: D e^{ikx} = i*sigma(k) e^{ikx}."""
-    return (8.0 * np.sin(k * dx) - np.sin(2.0 * k * dx)) / (6.0 * dx)
-
-
 def apply_symbol(f: np.ndarray, symbol: np.ndarray, grid: Grid) -> np.ndarray:
     """Apply a Fourier multiplier given on the nonnegative-wavenumber modes."""
     return np.fft.irfft(symbol * np.fft.rfft(f), grid.n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,14 +49,13 @@ def cutoff_profile(r) -> np.ndarray:
 class Mollifier:
     """Fourier-side cutoff at scale delta: multiplier phi(delta |k|)."""
 
-    delta: float
     symbol: np.ndarray
 
     @classmethod
     def for_grid(cls, delta: float, grid: Grid) -> "Mollifier":
         if not delta > 0.0:
             raise ValueError(f"cutoff scale must be positive, got {delta}")
-        return cls(delta, cutoff_profile(delta * grid.wavenumbers()))
+        return cls(cutoff_profile(delta * grid.wavenumbers()))
 
 
 def mollify(f: np.ndarray, m: Mollifier, grid: Grid) -> np.ndarray:
@@ -63,7 +63,10 @@ def mollify(f: np.ndarray, m: Mollifier, grid: Grid) -> np.ndarray:
 
 
 class ReferenceTrajectory:
-    """Time-stamped snapshots with linear interpolation between them."""
+    """Time-stamped snapshots with linear interpolation between them.
+
+    at(times) returns (zetas, us), two (len(times), n) stacks, one row per time.
+    """
 
     def __init__(self, times: np.ndarray, zetas: np.ndarray, us: np.ndarray):
         times = np.asarray(times, dtype=float)
@@ -102,18 +105,18 @@ class ReferenceTrajectory:
     def t1(self) -> float:
         return float(self.times[-1])
 
-    def state_at(self, t: float) -> State:
+    def at(self, times) -> tuple[np.ndarray, np.ndarray]:
+        t = np.asarray(times, dtype=float)
         span = self.t1 - self.t0
-        if t < self.t0 - 1e-9 * span or t > self.t1 + 1e-9 * span:
-            raise ValueError(f"time {t} outside trajectory range [{self.t0}, {self.t1}]")
-        t = min(max(t, self.t0), self.t1)
-        j = int(np.searchsorted(self.times, t, side="right") - 1)
-        j = min(j, self.times.size - 2)
-        w = (t - self.times[j]) / (self.times[j + 1] - self.times[j])
-        return State(
+        out = ~((t >= self.t0 - 1e-9 * span) & (t <= self.t1 + 1e-9 * span))
+        if np.any(out):
+            raise ValueError(f"time {t[out][0]} outside trajectory range [{self.t0}, {self.t1}]")
+        t = np.clip(t, self.t0, self.t1)
+        j = np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
+        w = ((t - self.times[j]) / (self.times[j + 1] - self.times[j]))[:, None]
+        return (
             (1.0 - w) * self.zetas[j] + w * self.zetas[j + 1],
             (1.0 - w) * self.us[j] + w * self.us[j + 1],
-            t,
         )
 
     def validate_depth(self, bathymetry: Bathymetry, params: Parameters) -> None:
@@ -122,14 +125,6 @@ class ReferenceTrajectory:
 
     def max_speed(self, bathymetry: Bathymetry, params: Parameters) -> float:
         return max_wave_speed(self.us, compute_depth(self.zetas, bathymetry, params), params)
-
-
-def _frozen_coefficients(
-    ref: ReferenceTrajectory, t: float, bathymetry: Bathymetry, params: Parameters, grid: Grid
-) -> tuple[TOperator, np.ndarray]:
-    """The coefficient state (op, u) frozen at time t: T at its depth, and its velocity."""
-    coeff = ref.state_at(t)
-    return assemble_T(compute_depth(coeff.zeta, bathymetry, params), bathymetry, params, grid), coeff.u
 
 
 def solve_linear(
@@ -165,26 +160,31 @@ def solve_linear(
     z, u = initial.zeta.copy(), initial.u.copy()
     zetas, us = [z], [u]
     cutoff = None if mollifier is None else mollifier.symbol
-    # coefficient operators are frozen per stage offset; stages 2 and 3
-    # share the midpoint, and the step-end pair rolls over as the next start
-    start = _frozen_coefficients(ref, t0, bathymetry, params, grid)
-    for j in range(m):
-        t = t0 + dt * j
-        frozen = {
-            0.0: start,
-            0.5: _frozen_coefficients(ref, t + 0.5 * dt, bathymetry, params, grid),
-            1.0: _frozen_coefficients(ref, t + dt, bathymetry, params, grid),
-        }
-        start = frozen[1.0]
+    block = max(1, 2**17 // grid.n)  # steps per block: a stage stack holds about 2^18 values
 
-        def tendency(c, stage_z, stage_u):
-            return condensed_tendency(*frozen[c], stage_z, stage_u, cutoff)
+    @lru_cache(maxsize=3)  # rows come in order; a block's first row, the last one's end, is cached
+    def frozen(row: int) -> tuple[TOperator, np.ndarray]:
+        i = row - 2 * j0
+        return assemble_T(coeff_h[i], bathymetry, params, grid), coeff_u[i]
 
-        dz, du = _rk4(z, u, dt, grid, tendency)
-        z = z + dz
-        u = u + du
-        zetas.append(z)
-        us.append(u)
+    for j0 in range(0, m, block):
+        # the coefficient states of a block of steps, one row per stage time:
+        # step j reads rows 2j, 2j + 1, 2j + 2 (from 2 j0) at offsets 0, 1/2, 1, so
+        # stages 2 and 3 share the midpoint and each step end is the next start
+        starts = t0 + dt * np.arange(j0, min(j0 + block, m))
+        first = stage_times[-1] if j0 else t0  # the last block's end
+        stage_times = np.append(first, np.stack((starts + 0.5 * dt, starts + dt), axis=1))
+        coeff_z, coeff_u = ref.at(stage_times)
+        coeff_h = compute_depth(coeff_z, bathymetry, params)
+        for j in range(j0, j0 + starts.size):
+            def tendency(c, stage_z, stage_u):
+                return condensed_tendency(*frozen(2 * j + int(2 * c)), stage_z, stage_u, cutoff)
+
+            dz, du = _rk4(z, u, dt, grid, tendency)
+            z = z + dz
+            u = u + du
+            zetas.append(z)
+            us.append(u)
     times = t0 + dt * np.arange(m + 1)
     return ReferenceTrajectory(times, np.stack(zetas), np.stack(us))
 
@@ -223,13 +223,11 @@ def picard_solve(
         sol = solve_linear(
             ref, initial, bathymetry, params, grid, control, mollifier, dt=dt
         )
+        prev_z, prev_u = ref.at(sol.times)
+        prev_h = compute_depth(prev_z, bathymetry, params)
         gap = 0.0
-        for j in range(sol.times.size):
-            t = float(sol.times[j])
-            prev = ref.state_at(t)
-            diff = State(sol.zetas[j] - prev.zeta, sol.us[j] - prev.u, t)
-            h_prev = compute_depth(prev.zeta, bathymetry, params)
-            gap = max(gap, es_norm(diff, h_prev, bathymetry, params, grid, s))
+        for dz, du, h in zip(sol.zetas - prev_z, sol.us - prev_u, prev_h):
+            gap = max(gap, es_norm(State(dz, du), h, bathymetry, params, grid, s))
         gaps.append(gap)
         ref = sol
         if gap <= tol:

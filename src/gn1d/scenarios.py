@@ -55,14 +55,12 @@ def solitary_wave(
             f"exceeds {SEAM_TOL:.3e}; lengthen the domain"
         )
     c = np.sqrt(1.0 + eps * amplitude)
+    if not np.isfinite(float(c) * float(amplitude)):  # bounds c zeta, since zeta <= amplitude
+        raise ValueError(f"amplitude {amplitude} overflows the solitary-wave velocity")
     r = _wrapped_offset(grid.nodes(), x0, grid.length)
     zeta = amplitude / np.cosh(kappa * r) ** 2
     u = c * zeta / (1.0 + eps * zeta)
     return State(zeta, u)
-
-
-def solitary_speed(amplitude: float, params: Parameters) -> float:
-    return float(np.sqrt(1.0 + params.epsilon * amplitude))
 
 
 def gaussian_hump(

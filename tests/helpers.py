@@ -1,5 +1,6 @@
-"""Shared builders for the test suite: band-limited random fields and
-admissible random states over a bumpy bottom.
+"""Shared builders for the test suite: band-limited random fields,
+admissible random states over a bumpy bottom, and the closed forms some
+oracles compare against.
 
 Keeping every random field's spectrum well inside the grid's resolvable
 band makes pointwise products exact (no aliased content), which is what
@@ -48,3 +49,13 @@ def state_from_depth(h: np.ndarray, bathymetry: Bathymetry, params: Parameters) 
 
 def l2_diff(a: State, b: State, grid: Grid) -> float:
     return float(np.sqrt(np.sum((a.zeta - b.zeta) ** 2 + (a.u - b.u) ** 2) * grid.dx))
+
+
+def fd_symbol(k: np.ndarray, dx: float) -> np.ndarray:
+    """Wavenumber response of d1_fd: D e^{ikx} = i*sigma(k) e^{ikx}."""
+    return (8.0 * np.sin(k * dx) - np.sin(2.0 * k * dx)) / (6.0 * dx)
+
+
+def solitary_speed(amplitude: float, params: Parameters) -> float:
+    """Speed c = sqrt(1 + eps a) of the solitary wave of amplitude a."""
+    return float(np.sqrt(1.0 + params.epsilon * amplitude))

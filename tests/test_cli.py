@@ -571,11 +571,17 @@ def test_main_rejects_bad_config_values_with_exit_two(tmp_path, capsys, override
 
 
 @pytest.mark.parametrize(
-    "override", [{"length": math.inf}, {"amplitude": 1.7e308}], ids=lambda o: next(iter(o))
+    "override",
+    [
+        {"length": math.inf},
+        {"amplitude": 1.7e308},
+        pytest.param({"amplitude": 1e300}, id="amplitude_velocity"),
+    ],
+    ids=lambda o: next(iter(o)),
 )
 def test_main_rejects_a_run_input_that_overflows_the_initial_state(tmp_path, capsys, override):
-    # the default solitary wave over an infinite domain, or with a width
-    # that overflows, must fail as a config error, not as a NaN run
+    # the default solitary wave over an infinite domain, or with a width or
+    # a velocity that overflows, must fail as a config error, not as a NaN run
     out = tmp_path / "out"
     cfg_path = tmp_path / "run.cfg"
     _write_config(cfg_path, h0=0.25, t_end=0.1, output_dir=str(out), **override)

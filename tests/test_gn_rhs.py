@@ -11,10 +11,10 @@ from gn1d.gn_rhs import (
     q2_eval,
     q_total,
 )
-from gn1d.grid_ops import d1_spectral, fd_symbol, l2_norm
+from gn1d.grid_ops import d1_spectral, l2_norm
 from gn1d.t_operator import assemble_T
 
-from helpers import bumpy_bathymetry, random_state
+from helpers import bumpy_bathymetry, fd_symbol, random_state
 
 
 def test_dispersive_source_flat_bottom_oracle():

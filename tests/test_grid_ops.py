@@ -15,12 +15,13 @@ from gn1d.grid_ops import (
     d1_fd,
     d1_spectral,
     dealias,
-    fd_symbol,
     hs_norm,
     inner_product,
     l2_norm,
     lambda_s,
 )
+
+from helpers import fd_symbol
 
 
 def test_banded_apply_matches_dense():

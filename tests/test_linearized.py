@@ -10,24 +10,25 @@ from gn1d import (
     NonFiniteError,
     Parameters,
     State,
+    compute_depth,
     gaussian_hump,
     solitary_wave,
 )
 from gn1d.diagnostics import xs_norm
 from gn1d.gn_rhs import condensed_rhs, condensed_tendency
-from gn1d.grid_ops import apply_symbol, fd_symbol, inner_product, lambda_s
+from gn1d.grid_ops import apply_symbol, inner_product, lambda_s
 from gn1d.linearized import (
     Mollifier,
     ReferenceTrajectory,
-    _frozen_coefficients,
     cutoff_profile,
     mollify,
     picard_solve,
     solve_linear,
 )
+from gn1d.t_operator import assemble_T
 from gn1d.time_integrator import StepControl, run
 
-from helpers import band_limited, bumpy_bathymetry, l2_diff, random_state
+from helpers import band_limited, bumpy_bathymetry, fd_symbol, l2_diff, random_state
 
 
 def test_cutoff_profile_plateaus_are_exact():
@@ -130,21 +131,49 @@ def test_trajectory_interpolates_linearly():
     za = np.zeros(n)
     zb = np.ones(n)
     traj = ReferenceTrajectory(np.array([0.0, 2.0]), np.stack([za, zb]), np.stack([zb, za]))
-    mid = traj.state_at(0.5)
-    assert np.allclose(mid.zeta, 0.25, atol=1e-15)
-    assert np.allclose(mid.u, 0.75, atol=1e-15)
-    assert traj.state_at(2.0).time == 2.0
+    zetas, us = traj.at([0.5])
+    assert np.allclose(zetas[0], 0.25, atol=1e-15)
+    assert np.allclose(us[0], 0.75, atol=1e-15)
+    zetas, us = traj.at([2.0])
+    assert np.array_equal(zetas[0], zb) and np.array_equal(us[0], za)
     with pytest.raises(ValueError):
-        traj.state_at(2.5)
+        traj.at([2.5])
+
+
+def test_trajectory_stack_equals_the_single_time_calls():
+    rng = np.random.default_rng(21)
+    times = np.cumsum(rng.uniform(0.1, 1.0, 6))
+    traj = ReferenceTrajectory(times, rng.standard_normal((6, 16)), rng.standard_normal((6, 16)))
+    # interior, snapshot and end times, the roundoff margins past either end
+    # (clamped), and an unsorted order
+    span = times[-1] - times[0]
+    queries = np.concatenate(
+        (rng.uniform(times[0], times[-1], 9), times,
+         [times[0] - 1e-10 * span, times[-1] + 1e-10 * span])
+    )[::-1]
+    zetas, us = traj.at(queries)
+    assert zetas.shape == us.shape == (queries.size, 16)
+    for i, t in enumerate(queries):
+        z1, u1 = traj.at([t])
+        assert np.array_equal(zetas[i], z1[0]) and np.array_equal(us[i], u1[0])
+        # the scalar interpolation, one time at a time, as the reference
+        t = min(max(float(t), traj.t0), traj.t1)
+        j = min(int(np.searchsorted(times, t, side="right") - 1), times.size - 2)
+        w = (t - times[j]) / (times[j + 1] - times[j])
+        assert np.array_equal(zetas[i], (1.0 - w) * traj.zetas[j] + w * traj.zetas[j + 1])
+        assert np.array_equal(us[i], (1.0 - w) * traj.us[j] + w * traj.us[j + 1])
+    for bad in ([times[0] - 1e-6 * span], [times[1], times[-1] + 1e-6 * span], [np.nan]):
+        with pytest.raises(ValueError, match="outside trajectory range"):
+            traj.at(bad)
 
 
 def test_constant_trajectory_holds_the_state():
     st = State(np.full(8, 0.3), np.full(8, -0.1), time=1.0)
     traj = ReferenceTrajectory.constant(st, 4.0)
-    for t in (1.0, 2.5, 4.0):
-        got = traj.state_at(t)
-        assert np.array_equal(got.zeta, st.zeta)
-        assert np.array_equal(got.u, st.u)
+    zetas, us = traj.at([1.0, 2.5, 4.0])
+    for zeta, u in zip(zetas, us):
+        assert np.array_equal(zeta, st.zeta)
+        assert np.array_equal(u, st.u)
 
 
 def test_trajectory_depth_guard():
@@ -178,7 +207,9 @@ def test_linearized_tendency_at_the_reference_is_the_nonlinear_one():
     bath = bumpy_bathymetry(grid)
     st = random_state(grid, 33, kc=24)
     ref = ReferenceTrajectory.constant(st, 1.0)
-    lin = condensed_tendency(*_frozen_coefficients(ref, 0.0, bath, params, grid), st.zeta, st.u)
+    zetas, us = ref.at([0.0])
+    op = assemble_T(compute_depth(zetas[0], bath, params), bath, params, grid)
+    lin = condensed_tendency(op, us[0], st.zeta, st.u)
     cond = condensed_rhs(st, bath, params, grid)
     assert np.array_equal(lin.dzeta, cond.dzeta)
     assert np.array_equal(lin.du, cond.du)
@@ -198,30 +229,35 @@ def test_linearization_about_rest_recovers_dispersive_waves():
     ref = ReferenceTrajectory.constant(State(np.zeros(grid.n), np.zeros(grid.n)), period)
     ic = State(np.cos(k * x), (omega / k) * np.cos(k * x))
     out = solve_linear(ref, ic, flat, params, grid, StepControl(t_end=period), dt=period / 400)
-    final = out.state_at(period)
-    assert l2_diff(final, ic, grid) <= 1e-6
+    zetas, us = out.at([period])
+    assert l2_diff(State(zetas[0], us[0]), ic, grid) <= 1e-6
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    """Count the calls of module.name into calls[name]."""
+    original = getattr(module, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     """Stages 2 and 3 share the midpoint operator and each step-end
     operator is reused as the next step's start: 2m + 1 assemblies.
-    Each of the 4m stage tendencies solves once in A and once in B."""
+    Each of the 4m stage tendencies solves once in A and once in B.  The
+    depths come from two stacked calls: one validates the reference, one
+    serves every stage."""
     import gn1d.gn_rhs
     import gn1d.linearized
 
-    calls = {"assemble": 0, "solve": 0}
-
-    def counting(module, name, key):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    counting(gn1d.linearized, "assemble_T", "assemble")
-    counting(gn1d.gn_rhs, "solve_T", "solve")
+    calls = {}
+    _count_calls(monkeypatch, calls, gn1d.linearized, "assemble_T")
+    _count_calls(monkeypatch, calls, gn1d.linearized, "compute_depth")
+    _count_calls(monkeypatch, calls, gn1d.gn_rhs, "solve_T")
     grid = Grid(32, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
     hump = gaussian_hump(0.3, 0.5, grid)
@@ -231,8 +267,50 @@ def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     )
     m = out.times.size - 1
     assert m == 5
-    assert calls["assemble"] == 2 * m + 1
-    assert calls["solve"] == 8 * m
+    assert calls["assemble_T"] == 2 * m + 1
+    assert calls["solve_T"] == 8 * m
+    assert calls["compute_depth"] == 2
+
+
+def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatch):
+    """At n = 4096 a block holds 32 steps, so 33 steps take two blocks: one
+    more stacked depth, and the operator at the seam is assembled once."""
+    import gn1d.linearized
+
+    calls = {}
+    _count_calls(monkeypatch, calls, gn1d.linearized, "assemble_T")
+    _count_calls(monkeypatch, calls, gn1d.linearized, "compute_depth")
+    grid = Grid(4096, 2.0 * np.pi)
+    params = Parameters(0.2, 0.5, h0=0.4)
+    hump = gaussian_hump(0.3, 0.5, grid)
+    ref = ReferenceTrajectory.constant(hump, 0.033)
+    out = solve_linear(
+        ref, hump, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.033), dt=0.001
+    )
+    m = out.times.size - 1
+    assert m == 33
+    assert calls["assemble_T"] == 2 * m + 1
+    assert calls["compute_depth"] == 3
+
+
+def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):
+    """Each sweep's gap is a sup over its m + 1 snapshot times, one es_norm
+    call each, weighted by the depths of one stacked call."""
+    import gn1d.linearized
+
+    calls = {}
+    _count_calls(monkeypatch, calls, gn1d.linearized, "es_norm")
+    _count_calls(monkeypatch, calls, gn1d.linearized, "compute_depth")
+    grid = Grid(32, 2.0 * np.pi)
+    params = Parameters(0.2, 0.5, h0=0.4)
+    hump = gaussian_hump(0.3, 0.5, grid)
+    control = StepControl(t_end=0.1, dt_max=0.02)
+    result = picard_solve(hump, Bathymetry.flat(grid), params, grid, control, max_iters=3, tol=0.0)
+    m = result.trajectory.times.size - 1
+    assert (result.iterations, m) == (3, 5)
+    assert calls["es_norm"] == result.iterations * (m + 1)
+    # per sweep: validate the reference, the stage depths, the gap depths
+    assert calls["compute_depth"] == 3 * result.iterations
 
 
 def test_linear_march_requires_a_covering_reference():
@@ -255,8 +333,8 @@ def test_fixed_point_iteration_converges_to_the_nonlinear_flow():
     assert result.iterations < 20
     assert all(b < a for a, b in zip(result.gaps, result.gaps[1:]))
     direct = run(hump, flat, params, grid, control)
-    fin = result.trajectory.state_at(0.1)
-    gap = State(fin.zeta - direct.final_state.zeta, fin.u - direct.final_state.u)
+    zetas, us = result.trajectory.at([0.1])
+    gap = State(zetas[0] - direct.final_state.zeta, us[0] - direct.final_state.u)
     assert xs_norm(gap, params, grid, s=2.0) <= 1e-5 * xs_norm(direct.final_state, params, grid, s=2.0)
 
 

@@ -14,10 +14,11 @@ from gn1d import (
     l2_norm,
     nonlinear_rhs,
     rest_state,
-    solitary_speed,
     solitary_wave,
     SCENARIOS,
 )
+
+from helpers import solitary_speed
 
 
 def test_solitary_wave_matches_closed_form():

@@ -25,11 +25,11 @@ from gn1d.checks import (
     rayleigh_ratio,
     symmetry_defect,
 )
-from gn1d.grid_ops import BandedOperator, fd_symbol, inner_product
+from gn1d.grid_ops import BandedOperator, inner_product
 from gn1d.t_operator import apply_T, assemble_T, build_factor_ops, solve_T, solve_T_dx
 import gn1d.t_operator
 
-from helpers import admissible_depth, bumpy_bathymetry, random_state
+from helpers import admissible_depth, bumpy_bathymetry, fd_symbol, random_state
 
 
 def _random_operator(n=64, seed=0, eps=0.5, mu=0.5, h0=0.5):
