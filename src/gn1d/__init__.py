@@ -20,7 +20,20 @@ from .diagnostics import (
     record_for,
     xs_norm,
 )
-from .gn_rhs import Tendency, apply_A, condensed_rhs, eval_B, nonlinear_rhs, q1_apply, q2_eval, q_total
+from .gn_rhs import (
+    CoefficientFields,
+    FrozenState,
+    Tendency,
+    apply_A,
+    coefficient_fields,
+    condensed_rhs,
+    eval_B,
+    frozen_state,
+    nonlinear_rhs,
+    q1_apply,
+    q2_eval,
+    q_total,
+)
 from .grid_ops import (
     BandedOperator,
     apply_symbol,

@@ -9,7 +9,9 @@ with h = 1 + eps (zeta - b) and Q the quadratic dispersive source.  The
 condensed form rewrites the same dynamics as U_t + A[U] U_x + B(U) = 0,
 splitting eps mu h Q(u) = Q1[U] u_x + q2(U) so that only first-order
 derivatives of the unknowns appear; both forms are evaluated here and
-must agree to rounding on band-limited fields.
+must agree to rounding on band-limited fields.  What the condensed form
+needs of a frozen coefficient state alone, coefficient_fields computes
+once, for one state or a stack, so a linear stage does only stage work.
 """
 
 from __future__ import annotations
@@ -48,6 +50,51 @@ def q_total(
     )
 
 
+class CoefficientFields(NamedTuple):
+    """Fields of the condensed form that depend only on a coefficient state
+    (h, u): the left operand of each product with a stage field, and the
+    whole zero-order source.  Each is one row, or a (k, n) stack."""
+
+    eps_u: np.ndarray  # eps u
+    h3_ux: np.ndarray  # h^3 u_x
+    q1_bx: np.ndarray  # eps^2 mu h^2 b_x u_x
+    q1_bxx: np.ndarray  # eps^2 mu h^2 b_xx u
+    q2: np.ndarray  # the zero-order remainder of the dispersive source
+    b1: np.ndarray  # -eps b_x u
+
+    def row(self, i: int) -> "CoefficientFields":
+        return CoefficientFields(*(f[i] for f in self))
+
+
+def coefficient_fields(
+    h: np.ndarray, u: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
+) -> CoefficientFields:
+    """The coefficient-only fields at depth h and velocity u, one state or a
+    (k, n) stack of them; one d1_spectral call differentiates u and h^2 b_xx.
+    Each row of a stacked result is bit-identical to the one-row call."""
+    eps, mu = params.epsilon, params.mu
+    bx, bxx = bathymetry.b_x, bathymetry.b_xx
+    ux, d_bottom = d1_spectral(np.stack((u, h**2 * bxx)), grid)
+    return CoefficientFields(
+        eps_u=eps * u,
+        h3_ux=h**3 * ux,
+        q1_bx=eps**2 * mu * h**2 * bx * ux,
+        q1_bxx=eps**2 * mu * h**2 * bxx * u,
+        q2=eps**3 * mu * h * bxx * bx * u**2 + 0.5 * eps**2 * mu * d_bottom * u**2,
+        b1=-eps * bx * u,
+    )
+
+
+def _q1(fields: CoefficientFields, f: np.ndarray, params: Parameters, grid: Grid) -> np.ndarray:
+    """First-order part of the dispersive source at the state of fields, applied to f."""
+    eps, mu = params.epsilon, params.mu
+    return (
+        (2.0 / 3.0) * eps * mu * d1_spectral(fields.h3_ux * f, grid)
+        + fields.q1_bx * f
+        + fields.q1_bxx * f
+    )
+
+
 def q1_apply(
     h: np.ndarray,
     u: np.ndarray,
@@ -57,25 +104,14 @@ def q1_apply(
     grid: Grid,
 ) -> np.ndarray:
     """First-order part of the dispersive source at depth h and velocity u, applied to f."""
-    eps, mu = params.epsilon, params.mu
-    bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    ux = d1_spectral(u, grid)
-    return (
-        (2.0 / 3.0) * eps * mu * d1_spectral(h**3 * ux * f, grid)
-        + eps**2 * mu * h**2 * bx * ux * f
-        + eps**2 * mu * h**2 * bxx * u * f
-    )
+    return _q1(coefficient_fields(h, u, bathymetry, params, grid), f, params, grid)
 
 
 def q2_eval(
     h: np.ndarray, u: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> np.ndarray:
     """Zero-order remainder of the dispersive source at depth h and velocity u."""
-    eps, mu = params.epsilon, params.mu
-    bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    return eps**3 * mu * h * bxx * bx * u**2 + 0.5 * eps**2 * mu * d1_spectral(
-        h**2 * bxx, grid
-    ) * u**2
+    return coefficient_fields(h, u, bathymetry, params, grid).q2
 
 
 def nonlinear_rhs(
@@ -96,48 +132,57 @@ def nonlinear_rhs(
     return Tendency(-hux, du)
 
 
+class FrozenState(NamedTuple):
+    """A frozen coefficient state of the condensed form: op is T at its
+    depth (op.h), fields its coefficient_fields, one row each."""
+
+    op: TOperator
+    fields: CoefficientFields
+
+
+def frozen_state(op: TOperator, u: np.ndarray) -> FrozenState:
+    """The coefficient state of depth op.h and velocity u, with op = T there."""
+    return FrozenState(op, coefficient_fields(op.h, u, op.bathymetry, op.params, op.grid))
+
+
 def apply_A(
-    op: TOperator, u: np.ndarray, fields: tuple[np.ndarray, np.ndarray]
+    coeff: FrozenState, v: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advection-structure map of the condensed form at the coefficient state
-    (op, u), applied to (v1, v2); op is T at that state and carries its depth."""
-    eps, h = op.params.epsilon, op.h
-    v1, v2 = fields
-    a1 = eps * u * v1 + h * v2
-    q1 = q1_apply(h, u, v2, op.bathymetry, op.params, op.grid)
-    a2 = solve_T(op, h * v1 + q1) + eps * u * v2
+    """Advection-structure map of the condensed form at the coefficient
+    state coeff, applied to v = (v1, v2)."""
+    op, fields = coeff
+    v1, v2 = v
+    a1 = fields.eps_u * v1 + op.h * v2
+    a2 = solve_T(op, op.h * v1 + _q1(fields, v2, op.params, op.grid)) + fields.eps_u * v2
     return a1, a2
 
 
-def eval_B(op: TOperator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order source of the condensed form at the coefficient state (op, u)."""
-    b1 = -op.params.epsilon * op.bathymetry.b_x * u
-    b2 = solve_T(op, q2_eval(op.h, u, op.bathymetry, op.params, op.grid))
-    return b1, b2
+def eval_B(coeff: FrozenState) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order source of the condensed form at the coefficient state coeff."""
+    return coeff.fields.b1, solve_T(coeff.op, coeff.fields.q2)
 
 
 def condensed_tendency(
-    op: TOperator,
-    coeff_u: np.ndarray,
+    coeff: FrozenState,
     zeta: np.ndarray,
     u: np.ndarray,
     cutoff: np.ndarray | None = None,
 ) -> Tendency:
-    """-(J A[coeff] J U_x + B(coeff)) for U = (zeta, u) at the coefficient
-    state coeff = (op, coeff_u), with op = T at coeff.
+    """-(J A[coeff] J U_x + B(coeff)) for U = (zeta, u) at the frozen
+    coefficient state coeff.
 
     J is the Fourier multiplier cutoff (the identity when None).  At
     coeff = U without cutoff this is the condensed form of the nonlinear
     tendency; otherwise it is the tendency of the linearized system.
     """
-    grid = op.grid
+    grid = coeff.op.grid
 
     def cut(f):
         return f if cutoff is None else apply_symbol(f, cutoff, grid)
 
     v = cut(d1_spectral(np.stack((zeta, u)), grid))
-    a1, a2 = apply_A(op, coeff_u, v)
-    b1, b2 = eval_B(op, coeff_u)
+    a1, a2 = apply_A(coeff, v)
+    b1, b2 = eval_B(coeff)
     return Tendency(-(cut(a1) + b1), -(cut(a2) + b2))
 
 
@@ -146,4 +191,4 @@ def condensed_rhs(
 ) -> Tendency:
     """Tendency evaluated through the condensed quasilinear form."""
     op = assemble_T(compute_depth(state.zeta, bathymetry, params), bathymetry, params, grid)
-    return condensed_tendency(op, state.u, state.zeta, state.u)
+    return condensed_tendency(frozen_state(op, state.u), state.zeta, state.u)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth, require_depth
 from .diagnostics import es_norm
-from .gn_rhs import condensed_tendency
+from .gn_rhs import FrozenState, coefficient_fields, condensed_tendency
 from .grid_ops import apply_symbol
-from .t_operator import TOperator, assemble_T
+from .t_operator import assemble_T
 from .time_integrator import StepControl, _rk4, cfl_dt, max_wave_speed
 
 
@@ -163,9 +163,9 @@ def solve_linear(
     block = max(1, 2**17 // grid.n)  # steps per block: a stage stack holds about 2^18 values
 
     @lru_cache(maxsize=3)  # rows come in order; a block's first row, the last one's end, is cached
-    def frozen(row: int) -> tuple[TOperator, np.ndarray]:
+    def frozen(row: int) -> FrozenState:
         i = row - 2 * j0
-        return assemble_T(coeff_h[i], bathymetry, params, grid), coeff_u[i]
+        return FrozenState(assemble_T(coeff_h[i], bathymetry, params, grid), coeff_fields.row(i))
 
     for j0 in range(0, m, block):
         # the coefficient states of a block of steps, one row per stage time:
@@ -176,9 +176,10 @@ def solve_linear(
         stage_times = np.append(first, np.stack((starts + 0.5 * dt, starts + dt), axis=1))
         coeff_z, coeff_u = ref.at(stage_times)
         coeff_h = compute_depth(coeff_z, bathymetry, params)
+        coeff_fields = coefficient_fields(coeff_h, coeff_u, bathymetry, params, grid)
         for j in range(j0, j0 + starts.size):
             def tendency(c, stage_z, stage_u):
-                return condensed_tendency(*frozen(2 * j + int(2 * c)), stage_z, stage_u, cutoff)
+                return condensed_tendency(frozen(2 * j + int(2 * c)), stage_z, stage_u, cutoff)
 
             dz, du = _rk4(z, u, dt, grid, tendency)
             z = z + dz

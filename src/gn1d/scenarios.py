@@ -48,7 +48,10 @@ def solitary_wave(
     kappa = np.sqrt(3.0 * eps * amplitude / (4.0 * mu * (1.0 + eps * amplitude)))
     if not np.isfinite(kappa):
         raise ValueError(f"amplitude {amplitude} overflows the solitary-wave width")
-    seam = 1.0 / np.cosh(kappa * 0.5 * grid.length) ** 2
+    # on a long domain cosh^2 overflows to inf where sech^2 is below the
+    # smallest double; 1 / inf = 0 is then the right value
+    with np.errstate(over="ignore"):
+        seam = 1.0 / np.cosh(kappa * 0.5 * grid.length) ** 2
     if seam > SEAM_TOL:
         raise ValueError(
             f"domain too short for a clean solitary wave: seam value {seam:.3e} "
@@ -58,7 +61,8 @@ def solitary_wave(
     if not np.isfinite(float(c) * float(amplitude)):  # bounds c zeta, since zeta <= amplitude
         raise ValueError(f"amplitude {amplitude} overflows the solitary-wave velocity")
     r = _wrapped_offset(grid.nodes(), x0, grid.length)
-    zeta = amplitude / np.cosh(kappa * r) ** 2
+    with np.errstate(over="ignore"):
+        zeta = amplitude / np.cosh(kappa * r) ** 2
     u = c * zeta / (1.0 + eps * zeta)
     return State(zeta, u)
 

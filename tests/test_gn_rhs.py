@@ -4,15 +4,19 @@ import numpy as np
 
 from gn1d import Bathymetry, Grid, Parameters, State, compute_depth
 from gn1d.gn_rhs import (
+    coefficient_fields,
     condensed_rhs,
+    condensed_tendency,
     eval_B,
+    frozen_state,
     nonlinear_rhs,
     q1_apply,
     q2_eval,
     q_total,
 )
-from gn1d.grid_ops import d1_spectral, l2_norm
-from gn1d.t_operator import assemble_T
+from gn1d.grid_ops import apply_symbol, d1_spectral, l2_norm
+from gn1d.linearized import Mollifier
+from gn1d.t_operator import assemble_T, solve_T
 
 from helpers import bumpy_bathymetry, fd_symbol, random_state
 
@@ -121,7 +125,9 @@ def test_zero_order_source_vanishes_on_flat_bottom():
     params = Parameters(0.5, 0.5, h0=0.3)
     st = random_state(grid, 51, kc=10)
     flat = Bathymetry.flat(grid)
-    b1, b2 = eval_B(assemble_T(compute_depth(st.zeta, flat, params), flat, params, grid), st.u)
+    b1, b2 = eval_B(
+        frozen_state(assemble_T(compute_depth(st.zeta, flat, params), flat, params, grid), st.u)
+    )
     assert not b1.any()
     assert not b2.any()
 
@@ -132,7 +138,9 @@ def test_zero_order_source_slope_term():
     params = Parameters(0.6, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
     st = random_state(grid, 61, kc=10)
-    b1, _ = eval_B(assemble_T(compute_depth(st.zeta, bath, params), bath, params, grid), st.u)
+    b1, _ = eval_B(
+        frozen_state(assemble_T(compute_depth(st.zeta, bath, params), bath, params, grid), st.u)
+    )
     assert np.allclose(b1, -params.epsilon * bath.b_x * st.u, atol=1e-15)
 
 
@@ -142,3 +150,76 @@ def test_tendency_fields_are_named():
     t = nonlinear_rhs(random_state(grid, 71, kc=10), bumpy_bathymetry(grid), params, grid)
     assert t.dzeta is t[0]
     assert t.du is t[1]
+
+
+def test_stacked_coefficient_fields_match_the_one_row_call_bit_for_bit():
+    grid = Grid(128, 2.0 * np.pi)
+    params = Parameters(0.4, 0.6, h0=0.3)
+    bath = bumpy_bathymetry(grid)
+    states = [random_state(grid, seed + 300, kc=24) for seed in range(5)]
+    hs = compute_depth(np.stack([st.zeta for st in states]), bath, params)
+    us = np.stack([st.u for st in states])
+    stacked = coefficient_fields(hs, us, bath, params, grid)
+    for i, (h, u) in enumerate(zip(hs, us)):
+        one = coefficient_fields(h, u, bath, params, grid)
+        for name, a, b in zip(one._fields, stacked.row(i), one):
+            assert np.array_equal(a, b), name
+
+
+def _tendency_by_the_source_split(op, coeff_u, zeta, u, cutoff):
+    """The condensed tendency composed from q1_apply and q2_eval, each
+    checked against its formula written out in full."""
+    grid, bath, params, h = op.grid, op.bathymetry, op.params, op.h
+    eps, mu = params.epsilon, params.mu
+    bx, bxx = bath.b_x, bath.b_xx
+
+    def cut(f):
+        return f if cutoff is None else apply_symbol(f, cutoff, grid)
+
+    def q1(f):
+        ux = d1_spectral(coeff_u, grid)
+        written = (
+            (2.0 / 3.0) * eps * mu * d1_spectral(h**3 * ux * f, grid)
+            + eps**2 * mu * h**2 * bx * ux * f
+            + eps**2 * mu * h**2 * bxx * coeff_u * f
+        )
+        got = q1_apply(h, coeff_u, f, bath, params, grid)
+        assert np.array_equal(got, written)
+        return got
+
+    written_q2 = eps**3 * mu * h * bxx * bx * coeff_u**2 + 0.5 * eps**2 * mu * d1_spectral(
+        h**2 * bxx, grid
+    ) * coeff_u**2
+    q2 = q2_eval(h, coeff_u, bath, params, grid)
+    assert np.array_equal(q2, written_q2)
+
+    v1, v2 = cut(d1_spectral(np.stack((zeta, u)), grid))
+    a1 = eps * coeff_u * v1 + h * v2
+    a2 = solve_T(op, h * v1 + q1(v2)) + eps * coeff_u * v2
+    b1 = -eps * bx * coeff_u
+    b2 = solve_T(op, q2)
+    return -(cut(a1) + b1), -(cut(a2) + b2)
+
+
+def test_frozen_state_tendency_matches_the_source_split_bit_for_bit():
+    grid = Grid(128, 2.0 * np.pi)
+    params = Parameters(0.4, 0.6, h0=0.3)
+    bath = bumpy_bathymetry(grid)
+    coeff = random_state(grid, 401, kc=24)
+    stage = random_state(grid, 402, kc=40)
+    op = assemble_T(compute_depth(coeff.zeta, bath, params), bath, params, grid)
+    # each field is the left operand the written-out formulas compute
+    eps, mu, h, u = params.epsilon, params.mu, op.h, coeff.u
+    ux = d1_spectral(u, grid)
+    frozen = frozen_state(op, u)
+    fields = frozen.fields
+    assert np.array_equal(fields.eps_u, eps * u)
+    assert np.array_equal(fields.h3_ux, h**3 * ux)
+    assert np.array_equal(fields.q1_bx, eps**2 * mu * h**2 * bath.b_x * ux)
+    assert np.array_equal(fields.q1_bxx, eps**2 * mu * h**2 * bath.b_xx * u)
+    assert np.array_equal(fields.b1, -eps * bath.b_x * u)
+    for cutoff in (None, Mollifier.for_grid(0.1, grid).symbol):
+        got = condensed_tendency(frozen, stage.zeta, stage.u, cutoff)
+        want = _tendency_by_the_source_split(op, u, stage.zeta, stage.u, cutoff)
+        assert np.array_equal(got.dzeta, want[0])
+        assert np.array_equal(got.du, want[1])

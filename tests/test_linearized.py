@@ -15,7 +15,7 @@ from gn1d import (
     solitary_wave,
 )
 from gn1d.diagnostics import xs_norm
-from gn1d.gn_rhs import condensed_rhs, condensed_tendency
+from gn1d.gn_rhs import condensed_rhs, condensed_tendency, frozen_state
 from gn1d.grid_ops import apply_symbol, inner_product, lambda_s
 from gn1d.linearized import (
     Mollifier,
@@ -209,7 +209,7 @@ def test_linearized_tendency_at_the_reference_is_the_nonlinear_one():
     ref = ReferenceTrajectory.constant(st, 1.0)
     zetas, us = ref.at([0.0])
     op = assemble_T(compute_depth(zetas[0], bath, params), bath, params, grid)
-    lin = condensed_tendency(op, us[0], st.zeta, st.u)
+    lin = condensed_tendency(frozen_state(op, us[0]), st.zeta, st.u)
     cond = condensed_rhs(st, bath, params, grid)
     assert np.array_equal(lin.dzeta, cond.dzeta)
     assert np.array_equal(lin.du, cond.du)
@@ -248,16 +248,19 @@ def _count_calls(monkeypatch, calls, module, name):
 def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     """Stages 2 and 3 share the midpoint operator and each step-end
     operator is reused as the next step's start: 2m + 1 assemblies.
-    Each of the 4m stage tendencies solves once in A and once in B.  The
-    depths come from two stacked calls: one validates the reference, one
-    serves every stage."""
+    Each of the 4m stage tendencies applies A and evaluates B once, and
+    solves once in each.  The depths come from two stacked calls: one
+    validates the reference, one serves every stage.  The coefficient
+    fields of all stages come from one stacked derivative per block; a
+    stage differentiates only its own fields and Q1's argument."""
     import gn1d.gn_rhs
     import gn1d.linearized
 
     calls = {}
     _count_calls(monkeypatch, calls, gn1d.linearized, "assemble_T")
     _count_calls(monkeypatch, calls, gn1d.linearized, "compute_depth")
-    _count_calls(monkeypatch, calls, gn1d.gn_rhs, "solve_T")
+    for name in ("solve_T", "d1_spectral", "apply_A", "eval_B"):
+        _count_calls(monkeypatch, calls, gn1d.gn_rhs, name)
     grid = Grid(32, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
     hump = gaussian_hump(0.3, 0.5, grid)
@@ -269,17 +272,22 @@ def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     assert m == 5
     assert calls["assemble_T"] == 2 * m + 1
     assert calls["solve_T"] == 8 * m
+    assert calls["apply_A"] == calls["eval_B"] == 4 * m
+    assert calls["d1_spectral"] == 2 * 4 * m + 1
     assert calls["compute_depth"] == 2
 
 
 def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatch):
     """At n = 4096 a block holds 32 steps, so 33 steps take two blocks: one
-    more stacked depth, and the operator at the seam is assembled once."""
+    more stacked depth and coefficient derivative, and the operator at the
+    seam is assembled once."""
+    import gn1d.gn_rhs
     import gn1d.linearized
 
     calls = {}
     _count_calls(monkeypatch, calls, gn1d.linearized, "assemble_T")
     _count_calls(monkeypatch, calls, gn1d.linearized, "compute_depth")
+    _count_calls(monkeypatch, calls, gn1d.gn_rhs, "d1_spectral")
     grid = Grid(4096, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
     hump = gaussian_hump(0.3, 0.5, grid)
@@ -291,6 +299,7 @@ def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatc
     assert m == 33
     assert calls["assemble_T"] == 2 * m + 1
     assert calls["compute_depth"] == 3
+    assert calls["d1_spectral"] == 2 * 4 * m + 2
 
 
 def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):

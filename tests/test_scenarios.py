@@ -65,6 +65,17 @@ def test_solitary_wave_rejects_nonpositive_amplitude():
         solitary_wave(0.0, params, grid)
 
 
+def test_solitary_wave_on_a_long_domain_underflows_without_warnings():
+    # cosh^2 overflows far from the crest; sech^2 is then exactly 0, and
+    # under the suite's error::RuntimeWarning filter a warning would raise
+    params = Parameters(epsilon=0.5, mu=0.5, h0=0.25)
+    grid = Grid(256, 1500.0)
+    state = solitary_wave(0.4, params, grid)
+    assert state.zeta[grid.n // 2] == 0.4
+    assert state.zeta[0] == 0.0 and state.u[0] == 0.0
+    assert np.all(np.isfinite(state.zeta)) and np.all(np.isfinite(state.u))
+
+
 def test_solitary_wave_wraps_cleanly_near_the_seam():
     # placing the crest near the boundary must reproduce a shifted copy
     params = Parameters(epsilon=0.5, mu=0.5, h0=0.25)

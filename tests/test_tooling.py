@@ -5,8 +5,11 @@ perfbench/worker.py lists (module, public name, span label) triples that
 its tracer wraps.  The tracer reports a name that has gone as null rather
 than failing, so a rename would silently blind the per-layer metrics;
 this test makes it fail here instead.  The lists are read with ast, so
-the worker is never imported.  The README's config table must list the
-RunConfig fields, in order, so the documented keys cannot drift.  No
+the worker is never imported.  A target that the picard workload stops
+calling would read 0 just as silently, so a tiny Picard solve, counted
+by the benchmark's own CallCounter, must reach every linear-path
+target.  The README's config table must list the RunConfig fields, in
+order, so the documented keys cannot drift.  No
 module of gn1d or of its tests may import a name it never uses, so a
 deletion cannot leave a stale import behind (checked with ast; no
 linter is needed).
@@ -14,9 +17,13 @@ linter is needed).
 
 import ast
 import importlib
+import importlib.util
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
+from gn1d import Bathymetry, Grid, Parameters, StepControl, gaussian_hump
 from gn1d.cli import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +53,40 @@ def test_every_traced_target_resolves_in_gn1d():
         if not callable(getattr(importlib.import_module(module), name, None)):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+# traced targets of the linear-path modules that a Picard solve does not reach
+OFF_THE_PICARD_PATH = {
+    "gn1d.gn_rhs.nonlinear_rhs": "the tendency of nonlinear mode",
+    "gn1d.gn_rhs.q_total": "the dispersive source of nonlinear mode",
+    "gn1d.linearized.mollify": "the march applies the cutoff symbol itself",
+}
+
+
+def test_a_picard_solve_calls_every_traced_linear_path_target():
+    modules = {"gn1d.gn_rhs", "gn1d.t_operator", "gn1d.linearized"}
+    targets = [t for t in _literal_assignments(WORKER, {"TARGETS"})["TARGETS"] if t[0] in modules]
+    expected = {f"{module}.{name}" for module, name, _label in targets}
+    assert set(OFF_THE_PICARD_PATH) <= expected
+    expected -= set(OFF_THE_PICARD_PATH)
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", WORKER.with_name("tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    grid = Grid(32, 2.0 * np.pi)
+    hump = gaussian_hump(0.3, 0.5, grid)
+    control = StepControl(t_end=0.02, dt_max=0.01)
+    counter = tracer.CallCounter(targets)
+    try:
+        importlib.import_module("gn1d.linearized").picard_solve(
+            hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, control, max_iters=2
+        )
+    finally:
+        counter.restore()
+    labels = {label: f"{module}.{name}" for module, name, label in targets}
+    called = {labels[label] for label, calls in counter.counts.items() if calls > 0}
+    assert counter.missing == set()
+    assert sorted(expected - called) == []
 
 
 def test_readme_config_table_lists_every_run_config_field_in_order():
