@@ -267,7 +267,7 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
     # every comparison below is written so that NaN fails it
     if cfg.mode not in ("nonlinear", "linearized", "picard"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
-    for name in ("s", "x0", "amplitude", "bar_height"):
+    for name in ("s", "x0", "amplitude", "bar_height", "mollifier_delta"):
         if not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     for name in ("blowup_factor", "picard_tol"):
@@ -333,6 +333,8 @@ def _run_nonlinear(prep: PreparedRun) -> int:
         f"{outcome.status}: t = {last.t:.6g}, steps = {outcome.steps}, "
         f"energy = {last.energy:.12g}, min_h = {last.min_h:.6g}"
     )
+    if not outcome.completed:
+        print(f"reason: {outcome.reason}")
     return 0 if outcome.completed else 1
 
 
@@ -344,7 +346,10 @@ def _reference_from_nonlinear(prep: PreparedRun) -> ReferenceTrajectory | None:
         snapshot_every=None, snapshot_sink=lambda step, st: states.append(st),
     )
     if not outcome.completed:
-        print(f"reference run terminated early: {outcome.status}", file=sys.stderr)
+        print(
+            f"reference run terminated early: {outcome.status}: {outcome.reason}",
+            file=sys.stderr,
+        )
         return None
     return ReferenceTrajectory.from_states(states)
 

@@ -53,8 +53,8 @@ class Mollifier:
 
     @classmethod
     def for_grid(cls, delta: float, grid: Grid) -> "Mollifier":
-        if not delta > 0.0:
-            raise ValueError(f"cutoff scale must be positive, got {delta}")
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"cutoff scale must be positive and finite, got {delta}")
         return cls(cutoff_profile(delta * grid.wavenumbers()))
 
 

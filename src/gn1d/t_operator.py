@@ -10,23 +10,37 @@ with w_x taken by the banded fourth-order difference so that the starred
 adjoints are literal transposes under the rectangle-rule pairing.  The
 Gram structure makes T symmetric positive definite whenever the depth
 stays above h0, and the assembly below preserves elementwise symmetry
-exactly: each band is computed once and mirrored.
+exactly: each upper band is computed once and mirrored.
+
+Bands are held as one stack, a row per offset in increasing order: T1's
+five as a (5, n) array (offsets -2..2), written by one formula, and T's
+nine as a (9, n) array (offsets -4..4), whose rows the assembled
+BandedOperator views.  T is built in a few whole-array passes: one
+product gives the 15 terms a[p] * h * a[p + d] of the upper Gram bands
+of T1* diag(h) T1, ordered by p and then d; one gather shifts each term
+by its p; one add per p, in increasing p, sums the terms into the upper
+bands, which start at zero; one gather mirrors them into the lower
+bands.  The sums are explicit ordered adds, not a segmented reduction
+such as np.add.reduceat, which may pair the terms differently: each
+entry is then summed exactly as a per-band loop sums it, to the last bit
+and sign.
 
 T has nine periodic bands.  Renumbering the nodes in the interleaved
 order 0, n-1, 1, n-2, 2, ... puts every periodic coupling within eight
 places of the diagonal, so T is factored exactly as an ordinary band
 matrix of half-width 8 at O(n) cost, with no wrap-around corners and no
-dense n x n matrix.  LAPACK's pbtrf and pbtrs are looked up once at
-import and called directly.  In place of scipy's per-call finite scans,
-every array handed to them passes one explicit np.isfinite check: the
-band storage before pbtrf, and each right-hand side before pbtrs.  A
-failed check raises NonFiniteError with the grid index of an offending
-node.
+dense n x n matrix.  The band stack's flat view is the nine bands
+concatenated in offset order, which one bincount scatters into lower
+band storage.  LAPACK's pbtrf and pbtrs are looked up once at import and
+called directly.  In place of scipy's per-call finite scans, every array
+handed to them passes one explicit np.isfinite check: the band storage
+before pbtrf, and each right-hand side before pbtrs.  A failed check
+raises NonFiniteError with the grid index of an offending node.
 
-The index patterns of the assembly depend only on n and are built once
-per n, read-only: the interleaved order and its inverse, and the
-(source, destination) plan that scatters the nine bands into lower band
-storage with one bincount.
+The index patterns depend only on n (the derivative stack on the grid)
+and are built once, read-only: the interleaved order and its inverse,
+the gathers that shift the Gram terms and mirror the bands, and the
+(source, destination) plan of the band-storage scatter.
 """
 
 from __future__ import annotations
@@ -50,15 +64,36 @@ from .grid_ops import BandedOperator, d1_fd
 _SQRT3 = np.sqrt(3.0)
 _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
+# The 15 pairs (p, p + d) of T1 offsets behind the upper Gram bands,
+# ordered by p and then d, as rows of the T1 stack (offset o is row o + 2),
+# and the (start, stop) of each p's run of pairs, d = 0, 1, ...
+_GRAM_P = read_only(np.repeat(np.arange(5), np.arange(5, 0, -1)))
+_GRAM_Q = read_only(np.concatenate([np.arange(p, 5) for p in range(5)]))
+_GRAM_BLOCKS = ((0, 5), (5, 9), (9, 12), (12, 14), (14, 15))
+
+
+@lru_cache(maxsize=16)
+def _d1_stack(grid: Grid) -> np.ndarray:
+    """Bands of d1_fd(grid) as a (5, n) stack at offsets -2..2, with a zero diagonal."""
+    bands = d1_fd(grid).bands
+    return read_only(np.stack([bands.get(o, np.zeros(grid.n)) for o in range(-2, 3)]))
+
+
+def _factor_bands(
+    h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """The five bands of T1 as one (5, n) stack, rows at offsets -2..2, and T2's diagonal."""
+    a = (h / _SQRT3) * _d1_stack(grid)
+    a[2] = -(_SQRT3 / 2.0) * params.epsilon * bathymetry.b_x
+    return a, (params.epsilon / 2.0) * bathymetry.b_x
+
 
 def build_factor_ops(
     h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> tuple[BandedOperator, np.ndarray]:
     """First-order factors (T1 as a banded operator, T2 as a diagonal) of the operator."""
-    d = d1_fd(grid)
-    bands = {o: (h / _SQRT3) * c for o, c in d.bands.items()}
-    bands[0] = -(_SQRT3 / 2.0) * params.epsilon * bathymetry.b_x
-    return BandedOperator(grid.n, bands), (params.epsilon / 2.0) * bathymetry.b_x
+    t1, t2_diag = _factor_bands(h, bathymetry, params, grid)
+    return BandedOperator(grid.n, dict(zip(range(-2, 3), t1))), t2_diag
 
 
 class TOperator:
@@ -69,7 +104,7 @@ class TOperator:
         self.params = params
         self.h = h
         self.bathymetry = bathymetry
-        self.banded = banded
+        self.banded = banded  # views of the rows of one (9, n) band stack
         self.cho = cho  # lower banded Cholesky factor in interleaved order
 
 
@@ -85,12 +120,27 @@ def _interleaved_order(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _band_storage_plan(n: int, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each stored entry in the concatenated bands, and its flat place in ab."""
+def _gram_shift_plan(n: int) -> np.ndarray:
+    """Flat gather shifting Gram product row r by its offset p: out[r, i] = prod[r, (i - p) % n]."""
+    p = _GRAM_P[:, None] - 2
+    rows = np.arange(_GRAM_P.size)[:, None]
+    return read_only(rows * n + (np.arange(n) - p) % n)
+
+
+@lru_cache(maxsize=16)
+def _mirror_plan(n: int) -> np.ndarray:
+    """Flat gather of the lower bands from the upper ones: band -d at i is band d at (i - d) % n."""
+    d = np.arange(4, 0, -1)[:, None]
+    return read_only((4 + d) * n + (np.arange(n) - d) % n)
+
+
+@lru_cache(maxsize=16)
+def _band_storage_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index of each stored entry in the (9, n) band stack, and its flat place in ab."""
     _, p = _interleaved_order(n)
     i = np.arange(n)
     src, dst = [], []
-    for k, o in enumerate(offsets):
+    for k, o in enumerate(range(-4, 5)):
         q = p[(i + o) % n]
         low = p >= q
         src.append(k * n + i[low])
@@ -98,16 +148,14 @@ def _band_storage_plan(n: int, offsets: tuple[int, ...]) -> tuple[np.ndarray, np
     return read_only(np.concatenate(src)), read_only(np.concatenate(dst))
 
 
-def _lower_band_storage(banded: BandedOperator) -> np.ndarray:
-    """Lower band storage ab[p - q, q] = A[p, q] (p >= q) of A in interleaved order."""
-    n = banded.n
-    offsets = tuple(sorted(banded.bands))
-    src, dst = _band_storage_plan(n, offsets)
+def _lower_band_storage(bands: np.ndarray) -> np.ndarray:
+    """Lower band storage ab[p - q, q] = A[p, q] (p >= q, interleaved order) from A's band stack."""
+    n = bands.shape[-1]
+    src, dst = _band_storage_plan(n)
     rows = min(8, n - 1) + 1
-    values = np.concatenate([banded.bands[o] for o in offsets])[src]
     # within one band the destinations are distinct; at n = 8 bands -4 and
     # +4 share entries, which bincount sums in band order
-    return np.bincount(dst, weights=values, minlength=rows * n).reshape(rows, n)
+    return np.bincount(dst, weights=bands.ravel()[src], minlength=rows * n).reshape(rows, n)
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -116,24 +164,6 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     if not finite.all():
         order, _ = _interleaved_order(a.shape[-1])
         raise NonFiniteError(what, order[np.nonzero(~finite)[-1][0]])
-
-
-def _shift(a: np.ndarray, k: int) -> np.ndarray:
-    """Periodic shift, out[i] = a[(i - k) % n], for |k| < n."""
-    return np.concatenate((a[-k:], a[:-k]))
-
-
-def _gram_bands(a: dict[int, np.ndarray], w: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    """Upper bands (offsets 0..4) of A^T diag(w) A for a 5-banded A."""
-    offsets = sorted(a)
-    out = {}
-    for d in range(0, 5):
-        acc = np.zeros(n)
-        for p in offsets:
-            if p + d in a:
-                acc += _shift(a[p] * w * a[p + d], p)
-        out[d] = acc
-    return out
 
 
 def assemble_T(
@@ -148,22 +178,26 @@ def assemble_T(
     """
     h = np.asarray(h, dtype=float)
     require_depth(h, params)
-    t1, t2_diag = build_factor_ops(h, bathymetry, params, grid)
+    n = grid.n
+    a, t2_diag = _factor_bands(h, bathymetry, params, grid)
+    terms = ((a * h)[_GRAM_P] * a[_GRAM_Q]).ravel()[_gram_shift_plan(n)]
 
-    gram = _gram_bands(t1.bands, h, grid.n)
-    bands = {d: params.mu * gram[d] for d in range(1, 5)}
-    bands[0] = h + params.mu * (gram[0] + h * t2_diag**2)
-    for d in range(1, 5):
-        bands[-d] = _shift(bands[d], d)  # mirror keeps symmetry exact
+    bands = np.zeros((9, n))
+    gram = bands[4:]  # upper bands of T1* diag(h) T1, offsets 0..4
+    for lo, hi in _GRAM_BLOCKS:
+        gram[: hi - lo] += terms[lo:hi]
+    bands[4] = h + params.mu * (gram[0] + h * t2_diag**2)
+    bands[5:] *= params.mu
+    bands[:4] = bands.ravel()[_mirror_plan(n)]  # the mirror keeps symmetry exact
 
-    banded = BandedOperator(grid.n, bands)
-    ab = _lower_band_storage(banded)
+    ab = _lower_band_storage(bands)
     _require_finite(ab, "band storage of T")
     cho, info = _PBTRF(ab, lower=1, overwrite_ab=1)
     if info > 0:  # a leading minor is not positive definite
         raise FactorizationError(float(h.min()))
     if info != 0:
         raise ValueError(f"pbtrf rejected its argument {-info}")
+    banded = BandedOperator(n, dict(zip(range(-4, 5), bands)))
     return TOperator(grid, params, h, bathymetry, banded, cho)
 
 

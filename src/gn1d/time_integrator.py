@@ -9,7 +9,9 @@ regularize it, and without the truncation that band grows until the norm
 monitor trips.  Runs terminate early (with a labeled outcome, never an
 exception) when the depth drops below the floor, the factorization
 fails, or the solution norm blows up (a stage whose state or tendency
-overflows to a non-finite value counts as a norm blow-up).
+overflows to a non-finite value counts as a norm blow-up).  The outcome
+keeps the reason as a message: the stage error's own, with its grid index
+and minimum depth, or the tripped monitor's.
 """
 
 from __future__ import annotations
@@ -110,6 +112,7 @@ class RunOutcome:
     final_state: State
     history: list[DiagnosticRecord] = field(default_factory=list)
     steps: int = 0
+    reason: str = ""  # why an early stop happened; empty when completed
 
     @property
     def completed(self) -> bool:
@@ -151,22 +154,27 @@ def run(
         )
         try:
             state = rk4_step(state, dt, bathymetry, params, grid)
-        except DepthError:
-            return RunOutcome("blowup_depth", state, history, steps)
-        except FactorizationError:
-            return RunOutcome("solver_failure", state, history, steps)
-        except NonFiniteError:
-            return RunOutcome("blowup_norm", state, history, steps)
+        except DepthError as exc:
+            return RunOutcome("blowup_depth", state, history, steps, str(exc))
+        except FactorizationError as exc:
+            return RunOutcome("solver_failure", state, history, steps, str(exc))
+        except NonFiniteError as exc:
+            return RunOutcome("blowup_norm", state, history, steps, str(exc))
         steps += 1
 
         if not state.is_finite():
-            return RunOutcome("blowup_norm", state, history, steps)
+            bad = np.flatnonzero(~np.isfinite(state.zeta) | ~np.isfinite(state.u))[0]
+            reason = f"non-finite value in the state at grid index {bad}"
+            return RunOutcome("blowup_norm", state, history, steps, reason)
         rec = record_for(state, bathymetry, params, grid, s)
         history.append(rec)
         if rec.min_h < params.h0:
-            return RunOutcome("blowup_depth", state, history, steps)
+            h = compute_depth(state.zeta, bathymetry, params)
+            reason = str(DepthError(h.min(), h.argmin()))
+            return RunOutcome("blowup_depth", state, history, steps, reason)
         if not rec.xs <= norm_ceiling:
-            return RunOutcome("blowup_norm", state, history, steps)
+            reason = f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}"
+            return RunOutcome("blowup_norm", state, history, steps, reason)
         if snapshot_sink is not None:
             if snapshot_every is None:
                 snapshot_sink(steps, state)

@@ -1,6 +1,6 @@
 """Shared builders for the test suite: band-limited random fields,
-admissible random states over a bumpy bottom, and the closed forms some
-oracles compare against.
+admissible random states over a bumpy bottom, the closed forms some
+oracles compare against, and a per-band reference assembly of T.
 
 Keeping every random field's spectrum well inside the grid's resolvable
 band makes pointwise products exact (no aliased content), which is what
@@ -8,8 +8,10 @@ lets several identities below be checked at near-roundoff tolerances.
 """
 
 import numpy as np
+from scipy.linalg import cholesky_banded
 
 from gn1d import Bathymetry, Grid, Parameters, State
+from gn1d.grid_ops import d1_fd
 
 
 def band_limited(grid: Grid, kc: int, seed: int, amp: float = 1.0) -> np.ndarray:
@@ -59,3 +61,58 @@ def fd_symbol(k: np.ndarray, dx: float) -> np.ndarray:
 def solitary_speed(amplitude: float, params: Parameters) -> float:
     """Speed c = sqrt(1 + eps a) of the solitary wave of amplitude a."""
     return float(np.sqrt(1.0 + params.epsilon * amplitude))
+
+
+def reference_factor_bands(h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid):
+    """Bands of T1 written out one offset at a time."""
+    bands = {o: (h / np.sqrt(3.0)) * c for o, c in d1_fd(grid).bands.items()}
+    bands[0] = -(np.sqrt(3.0) / 2.0) * params.epsilon * bathymetry.b_x
+    return bands
+
+
+def _shift(a: np.ndarray, k: int) -> np.ndarray:
+    """Periodic shift, out[i] = a[(i - k) % n], for |k| < n."""
+    return np.concatenate((a[-k:], a[:-k]))
+
+
+def _gram_bands(a: dict, w: np.ndarray, n: int) -> dict:
+    """Upper bands (offsets 0..4) of A^T diag(w) A for a 5-banded A, one term at a time."""
+    offsets = sorted(a)
+    out = {}
+    for d in range(0, 5):
+        acc = np.zeros(n)
+        for p in offsets:
+            if p + d in a:
+                acc += _shift(a[p] * w * a[p + d], p)
+        out[d] = acc
+    return out
+
+
+def reference_assembly(h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid):
+    """Bands of T, its interleaved lower band storage and Cholesky factor, by per-band loops.
+
+    The bands are summed term by term into zeroed accumulators and mirrored
+    band by band; the band storage is filled one band at a time in offset
+    order.  Returns (bands, ab, cho) with bands a dict keyed by offset.
+    """
+    n = grid.n
+    t1 = reference_factor_bands(h, bathymetry, params, grid)
+    t2_diag = (params.epsilon / 2.0) * bathymetry.b_x
+    gram = _gram_bands(t1, h, n)
+    bands = {d: params.mu * gram[d] for d in range(1, 5)}
+    bands[0] = h + params.mu * (gram[0] + h * t2_diag**2)
+    for d in range(1, 5):
+        bands[-d] = _shift(bands[d], d)
+
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
+    ab = np.zeros((min(8, n - 1) + 1, n))
+    i = np.arange(n)
+    for o in sorted(bands):
+        p, q = position[i], position[(i + o) % n]
+        low = p >= q
+        np.add.at(ab, (p[low] - q[low], q[low]), bands[o][low])
+    return bands, ab, cholesky_banded(ab, lower=True)

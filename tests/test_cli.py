@@ -369,6 +369,38 @@ def test_main_run_reports_blowup_with_exit_one(tmp_path, capsys):
     assert "blowup_norm" in capsys.readouterr().out
 
 
+def test_main_run_prints_the_grid_index_where_an_over_tall_hump_loses_depth(tmp_path, capsys):
+    # a hump twice the still depth sheds troughs that dip below a floor of
+    # 0.95 inside an RK4 stage; the early stop names the node and depth
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, scenario="hump", n=64, length=20.0, epsilon=1.0, mu=0.5, amplitude=2.0,
+        width=1.0, h0=0.95, t_end=5.0, output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("blowup_depth: t = ")
+    match = re.fullmatch(
+        r"reason: depth condition violated: min depth (\S+) at grid index (\d+)", out[1]
+    )
+    assert match is not None, out
+    assert float(match.group(1)) < 0.95
+    assert 0 <= int(match.group(2)) < 64
+
+
+def test_main_run_picard_rejects_an_infinite_cutoff_scale_as_a_config_error(tmp_path, capsys):
+    # an infinite scale would turn the cutoff symbol into NaN and end the
+    # march at its first solve; it is refused before any work
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, mode="picard", n=64, t_end=0.05, mollifier_delta=math.inf, output_dir=str(out)
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error: mollifier_delta must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_run_linearized_mode(tmp_path, capsys):
     out = tmp_path / "out"
     cfg_path = tmp_path / "run.cfg"
@@ -551,6 +583,7 @@ def test_main_config_error_exits_two(tmp_path, capsys):
         {"h0": math.nan},
         {"dt_max": math.nan},
         {"mollifier_delta": math.nan},
+        pytest.param({"mollifier_delta": math.inf}, id="mollifier_delta_inf"),
         {"picard_tol": math.nan},
         {"picard_max_iters": 0},
         {"x0": math.nan},

@@ -1,5 +1,7 @@
 """Frequency cutoff, reference trajectories, linearized marching, iteration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ def test_cutoff_profile_accepts_negative_arguments():
 def test_mollifier_requires_positive_scale():
     with pytest.raises(ValueError):
         Mollifier.for_grid(0.0, Grid(16, 1.0))
+
+
+def test_mollifier_requires_a_finite_scale():
+    # phi(inf * 0) would put a NaN in the symbol's zero mode
+    with pytest.raises(ValueError, match="finite"):
+        Mollifier.for_grid(math.inf, Grid(16, 1.0))
+    with pytest.raises(ValueError):
+        Mollifier.for_grid(math.nan, Grid(16, 1.0))
 
 
 def test_mollifier_passband_is_the_identity():

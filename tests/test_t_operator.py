@@ -26,10 +26,18 @@ from gn1d.checks import (
     symmetry_defect,
 )
 from gn1d.grid_ops import BandedOperator, inner_product
+from gn1d.scenarios import bar_bathymetry
 from gn1d.t_operator import apply_T, assemble_T, build_factor_ops, solve_T, solve_T_dx
 import gn1d.t_operator
 
-from helpers import admissible_depth, bumpy_bathymetry, fd_symbol, random_state
+from helpers import (
+    admissible_depth,
+    bumpy_bathymetry,
+    fd_symbol,
+    random_state,
+    reference_assembly,
+    reference_factor_bands,
+)
 
 
 def _random_operator(n=64, seed=0, eps=0.5, mu=0.5, h0=0.5):
@@ -38,6 +46,67 @@ def _random_operator(n=64, seed=0, eps=0.5, mu=0.5, h0=0.5):
     bath = bumpy_bathymetry(grid)
     h = admissible_depth(grid, params, seed)
     return assemble_T(h, bath, params, grid), grid, params
+
+
+def _band_stack(op):
+    """The operator's nine bands as a (9, n) stack, rows at offsets -4..4."""
+    return np.stack([op.banded.bands[o] for o in range(-4, 5)])
+
+
+def _assert_bitwise_equal(got, want):
+    # equal values and equal sign bits: on a flat bottom T1's diagonal is -0.0
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [8, 10, 64, 512])
+@pytest.mark.parametrize("bottom", ["flat", "gaussian_bar"])
+def test_stacked_assembly_equals_the_per_band_reference_bit_for_bit(n, bottom):
+    grid = Grid(n, 20.0)
+    params = Parameters(0.7, 0.4, h0=0.3)
+    bath = Bathymetry.flat(grid) if bottom == "flat" else bar_bathymetry(0.3, 2.0, grid)
+    for seed in range(3):
+        h = admissible_depth(grid, params, seed + n)
+        op = assemble_T(h, bath, params, grid)
+        bands, ab, cho = reference_assembly(h, bath, params, grid)
+        assert sorted(op.banded.bands) == sorted(bands)
+        for o, band in bands.items():
+            _assert_bitwise_equal(op.banded.bands[o], band)
+        _assert_bitwise_equal(gn1d.t_operator._lower_band_storage(_band_stack(op)), ab)
+        _assert_bitwise_equal(op.cho, cho)
+
+        t1, _ = build_factor_ops(h, bath, params, grid)
+        want = reference_factor_bands(h, bath, params, grid)
+        assert sorted(t1.bands) == sorted(want)
+        for o, band in want.items():
+            _assert_bitwise_equal(t1.bands[o], band)
+
+
+def test_cached_assembly_plans_cannot_be_corrupted():
+    n = 16
+    grid = Grid(n, 2.0 * np.pi)
+    top = gn1d.t_operator
+    arrays = [
+        *top._interleaved_order(n),
+        *top._band_storage_plan(n),
+        top._gram_shift_plan(n),
+        top._mirror_plan(n),
+        top._d1_stack(grid),
+        top._GRAM_P,
+        top._GRAM_Q,
+    ]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1
+    # assembly after the attempted writes still equals the reference
+    params = Parameters(0.5, 0.5, h0=0.5)
+    h = admissible_depth(grid, params, 1)
+    bath = bumpy_bathymetry(grid)
+    op = assemble_T(h, bath, params, grid)
+    bands, _, cho = reference_assembly(h, bath, params, grid)
+    assert all(np.array_equal(op.banded.bands[o], band) for o, band in bands.items())
+    assert np.array_equal(op.cho, cho)
 
 
 def test_assembled_matrix_is_exactly_symmetric():
@@ -117,7 +186,7 @@ def test_band_storage_is_the_interleaved_lower_band_of_the_dense_matrix():
         want = np.zeros((min(8, n - 1) + 1, n))
         for k in range(want.shape[0]):
             want[k, : n - k] = np.diagonal(a, -k)
-        assert np.array_equal(gn1d.t_operator._lower_band_storage(op.banded), want)
+        assert np.array_equal(gn1d.t_operator._lower_band_storage(_band_stack(op)), want)
 
 
 def test_assembly_and_solve_build_no_dense_matrix(monkeypatch):
@@ -138,7 +207,7 @@ def test_direct_lapack_calls_equal_the_scipy_wrappers():
     rng = np.random.default_rng(31)
     for n in (8, 10, 16, 64):
         op, grid, _ = _random_operator(n=n, seed=n, eps=0.9, mu=0.3)
-        cho = cholesky_banded(gn1d.t_operator._lower_band_storage(op.banded), lower=True)
+        cho = cholesky_banded(gn1d.t_operator._lower_band_storage(_band_stack(op)), lower=True)
         assert np.array_equal(op.cho, cho)
         order, position = gn1d.t_operator._interleaved_order(n)
 

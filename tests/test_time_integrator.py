@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gn1d.gn_rhs
+import gn1d.time_integrator
 from gn1d import Bathymetry, FactorizationError, Grid, Parameters, State, solitary_wave
 from gn1d.scenarios import bar_bathymetry, rest_state
 from gn1d.time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, rk4_step, run
@@ -224,3 +225,45 @@ def test_rk4_kernel_matches_the_taylor_polynomial_on_linear_decay():
     x = lam * dt
     assert np.allclose(z + dz, 2.0 * (1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24), rtol=1e-14, atol=0.0)
     assert np.array_equal(du, np.zeros(grid.n))
+
+
+def test_every_early_stop_keeps_its_reason(monkeypatch):
+    """The outcome keeps the message of the stage error or tripped monitor."""
+    grid = Grid(64, 60.0)
+    params = Parameters(0.5, 0.5, h0=0.25)
+    bath = Bathymetry.flat(grid)
+    wave = solitary_wave(0.4, params, grid)
+    control = StepControl(t_end=1.0)
+
+    done = run(wave, bath, params, grid, StepControl(t_end=0.1))
+    assert done.completed and done.reason == ""
+
+    drowned = State(wave.zeta - 4.0 * (np.arange(grid.n) == 9), wave.u)  # h = -1 at node 9
+    out = run(drowned, bath, params, grid, control)
+    assert out.status == "blowup_depth"
+    assert out.reason == "depth condition violated: min depth -1 at grid index 9"
+
+    out = run(wave, bath, params, grid, control, norm_factor=1e-12)
+    assert out.status == "blowup_norm"
+    assert out.reason.startswith("X^s norm ") and "exceeds the ceiling" in out.reason
+
+    # the post-step monitors see what the step returns
+    real_step = gn1d.time_integrator.rk4_step
+
+    def step_with(node, value):
+        def step(*args):
+            new = real_step(*args)
+            zeta = new.zeta.copy()
+            zeta[node] = value
+            return State(zeta, new.u, new.time)
+        return step
+
+    monkeypatch.setattr(gn1d.time_integrator, "rk4_step", step_with(17, -3.0))
+    out = run(wave, bath, params, grid, control)
+    assert out.status == "blowup_depth" and out.steps == 1
+    assert out.reason == "depth condition violated: min depth -0.5 at grid index 17"
+
+    monkeypatch.setattr(gn1d.time_integrator, "rk4_step", step_with(23, np.nan))
+    out = run(wave, bath, params, grid, control)
+    assert out.status == "blowup_norm" and out.steps == 1
+    assert out.reason == "non-finite value in the state at grid index 23"
