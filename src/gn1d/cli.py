@@ -465,6 +465,8 @@ def _verify_state(rng, grid, bathymetry, params):
 
 def verify_suite(cfg: RunConfig) -> int:
     """Run the property checks and report a pass/fail table."""
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     rng = np.random.default_rng(cfg.seed)
     grid = Grid(128, 2.0 * np.pi)
     x = grid.nodes()

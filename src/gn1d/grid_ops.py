@@ -10,8 +10,9 @@ genuine adjoints.
 Everything that depends only on the grid is built once per grid and held
 read-only: the banded first derivative d1_fd(grid) and the spectral
 derivative symbol, like Grid.wavenumbers() itself.  A banded operator is
-applied through one periodic halo of _HALO cells around its argument
-instead of one shifted copy per band.
+its (2w + 1, n) band stack, a row per offset in increasing order, applied
+through one periodic halo of _HALO cells around its argument instead of
+one shifted copy per band.
 
 The spectral operators (apply_symbol, d1_spectral, dealias, lambda_s)
 take one field or a (k, n) stack of fields and transform along the last
@@ -33,33 +34,29 @@ _HALO = 4  # widest band offset of any operator here (the elliptic T)
 
 @dataclass(frozen=True)
 class BandedOperator:
-    """Periodic banded matrix stored as A[i, (i+o) % n] = bands[o][i]."""
+    """Periodic banded matrix from a (2w + 1, n) stack: A[i, (i + o) % n] = bands[w + o, i]."""
 
-    n: int
-    bands: dict[int, np.ndarray]
+    bands: np.ndarray
 
     def __post_init__(self):
-        if self.n < _HALO:
-            raise ValueError(f"banded operators need n >= {_HALO}, got {self.n}")
-        for o, c in self.bands.items():
-            if c.shape != (self.n,):
-                raise ValueError(f"band {o} has shape {c.shape}, expected ({self.n},)")
-            if abs(o) > _HALO:
-                raise ValueError(f"band offset {o} exceeds the periodic halo of {_HALO}")
+        shape = np.shape(self.bands)
+        if len(shape) != 2 or shape[0] % 2 != 1 or shape[0] // 2 > _HALO or shape[1] < _HALO:
+            raise ValueError(f"bands must be (2w + 1, n), w <= {_HALO}, n >= {_HALO}; got {shape}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        n = self.n
+        w, n = self.bands.shape[0] // 2, self.bands.shape[1]
         xpad = np.concatenate((x[n - _HALO :], x, x[:_HALO]))  # xpad[_HALO + j] = x[j % n]
         y = np.zeros(n)
-        for o, c in sorted(self.bands.items()):
+        for o, c in enumerate(self.bands, start=-w):
             y += c * xpad[_HALO + o : _HALO + o + n]
         return y
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        i = np.arange(self.n)
-        for o, c in sorted(self.bands.items()):
-            np.add.at(a, (i, (i + o) % self.n), c)
+        w, n = self.bands.shape[0] // 2, self.bands.shape[1]
+        a = np.zeros((n, n))
+        i = np.arange(n)
+        for o, c in enumerate(self.bands, start=-w):
+            np.add.at(a, (i, (i + o) % n), c)
         return a
 
 
@@ -67,15 +64,15 @@ class BandedOperator:
 def d1_fd(grid: Grid) -> BandedOperator:
     """Fourth-order centered first derivative as a banded operator.
 
-    Stencil (-1, 8, 0, -8, 1)/(12 dx) on offsets (2, 1, 0, -1, -2); it is
-    exactly antisymmetric, so its transpose is its negative bit for bit.
+    Stencil (-1, 8, 0, -8, 1)/(12 dx) on offsets (2, 1, 0, -1, -2), held as
+    the (5, n) stack (c2, -c1, 0, c1, -c2) with an explicit zero diagonal; it
+    is exactly antisymmetric, so its transpose is its negative bit for bit.
     Built once per grid; its bands are read-only.
     """
-    one = np.ones(grid.n)
     c1 = 8.0 / (12.0 * grid.dx)
     c2 = 1.0 / (12.0 * grid.dx)
-    bands = {1: c1 * one, -1: -c1 * one, 2: -c2 * one, -2: c2 * one}
-    return BandedOperator(grid.n, {o: read_only(c) for o, c in bands.items()})
+    stencil = np.array([c2, -c1, 0.0, c1, -c2])
+    return BandedOperator(read_only(stencil[:, None] * np.ones(grid.n)))
 
 
 def apply_symbol(f: np.ndarray, symbol: np.ndarray, grid: Grid) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -162,30 +161,36 @@ def solve_linear(
     cutoff = None if mollifier is None else mollifier.symbol
     block = max(1, 2**17 // grid.n)  # steps per block: a stage stack holds about 2^18 values
 
-    @lru_cache(maxsize=3)  # rows come in order; a block's first row, the last one's end, is cached
-    def frozen(row: int) -> FrozenState:
-        i = row - 2 * j0
-        return FrozenState(assemble_T(coeff_h[i], bathymetry, params, grid), coeff_fields.row(i))
-
+    end = None  # the frozen state at the last step's end, which starts the next step
     for j0 in range(0, m, block):
         # the coefficient states of a block of steps, one row per stage time:
-        # step j reads rows 2j, 2j + 1, 2j + 2 (from 2 j0) at offsets 0, 1/2, 1, so
-        # stages 2 and 3 share the midpoint and each step end is the next start
+        # each step's offsets 1/2 and 1 (stages 2 and 3 share the midpoint),
+        # with t0 in front in the first block only
         starts = t0 + dt * np.arange(j0, min(j0 + block, m))
-        first = stage_times[-1] if j0 else t0  # the last block's end
-        stage_times = np.append(first, np.stack((starts + 0.5 * dt, starts + dt), axis=1))
+        stage_times = np.stack((starts + 0.5 * dt, starts + dt), axis=1).ravel()
+        if end is None:
+            stage_times = np.append(t0, stage_times)
         coeff_z, coeff_u = ref.at(stage_times)
         coeff_h = compute_depth(coeff_z, bathymetry, params)
         coeff_fields = coefficient_fields(coeff_h, coeff_u, bathymetry, params, grid)
-        for j in range(j0, j0 + starts.size):
+        frozen = (
+            FrozenState(assemble_T(h, bathymetry, params, grid), coeff_fields.row(i))
+            for i, h in enumerate(coeff_h)
+        )
+        if end is None:
+            end = next(frozen)
+        for mid, stop in zip(frozen, frozen):  # two rows per step, built as the step reaches them
+            states = (end, mid, stop)  # at offsets 0, 1/2, 1
+
             def tendency(c, stage_z, stage_u):
-                return condensed_tendency(frozen(2 * j + int(2 * c)), stage_z, stage_u, cutoff)
+                return condensed_tendency(states[int(2 * c)], stage_z, stage_u, cutoff)
 
             dz, du = _rk4(z, u, dt, grid, tendency)
             z = z + dz
             u = u + du
             zetas.append(z)
             us.append(u)
+            end = stop
     times = t0 + dt * np.arange(m + 1)
     return ReferenceTrajectory(times, np.stack(zetas), np.stack(us))
 

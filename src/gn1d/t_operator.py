@@ -12,18 +12,19 @@ Gram structure makes T symmetric positive definite whenever the depth
 stays above h0, and the assembly below preserves elementwise symmetry
 exactly: each upper band is computed once and mirrored.
 
-Bands are held as one stack, a row per offset in increasing order: T1's
-five as a (5, n) array (offsets -2..2), written by one formula, and T's
-nine as a (9, n) array (offsets -4..4), whose rows the assembled
-BandedOperator views.  T is built in a few whole-array passes: one
-product gives the 15 terms a[p] * h * a[p + d] of the upper Gram bands
-of T1* diag(h) T1, ordered by p and then d; one gather shifts each term
-by its p; one add per p, in increasing p, sums the terms into the upper
-bands, which start at zero; one gather mirrors them into the lower
-bands.  The sums are explicit ordered adds, not a segmented reduction
-such as np.add.reduceat, which may pair the terms differently: each
-entry is then summed exactly as a per-band loop sums it, to the last bit
-and sign.
+Bands have one layout: a BandedOperator is a (2w + 1, n) stack, a row
+per offset in increasing order.  T1 is the (5, n) stack (offsets -2..2)
+written by one formula from d1_fd's, whose zero diagonal row it
+replaces; T is the (9, n) stack (offsets -4..4) that the assembly fills
+and the returned operator holds.  T is built in a few whole-array
+passes: one product gives the 15 terms a[p] * h * a[p + d] of the upper
+Gram bands of T1* diag(h) T1, ordered by p and then d; one gather shifts
+each term by its p; one add per p, in increasing p, sums the terms into
+the upper bands, which start at zero; one gather mirrors them into the
+lower bands.  The sums are explicit ordered adds, not a segmented
+reduction such as np.add.reduceat, which may pair the terms differently:
+each entry is then summed exactly as a per-band loop sums it, to the
+last bit and sign.
 
 T has nine periodic bands.  Renumbering the nodes in the interleaved
 order 0, n-1, 1, n-2, 2, ... puts every periodic coupling within eight
@@ -37,10 +38,10 @@ handed to them passes one explicit np.isfinite check: the band storage
 before pbtrf, and each right-hand side before pbtrs.  A failed check
 raises NonFiniteError with the grid index of an offending node.
 
-The index patterns depend only on n (the derivative stack on the grid)
-and are built once, read-only: the interleaved order and its inverse,
-the gathers that shift the Gram terms and mirror the bands, and the
-(source, destination) plan of the band-storage scatter.
+The index patterns depend only on n and are built once, read-only: the
+interleaved order and its inverse, the gathers that shift the Gram terms
+and mirror the bands, and the (source, destination) plan of the
+band-storage scatter.
 """
 
 from __future__ import annotations
@@ -72,18 +73,11 @@ _GRAM_Q = read_only(np.concatenate([np.arange(p, 5) for p in range(5)]))
 _GRAM_BLOCKS = ((0, 5), (5, 9), (9, 12), (12, 14), (14, 15))
 
 
-@lru_cache(maxsize=16)
-def _d1_stack(grid: Grid) -> np.ndarray:
-    """Bands of d1_fd(grid) as a (5, n) stack at offsets -2..2, with a zero diagonal."""
-    bands = d1_fd(grid).bands
-    return read_only(np.stack([bands.get(o, np.zeros(grid.n)) for o in range(-2, 3)]))
-
-
 def _factor_bands(
     h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray]:
     """The five bands of T1 as one (5, n) stack, rows at offsets -2..2, and T2's diagonal."""
-    a = (h / _SQRT3) * _d1_stack(grid)
+    a = (h / _SQRT3) * d1_fd(grid).bands
     a[2] = -(_SQRT3 / 2.0) * params.epsilon * bathymetry.b_x
     return a, (params.epsilon / 2.0) * bathymetry.b_x
 
@@ -93,7 +87,7 @@ def build_factor_ops(
 ) -> tuple[BandedOperator, np.ndarray]:
     """First-order factors (T1 as a banded operator, T2 as a diagonal) of the operator."""
     t1, t2_diag = _factor_bands(h, bathymetry, params, grid)
-    return BandedOperator(grid.n, dict(zip(range(-2, 3), t1))), t2_diag
+    return BandedOperator(t1), t2_diag
 
 
 class TOperator:
@@ -104,7 +98,7 @@ class TOperator:
         self.params = params
         self.h = h
         self.bathymetry = bathymetry
-        self.banded = banded  # views of the rows of one (9, n) band stack
+        self.banded = banded  # over the (9, n) band stack, rows at offsets -4..4
         self.cho = cho  # lower banded Cholesky factor in interleaved order
 
 
@@ -197,8 +191,7 @@ def assemble_T(
         raise FactorizationError(float(h.min()))
     if info != 0:
         raise ValueError(f"pbtrf rejected its argument {-info}")
-    banded = BandedOperator(n, dict(zip(range(-4, 5), bands)))
-    return TOperator(grid, params, h, bathymetry, banded, cho)
+    return TOperator(grid, params, h, bathymetry, BandedOperator(bands), cho)
 
 
 def apply_T(op: TOperator, w: np.ndarray) -> np.ndarray:

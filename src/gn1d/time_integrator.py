@@ -45,8 +45,8 @@ class StepControl:
     dt_max: float = math.inf
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not self.dt_max > 0.0:

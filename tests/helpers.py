@@ -1,6 +1,7 @@
 """Shared builders for the test suite: band-limited random fields,
 admissible random states over a bumpy bottom, the closed forms some
-oracles compare against, and a per-band reference assembly of T.
+oracles compare against, and per-band references: T's assembly and the
+product of a banded matrix, each written over an {offset: band} dict.
 
 Keeping every random field's spectrum well inside the grid's resolvable
 band makes pointwise products exact (no aliased content), which is what
@@ -11,7 +12,6 @@ import numpy as np
 from scipy.linalg import cholesky_banded
 
 from gn1d import Bathymetry, Grid, Parameters, State
-from gn1d.grid_ops import d1_fd
 
 
 def band_limited(grid: Grid, kc: int, seed: int, amp: float = 1.0) -> np.ndarray:
@@ -63,11 +63,29 @@ def solitary_speed(amplitude: float, params: Parameters) -> float:
     return float(np.sqrt(1.0 + params.epsilon * amplitude))
 
 
+def reference_d1_bands(grid: Grid) -> dict:
+    """Bands of the fourth-order difference (-1, 8, 0, -8, 1)/(12 dx), keyed by offset."""
+    one = np.ones(grid.n)
+    c1 = 8.0 / (12.0 * grid.dx)
+    c2 = 1.0 / (12.0 * grid.dx)
+    return {1: c1 * one, -1: -c1 * one, 2: -c2 * one, -2: c2 * one}
+
+
 def reference_factor_bands(h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid):
     """Bands of T1 written out one offset at a time."""
-    bands = {o: (h / np.sqrt(3.0)) * c for o, c in d1_fd(grid).bands.items()}
+    bands = {o: (h / np.sqrt(3.0)) * c for o, c in reference_d1_bands(grid).items()}
     bands[0] = -(np.sqrt(3.0) / 2.0) * params.epsilon * bathymetry.b_x
     return bands
+
+
+def reference_band_apply(bands: dict, x: np.ndarray) -> np.ndarray:
+    """A periodic banded matrix {offset: band} times x, one band at a time in offset order."""
+    n = x.size
+    xpad = np.concatenate((x[n - 4 :], x, x[:4]))  # xpad[4 + j] = x[j % n]
+    y = np.zeros(n)
+    for o, c in sorted(bands.items()):
+        y += c * xpad[4 + o : 4 + o + n]
+    return y
 
 
 def _shift(a: np.ndarray, k: int) -> np.ndarray:

@@ -584,6 +584,7 @@ def test_main_config_error_exits_two(tmp_path, capsys):
         {"dt_max": math.nan},
         {"mollifier_delta": math.nan},
         pytest.param({"mollifier_delta": math.inf}, id="mollifier_delta_inf"),
+        pytest.param({"t_end": math.inf}, id="t_end_inf"),
         {"picard_tol": math.nan},
         {"picard_max_iters": 0},
         {"x0": math.nan},
@@ -672,3 +673,14 @@ def test_verify_suite_detects_broken_depth(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "0/1 checks passed" in out
+
+
+def test_verify_rejects_a_negative_seed_as_a_config_error(tmp_path, capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert "config error: seed" in capsys.readouterr().err
+    cfg_path = tmp_path / "verify.cfg"
+    _write_config(cfg_path, seed=-5)
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: seed" in err
+    assert "Traceback" not in err

@@ -26,10 +26,14 @@ from helpers import fd_symbol
 
 def test_banded_apply_matches_dense():
     rng = np.random.default_rng(3)
-    # at n = 8 with offsets -4..4 the periodic halo of apply is n / 2 wide
+    # at n = 8 with offsets -4..4 the periodic halo of apply is n / 2 wide;
+    # at n = 16 the stack has zero rows at offsets -3 and 2
     for n, offsets in ((16, (-2, -1, 0, 1, 3)), (8, range(-4, 5))):
-        bands = {o: rng.standard_normal(n) for o in offsets}
-        op = BandedOperator(n, bands)
+        w = max(abs(o) for o in offsets)
+        bands = np.zeros((2 * w + 1, n))
+        for o in offsets:
+            bands[w + o] = rng.standard_normal(n)
+        op = BandedOperator(bands)
         dense = op.to_dense()
         for _ in range(10):
             x = rng.standard_normal(n)
@@ -37,22 +41,30 @@ def test_banded_apply_matches_dense():
 
 
 def test_banded_rejects_wrong_band_length():
-    with pytest.raises(ValueError):
-        BandedOperator(8, {0: np.ones(7)})
+    # a stack cannot hold bands of different lengths; what remains to
+    # reject is a shape that is not (2w + 1, n) with n at least the halo
+    for bands in (np.ones(7), np.ones((4, 8)), np.ones((1, 8, 1)), np.ones((3, 3))):
+        with pytest.raises(ValueError):
+            BandedOperator(bands)
 
 
 def test_banded_rejects_offsets_beyond_the_halo():
     with pytest.raises(ValueError):
-        BandedOperator(16, {5: np.ones(16)})
+        BandedOperator(np.ones((11, 16)))
 
 
 def test_cached_grid_arrays_cannot_be_corrupted():
     grid = Grid(32, 2.0 * np.pi)
-    for arr in (grid.wavenumbers(), d1_fd(grid).bands[1]):
+    c1, c2 = 8.0 / (12.0 * grid.dx), 1.0 / (12.0 * grid.dx)
+    for arr in (grid.wavenumbers(), d1_fd(grid).bands):
         with pytest.raises(ValueError):
             arr[0] = 99.0
+        with pytest.raises(ValueError):
+            arr.flat[-1] = 99.0
     assert np.array_equal(grid.wavenumbers(), 2.0 * np.pi * np.fft.rfftfreq(32, d=grid.dx))
-    assert np.all(d1_fd(grid).bands[1] == 8.0 / (12.0 * grid.dx))
+    want = np.repeat([[c2], [-c1], [0.0], [c1], [-c2]], grid.n, axis=1)
+    assert np.array_equal(d1_fd(grid).bands, want)
+    assert not np.signbit(d1_fd(grid).bands[2]).any()
 
 
 def test_fd_derivative_is_exactly_antisymmetric():

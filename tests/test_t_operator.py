@@ -25,7 +25,7 @@ from gn1d.checks import (
     rayleigh_ratio,
     symmetry_defect,
 )
-from gn1d.grid_ops import BandedOperator, inner_product
+from gn1d.grid_ops import BandedOperator, d1_fd, inner_product
 from gn1d.scenarios import bar_bathymetry
 from gn1d.t_operator import apply_T, assemble_T, build_factor_ops, solve_T, solve_T_dx
 import gn1d.t_operator
@@ -36,6 +36,8 @@ from helpers import (
     fd_symbol,
     random_state,
     reference_assembly,
+    reference_band_apply,
+    reference_d1_bands,
     reference_factor_bands,
 )
 
@@ -48,9 +50,10 @@ def _random_operator(n=64, seed=0, eps=0.5, mu=0.5, h0=0.5):
     return assemble_T(h, bath, params, grid), grid, params
 
 
-def _band_stack(op):
-    """The operator's nine bands as a (9, n) stack, rows at offsets -4..4."""
-    return np.stack([op.banded.bands[o] for o in range(-4, 5)])
+def _dict_stack(bands, w):
+    """A reference {offset: band} dict as a (2w + 1, n) stack; every offset must be present."""
+    assert sorted(bands) == list(range(-w, w + 1))
+    return np.stack([bands[o] for o in range(-w, w + 1)])
 
 
 def _assert_bitwise_equal(got, want):
@@ -70,17 +73,37 @@ def test_stacked_assembly_equals_the_per_band_reference_bit_for_bit(n, bottom):
         h = admissible_depth(grid, params, seed + n)
         op = assemble_T(h, bath, params, grid)
         bands, ab, cho = reference_assembly(h, bath, params, grid)
-        assert sorted(op.banded.bands) == sorted(bands)
-        for o, band in bands.items():
-            _assert_bitwise_equal(op.banded.bands[o], band)
-        _assert_bitwise_equal(gn1d.t_operator._lower_band_storage(_band_stack(op)), ab)
+        _assert_bitwise_equal(op.banded.bands, _dict_stack(bands, 4))
+        _assert_bitwise_equal(gn1d.t_operator._lower_band_storage(op.banded.bands), ab)
         _assert_bitwise_equal(op.cho, cho)
 
         t1, _ = build_factor_ops(h, bath, params, grid)
-        want = reference_factor_bands(h, bath, params, grid)
-        assert sorted(t1.bands) == sorted(want)
-        for o, band in want.items():
-            _assert_bitwise_equal(t1.bands[o], band)
+        _assert_bitwise_equal(t1.bands, _dict_stack(reference_factor_bands(h, bath, params, grid), 2))
+
+
+@pytest.mark.parametrize("n", [8, 10, 64, 512])
+def test_band_apply_equals_the_per_band_reference_bit_for_bit(n):
+    # T, T1 and d1_fd applied as stacks against the per-band loop over
+    # {offset: band} dicts, whose d1_fd has no diagonal band at all;
+    # inputs hold signed zeros, so the sign bit of every entry is checked
+    grid = Grid(n, 20.0)
+    params = Parameters(0.7, 0.4, h0=0.3)
+    bath = bar_bathymetry(0.3, 2.0, grid)
+    h = admissible_depth(grid, params, n)
+    op = assemble_T(h, bath, params, grid)
+    t1, _ = build_factor_ops(h, bath, params, grid)
+    pairs = [
+        (op.banded, reference_assembly(h, bath, params, grid)[0]),
+        (t1, reference_factor_bands(h, bath, params, grid)),
+        (d1_fd(grid), reference_d1_bands(grid)),
+    ]
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    x[rng.permutation(n)[: n // 2]] = -0.0
+    inputs = [x, np.full(n, -0.0), np.zeros(n), np.where(np.arange(n) % 2, -0.0, 0.0)]
+    for banded, ref in pairs:
+        for v in inputs:
+            _assert_bitwise_equal(banded.apply(v), reference_band_apply(ref, v))
 
 
 def test_cached_assembly_plans_cannot_be_corrupted():
@@ -92,7 +115,7 @@ def test_cached_assembly_plans_cannot_be_corrupted():
         *top._band_storage_plan(n),
         top._gram_shift_plan(n),
         top._mirror_plan(n),
-        top._d1_stack(grid),
+        d1_fd(grid).bands,
         top._GRAM_P,
         top._GRAM_Q,
     ]
@@ -105,7 +128,7 @@ def test_cached_assembly_plans_cannot_be_corrupted():
     bath = bumpy_bathymetry(grid)
     op = assemble_T(h, bath, params, grid)
     bands, _, cho = reference_assembly(h, bath, params, grid)
-    assert all(np.array_equal(op.banded.bands[o], band) for o, band in bands.items())
+    assert np.array_equal(op.banded.bands, _dict_stack(bands, 4))
     assert np.array_equal(op.cho, cho)
 
 
@@ -119,7 +142,7 @@ def test_assembled_matrix_is_exactly_symmetric():
 def test_symmetry_defect_measures_a_broken_mirror():
     op, _, _ = _random_operator(seed=6)
     assert symmetry_defect(op) == 0.0
-    op.banded.bands[1][7] += 1e-3
+    op.banded.bands[4 + 1, 7] += 1e-3
     assert symmetry_defect(op) == pytest.approx(1e-3, rel=1e-9)
 
 
@@ -186,7 +209,7 @@ def test_band_storage_is_the_interleaved_lower_band_of_the_dense_matrix():
         want = np.zeros((min(8, n - 1) + 1, n))
         for k in range(want.shape[0]):
             want[k, : n - k] = np.diagonal(a, -k)
-        assert np.array_equal(gn1d.t_operator._lower_band_storage(_band_stack(op)), want)
+        assert np.array_equal(gn1d.t_operator._lower_band_storage(op.banded.bands), want)
 
 
 def test_assembly_and_solve_build_no_dense_matrix(monkeypatch):
@@ -207,7 +230,7 @@ def test_direct_lapack_calls_equal_the_scipy_wrappers():
     rng = np.random.default_rng(31)
     for n in (8, 10, 16, 64):
         op, grid, _ = _random_operator(n=n, seed=n, eps=0.9, mu=0.3)
-        cho = cholesky_banded(gn1d.t_operator._lower_band_storage(_band_stack(op)), lower=True)
+        cho = cholesky_banded(gn1d.t_operator._lower_band_storage(op.banded.bands), lower=True)
         assert np.array_equal(op.cho, cho)
         order, position = gn1d.t_operator._interleaved_order(n)
 
@@ -318,8 +341,6 @@ def test_factor_ops_match_their_definitions():
     t1, t2_diag = build_factor_ops(h, bath, params, grid)
     rng = np.random.default_rng(5)
     w = rng.standard_normal(grid.n)
-    from gn1d.grid_ops import d1_fd
-
     want = (h / np.sqrt(3.0)) * d1_fd(grid).apply(w) - (np.sqrt(3.0) / 2.0) * params.epsilon * bath.b_x * w
     assert np.allclose(t1.apply(w), want, atol=1e-13)
     assert np.allclose(t2_diag * w, 0.5 * params.epsilon * bath.b_x * w, atol=1e-15)
