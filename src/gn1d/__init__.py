@@ -28,10 +28,8 @@ from .gn_rhs import (
     coefficient_fields,
     condensed_rhs,
     eval_B,
-    frozen_state,
     nonlinear_rhs,
     q1_apply,
-    q2_eval,
     q_total,
 )
 from .grid_ops import (
@@ -62,7 +60,7 @@ from .scenarios import (
     rest_state,
     solitary_wave,
 )
-from .t_operator import TOperator, apply_T, assemble_T, build_factor_ops, solve_T, solve_T_dx
+from .t_operator import TOperator, apply_T, assemble_T, build_factor_ops, solve_T
 from .time_integrator import RunOutcome, StepControl, cfl_dt, rk4_step, run
 
 __version__ = "0.1.0"

@@ -13,10 +13,10 @@ import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth
 from .diagnostics import SWEEP_EPSILONS, SWEEP_H0, SWEEP_MUS, SWEEP_S, DiagnosticRecord
-from .gn_rhs import condensed_rhs, nonlinear_rhs, q1_apply, q2_eval, q_total
+from .gn_rhs import coefficient_fields, condensed_rhs, nonlinear_rhs, q1_apply, q_total
 from .grid_ops import d1_fd, d1_spectral, hs_norm, inner_product, lambda_s
 from .linearized import Mollifier, mollify
-from .t_operator import TOperator, apply_T, assemble_T, solve_T, solve_T_dx
+from .t_operator import TOperator, apply_T, assemble_T, solve_T
 
 
 def symmetry_defect(op: TOperator) -> float:
@@ -70,10 +70,11 @@ def inverse_bound_spreads(
     """Worst max/min ratio across mu of the two inverse-operator constants.
 
     r1 bounds |T^{-1} f| in the dispersive Sobolev pair, r2 bounds
-    sqrt(mu) |T^{-1} D g|; both are measured relative to |.|_{H^s} of
-    the data (s = SWEEP_S), maximized over random trial fields, at every
-    (eps, mu) of the sweep grid.  The spreads are taken across mu for
-    each depth and eps, and the worst is returned.
+    sqrt(mu) |T^{-1} D g| (D = d1_fd, as in the assembly); both are
+    measured relative to |.|_{H^s} of the data (s = SWEEP_S), maximized
+    over random trial fields, at every (eps, mu) of the sweep grid.  The
+    spreads are taken across mu for each depth and eps, and the worst is
+    returned.
     """
     s = SWEEP_S
     rng = np.random.default_rng(seed)
@@ -95,7 +96,7 @@ def inverse_bound_spreads(
                         (hs_norm(w, s, grid) + np.sqrt(mu) * hs_norm(wx, s, grid))
                         / hs_norm(f, s, grid),
                     )
-                    v = solve_T_dx(op, g)
+                    v = solve_T(op, d1_fd(grid).apply(g))
                     r2 = max(r2, np.sqrt(mu) * hs_norm(v, s, grid) / hs_norm(g, s, grid))
                 r1s.append(r1)
                 r2s.append(r2)
@@ -109,9 +110,8 @@ def source_defect(state: State, bathymetry: Bathymetry, params: Parameters, grid
     h = compute_depth(state.zeta, bathymetry, params)
     ux = d1_spectral(state.u, grid)
     whole = params.epsilon * params.mu * h * q_total(h, state.u, ux, bathymetry, params, grid)
-    split = q1_apply(h, state.u, ux, bathymetry, params, grid) + q2_eval(
-        h, state.u, bathymetry, params, grid
-    )
+    fields = coefficient_fields(h, state.u, bathymetry, params, grid)
+    split = q1_apply(fields, ux, params, grid) + fields.q2
     return float(np.linalg.norm(split - whole) / np.linalg.norm(whole))
 
 

@@ -43,7 +43,13 @@ from .checks import (
     source_defect,
     symmetry_defect,
 )
-from .diagnostics import DiagnosticRecord, equivalence_report, record_for, weighted_velocity_form
+from .diagnostics import (
+    DiagnosticRecord,
+    equivalence_report,
+    record_for,
+    weighted_velocity_form,
+    xs_norm,
+)
 from .grid_ops import inner_product
 from .linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
 from .scenarios import SCENARIOS, build_scenario, solitary_wave
@@ -309,24 +315,39 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(
             f"initial state violates the depth floor: min depth {min_h:.6g} < h0 {params.h0:.6g}"
         )
+    # an s is at fault when its norm is not finite but the X^0 norm is;
+    # a state too large for any norm is left to the run's labeled outcome
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = xs_norm(state, params, grid, cfg.s)
+        if not math.isfinite(xs) and math.isfinite(xs_norm(state, params, grid, 0.0)):
+            raise ConfigError(f"s = {cfg.s:g} gives the initial state a non-finite X^s norm ({xs})")
     return PreparedRun(cfg, grid, params, state, bathymetry, control)
 
 
 def _run_nonlinear(prep: PreparedRun) -> int:
     cfg = prep.cfg
-    sink = None
-    if cfg.snapshot_every > 0.0:
-        def sink(step: int, state: State) -> None:
-            emit_snapshot(
-                state, prep.bathymetry, prep.params, prep.grid,
-                snapshot_path(cfg.output_dir, step),
-            )
+
+    def snapshot(step: int, state: State) -> None:
+        emit_snapshot(
+            state, prep.bathymetry, prep.params, prep.grid, snapshot_path(cfg.output_dir, step)
+        )
+
+    # a snapshot at t0 and whenever snapshot_every has elapsed, plus the
+    # final state of a completed run
+    next_mark, last_snap = prep.state.time, None
+
+    def on_state(step: int, state: State) -> None:
+        nonlocal next_mark, last_snap
+        if cfg.snapshot_every > 0.0 and state.time >= next_mark - 1e-12:
+            snapshot(step, state)
+            next_mark, last_snap = next_mark + cfg.snapshot_every, step
+
     outcome = run(
         prep.state, prep.bathymetry, prep.params, prep.grid, prep.control,
-        s=cfg.s, norm_factor=cfg.blowup_factor,
-        snapshot_every=cfg.snapshot_every if cfg.snapshot_every > 0.0 else None,
-        snapshot_sink=sink,
+        s=cfg.s, norm_factor=cfg.blowup_factor, on_state=on_state,
     )
+    if cfg.snapshot_every > 0.0 and outcome.completed and last_snap != outcome.steps:
+        snapshot(outcome.steps, outcome.final_state)
     emit_timeseries(outcome.history, os.path.join(cfg.output_dir, "timeseries.dat"))
     last = outcome.history[-1]
     print(
@@ -343,7 +364,7 @@ def _reference_from_nonlinear(prep: PreparedRun) -> ReferenceTrajectory | None:
     outcome = run(
         prep.state, prep.bathymetry, prep.params, prep.grid, prep.control,
         s=prep.cfg.s, norm_factor=prep.cfg.blowup_factor,
-        snapshot_every=None, snapshot_sink=lambda step, st: states.append(st),
+        on_state=lambda step, st: states.append(st),
     )
     if not outcome.completed:
         print(
@@ -407,7 +428,10 @@ def _run_picard(prep: PreparedRun) -> int:
 
 def command_run(cfg: RunConfig) -> int:
     prep = prepare_run(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.output_dir!r}: {exc}") from exc
     # an overflowing state is reported by the finite checks and monitors;
     # numpy's warnings on the way there would only precede that message
     try:

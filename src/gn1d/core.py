@@ -176,9 +176,6 @@ class State:
                 f"zeta and u must share one shape, got {self.zeta.shape} and {self.u.shape}"
             )
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.zeta)) and np.all(np.isfinite(self.u)))
-
 
 def compute_depth(zeta: np.ndarray, bathymetry: Bathymetry, params: Parameters) -> np.ndarray:
     """Total depth h = 1 + epsilon*(zeta - b) of one surface or an (m, n) stack of them."""

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, compute_depth
-from .grid_ops import apply_symbol, d1_spectral
+from .grid_ops import d1_spectral
 from .t_operator import TOperator, assemble_T, solve_T
 
 
@@ -85,7 +85,9 @@ def coefficient_fields(
     )
 
 
-def _q1(fields: CoefficientFields, f: np.ndarray, params: Parameters, grid: Grid) -> np.ndarray:
+def q1_apply(
+    fields: CoefficientFields, f: np.ndarray, params: Parameters, grid: Grid
+) -> np.ndarray:
     """First-order part of the dispersive source at the state of fields, applied to f."""
     eps, mu = params.epsilon, params.mu
     return (
@@ -93,25 +95,6 @@ def _q1(fields: CoefficientFields, f: np.ndarray, params: Parameters, grid: Grid
         + fields.q1_bx * f
         + fields.q1_bxx * f
     )
-
-
-def q1_apply(
-    h: np.ndarray,
-    u: np.ndarray,
-    f: np.ndarray,
-    bathymetry: Bathymetry,
-    params: Parameters,
-    grid: Grid,
-) -> np.ndarray:
-    """First-order part of the dispersive source at depth h and velocity u, applied to f."""
-    return _q1(coefficient_fields(h, u, bathymetry, params, grid), f, params, grid)
-
-
-def q2_eval(
-    h: np.ndarray, u: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
-) -> np.ndarray:
-    """Zero-order remainder of the dispersive source at depth h and velocity u."""
-    return coefficient_fields(h, u, bathymetry, params, grid).q2
 
 
 def nonlinear_rhs(
@@ -140,11 +123,6 @@ class FrozenState(NamedTuple):
     fields: CoefficientFields
 
 
-def frozen_state(op: TOperator, u: np.ndarray) -> FrozenState:
-    """The coefficient state of depth op.h and velocity u, with op = T there."""
-    return FrozenState(op, coefficient_fields(op.h, u, op.bathymetry, op.params, op.grid))
-
-
 def apply_A(
     coeff: FrozenState, v: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +131,7 @@ def apply_A(
     op, fields = coeff
     v1, v2 = v
     a1 = fields.eps_u * v1 + op.h * v2
-    a2 = solve_T(op, op.h * v1 + _q1(fields, v2, op.params, op.grid)) + fields.eps_u * v2
+    a2 = solve_T(op, op.h * v1 + q1_apply(fields, v2, op.params, op.grid)) + fields.eps_u * v2
     return a1, a2
 
 
@@ -162,25 +140,17 @@ def eval_B(coeff: FrozenState) -> tuple[np.ndarray, np.ndarray]:
     return coeff.fields.b1, solve_T(coeff.op, coeff.fields.q2)
 
 
-def condensed_tendency(
-    coeff: FrozenState,
-    zeta: np.ndarray,
-    u: np.ndarray,
-    cutoff: np.ndarray | None = None,
-) -> Tendency:
+def condensed_tendency(coeff: FrozenState, zeta: np.ndarray, u: np.ndarray, cut=None) -> Tendency:
     """-(J A[coeff] J U_x + B(coeff)) for U = (zeta, u) at the frozen
     coefficient state coeff.
 
-    J is the Fourier multiplier cutoff (the identity when None).  At
-    coeff = U without cutoff this is the condensed form of the nonlinear
-    tendency; otherwise it is the tendency of the linearized system.
+    J is the frequency cutoff that cut(f) applies (the identity when cut
+    is None).  At coeff = U without cutoff this is the condensed form of
+    the nonlinear tendency; otherwise it is the tendency of the
+    linearized system.
     """
-    grid = coeff.op.grid
-
-    def cut(f):
-        return f if cutoff is None else apply_symbol(f, cutoff, grid)
-
-    v = cut(d1_spectral(np.stack((zeta, u)), grid))
+    cut = cut or (lambda f: f)
+    v = cut(d1_spectral(np.stack((zeta, u)), coeff.op.grid))
     a1, a2 = apply_A(coeff, v)
     b1, b2 = eval_B(coeff)
     return Tendency(-(cut(a1) + b1), -(cut(a2) + b2))
@@ -190,5 +160,7 @@ def condensed_rhs(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> Tendency:
     """Tendency evaluated through the condensed quasilinear form."""
-    op = assemble_T(compute_depth(state.zeta, bathymetry, params), bathymetry, params, grid)
-    return condensed_tendency(frozen_state(op, state.u), state.zeta, state.u)
+    h = compute_depth(state.zeta, bathymetry, params)
+    op = assemble_T(h, bathymetry, params, grid)
+    frozen = FrozenState(op, coefficient_fields(h, state.u, bathymetry, params, grid))
+    return condensed_tendency(frozen, state.zeta, state.u)

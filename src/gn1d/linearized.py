@@ -158,7 +158,7 @@ def solve_linear(
 
     z, u = initial.zeta.copy(), initial.u.copy()
     zetas, us = [z], [u]
-    cutoff = None if mollifier is None else mollifier.symbol
+    cut = None if mollifier is None else (lambda f: mollify(f, mollifier, grid))
     block = max(1, 2**17 // grid.n)  # steps per block: a stage stack holds about 2^18 values
 
     end = None  # the frozen state at the last step's end, which starts the next step
@@ -183,7 +183,7 @@ def solve_linear(
             states = (end, mid, stop)  # at offsets 0, 1/2, 1
 
             def tendency(c, stage_z, stage_u):
-                return condensed_tendency(states[int(2 * c)], stage_z, stage_u, cutoff)
+                return condensed_tendency(states[int(2 * c)], stage_z, stage_u, cut)
 
             dz, du = _rk4(z, u, dt, grid, tendency)
             z = z + dz
@@ -231,9 +231,11 @@ def picard_solve(
         )
         prev_z, prev_u = ref.at(sol.times)
         prev_h = compute_depth(prev_z, bathymetry, params)
-        gap = 0.0
-        for dz, du, h in zip(sol.zetas - prev_z, sol.us - prev_u, prev_h):
-            gap = max(gap, es_norm(State(dz, du), h, bathymetry, params, grid, s))
+        # np.max carries a NaN norm through, so a NaN gap never converges
+        gap = float(np.max([
+            es_norm(State(dz, du), h, bathymetry, params, grid, s)
+            for dz, du, h in zip(sol.zetas - prev_z, sol.us - prev_u, prev_h)
+        ]))
         gaps.append(gap)
         ref = sol
         if gap <= tol:

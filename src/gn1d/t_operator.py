@@ -217,8 +217,3 @@ def solve_T(op: TOperator, f: np.ndarray) -> np.ndarray:
     w = _cho_solve(op, f)
     r = f - apply_T(op, w)
     return w + _cho_solve(op, r)
-
-
-def solve_T_dx(op: TOperator, g: np.ndarray) -> np.ndarray:
-    """Solve T w = D g with the same banded derivative used in assembly."""
-    return solve_T(op, d1_fd(op.grid).apply(g))

@@ -9,9 +9,9 @@ regularize it, and without the truncation that band grows until the norm
 monitor trips.  Runs terminate early (with a labeled outcome, never an
 exception) when the depth drops below the floor, the factorization
 fails, or the solution norm blows up (a stage whose state or tendency
-overflows to a non-finite value counts as a norm blow-up).  The outcome
-keeps the reason as a message: the stage error's own, with its grid index
-and minimum depth, or the tripped monitor's.
+overflows to a non-finite value counts as a norm blow-up).  Stage errors
+and tripped post-step monitors raise alike, and one handler turns each
+into its status; the outcome keeps the error's message as the reason.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     Parameters,
     State,
     compute_depth,
+    require_depth,
 )
 from .diagnostics import DiagnosticRecord, record_for
 from .gn_rhs import nonlinear_rhs
@@ -104,6 +105,10 @@ def rk4_step(
     return State(z + dz, u + du, t + dt)
 
 
+class _NormCeilingError(Exception):
+    """The X^s norm of an accepted step exceeds the run's ceiling."""
+
+
 @dataclass
 class RunOutcome:
     """Terminal status of a run plus the sampled diagnostic history."""
@@ -119,6 +124,14 @@ class RunOutcome:
         return self.status == "completed"
 
 
+_STOP_STATUS = {
+    DepthError: "blowup_depth",
+    FactorizationError: "solver_failure",
+    NonFiniteError: "blowup_norm",
+    _NormCeilingError: "blowup_norm",
+}
+
+
 def run(
     initial: State,
     bathymetry: Bathymetry,
@@ -127,24 +140,18 @@ def run(
     control: StepControl,
     s: float = 2.0,
     norm_factor: float = 1e3,
-    snapshot_every: float | None = None,
-    snapshot_sink=None,
+    on_state=lambda step, state: None,
 ) -> RunOutcome:
     """March the nonlinear system to t_end with adaptive CFL steps.
 
-    A diagnostic record is appended after every accepted step.  If
-    snapshot_sink is given it is called as snapshot_sink(step, state) at
-    t = 0, then at every step when snapshot_every is None, or whenever
-    snapshot_every time units have elapsed (plus the final state) when
-    it is set.
+    A diagnostic record is appended after every accepted step, and
+    on_state(step, state) is called with the initial state (step 0) and
+    with every accepted step.
     """
     state = initial
     history = [record_for(state, bathymetry, params, grid, s)]
     norm_ceiling = norm_factor * max(history[0].xs, 1e-300)
-    if snapshot_sink is not None:
-        snapshot_sink(0, state)
-    last_snap = 0
-    next_mark = state.time + snapshot_every if snapshot_every is not None else math.inf
+    on_state(0, state)
 
     steps = 0
     while state.time < control.t_end - 1e-12 * control.t_end:
@@ -154,36 +161,19 @@ def run(
         )
         try:
             state = rk4_step(state, dt, bathymetry, params, grid)
-        except DepthError as exc:
-            return RunOutcome("blowup_depth", state, history, steps, str(exc))
-        except FactorizationError as exc:
-            return RunOutcome("solver_failure", state, history, steps, str(exc))
-        except NonFiniteError as exc:
-            return RunOutcome("blowup_norm", state, history, steps, str(exc))
-        steps += 1
-
-        if not state.is_finite():
-            bad = np.flatnonzero(~np.isfinite(state.zeta) | ~np.isfinite(state.u))[0]
-            reason = f"non-finite value in the state at grid index {bad}"
-            return RunOutcome("blowup_norm", state, history, steps, reason)
-        rec = record_for(state, bathymetry, params, grid, s)
-        history.append(rec)
-        if rec.min_h < params.h0:
-            h = compute_depth(state.zeta, bathymetry, params)
-            reason = str(DepthError(h.min(), h.argmin()))
-            return RunOutcome("blowup_depth", state, history, steps, reason)
-        if not rec.xs <= norm_ceiling:
-            reason = f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}"
-            return RunOutcome("blowup_norm", state, history, steps, reason)
-        if snapshot_sink is not None:
-            if snapshot_every is None:
-                snapshot_sink(steps, state)
-                last_snap = steps
-            elif state.time >= next_mark - 1e-12:
-                snapshot_sink(steps, state)
-                last_snap = steps
-                next_mark += snapshot_every
-
-    if snapshot_sink is not None and last_snap != steps:
-        snapshot_sink(steps, state)
+            steps += 1
+            bad = np.flatnonzero(~np.isfinite(state.zeta) | ~np.isfinite(state.u))
+            if bad.size:
+                raise NonFiniteError("state", bad[0])
+            rec = record_for(state, bathymetry, params, grid, s)
+            history.append(rec)
+            if rec.min_h < params.h0:
+                require_depth(compute_depth(state.zeta, bathymetry, params), params)
+            if not rec.xs <= norm_ceiling:
+                raise _NormCeilingError(
+                    f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}"
+                )
+        except tuple(_STOP_STATUS) as exc:
+            return RunOutcome(_STOP_STATUS[type(exc)], state, history, steps, str(exc))
+        on_state(steps, state)
     return RunOutcome("completed", state, history, steps)

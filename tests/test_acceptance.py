@@ -248,10 +248,7 @@ def _envelope_fit(n: int):
     wave = solitary_wave(0.4, params, grid)
     control = StepControl(t_end=2.0, cfl=0.5, dt_max=0.01)
     states: list[State] = []
-    outcome = run(
-        wave, bath, params, grid, control,
-        snapshot_every=None, snapshot_sink=lambda step, st: states.append(st),
-    )
+    outcome = run(wave, bath, params, grid, control, on_state=lambda step, st: states.append(st))
     assert outcome.completed, outcome.status
     ref = ReferenceTrajectory.from_states(states)
 

@@ -388,6 +388,43 @@ def test_main_run_prints_the_grid_index_where_an_over_tall_hump_loses_depth(tmp_
     assert 0 <= int(match.group(2)) < 64
 
 
+@pytest.mark.parametrize(
+    "overrides, code, snapshot_steps",
+    [
+        pytest.param(dict(t_end=2.0, snapshot_every=0.7), 0, [0, 8, 16, 22], id="completed"),
+        # the depth is lost inside step 40: no snapshot of it, no final one
+        pytest.param(
+            dict(scenario="hump", n=64, length=20.0, epsilon=1.0, amplitude=2.0, width=1.0,
+                 h0=0.95, t_end=5.0, snapshot_every=0.05),
+            1, list(range(40)), id="depth_loss",
+        ),
+    ],
+)
+def test_main_run_writes_snapshots_at_the_cadence_marks(
+    tmp_path, capsys, overrides, code, snapshot_steps
+):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(cfg_path, output_dir=str(out), **overrides)
+    assert main(["run", "--config", str(cfg_path)]) == code
+    assert f"steps = {snapshot_steps[-1]}," in capsys.readouterr().out
+    written = sorted(p.name for p in out.glob("snap_*.dat"))
+    assert written == [f"snap_{step:06d}.dat" for step in snapshot_steps]
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
+def test_main_run_reports_an_unusable_output_dir_as_a_config_error(tmp_path, capsys, under_file):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    output_dir = blocker / "out" if under_file else blocker
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(cfg_path, scenario="hump", n=64, t_end=0.05, output_dir=str(output_dir))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {str(output_dir)!r}")
+    assert blocker.read_text(encoding="utf-8") == "a regular file\n"
+
+
 def test_main_run_picard_rejects_an_infinite_cutoff_scale_as_a_config_error(tmp_path, capsys):
     # an infinite scale would turn the cutoff symbol into NaN and end the
     # march at its first solve; it is refused before any work
@@ -610,12 +647,15 @@ def test_main_rejects_bad_config_values_with_exit_two(tmp_path, capsys, override
         {"length": math.inf},
         {"amplitude": 1.7e308},
         pytest.param({"amplitude": 1e300}, id="amplitude_velocity"),
+        pytest.param({"s": 200.0}, id="s_inf_norm"),
+        pytest.param({"s": 1000.0}, id="s_nan_norm"),
     ],
     ids=lambda o: next(iter(o)),
 )
 def test_main_rejects_a_run_input_that_overflows_the_initial_state(tmp_path, capsys, override):
     # the default solitary wave over an infinite domain, or with a width or
-    # a velocity that overflows, must fail as a config error, not as a NaN run
+    # a velocity that overflows, must fail as a config error, not as a NaN
+    # run; so must an index s whose X^s norm of the initial state is inf or NaN
     out = tmp_path / "out"
     cfg_path = tmp_path / "run.cfg"
     _write_config(cfg_path, h0=0.25, t_end=0.1, output_dir=str(out), **override)

@@ -60,16 +60,6 @@ def test_grid_rejects_bad_length():
             Grid(8, length)
 
 
-def test_state_finiteness_flags():
-    z = np.zeros(8)
-    assert State(z, z).is_finite()
-    bad = z.copy()
-    bad[3] = np.nan
-    assert not State(bad, z).is_finite()
-    bad[3] = np.inf
-    assert not State(z, bad).is_finite()
-
-
 def test_depth_formula_elementwise():
     grid = Grid(16, 2.0 * np.pi)
     params = Parameters(0.5, 0.5)

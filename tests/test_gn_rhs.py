@@ -4,18 +4,17 @@ import numpy as np
 
 from gn1d import Bathymetry, Grid, Parameters, State, compute_depth
 from gn1d.gn_rhs import (
+    FrozenState,
     coefficient_fields,
     condensed_rhs,
     condensed_tendency,
     eval_B,
-    frozen_state,
     nonlinear_rhs,
     q1_apply,
-    q2_eval,
     q_total,
 )
 from gn1d.grid_ops import apply_symbol, d1_spectral, l2_norm
-from gn1d.linearized import Mollifier
+from gn1d.linearized import Mollifier, mollify
 from gn1d.t_operator import assemble_T, solve_T
 
 from helpers import bumpy_bathymetry, fd_symbol, random_state
@@ -38,7 +37,8 @@ def test_remainder_source_is_quadratic_in_velocity():
     st = random_state(grid, 17, kc=10)
     h = 1.0 + params.epsilon * (st.zeta - bath.b)
     assert np.array_equal(
-        q2_eval(h, 2.0 * st.u, bath, params, grid), 4.0 * q2_eval(h, st.u, bath, params, grid)
+        coefficient_fields(h, 2.0 * st.u, bath, params, grid).q2,
+        4.0 * coefficient_fields(h, st.u, bath, params, grid).q2,
     )
 
 
@@ -51,12 +51,12 @@ def test_first_order_source_is_linear_in_its_argument():
     f = rng.standard_normal(grid.n)
     g = rng.standard_normal(grid.n)
     h = 1.0 + params.epsilon * (st.zeta - bath.b)
+    fields = coefficient_fields(h, st.u, bath, params, grid)
     assert np.array_equal(
-        q1_apply(h, st.u, 2.0 * f, bath, params, grid),
-        2.0 * q1_apply(h, st.u, f, bath, params, grid),
+        q1_apply(fields, 2.0 * f, params, grid), 2.0 * q1_apply(fields, f, params, grid)
     )
-    lhs = q1_apply(h, st.u, f + g, bath, params, grid)
-    rhs = q1_apply(h, st.u, f, bath, params, grid) + q1_apply(h, st.u, g, bath, params, grid)
+    lhs = q1_apply(fields, f + g, params, grid)
+    rhs = q1_apply(fields, f, params, grid) + q1_apply(fields, g, params, grid)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -116,8 +116,16 @@ def test_source_split_reassembles_the_dispersive_source():
         h = 1.0 + params.epsilon * (st.zeta - bath.b)
         ux = d1_spectral(st.u, grid)
         whole = params.epsilon * params.mu * h * q_total(h, st.u, ux, bath, params, grid)
-        split = q1_apply(h, st.u, ux, bath, params, grid) + q2_eval(h, st.u, bath, params, grid)
+        fields = coefficient_fields(h, st.u, bath, params, grid)
+        split = q1_apply(fields, ux, params, grid) + fields.q2
         assert l2_norm(whole - split, grid) <= 1e-12 * l2_norm(whole, grid)
+
+
+def _frozen(st, bath, params, grid):
+    h = compute_depth(st.zeta, bath, params)
+    return FrozenState(
+        assemble_T(h, bath, params, grid), coefficient_fields(h, st.u, bath, params, grid)
+    )
 
 
 def test_zero_order_source_vanishes_on_flat_bottom():
@@ -125,9 +133,7 @@ def test_zero_order_source_vanishes_on_flat_bottom():
     params = Parameters(0.5, 0.5, h0=0.3)
     st = random_state(grid, 51, kc=10)
     flat = Bathymetry.flat(grid)
-    b1, b2 = eval_B(
-        frozen_state(assemble_T(compute_depth(st.zeta, flat, params), flat, params, grid), st.u)
-    )
+    b1, b2 = eval_B(_frozen(st, flat, params, grid))
     assert not b1.any()
     assert not b2.any()
 
@@ -138,9 +144,7 @@ def test_zero_order_source_slope_term():
     params = Parameters(0.6, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
     st = random_state(grid, 61, kc=10)
-    b1, _ = eval_B(
-        frozen_state(assemble_T(compute_depth(st.zeta, bath, params), bath, params, grid), st.u)
-    )
+    b1, _ = eval_B(_frozen(st, bath, params, grid))
     assert np.allclose(b1, -params.epsilon * bath.b_x * st.u, atol=1e-15)
 
 
@@ -167,8 +171,8 @@ def test_stacked_coefficient_fields_match_the_one_row_call_bit_for_bit():
 
 
 def _tendency_by_the_source_split(op, coeff_u, zeta, u, cutoff):
-    """The condensed tendency composed from q1_apply and q2_eval, each
-    checked against its formula written out in full."""
+    """The condensed tendency composed from q1_apply and the q2 field,
+    each checked against its formula written out in full."""
     grid, bath, params, h = op.grid, op.bathymetry, op.params, op.h
     eps, mu = params.epsilon, params.mu
     bx, bxx = bath.b_x, bath.b_xx
@@ -183,14 +187,14 @@ def _tendency_by_the_source_split(op, coeff_u, zeta, u, cutoff):
             + eps**2 * mu * h**2 * bx * ux * f
             + eps**2 * mu * h**2 * bxx * coeff_u * f
         )
-        got = q1_apply(h, coeff_u, f, bath, params, grid)
+        got = q1_apply(coefficient_fields(h, coeff_u, bath, params, grid), f, params, grid)
         assert np.array_equal(got, written)
         return got
 
     written_q2 = eps**3 * mu * h * bxx * bx * coeff_u**2 + 0.5 * eps**2 * mu * d1_spectral(
         h**2 * bxx, grid
     ) * coeff_u**2
-    q2 = q2_eval(h, coeff_u, bath, params, grid)
+    q2 = coefficient_fields(h, coeff_u, bath, params, grid).q2
     assert np.array_equal(q2, written_q2)
 
     v1, v2 = cut(d1_spectral(np.stack((zeta, u)), grid))
@@ -211,15 +215,16 @@ def test_frozen_state_tendency_matches_the_source_split_bit_for_bit():
     # each field is the left operand the written-out formulas compute
     eps, mu, h, u = params.epsilon, params.mu, op.h, coeff.u
     ux = d1_spectral(u, grid)
-    frozen = frozen_state(op, u)
+    frozen = FrozenState(op, coefficient_fields(h, u, bath, params, grid))
     fields = frozen.fields
     assert np.array_equal(fields.eps_u, eps * u)
     assert np.array_equal(fields.h3_ux, h**3 * ux)
     assert np.array_equal(fields.q1_bx, eps**2 * mu * h**2 * bath.b_x * ux)
     assert np.array_equal(fields.q1_bxx, eps**2 * mu * h**2 * bath.b_xx * u)
     assert np.array_equal(fields.b1, -eps * bath.b_x * u)
-    for cutoff in (None, Mollifier.for_grid(0.1, grid).symbol):
-        got = condensed_tendency(frozen, stage.zeta, stage.u, cutoff)
+    mol = Mollifier.for_grid(0.1, grid)
+    for cutoff, cut in ((None, None), (mol.symbol, lambda f: mollify(f, mol, grid))):
+        got = condensed_tendency(frozen, stage.zeta, stage.u, cut)
         want = _tendency_by_the_source_split(op, u, stage.zeta, stage.u, cutoff)
         assert np.array_equal(got.dzeta, want[0])
         assert np.array_equal(got.du, want[1])

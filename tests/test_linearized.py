@@ -17,7 +17,7 @@ from gn1d import (
     solitary_wave,
 )
 from gn1d.diagnostics import xs_norm
-from gn1d.gn_rhs import condensed_rhs, condensed_tendency, frozen_state
+from gn1d.gn_rhs import FrozenState, coefficient_fields, condensed_rhs, condensed_tendency
 from gn1d.grid_ops import apply_symbol, inner_product, lambda_s
 from gn1d.linearized import (
     Mollifier,
@@ -218,8 +218,11 @@ def test_linearized_tendency_at_the_reference_is_the_nonlinear_one():
     st = random_state(grid, 33, kc=24)
     ref = ReferenceTrajectory.constant(st, 1.0)
     zetas, us = ref.at([0.0])
-    op = assemble_T(compute_depth(zetas[0], bath, params), bath, params, grid)
-    lin = condensed_tendency(frozen_state(op, us[0]), st.zeta, st.u)
+    h = compute_depth(zetas[0], bath, params)
+    frozen = FrozenState(
+        assemble_T(h, bath, params, grid), coefficient_fields(h, us[0], bath, params, grid)
+    )
+    lin = condensed_tendency(frozen, st.zeta, st.u)
     cond = condensed_rhs(st, bath, params, grid)
     assert np.array_equal(lin.dzeta, cond.dzeta)
     assert np.array_equal(lin.du, cond.du)
@@ -330,6 +333,22 @@ def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):
     assert calls["es_norm"] == result.iterations * (m + 1)
     # per sweep: validate the reference, the stage depths, the gap depths
     assert calls["compute_depth"] == 3 * result.iterations
+
+
+def test_a_nan_picard_gap_never_counts_as_converged():
+    """At s = 1000 the Lambda^s weights overflow, so every gap norm is NaN;
+    the gap must carry the NaN, not keep its zero start and converge."""
+    grid = Grid(32, 2.0 * np.pi)
+    hump = gaussian_hump(0.3, 0.5, grid)
+    control = StepControl(t_end=0.02, dt_max=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = picard_solve(
+            hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, control,
+            max_iters=2, s=1000.0,
+        )
+    assert not result.converged
+    assert result.iterations == 2
+    assert all(math.isnan(gap) for gap in result.gaps)
 
 
 def test_linear_march_requires_a_covering_reference():

@@ -27,7 +27,7 @@ from gn1d.checks import (
 )
 from gn1d.grid_ops import BandedOperator, d1_fd, inner_product
 from gn1d.scenarios import bar_bathymetry
-from gn1d.t_operator import apply_T, assemble_T, build_factor_ops, solve_T, solve_T_dx
+from gn1d.t_operator import apply_T, assemble_T, build_factor_ops, solve_T
 import gn1d.t_operator
 
 from helpers import (
@@ -221,7 +221,7 @@ def test_assembly_and_solve_build_no_dense_matrix(monkeypatch):
     f = np.random.default_rng(3).standard_normal(grid.n)
     w = solve_T(op, f)
     assert np.max(np.abs(apply_T(op, w) - f)) <= 1e-12 * np.max(np.abs(f))
-    assert solve_T_dx(op, f).shape == (grid.n,)
+    assert solve_T(op, d1_fd(grid).apply(f)).shape == (grid.n,)
 
 
 def test_direct_lapack_calls_equal_the_scipy_wrappers():
@@ -274,7 +274,7 @@ def test_derivative_solve_matches_flat_oracle():
     x = grid.nodes()
     k = 3.0
     sigma = fd_symbol(np.array(k), grid.dx)
-    got = solve_T_dx(op, np.sin(k * x))
+    got = solve_T(op, d1_fd(grid).apply(np.sin(k * x)))
     want = sigma * np.cos(k * x) / (1.0 + params.mu * sigma**2 / 3.0)
     assert np.allclose(got, want, atol=1e-12)
 

@@ -119,8 +119,7 @@ def test_reported_depth_minimum_matches_states():
         params,
         grid,
         StepControl(t_end=0.5, cfl=0.5),
-        snapshot_every=None,
-        snapshot_sink=lambda step, st: seen.append(st),
+        on_state=lambda step, st: seen.append(st),
     )
     assert len(seen) == out.steps + 1
     for rec, st in zip(out.history, seen):
@@ -160,28 +159,6 @@ def test_stage_factorization_failure_ends_the_run_as_a_solver_failure(monkeypatc
     assert outcome.status == "solver_failure"
     assert outcome.steps == 0
     assert outcome.final_state is wave
-
-
-def test_snapshot_cadence_without_duplicates():
-    grid = Grid(128, 60.0)
-    params = Parameters(0.5, 0.5, h0=0.25)
-    wave = solitary_wave(0.4, params, grid)
-    stamps = []
-    out = run(
-        wave,
-        Bathymetry.flat(grid),
-        params,
-        grid,
-        StepControl(t_end=1.0, cfl=0.5),
-        snapshot_every=0.4,
-        snapshot_sink=lambda step, st: stamps.append(st.time),
-    )
-    assert out.completed
-    assert stamps[0] == 0.0
-    assert stamps[-1] == pytest.approx(1.0, abs=1e-9)
-    assert all(b > a for a, b in zip(stamps, stamps[1:]))
-    # cadence marks are honored within one step
-    assert any(abs(t - 0.4) < 0.2 for t in stamps)
 
 
 def test_stage_tendencies_leave_the_top_band_alone():

@@ -8,14 +8,16 @@ this test makes it fail here instead.  The lists are read with ast, so
 the worker is never imported.  A target that the picard workload stops
 calling would read 0 just as silently, so a tiny Picard solve, counted
 by the benchmark's own CallCounter, must reach every linear-path
-target.  The README's config table must list the RunConfig fields, in
-order, so the documented keys cannot drift.  No
+target (one solve plain, one mollified).  tools/output_digest.py must
+hash every output of a case.  The README's config table must list the
+RunConfig fields, in order, so the documented keys cannot drift.  No
 module of gn1d or of its tests may import a name it never uses, so a
 deletion cannot leave a stale import behind (checked with ast; no
 linter is needed).
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 from dataclasses import fields
@@ -59,7 +61,6 @@ def test_every_traced_target_resolves_in_gn1d():
 OFF_THE_PICARD_PATH = {
     "gn1d.gn_rhs.nonlinear_rhs": "the tendency of nonlinear mode",
     "gn1d.gn_rhs.q_total": "the dispersive source of nonlinear mode",
-    "gn1d.linearized.mollify": "the march applies the cutoff symbol itself",
 }
 
 
@@ -76,11 +77,15 @@ def test_a_picard_solve_calls_every_traced_linear_path_target():
     grid = Grid(32, 2.0 * np.pi)
     hump = gaussian_hump(0.3, 0.5, grid)
     control = StepControl(t_end=0.02, dt_max=0.01)
+    linearized = importlib.import_module("gn1d.linearized")
     counter = tracer.CallCounter(targets)
     try:
-        importlib.import_module("gn1d.linearized").picard_solve(
-            hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, control, max_iters=2
-        )
+        # once plain and once mollified, so the cutoff's own targets are reached
+        for mollifier in (None, linearized.Mollifier.for_grid(0.5, grid)):
+            linearized.picard_solve(
+                hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, control,
+                max_iters=2, mollifier=mollifier,
+            )
     finally:
         counter.restore()
     labels = {label: f"{module}.{name}" for module, name, label in targets}
@@ -122,3 +127,19 @@ def test_no_module_imports_a_name_it_never_uses():
     tests = sorted((ROOT / "tests").glob("*.py"))
     assert len(tests) >= 10
     assert [line for path in modules + tests for line in _unused_imports(path)] == []
+
+
+def test_output_digest_hashes_every_output_of_a_case():
+    spec = importlib.util.spec_from_file_location("digest", ROOT / "tools" / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    lines = tool.digest_case("hump_depth_loss")
+    names = [line.split(" ")[1] for line in lines]
+    outputs = [f"snap_{step:06d}.dat" for step in range(40)] + ["timeseries.dat"]
+    assert names == [f"hump_depth_loss/{name}" for name in ["stdout", "stderr", "exit"]] + [
+        f"hump_depth_loss/out/{name}" for name in outputs
+    ]
+    assert lines[2].split(" ")[0] == hashlib.sha256(b"1").hexdigest()
+    assert lines[1].split(" ")[0] == hashlib.sha256(b"").hexdigest()
+    # a rerun in a fresh directory reproduces every byte
+    assert tool.digest_case("hump_depth_loss") == lines

@@ -1,0 +1,102 @@
+"""Print a sha256 digest of everything gn1d writes for a fixed list of cases.
+
+Run it from the root of a checkout:
+
+    python tools/output_digest.py
+
+gn1d is imported from that checkout's ``src``, so running the same script
+from the roots of two checkouts and diffing the two outputs shows whether
+they produce the same bytes.  Each case is one call of ``gn1d.cli.main``
+in its own temporary directory; one line ``sha256 name`` is printed for
+the case's stdout, its stderr, its exit code and every file it writes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# the solitary and picard benchmark configs of perfbench/workloads.py
+_SOLITARY_BENCH = {
+    "scenario": "solitary", "mode": "nonlinear", "n": 512, "length": 60.0,
+    "epsilon": 0.5, "mu": 0.5, "amplitude": 0.4, "h0": 0.25, "cfl": 0.5,
+    "t_end": 4.0, "snapshot_every": 1.0, "x0": 12.5,
+}
+_PICARD_BENCH = {
+    "scenario": "solitary", "mode": "picard", "n": 512, "length": 120.0,
+    "epsilon": 0.5, "mu": 0.5, "amplitude": 0.1, "h0": 0.4, "cfl": 0.5,
+    "dt_max": 0.005, "t_end": 0.2, "x0": 47.5,
+}
+
+# name -> (command, config keys over the defaults); a run case always has a config
+CASES = {
+    "default": ("run", {"t_end": 2.0, "snapshot_every": 0.7}),
+    "solitary_bench": ("run", _SOLITARY_BENCH),
+    "hump_depth_loss": ("run", {
+        "scenario": "hump", "n": 64, "length": 20.0, "epsilon": 1.0, "amplitude": 2.0,
+        "width": 1.0, "h0": 0.95, "t_end": 5.0, "snapshot_every": 0.05,
+    }),
+    "norm_ceiling": ("run", {"blowup_factor": 1.0000001, "t_end": 1.0, "snapshot_every": 0.2}),
+    "linearized": ("run", {"mode": "linearized", "t_end": 1.0, "mollifier_delta": 0.5}),
+    "picard_bar": ("run", {
+        "scenario": "hump_over_bar", "mode": "picard", "t_end": 0.3, "mollifier_delta": 0.5,
+    }),
+    "picard_bench": ("run", _PICARD_BENCH),
+    "verify": ("verify", None),
+    "verify_break_depth": ("verify", {"verify_break_depth": True}),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_case(name: str) -> list[str]:
+    """Run one case in a fresh temporary directory; return its `sha256 name` lines."""
+    from gn1d.cli import main
+
+    command, keys = CASES[name]
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            argv = [command, "--seed", "1234"] if command == "verify" else [command]
+            if keys is not None:
+                lines = [f"{k} = {v}" for k, v in keys.items()]
+                if command == "run":
+                    lines.append("output_dir = out")
+                Path("case.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+                argv += ["--config", "case.cfg"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            digests = [
+                (_sha(out.getvalue().encode()), f"{name}/stdout"),
+                (_sha(err.getvalue().encode()), f"{name}/stderr"),
+                (_sha(str(code).encode()), f"{name}/exit"),
+            ]
+            written = sorted(p for p in Path("out").rglob("*") if p.is_file())
+            digests += [(_sha(p.read_bytes()), f"{name}/{p.as_posix()}") for p in written]
+        finally:
+            os.chdir(start)
+    return [f"{sha} {label}" for sha, label in digests]
+
+
+def main() -> int:
+    src = Path.cwd() / "src"
+    if not (src / "gn1d" / "__init__.py").is_file():
+        print(f"no gn1d package under {src}; run this from a checkout root", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src))
+    for name in CASES:
+        print("\n".join(digest_case(name)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
