@@ -284,6 +284,8 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
     for name in ("h0", "dt_max", "snapshot_every", "mollifier_delta"):
         if not getattr(cfg, name) >= 0.0:
             raise ConfigError(f"{name} must be >= 0 (0 disables it), got {getattr(cfg, name)}")
+    if cfg.snapshot_every > 0.0 and cfg.mode != "nonlinear":
+        raise ConfigError(f"snapshot_every is written only in nonlinear mode, not in {cfg.mode!r}")
     try:
         grid = Grid(cfg.n, cfg.length)
         control = StepControl(

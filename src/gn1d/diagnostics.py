@@ -47,7 +47,7 @@ def conserved_energy(
 def xs_norm(state: State, params: Parameters, grid: Grid, s: float = 2.0) -> float:
     """Dispersive Sobolev norm: |zeta|_{H^s}^2 + |u|_{H^s}^2 + mu |u_x|_{H^s}^2."""
     ux = d1_spectral(state.u, grid)
-    lz, lu, lux = lambda_s(np.stack((state.zeta, state.u, ux)), s, grid)
+    lz, lu, lux = lambda_s(np.array((state.zeta, state.u, ux)), s, grid)
     return float(
         np.sqrt(
             l2_norm(lz, grid) ** 2
@@ -69,7 +69,7 @@ def es_norm(
 
     E^s(U)^2 = |Lambda^s zeta|_2^2 + (T[h_ref] Lambda^s u, Lambda^s u).
     """
-    lz, lu = lambda_s(np.stack((state.zeta, state.u)), s, grid)
+    lz, lu = lambda_s(np.array((state.zeta, state.u)), s, grid)
     return float(
         np.sqrt(
             inner_product(lz, lz, grid)

@@ -41,7 +41,7 @@ def q_total(
     """The dispersive source Q[h, eps b](u) (unscaled), given ux = d1_spectral(u)."""
     eps = params.epsilon
     bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    d_cubic, d_bottom = d1_spectral(np.stack((h**3 * ux**2, h**2 * u**2 * bxx)), grid)
+    d_cubic, d_bottom = d1_spectral(np.array((h**3 * ux**2, h**2 * u**2 * bxx)), grid)
     return (
         (2.0 / (3.0 * h)) * d_cubic
         + eps * h * ux**2 * bx
@@ -74,7 +74,7 @@ def coefficient_fields(
     Each row of a stacked result is bit-identical to the one-row call."""
     eps, mu = params.epsilon, params.mu
     bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    ux, d_bottom = d1_spectral(np.stack((u, h**2 * bxx)), grid)
+    ux, d_bottom = d1_spectral(np.array((u, h**2 * bxx)), grid)
     return CoefficientFields(
         eps_u=eps * u,
         h3_ux=h**3 * ux,
@@ -109,7 +109,7 @@ def nonlinear_rhs(
     eps, mu = params.epsilon, params.mu
     h = compute_depth(state.zeta, bathymetry, params)
     op = assemble_T(h, bathymetry, params, grid)
-    hux, zx, ux = d1_spectral(np.stack((h * state.u, state.zeta, state.u)), grid)
+    hux, zx, ux = d1_spectral(np.array((h * state.u, state.zeta, state.u)), grid)
     q = q_total(h, state.u, ux, bathymetry, params, grid)
     du = -eps * state.u * ux - solve_T(op, h * zx + eps * mu * h * q)
     return Tendency(-hux, du)
@@ -150,7 +150,7 @@ def condensed_tendency(coeff: FrozenState, zeta: np.ndarray, u: np.ndarray, cut=
     linearized system.
     """
     cut = cut or (lambda f: f)
-    v = cut(d1_spectral(np.stack((zeta, u)), coeff.op.grid))
+    v = cut(d1_spectral(np.array((zeta, u)), coeff.op.grid))
     a1, a2 = apply_A(coeff, v)
     b1, b2 = eval_B(coeff)
     return Tendency(-(cut(a1) + b1), -(cut(a2) + b2))

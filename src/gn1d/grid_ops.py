@@ -9,10 +9,12 @@ genuine adjoints.
 
 Everything that depends only on the grid is built once per grid and held
 read-only: the banded first derivative d1_fd(grid) and the spectral
-derivative symbol, like Grid.wavenumbers() itself.  A banded operator is
-its (2w + 1, n) band stack, a row per offset in increasing order, applied
-through one periodic halo of _HALO cells around its argument instead of
-one shifted copy per band.
+derivative and Bessel-potential symbols, like Grid.wavenumbers() itself.
+A banded operator is its (2w + 1, n) band stack, a row per offset in
+increasing order.  Its apply multiplies the stack by one strided view of
+a periodic halo of _HALO cells around the argument, row k shifted by
+k - w, and sums the rows in offset order from +0.0: one product and one
+reduction, bit-exact to a per-band loop of adds.
 
 The spectral operators (apply_symbol, d1_spectral, dealias, lambda_s)
 take one field or a (k, n) stack of fields and transform along the last
@@ -46,10 +48,10 @@ class BandedOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         w, n = self.bands.shape[0] // 2, self.bands.shape[1]
         xpad = np.concatenate((x[n - _HALO :], x, x[:_HALO]))  # xpad[_HALO + j] = x[j % n]
-        y = np.zeros(n)
-        for o, c in enumerate(self.bands, start=-w):
-            y += c * xpad[_HALO + o : _HALO + o + n]
-        return y
+        s = xpad.itemsize  # row k of the view is x shifted by k - w: xpad[_HALO - w + k + i]
+        shifted = np.ndarray((2 * w + 1, n), xpad.dtype, xpad, (_HALO - w) * s, (s, s))
+        # from +0.0 like a loop of adds into zeros, so a sum of -0.0 terms is +0.0
+        return np.add.reduce(self.bands * shifted, axis=0, initial=0.0)
 
     def to_dense(self) -> np.ndarray:
         w, n = self.bands.shape[0] // 2, self.bands.shape[1]
@@ -77,7 +79,9 @@ def d1_fd(grid: Grid) -> BandedOperator:
 
 def apply_symbol(f: np.ndarray, symbol: np.ndarray, grid: Grid) -> np.ndarray:
     """Apply a Fourier multiplier given on the nonnegative-wavenumber modes."""
-    return np.fft.irfft(symbol * np.fft.rfft(f), grid.n)
+    coeff = np.fft.rfft(f)
+    # in place, symbol first: a complex product need not commute bit for bit
+    return np.fft.irfft(np.multiply(symbol, coeff, out=coeff), grid.n)
 
 
 @lru_cache(maxsize=16)
@@ -105,10 +109,15 @@ def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfft(coeff, grid.n)
 
 
+@lru_cache(maxsize=16)
+def _lambda_symbol(grid: Grid, s: float) -> np.ndarray:
+    k = grid.wavenumbers()
+    return read_only((1.0 + k * k) ** (0.5 * s))
+
+
 def lambda_s(f: np.ndarray, s: float, grid: Grid) -> np.ndarray:
     """Bessel-potential smoothing/roughening (1 - d_xx)^{s/2}."""
-    k = grid.wavenumbers()
-    return apply_symbol(f, (1.0 + k * k) ** (0.5 * s), grid)
+    return apply_symbol(f, _lambda_symbol(grid, s), grid)
 
 
 def inner_product(f: np.ndarray, g: np.ndarray, grid: Grid) -> float:

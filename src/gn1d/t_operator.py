@@ -32,11 +32,12 @@ places of the diagonal, so T is factored exactly as an ordinary band
 matrix of half-width 8 at O(n) cost, with no wrap-around corners and no
 dense n x n matrix.  The band stack's flat view is the nine bands
 concatenated in offset order, which one bincount scatters into lower
-band storage.  LAPACK's pbtrf and pbtrs are looked up once at import and
-called directly.  In place of scipy's per-call finite scans, every array
-handed to them passes one explicit np.isfinite check: the band storage
-before pbtrf, and each right-hand side before pbtrs.  A failed check
-raises NonFiniteError with the grid index of an offending node.
+band storage, Fortran-ordered so that pbtrf factors it in place, with no
+copy.  LAPACK's pbtrf and pbtrs are looked up once at import and called
+directly.  In place of scipy's per-call finite scans, every array handed
+to them passes one explicit np.isfinite check: the band storage before
+pbtrf, and each right-hand side before pbtrs.  A failed check raises
+NonFiniteError with the grid index of an offending node.
 
 The index patterns depend only on n and are built once, read-only: the
 interleaved order and its inverse, the gathers that shift the Gram terms
@@ -130,26 +131,28 @@ def _mirror_plan(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _band_storage_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat index of each stored entry in the (9, n) band stack, and its flat place in ab."""
+    """Flat index of each stored entry in the (9, n) band stack, and its F-order index in ab."""
     _, p = _interleaved_order(n)
     i = np.arange(n)
+    rows = min(8, n - 1) + 1
     src, dst = [], []
     for k, o in enumerate(range(-4, 5)):
         q = p[(i + o) % n]
         low = p >= q
         src.append(k * n + i[low])
-        dst.append((p[low] - q[low]) * n + q[low])
+        dst.append(q[low] * rows + (p[low] - q[low]))
     return read_only(np.concatenate(src)), read_only(np.concatenate(dst))
 
 
 def _lower_band_storage(bands: np.ndarray) -> np.ndarray:
-    """Lower band storage ab[p - q, q] = A[p, q] (p >= q, interleaved order) from A's band stack."""
+    """Lower band storage ab[p - q, q] = A[p, q] (p >= q, interleaved order), Fortran-ordered."""
     n = bands.shape[-1]
     src, dst = _band_storage_plan(n)
     rows = min(8, n - 1) + 1
     # within one band the destinations are distinct; at n = 8 bands -4 and
     # +4 share entries, which bincount sums in band order
-    return np.bincount(dst, weights=bands.ravel()[src], minlength=rows * n).reshape(rows, n)
+    flat = np.bincount(dst, weights=bands.ravel()[src], minlength=rows * n)
+    return flat.reshape((rows, n), order="F")
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

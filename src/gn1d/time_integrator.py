@@ -82,9 +82,9 @@ def _rk4(z: np.ndarray, u: np.ndarray, dt: float, grid: Grid, tendency):
     transform pair; the increments are the two rows of the result.
     """
     def stage(c, stage_zu):
-        return dealias(np.stack(tendency(c, *stage_zu)), grid)
+        return dealias(np.array(tendency(c, *stage_zu)), grid)
 
-    zu = np.stack((z, u))
+    zu = np.array((z, u))
     k1 = stage(0.0, zu)
     k2 = stage(0.5, zu + 0.5 * dt * k1)
     k3 = stage(0.5, zu + 0.5 * dt * k2)

@@ -641,6 +641,20 @@ def test_main_rejects_bad_config_values_with_exit_two(tmp_path, capsys, override
     assert next(iter(override)) in err
 
 
+@pytest.mark.parametrize("mode", ("linearized", "picard"))
+def test_main_rejects_snapshots_outside_nonlinear_mode(tmp_path, capsys, mode):
+    # only a nonlinear run writes snap_*.dat; a linear mode must not drop the
+    # key without a word, and must stop before it does any work
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(cfg_path, mode=mode, t_end=0.5, snapshot_every=0.2, output_dir=str(out))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "snapshot_every" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "override",
     [

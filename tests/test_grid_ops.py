@@ -11,6 +11,7 @@ import pytest
 from gn1d import Grid
 from gn1d.grid_ops import (
     BandedOperator,
+    _lambda_symbol,
     apply_symbol,
     d1_fd,
     d1_spectral,
@@ -56,12 +57,14 @@ def test_banded_rejects_offsets_beyond_the_halo():
 def test_cached_grid_arrays_cannot_be_corrupted():
     grid = Grid(32, 2.0 * np.pi)
     c1, c2 = 8.0 / (12.0 * grid.dx), 1.0 / (12.0 * grid.dx)
-    for arr in (grid.wavenumbers(), d1_fd(grid).bands):
+    for arr in (grid.wavenumbers(), d1_fd(grid).bands, _lambda_symbol(grid, 2.0)):
         with pytest.raises(ValueError):
             arr[0] = 99.0
         with pytest.raises(ValueError):
             arr.flat[-1] = 99.0
-    assert np.array_equal(grid.wavenumbers(), 2.0 * np.pi * np.fft.rfftfreq(32, d=grid.dx))
+    k = 2.0 * np.pi * np.fft.rfftfreq(32, d=grid.dx)
+    assert np.array_equal(grid.wavenumbers(), k)
+    assert np.array_equal(_lambda_symbol(grid, 2.0), (1.0 + k * k) ** 1.0)
     want = np.repeat([[c2], [-c1], [0.0], [c1], [-c2]], grid.n, axis=1)
     assert np.array_equal(d1_fd(grid).bands, want)
     assert not np.signbit(d1_fd(grid).bands[2]).any()
@@ -182,6 +185,20 @@ def test_parseval_for_rectangle_rule():
     weights[-1] = 1.0  # even n: the Nyquist coefficient appears once
     spectral = np.sqrt(grid.length * np.sum(weights * np.abs(coeff) ** 2))
     assert l2_norm(f, grid) == pytest.approx(spectral, rel=1e-12)
+
+
+def test_apply_symbol_equals_the_out_of_place_product_bit_for_bit():
+    # the spectrum is multiplied in place; complex products need not
+    # commute bit for bit, so the symbol stays the left operand
+    grid = Grid(64, 3.0)
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((2, grid.n))
+    re, im = rng.standard_normal((2, grid.n // 2 + 1))
+    for symbol in (re, 1j * re, re + 1j * im):
+        before = (f.copy(), symbol.copy())
+        want = np.fft.irfft(symbol * np.fft.rfft(f), grid.n)
+        assert np.array_equal(apply_symbol(f, symbol, grid).view(np.int64), want.view(np.int64))
+        assert np.array_equal(f, before[0]) and np.array_equal(symbol, before[1])
 
 
 @pytest.mark.parametrize("n", (8, 10, 64, 512))

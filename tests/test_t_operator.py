@@ -105,6 +105,42 @@ def test_band_apply_equals_the_per_band_reference_bit_for_bit(n):
         for v in inputs:
             _assert_bitwise_equal(banded.apply(v), reference_band_apply(ref, v))
 
+    # the same stacks and random ones of widths 0, 1 and 3, on inputs that
+    # also hold infinities and NaNs, against the loop over each stack's own
+    # rows (d1_fd's zero diagonal times inf is NaN), compared as raw bits;
+    # apply must leave its argument alone and return a fresh array
+    stacks = [banded.bands for banded, _ in pairs]
+    for w in (0, 1, 3):
+        bands = rng.standard_normal((2 * w + 1, n))
+        bands[rng.random(bands.shape) < 0.2] = -0.0
+        stacks.append(bands)
+    special = x.copy()
+    special[rng.permutation(n)[:4]] = [np.inf, -np.inf, np.nan, -np.nan]
+    for bands in stacks:
+        banded = BandedOperator(bands)
+        rows = dict(enumerate(bands, start=-(len(bands) // 2)))
+        for v in [*inputs, special, np.full(n, np.nan), np.full(n, -np.inf)]:
+            before = v.copy()
+            with np.errstate(invalid="ignore"):
+                got, want = banded.apply(v), reference_band_apply(rows, v)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(v.view(np.int64), before.view(np.int64))
+            assert not np.shares_memory(got, bands) and not np.shares_memory(got, v)
+
+
+def test_the_factor_is_computed_in_place_in_the_band_storage():
+    # Fortran-ordered band storage is LAPACK's layout: pbtrf overwrites it
+    # with the factor instead of factoring a copy
+    top = gn1d.t_operator
+    for n in (8, 10, 64):
+        op, _, _ = _random_operator(n=n, seed=n)
+        ab = top._lower_band_storage(op.banded.bands)
+        assert ab.flags.f_contiguous
+        cho, info = top._PBTRF(ab, lower=1, overwrite_ab=1)
+        assert info == 0
+        assert np.shares_memory(cho, ab)
+        _assert_bitwise_equal(cho, op.cho)
+
 
 def test_cached_assembly_plans_cannot_be_corrupted():
     n = 16

@@ -47,6 +47,12 @@ CASES = {
         "scenario": "hump_over_bar", "mode": "picard", "t_end": 0.3, "mollifier_delta": 0.5,
     }),
     "picard_bench": ("run", _PICARD_BENCH),
+    # a domain long against the dispersive length: the factor of T holds
+    # subnormal entries, so band storage, factor and apply meet them
+    "long_domain": ("run", {
+        "scenario": "solitary", "n": 2048, "length": 960.0, "epsilon": 0.5, "mu": 0.5,
+        "amplitude": 0.4, "h0": 0.25, "t_end": 0.5, "snapshot_every": 0.25,
+    }),
     "verify": ("verify", None),
     "verify_break_depth": ("verify", {"verify_break_depth": True}),
 }
