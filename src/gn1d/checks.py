@@ -1,13 +1,16 @@
-"""Per-sample measurements behind the property checks.
+"""Per-sample measurements behind the property checks, and their bounds.
 
-`gn1d verify` and the acceptance suite draw their own samples and apply
-their own bounds; each function here measures one sample, or one run
-history, so both report the same quantity computed the same way.  The
-one exception is the inverse-bound sweep, which draws its trial fields
-from the seed its caller passes.
+`gn1d verify` and the acceptance suite draw their own samples and read
+each bound from BOUNDS; each function here measures one sample, or one
+run history, so both report the same quantity computed the same way.
+The one exception is the inverse-bound sweep, which draws its trial
+fields from the seed its caller passes.
 """
 
 from __future__ import annotations
+
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +20,49 @@ from .gn_rhs import coefficient_fields, condensed_rhs, nonlinear_rhs, q1_apply, 
 from .grid_ops import d1_fd, d1_spectral, hs_norm, inner_product, lambda_s
 from .linearized import Mollifier, mollify
 from .t_operator import TOperator, apply_T, assemble_T, solve_T
+
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A guarantee's bound: measured <compare> value, or lo <= measured <= hi for
+    compare "in" and value (lo, hi).  A format spec ("g" when empty) formats the
+    value, so f"{BOUNDS['mass_drift']}" is "<= 1e-12"."""
+
+    compare: str
+    value: float | tuple[float, float]
+
+    def holds(self, *measured: float) -> bool:
+        """Whether every measured value meets the bound."""
+        if self.compare == "in":
+            return all(self.value[0] <= m <= self.value[1] for m in measured)
+        return all(_RELATIONS[self.compare](m, self.value) for m in measured)
+
+    def __format__(self, spec: str) -> str:
+        spec = spec or "g"
+        if self.compare == "in":
+            return f"in [{self.value[0]:{spec}}, {self.value[1]:{spec}}]"
+        return f"{self.compare} {self.value:{spec}}"
+
+
+# the bound of every guarantee `gn1d verify` checks; the acceptance suite
+# checks them on its own samples
+BOUNDS = {
+    "assembly": Bound(">=", 1.0),  # 1 when the operator could be assembled
+    "symmetry": Bound("<=", 0.0),  # max |T - T^T|, so exactly 0
+    "coercivity_margin": Bound(">=", 1.0),  # Rayleigh ratio over coercivity_bound
+    "solve": Bound("<=", 1e-12),  # solve residual and round trip
+    "energy_identity": Bound("<=", 1e-13),
+    "source_decomposition": Bound("<=", 1e-10),
+    "formulation_equivalence": Bound("<=", 1e-9),
+    "cutoff_commutation": Bound("<=", 1e-13),
+    "cutoff_adjointness": Bound("<=", 1e-13),
+    "inverse_bound_spread": Bound("<=", 10.0),  # both spreads across mu
+    "equivalence_spread": Bound("<=", 10.0),  # upper and lower
+    "energy_drift": Bound("<=", 1e-6),
+    "mass_drift": Bound("<=", 1e-12),
+}
 
 
 def symmetry_defect(op: TOperator) -> float:

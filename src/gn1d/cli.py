@@ -29,6 +29,8 @@ from .core import (
     compute_depth,
 )
 from .checks import (
+    BOUNDS,
+    Bound,
     coercivity_bound,
     energy_drift,
     equivalence_spreads,
@@ -54,7 +56,7 @@ from .grid_ops import inner_product
 from .linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
 from .scenarios import SCENARIOS, build_scenario, solitary_wave
 from .t_operator import apply_T, assemble_T
-from .time_integrator import StepControl, run
+from .time_integrator import StepControl, cfl_dt, run
 
 
 class ConfigError(Exception):
@@ -323,6 +325,16 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
         xs = xs_norm(state, params, grid, cfg.s)
         if not math.isfinite(xs) and math.isfinite(xs_norm(state, params, grid, 0.0)):
             raise ConfigError(f"s = {cfg.s:g} gives the initial state a non-finite X^s norm ({xs})")
+    # run() ends within end_tolerance of t_end, so a shorter first step
+    # would march without end
+    if math.isfinite(xs):
+        dt = cfl_dt(state, bathymetry, params, grid, control)
+        if not dt >= control.end_tolerance:
+            raise ConfigError(
+                f"cfl = {cfg.cfl:g} and dt_max = {cfg.dt_max:g} give a first step of {dt:.3g}, "
+                f"shorter than the end-time tolerance {control.end_tolerance:.3g}: "
+                f"the run would take more than 1e12 steps"
+            )
     return PreparedRun(cfg, grid, params, state, bathymetry, control)
 
 
@@ -452,19 +464,17 @@ def command_run(cfg: RunConfig) -> int:
 # verification suite
 
 
-def _check(name: str, measured: float, threshold: float, compare: str = "<=", ok=None):
-    """One table row; ok defaults to the comparison it prints."""
-    if ok is None:
-        ok = measured <= threshold if compare == "<=" else measured >= threshold
-    return name, measured, compare, threshold, ok
+def _check(name: str, measured: float, bound: Bound, ok: bool = True):
+    """One table row; it passes when ok and the bound holds."""
+    return name, measured, bound, ok and bound.holds(measured)
 
 
 def _report(checks: list[tuple]) -> int:
     width = max(len(c[0]) for c in checks)
-    for name, measured, compare, threshold, ok in checks:
+    for name, measured, bound, ok in checks:
         print(
             f"{name:<{width}}  measured {measured:.6e}  "
-            f"required {compare} {threshold:.6e}  {'PASS' if ok else 'FAIL'}"
+            f"required {bound:.6e}  {'PASS' if ok else 'FAIL'}"
         )
     passed = sum(c[-1] for c in checks)
     print(f"{passed}/{len(checks)} checks passed")
@@ -511,7 +521,7 @@ def verify_suite(cfg: RunConfig) -> int:
         try:
             op = assemble_T(compute_depth(state.zeta, bathymetry, params), bathymetry, params, grid)
         except (DepthError, FactorizationError):
-            return _report([_check("operator assembly succeeded", 0.0, 1.0, ">=")])
+            return _report([_check("operator assembly succeeded", 0.0, BOUNDS["assembly"])])
         sym_worst = max(sym_worst, symmetry_defect(op))
         trial = np.random.default_rng(int(rng.integers(2**31)))
         ratio = min(rayleigh_ratio(op, trial.standard_normal(grid.n)) for _ in range(8))
@@ -574,21 +584,23 @@ def verify_suite(cfg: RunConfig) -> int:
     drift = energy_drift(outcome.history)
 
     return _report([
-        _check("operator symmetry (max abs)", sym_worst, 0.0),
-        _check("coercivity margin (min ratio/bound)", coer_margin, 1.0, ">="),
-        _check("solve residual (relative)", res_worst, 1e-12),
-        _check("solve round-trip (relative)", round_worst, 1e-12),
-        _check("energy identity (relative)", ident_worst, 1e-13),
-        _check("source decomposition (relative)", dec_worst, 1e-10),
-        _check("formulation equivalence (relative)", equiv_worst, 1e-9),
-        _check("cutoff commutation (relative)", comm_worst, 1e-13),
-        _check("cutoff self-adjointness (relative)", adj_worst, 1e-13),
-        _check("inverse bound spread (first)", spread1, 10.0),
-        _check("inverse bound spread (derivative)", spread2, 10.0),
-        _check("norm equivalence spread (upper)", hi, 10.0),
-        _check("norm equivalence spread (lower)", lo, 10.0),
-        _check("energy drift (relative, t=2)", drift, 1e-6, ok=outcome.completed and drift <= 1e-6),
-        _check("mass drift (absolute, t=2)", mass_drift(outcome.history), 1e-12),
+        _check("operator symmetry (max abs)", sym_worst, BOUNDS["symmetry"]),
+        _check("coercivity margin (min ratio/bound)", coer_margin, BOUNDS["coercivity_margin"]),
+        _check("solve residual (relative)", res_worst, BOUNDS["solve"]),
+        _check("solve round-trip (relative)", round_worst, BOUNDS["solve"]),
+        _check("energy identity (relative)", ident_worst, BOUNDS["energy_identity"]),
+        _check("source decomposition (relative)", dec_worst, BOUNDS["source_decomposition"]),
+        _check(
+            "formulation equivalence (relative)", equiv_worst, BOUNDS["formulation_equivalence"]
+        ),
+        _check("cutoff commutation (relative)", comm_worst, BOUNDS["cutoff_commutation"]),
+        _check("cutoff self-adjointness (relative)", adj_worst, BOUNDS["cutoff_adjointness"]),
+        _check("inverse bound spread (first)", spread1, BOUNDS["inverse_bound_spread"]),
+        _check("inverse bound spread (derivative)", spread2, BOUNDS["inverse_bound_spread"]),
+        _check("norm equivalence spread (upper)", hi, BOUNDS["equivalence_spread"]),
+        _check("norm equivalence spread (lower)", lo, BOUNDS["equivalence_spread"]),
+        _check("energy drift (relative, t=2)", drift, BOUNDS["energy_drift"], ok=outcome.completed),
+        _check("mass drift (absolute, t=2)", mass_drift(outcome.history), BOUNDS["mass_drift"]),
     ])
 
 

@@ -41,12 +41,13 @@ def q_total(
     """The dispersive source Q[h, eps b](u) (unscaled), given ux = d1_spectral(u)."""
     eps = params.epsilon
     bx, bxx = bathymetry.b_x, bathymetry.b_xx
-    d_cubic, d_bottom = d1_spectral(np.array((h**3 * ux**2, h**2 * u**2 * bxx)), grid)
+    ux2, u2 = ux**2, u**2
+    d_cubic, d_bottom = d1_spectral(np.array((h**3 * ux2, h**2 * u2 * bxx)), grid)
     return (
         (2.0 / (3.0 * h)) * d_cubic
-        + eps * h * ux**2 * bx
+        + eps * h * ux2 * bx
         + (eps / (2.0 * h)) * d_bottom
-        + eps**2 * u**2 * bxx * bx
+        + eps**2 * u2 * bxx * bx
     )
 
 

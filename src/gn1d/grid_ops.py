@@ -47,6 +47,8 @@ class BandedOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         w, n = self.bands.shape[0] // 2, self.bands.shape[1]
+        if np.shape(x) != (n,):
+            raise ValueError(f"argument must have shape ({n},), got {np.shape(x)}")
         xpad = np.concatenate((x[n - _HALO :], x, x[:_HALO]))  # xpad[_HALO + j] = x[j % n]
         s = xpad.itemsize  # row k of the view is x shifted by k - w: xpad[_HALO - w + k + i]
         shifted = np.ndarray((2 * w + 1, n), xpad.dtype, xpad, (_HALO - w) * s, (s, s))

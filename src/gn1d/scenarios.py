@@ -67,6 +67,11 @@ def solitary_wave(
     return State(zeta, u)
 
 
+def _require_finite(what: str, *profiles: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(p)) for p in profiles):
+        raise ValueError(f"{what} gives a non-finite profile or derivative on this grid")
+
+
 def gaussian_hump(
     amplitude: float, width: float, grid: Grid, x0: float | None = None
 ) -> State:
@@ -76,7 +81,13 @@ def gaussian_hump(
     if x0 is None:
         x0 = 0.5 * grid.length
     r = _wrapped_offset(grid.nodes(), x0, grid.length)
-    return State(amplitude * np.exp(-(r**2) / (2.0 * width**2)), np.zeros(grid.n))
+    # a numpy width makes an extreme one overflow to inf, not raise; the
+    # powers are the same libm calls, so every value keeps its bits
+    width = np.float64(width)
+    with np.errstate(all="ignore"):
+        zeta = amplitude * np.exp(-(r**2) / (2.0 * width**2))
+    _require_finite(f"hump width {width:g}", zeta)
+    return State(zeta, np.zeros(grid.n))
 
 
 def bar_bathymetry(
@@ -88,9 +99,12 @@ def bar_bathymetry(
     if x0 is None:
         x0 = 0.5 * grid.length
     r = _wrapped_offset(grid.nodes(), x0, grid.length)
-    b = height * np.exp(-(r**2) / (2.0 * width**2))
-    b_x = -(r / width**2) * b
-    b_xx = (r**2 / width**4 - 1.0 / width**2) * b
+    width = np.float64(width)  # as in gaussian_hump
+    with np.errstate(all="ignore"):
+        b = height * np.exp(-(r**2) / (2.0 * width**2))
+        b_x = -(r / width**2) * b
+        b_xx = (r**2 / width**4 - 1.0 / width**2) * b
+    _require_finite(f"bar width {width:g}", b, b_x, b_xx)
     return Bathymetry(b, b_x, b_xx)
 
 

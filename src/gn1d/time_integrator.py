@@ -53,6 +53,11 @@ class StepControl:
         if not self.dt_max > 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
+    @property
+    def end_tolerance(self) -> float:
+        """run() stops once the time is within this of t_end."""
+        return 1e-12 * self.t_end
+
     def step_for(self, speed: float, dx: float) -> float:
         """The step this policy allows on spacing dx at the given max wave speed."""
         if speed <= 0.0:
@@ -154,7 +159,7 @@ def run(
     on_state(0, state)
 
     steps = 0
-    while state.time < control.t_end - 1e-12 * control.t_end:
+    while state.time < control.t_end - control.end_tolerance:
         dt = min(
             cfl_dt(state, bathymetry, params, grid, control),
             control.t_end - state.time,

@@ -3,7 +3,9 @@
 Each test prints one summary line (ACCEPTANCE NN name: PASS/FAIL with
 the measured and required values) before asserting, so a report of the
 whole suite can be read off the captured output.  `pytest -rP` shows
-the lines for passing tests as well.
+the lines for passing tests as well.  Every bound is read through a
+name: from checks.BOUNDS when `gn1d verify` checks the same guarantee,
+otherwise from the table below.
 """
 
 import math
@@ -39,6 +41,8 @@ from gn1d import (
     xs_norm,
 )
 from gn1d.checks import (
+    BOUNDS,
+    Bound,
     energy_drift,
     equivalence_spreads,
     formulation_gap,
@@ -53,8 +57,31 @@ from gn1d.checks import (
 from helpers import band_limited, bumpy_bathymetry, random_state, solitary_speed
 
 
-def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
+# bounds that only this suite checks
+DRIFT_RATIO = Bound("in", (8.0, 32.0))  # 01: geometric mean of the halving ratios
+WALL_01 = Bound("<=", 60.0)  # seconds
+MIN_STATES = Bound(">=", 1000)  # 02
+GAP_RATIO = Bound("<=", 0.5)  # 07: worst ratio of successive Picard gaps
+LIMIT_GAP = Bound("<=", 1e-6)  # 07: X^2 distance of the limit to the direct run
+WALL_07 = Bound("<=", 120.0)
+RATE_DRIFT = Bound("<", 0.10)  # 08: relative change of the fitted rate from n = 128 to 256
+ENVELOPE = Bound("<=", 1.5)  # 08
+SOURCE = Bound("<=", 0.0)  # 08: a max of absolute values, so exactly 0
+SUP_NORM = Bound("<=", 1.1)  # 09
+LAKE_STEPS = 1000  # 11
+LAKE_DRIFT = Bound("<=", 1e-12)  # 11
+DISPERSION = Bound("<=", 0.01)  # 11: relative phase-speed error
+TRANSIT_ERROR_128 = Bound("<=", 5e-2)  # 12: relative X^2 error at n = 128
+TRANSIT_ERROR_256 = Bound("<=", 3e-3)
+TRANSIT_ORDER = Bound("in", (3.5, 4.5))  # 12
+WALL_12 = Bound("<=", 30.0)
+
+
+def _verdict(num: int, name: str, held: list[bool], detail: str) -> None:
+    """Print a guarantee's ACCEPTANCE line and assert that every condition held."""
+    ok = all(held)
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+    assert ok, detail
 
 
 def test_01_energy_conservation():
@@ -76,18 +103,15 @@ def test_01_energy_conservation():
     # so single-halving ratios oscillate around 16; their geometric mean
     # (half the two-halving factor) is the meaningful 4th-order measure
     mean_ratio = math.sqrt(ratios[0] * ratios[1])
-    ok = drifts[0] <= 1e-6 and 8.0 <= mean_ratio <= 32.0 and elapsed <= 60.0
+    drift = BOUNDS["energy_drift"]
     _verdict(
         1,
         "energy conservation",
-        ok,
-        f"drift {drifts[0]:.3e} required <= 1e-06; halving ratios "
+        [drift.holds(drifts[0]), DRIFT_RATIO.holds(mean_ratio), WALL_01.holds(elapsed)],
+        f"drift {drifts[0]:.3e} required {drift}; halving ratios "
         f"{ratios[0]:.1f}, {ratios[1]:.1f}, geometric mean {mean_ratio:.1f} "
-        f"required in [8, 32]; {elapsed:.1f}s required <= 60s",
+        f"required {DRIFT_RATIO}; {elapsed:.1f}s required {WALL_01}s",
     )
-    assert drifts[0] <= 1e-6
-    assert 8.0 <= mean_ratio <= 32.0
-    assert elapsed <= 60.0
 
 
 def test_02_coercivity():
@@ -95,31 +119,29 @@ def test_02_coercivity():
     grid = Grid(96, 2.0 * np.pi)
     bath = bumpy_bathymetry(grid)
     rng = np.random.default_rng(7)
+    required = BOUNDS["coercivity_margin"]
     total = violations = 0
     worst = math.inf
     for eps in (0.1, 0.5, 1.0):
         for mu in (0.1, 0.5, 1.0):
             for h0 in (0.1, 0.5, 1.0):
                 params = Parameters(eps, mu, h0=h0)
-                bound = coercivity_bound(params)
+                floor = coercivity_bound(params)
                 for _ in range(38):
                     h = h0 * (1.02 + np.abs(rng.standard_normal(grid.n)))
                     op = assemble_T(h, bath, params, grid)
-                    ratio = rayleigh_ratio(op, rng.standard_normal(grid.n))
+                    margin = rayleigh_ratio(op, rng.standard_normal(grid.n)) / floor
                     total += 1
-                    worst = min(worst, ratio / bound)
-                    violations += int(ratio < bound)
+                    worst = min(worst, margin)
+                    violations += not required.holds(margin)
     elapsed = time.perf_counter() - started
-    ok = total >= 1000 and violations == 0
     _verdict(
         2,
         "coercivity",
-        ok,
+        [MIN_STATES.holds(total), required.holds(worst)],
         f"{total} random states, {violations} violations required 0; "
         f"worst ratio/bound margin {worst:.2f}x; {elapsed:.1f}s",
     )
-    assert total >= 1000
-    assert violations == 0
 
 
 def test_03_operator_exactness():
@@ -134,18 +156,15 @@ def test_03_operator_exactness():
         rng = np.random.default_rng(5000 + i)
         worst_res = max(worst_res, solve_residual(op, rng.standard_normal(grid.n)))
         worst_round = max(worst_round, round_trip(op, rng.standard_normal(grid.n)))
-    ok = worst_sym == 0.0 and worst_res <= 1e-12 and worst_round <= 1e-12
+    solve = BOUNDS["solve"]
     _verdict(
         3,
         "operator exactness",
-        ok,
+        [BOUNDS["symmetry"].holds(worst_sym), solve.holds(worst_res, worst_round)],
         f"symmetry defect {worst_sym:.1e} required exactly 0; solve residual "
-        f"{worst_res:.2e} and round-trip {worst_round:.2e} required <= 1e-12 "
+        f"{worst_res:.2e} and round-trip {worst_round:.2e} required {solve} "
         f"over 100 pairs",
     )
-    assert worst_sym == 0.0
-    assert worst_res <= 1e-12
-    assert worst_round <= 1e-12
 
 
 def test_04_inverse_bounds_uniform_in_mu():
@@ -157,16 +176,14 @@ def test_04_inverse_bounds_uniform_in_mu():
         st = random_state(grid, seed=300 + i)
         depths.append(compute_depth(st.zeta, bath, base))
     spread1, spread2 = inverse_bound_spreads(depths, bath, grid, trials=4, seed=0)
-    ok = spread1 <= 10.0 and spread2 <= 10.0
+    spread = BOUNDS["inverse_bound_spread"]
     _verdict(
         4,
         "inverse bounds uniform in mu",
-        ok,
+        [spread.holds(spread1, spread2)],
         f"mu in [1e-4, 1]: first-bound spread {spread1:.2f}x, "
-        f"derivative-bound spread {spread2:.2f}x, required <= 10x",
+        f"derivative-bound spread {spread2:.2f}x, required {spread}x",
     )
-    assert spread1 <= 10.0
-    assert spread2 <= 10.0
 
 
 def test_05_formulation_equivalence():
@@ -176,15 +193,14 @@ def test_05_formulation_equivalence():
     worst = 0.0
     for i in range(100):
         worst = max(worst, formulation_gap(random_state(grid, seed=i), bath, params, grid))
-    ok = worst <= 1e-9
+    bound = BOUNDS["formulation_equivalence"]
     _verdict(
         5,
         "formulation equivalence",
-        ok,
+        [bound.holds(worst)],
         f"worst relative gap between direct and quasilinear tendencies "
-        f"{worst:.2e} over 100 states, required <= 1e-09",
+        f"{worst:.2e} over 100 states, required {bound}",
     )
-    assert worst <= 1e-9
 
 
 def test_06_source_decomposition():
@@ -195,15 +211,14 @@ def test_06_source_decomposition():
     for i in range(100):
         state = random_state(grid, seed=1000 + i)
         worst = max(worst, source_defect(state, bath, params, grid))
-    ok = worst <= 1e-10
+    bound = BOUNDS["source_decomposition"]
     _verdict(
         6,
         "source decomposition",
-        ok,
+        [bound.holds(worst)],
         f"worst relative defect of the split dispersive source {worst:.2e} "
-        f"over 100 states, required <= 1e-10",
+        f"over 100 states, required {bound}",
     )
-    assert worst <= 1e-10
 
 
 def test_07_picard_convergence():
@@ -225,19 +240,15 @@ def test_07_picard_convergence():
     xs_gap = xs_norm(gap, params, grid, 2.0)
     xs_rel = xs_gap / xs_norm(direct.final_state, params, grid, 2.0)
     elapsed = time.perf_counter() - started
-    ok = max(ratios) <= 0.5 and xs_gap <= 1e-6 and elapsed <= 120.0
     gap_text = ", ".join(f"{g:.2e}" for g in result.gaps)
     _verdict(
         7,
         "fixed-point convergence",
-        ok,
-        f"gaps [{gap_text}], worst ratio {max(ratios):.1e} required <= 0.5; "
-        f"limit vs direct run {xs_gap:.2e} required <= 1e-06 "
-        f"(relative {xs_rel:.2e}); {elapsed:.1f}s required <= 120s",
+        [GAP_RATIO.holds(max(ratios)), LIMIT_GAP.holds(xs_gap), WALL_07.holds(elapsed)],
+        f"gaps [{gap_text}], worst ratio {max(ratios):.1e} required {GAP_RATIO}; "
+        f"limit vs direct run {xs_gap:.2e} required {LIMIT_GAP} "
+        f"(relative {xs_rel:.2e}); {elapsed:.1f}s required {WALL_07}s",
     )
-    assert max(ratios) <= 0.5
-    assert xs_gap <= 1e-6
-    assert elapsed <= 120.0
 
 
 def _envelope_fit(n: int):
@@ -282,25 +293,15 @@ def test_08_energy_estimate_envelope():
     lam_c, env_c, forcing_c = _envelope_fit(128)
     lam_f, env_f, forcing_f = _envelope_fit(256)
     drift = abs(lam_f - lam_c) / abs(lam_c)
-    ok = (
-        drift < 0.10
-        and env_c <= 1.5
-        and env_f <= 1.5
-        and forcing_c == 0.0
-        and forcing_f == 0.0
-    )
     _verdict(
         8,
         "energy estimate envelope",
-        ok,
+        [RATE_DRIFT.holds(drift), ENVELOPE.holds(env_c, env_f), SOURCE.holds(forcing_c, forcing_f)],
         f"fitted rates {lam_c:.6f} (n=128) and {lam_f:.6f} (n=256), drift "
-        f"{100.0 * drift:.2f}% required < 10%; envelope factors {env_c:.4f}, "
-        f"{env_f:.4f} required <= 1.5; source constant {forcing_c:.1e} "
+        f"{100.0 * drift:.2f}% required {RATE_DRIFT:.0%}; envelope factors {env_c:.4f}, "
+        f"{env_f:.4f} required {ENVELOPE}; source constant {forcing_c:.1e} "
         f"required exactly 0",
     )
-    assert drift < 0.10
-    assert env_c <= 1.5 and env_f <= 1.5
-    assert forcing_c == 0.0 and forcing_f == 0.0
 
 
 def test_09_mollifier_properties():
@@ -364,29 +365,19 @@ def test_09_mollifier_properties():
     ]
     cauchy = all(b < a for a, b in zip(ladder, ladder[1:]))
 
-    ok = (
-        worst_adj <= 1e-13
-        and symbols_commute
-        and worst_comm <= 1e-13
-        and worst_sup <= 1.1
-        and cauchy
-    )
     ladder_text = ", ".join(f"{g:.2e}" for g in ladder)
+    adj, comm = BOUNDS["cutoff_adjointness"], BOUNDS["cutoff_commutation"]
     _verdict(
         9,
         "mollifier properties",
-        ok,
-        f"self-adjointness {worst_adj:.1e} required <= 1e-13; symbol "
+        [adj.holds(worst_adj), symbols_commute, comm.holds(worst_comm), SUP_NORM.holds(worst_sup),
+         cauchy],
+        f"self-adjointness {worst_adj:.1e} required {adj}; symbol "
         f"commutation exact: {symbols_commute}, applied orders differ by "
-        f"{worst_comm:.1e} required <= 1e-13; sup-norm constant "
-        f"{worst_sup:.4f} required <= 1.1; delta-halving gaps [{ladder_text}] "
+        f"{worst_comm:.1e} required {comm}; sup-norm constant "
+        f"{worst_sup:.4f} required {SUP_NORM}; delta-halving gaps [{ladder_text}] "
         f"required strictly decreasing",
     )
-    assert worst_adj <= 1e-13
-    assert symbols_commute
-    assert worst_comm <= 1e-13
-    assert worst_sup <= 1.1
-    assert cauchy
 
 
 def test_10_norm_equivalence():
@@ -397,16 +388,14 @@ def test_10_norm_equivalence():
         for i in range(6)
     ]
     hi, lo = equivalence_spreads(equivalence_report(pairs, bath, grid))
-    ok = hi <= 10.0 and lo <= 10.0
+    spread = BOUNDS["equivalence_spread"]
     _verdict(
         10,
         "norm equivalence",
-        ok,
+        [spread.holds(hi, lo)],
         f"upper-ratio spread {hi:.2f}x and lower-ratio spread {lo:.2f}x "
-        f"across the (eps, mu) sweep, required <= 10x",
+        f"across the (eps, mu) sweep, required {spread}x",
     )
-    assert hi <= 10.0
-    assert lo <= 10.0
 
 
 def test_11_physical_sanity():
@@ -419,7 +408,7 @@ def test_11_physical_sanity():
         StepControl(t_end=1.0, cfl=0.9, dt_max=1e-3),
     )
     assert outcome.completed, outcome.status
-    assert outcome.steps == 1000
+    assert outcome.steps == LAKE_STEPS
     lake_drift = max(
         float(np.max(np.abs(outcome.final_state.zeta))),
         float(np.max(np.abs(outcome.final_state.u))),
@@ -456,19 +445,16 @@ def test_11_physical_sanity():
     omega_measured = phase / doutcome.final_state.time
     dispersion_err = abs(omega_measured - omega) / omega
 
-    ok = lake_drift <= 1e-12 and mdrift <= 1e-12 and dispersion_err <= 0.01
+    mass = BOUNDS["mass_drift"]
     _verdict(
         11,
         "physical sanity",
-        ok,
-        f"lake-at-rest drift {lake_drift:.1e} after 1000 steps required "
-        f"<= 1e-12; mass drift {mdrift:.1e} required <= 1e-12; phase "
+        [LAKE_DRIFT.holds(lake_drift), mass.holds(mdrift), DISPERSION.holds(dispersion_err)],
+        f"lake-at-rest drift {lake_drift:.1e} after {LAKE_STEPS} steps required "
+        f"{LAKE_DRIFT}; mass drift {mdrift:.1e} required {mass}; phase "
         f"speed error {dispersion_err:.2e} vs the assembled-symbol "
-        f"dispersion, required <= 0.01",
+        f"dispersion, required {DISPERSION}",
     )
-    assert lake_drift <= 1e-12
-    assert mdrift <= 1e-12
-    assert dispersion_err <= 0.01
 
 
 def test_12_solitary_wave_transit():
@@ -492,16 +478,13 @@ def test_12_solitary_wave_transit():
         errors.append(xs_norm(gap, params, grid, 2.0) / xs_norm(wave, params, grid, 2.0))
     elapsed = time.perf_counter() - started
     order = math.log2(errors[0] / errors[1])
-    ok = errors[0] <= 5e-2 and errors[1] <= 3e-3 and 3.5 <= order <= 4.5 and elapsed <= 30.0
     _verdict(
         12,
         "solitary-wave transit",
-        ok,
+        [TRANSIT_ERROR_128.holds(errors[0]), TRANSIT_ERROR_256.holds(errors[1]),
+         TRANSIT_ORDER.holds(order), WALL_12.holds(elapsed)],
         f"relative X^2 error after one transit {errors[0]:.2e} (n=128) required "
-        f"<= 5e-02 and {errors[1]:.2e} (n=256) required <= 3e-03; observed "
-        f"order {order:.2f} required in [3.5, 4.5]; {elapsed:.1f}s required <= 30s",
+        f"{TRANSIT_ERROR_128:.0e} and {errors[1]:.2e} (n=256) required "
+        f"{TRANSIT_ERROR_256:.0e}; observed order {order:.2f} required "
+        f"{TRANSIT_ORDER}; {elapsed:.1f}s required {WALL_12}s",
     )
-    assert errors[0] <= 5e-2
-    assert errors[1] <= 3e-3
-    assert 3.5 <= order <= 4.5
-    assert elapsed <= 30.0

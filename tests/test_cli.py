@@ -641,6 +641,41 @@ def test_main_rejects_bad_config_values_with_exit_two(tmp_path, capsys, override
     assert next(iter(override)) in err
 
 
+@pytest.mark.parametrize(
+    "override, code",
+    [
+        pytest.param({"scenario": "hump_over_bar", "bar_width": 1e-200}, 2, id="bar_width_1e-200"),
+        pytest.param(
+            {"scenario": "rest_over_bar", "bar_width": 1e-100, "h0": 0.1}, 2, id="bar_width_1e-100"
+        ),
+        pytest.param({"scenario": "hump", "width": 1e-200}, 2, id="width_1e-200"),
+        pytest.param({"scenario": "hump", "width": 1e-160}, 0, id="width_1e-160"),
+        pytest.param({"scenario": "hump", "width": 1e200}, 0, id="width_1e200"),
+        pytest.param({"scenario": "hump_over_bar", "bar_width": 1e200}, 0, id="bar_width_1e200"),
+    ],
+)
+def test_main_run_on_an_extreme_scenario_width(tmp_path, capsys, override, code):
+    # a width whose squares underflow or overflow must give a finite profile
+    # or a config error naming the width, never a traceback or a warning
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(cfg_path, t_end=0.05, output_dir=str(tmp_path / "out"), **override)
+    assert main(["run", "--config", str(cfg_path)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        key = next(k for k in override if k.endswith("width"))
+        assert "config error:" in err
+        assert f"width {override[key]:g}" in err
+
+
+@pytest.mark.parametrize("mode", ("nonlinear", "picard"))
+@pytest.mark.parametrize("key", ("cfl", "dt_max"))
+def test_prepare_run_rejects_a_step_too_small_to_finish(key, mode):
+    # run() ends within 1e-12 t_end of t_end; a shorter first step would
+    # march for more than 1e12 steps, so it is a config error before any work
+    with pytest.raises(ConfigError, match=f"{key} = 1e-300 .* more than 1e12 steps"):
+        prepare_run(RunConfig(mode=mode, t_end=0.05, **{key: 1e-300}))
+
+
 @pytest.mark.parametrize("mode", ("linearized", "picard"))
 def test_main_rejects_snapshots_outside_nonlinear_mode(tmp_path, capsys, mode):
     # only a nonlinear run writes snap_*.dat; a linear mode must not drop the

@@ -49,6 +49,14 @@ def test_banded_rejects_wrong_band_length():
             BandedOperator(bands)
 
 
+def test_banded_apply_rejects_an_argument_of_another_shape():
+    # the halo would wrap the wrong entries of a longer argument without a word
+    op = BandedOperator(np.ones((3, 8)))
+    for x in (np.arange(10.0), np.ones((2, 8)), np.ones(7)):
+        with pytest.raises(ValueError, match=r"shape \(8,\)"):
+            op.apply(x)
+
+
 def test_banded_rejects_offsets_beyond_the_halo():
     with pytest.raises(ValueError):
         BandedOperator(np.ones((11, 16)))

@@ -13,7 +13,8 @@ hash every output of a case.  The README's config table must list the
 RunConfig fields, in order, so the documented keys cannot drift.  No
 module of gn1d or of its tests may import a name it never uses, so a
 deletion cannot leave a stale import behind (checked with ast; no
-linter is needed).
+linter is needed).  Every bound of a guarantee is read through a name,
+so that `gn1d verify` and the acceptance suite cannot drift apart.
 """
 
 import ast
@@ -143,3 +144,42 @@ def test_output_digest_hashes_every_output_of_a_case():
     assert lines[1].split(" ")[0] == hashlib.sha256(b"").hexdigest()
     # a rerun in a fresh directory reproduces every byte
     assert tool.digest_case("hump_depth_loss") == lines
+
+
+def _numeric_literal(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and not isinstance(node.value, bool)
+    )
+
+
+def test_every_guarantee_bound_is_read_through_a_name():
+    # a bound is written once: in checks.BOUNDS, or in the acceptance
+    # suite's own table when only that suite checks the guarantee
+    path = ROOT / "tests" / "test_acceptance.py"
+    acceptance = ast.parse(path.read_text(encoding="utf-8"))
+    compares = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.Compare)
+        and any(_numeric_literal(x) for x in [node.left, *node.comparators])
+    ]
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    suite = next(
+        node for node in cli.body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_suite"
+    )
+    rows = [
+        node for node in ast.walk(suite)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check"
+    ]
+    assert len(rows) == 16  # the 15 rows of the table and the failed-assembly row
+    thresholds = [
+        f"cli.py:{row.lineno}"
+        for row in rows
+        if any(_numeric_literal(arg) for arg in row.args[2:] + [k.value for k in row.keywords])
+    ]
+    assert (compares, thresholds) == ([], [])
