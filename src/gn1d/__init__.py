@@ -9,6 +9,7 @@ from .core import (
     NonFiniteError,
     Parameters,
     State,
+    StopError,
     compute_depth,
 )
 from .diagnostics import (

@@ -4,8 +4,8 @@ Config files are plain `key = value` lines with `#` comments.  Outputs
 are whitespace-separated text with 17 significant digits, so a rerun of
 the same config and seed reproduces every byte.
 
-Exit codes: 0 success, 1 blow-up termination, 2 configuration error,
-3 verification failure.
+Exit codes: 0 success, 1 blow-up or non-convergence, 2 configuration
+error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -18,16 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import (
-    Bathymetry,
-    DepthError,
-    FactorizationError,
-    Grid,
-    NonFiniteError,
-    Parameters,
-    State,
-    compute_depth,
-)
+from .core import Bathymetry, Grid, Parameters, State, StopError, compute_depth
 from .checks import (
     BOUNDS,
     Bound,
@@ -145,7 +136,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig | None = None) -> str:
-    """Render a config that parses back to exactly the same values."""
+    """Render a config that parses back to exactly the same values.
+
+    Raises ConfigError for a string value that no config line holds as it
+    is: one with a `#`, a line break, or leading or trailing whitespace.
+    """
     cfg = cfg or RunConfig()
     lines = ["# gn1d run configuration (defaults shown by `gn1d dump-config`)"]
     for f in fields(cfg):
@@ -154,6 +149,8 @@ def dump_config(cfg: RunConfig | None = None) -> str:
             v = "true" if v else "false"
         elif isinstance(v, float):
             v = repr(v)
+        elif isinstance(v, str) and ("#" in v or v != v.strip() or len(v.splitlines()) > 1):
+            raise ConfigError(f"{f.name} = {v!r} cannot be written as a config line")
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
 
@@ -455,7 +452,7 @@ def command_run(cfg: RunConfig) -> int:
             if cfg.mode == "linearized":
                 return _run_linearized(prep)
             return _run_picard(prep)
-    except (DepthError, FactorizationError, NonFiniteError) as exc:
+    except StopError as exc:
         print(f"terminated: {exc}", file=sys.stderr)
         return 1
 
@@ -520,7 +517,7 @@ def verify_suite(cfg: RunConfig) -> int:
             state = State(state.zeta - 2.0 / params.epsilon, state.u)
         try:
             op = assemble_T(compute_depth(state.zeta, bathymetry, params), bathymetry, params, grid)
-        except (DepthError, FactorizationError):
+        except StopError:
             return _report([_check("operator assembly succeeded", 0.0, BOUNDS["assembly"])])
         sym_worst = max(sym_worst, symmetry_defect(op))
         trial = np.random.default_rng(int(rng.integers(2**31)))
@@ -640,7 +637,7 @@ def main(argv=None) -> int:
         if args.command == "scenarios":
             width = max(len(name) for name in SCENARIOS)
             for name in sorted(SCENARIOS):
-                print(f"{name:<{width}}  {SCENARIOS[name].description}")
+                print(f"{name:<{width}}  {SCENARIOS[name]}")
             return 0
         if args.command == "dump-config":
             cfg = load_config(args.config) if args.config else RunConfig()

@@ -13,8 +13,16 @@ from functools import lru_cache
 import numpy as np
 
 
-class DepthError(Exception):
+class StopError(Exception):
+    """A condition that ends a run early; status is the outcome it ends with."""
+
+    status: str
+
+
+class DepthError(StopError):
     """Total water depth dropped below the admissibility floor h0."""
+
+    status = "blowup_depth"
 
     def __init__(self, min_value: float, location: int):
         self.min_value = float(min_value)
@@ -25,13 +33,14 @@ class DepthError(Exception):
         )
 
 
-class FactorizationError(Exception):
+class FactorizationError(StopError):
     """Cholesky factorization of the elliptic operator failed.
 
     The operator is positive definite whenever the depth condition holds,
-    so a factorization failure is reported together with the minimum depth;
-    a run ends it as a solver failure (status solver_failure).
+    so a factorization failure is reported together with the minimum depth.
     """
+
+    status = "solver_failure"
 
     def __init__(self, min_depth: float):
         self.min_depth = float(min_depth)
@@ -41,12 +50,14 @@ class FactorizationError(Exception):
         )
 
 
-class NonFiniteError(Exception):
+class NonFiniteError(StopError):
     """An array about to be handed to LAPACK holds an infinity or a NaN.
 
     Raised by the explicit finite checks of the elliptic assembly and
-    solve; a run treats it as a norm blow-up.
+    solve, and by run()'s check of each accepted state.
     """
+
+    status = "blowup_norm"
 
     def __init__(self, what: str, location: int):
         self.what = what

@@ -118,13 +118,6 @@ class ReferenceTrajectory:
             (1.0 - w) * self.us[j] + w * self.us[j + 1],
         )
 
-    def validate_depth(self, bathymetry: Bathymetry, params: Parameters) -> None:
-        """Every snapshot must itself be admissible; interpolants then are too."""
-        require_depth(compute_depth(self.zetas, bathymetry, params), params)
-
-    def max_speed(self, bathymetry: Bathymetry, params: Parameters) -> float:
-        return max_wave_speed(self.us, compute_depth(self.zetas, bathymetry, params), params)
-
 
 def solve_linear(
     ref: ReferenceTrajectory,
@@ -138,11 +131,14 @@ def solve_linear(
 ) -> ReferenceTrajectory:
     """March the linearized system with fixed uniform steps.
 
-    The step is chosen once from the reference coefficients (or passed
-    in), then rounded down so the span divides evenly; snapshots are
-    stored at every step so the result can serve as the next reference.
+    Raises DepthError unless every reference snapshot is admissible.  The
+    step is chosen once from the reference coefficients (or passed in),
+    then rounded down so the span divides evenly; snapshots are stored at
+    every step so the result can serve as the next reference.
     """
-    ref.validate_depth(bathymetry, params)
+    ref_h = compute_depth(ref.zetas, bathymetry, params)
+    # every snapshot must itself be admissible; interpolants then are too
+    require_depth(ref_h, params)
     t0 = ref.t0
     span = control.t_end - t0
     if span <= 0.0:
@@ -152,7 +148,7 @@ def solve_linear(
             f"reference trajectory ends at {ref.t1}, before t_end {control.t_end}"
         )
     if dt is None:
-        dt = control.step_for(ref.max_speed(bathymetry, params), grid.dx)
+        dt = control.step_for(max_wave_speed(ref.us, ref_h, params), grid.dx)
     m = max(1, math.ceil(span / dt - 1e-12))
     dt = span / m
 

@@ -1,17 +1,14 @@
 """Canonical initial conditions and bottom profiles.
 
-Each scenario builds a (State, Bathymetry) pair for a given grid and
-parameter set.  Profiles that decay (solitary wave, humps, bars) are
-placed by a wrapped coordinate so they respect the periodic seam; the
-solitary-wave builder refuses domains whose seam values are not
-negligible, since the profile is only an exact traveling solution on
-the whole line.
+build_scenario builds each scenario named in SCENARIOS as a (State,
+Bathymetry) pair for a given grid and parameter set.  Profiles that
+decay (solitary wave, humps, bars) are placed by a wrapped coordinate so
+they respect the periodic seam; the solitary-wave builder refuses
+domains whose seam values are not negligible, since the profile is only
+an exact traveling solution on the whole line.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -112,50 +109,11 @@ def rest_state(grid: Grid) -> State:
     return State(np.zeros(grid.n), np.zeros(grid.n))
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Initial-condition builder, registered in SCENARIOS under its command-line name."""
-
-    description: str
-    build: Callable[..., tuple[State, Bathymetry]]
-
-
-def _build_solitary(grid, params, amplitude, width, bar_height, bar_width, x0):
-    state = solitary_wave(amplitude, params, grid, x0=x0)
-    return state, Bathymetry.flat(grid)
-
-
-def _build_hump(grid, params, amplitude, width, bar_height, bar_width, x0):
-    return gaussian_hump(amplitude, width, grid, x0=x0), Bathymetry.flat(grid)
-
-
-def _build_hump_over_bar(grid, params, amplitude, width, bar_height, bar_width, x0):
-    center = 0.5 * grid.length if x0 is None else x0
-    state = gaussian_hump(amplitude, width, grid, x0=center)
-    return state, bar_bathymetry(bar_height, bar_width, grid, x0=center + 0.25 * grid.length)
-
-
-def _build_rest_over_bar(grid, params, amplitude, width, bar_height, bar_width, x0):
-    return rest_state(grid), bar_bathymetry(bar_height, bar_width, grid, x0=x0)
-
-
-SCENARIOS: dict[str, ScenarioSpec] = {
-    "solitary": ScenarioSpec(
-        "solitary wave over a flat bottom (exact traveling profile)",
-        _build_solitary,
-    ),
-    "hump": ScenarioSpec(
-        "resting Gaussian hump over a flat bottom",
-        _build_hump,
-    ),
-    "hump_over_bar": ScenarioSpec(
-        "resting Gaussian hump with a submerged Gaussian bar downstream",
-        _build_hump_over_bar,
-    ),
-    "rest_over_bar": ScenarioSpec(
-        "lake at rest over a submerged Gaussian bar (equilibrium)",
-        _build_rest_over_bar,
-    ),
+SCENARIOS: dict[str, str] = {
+    "solitary": "solitary wave over a flat bottom (exact traveling profile)",
+    "hump": "resting Gaussian hump over a flat bottom",
+    "hump_over_bar": "resting Gaussian hump with a submerged Gaussian bar downstream",
+    "rest_over_bar": "lake at rest over a submerged Gaussian bar (equilibrium)",
 }
 
 
@@ -172,4 +130,12 @@ def build_scenario(
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {name!r}; known scenarios: {known}")
-    return SCENARIOS[name].build(grid, params, amplitude, width, bar_height, bar_width, x0)
+    if name == "solitary":
+        return solitary_wave(amplitude, params, grid, x0=x0), Bathymetry.flat(grid)
+    if name == "hump":
+        return gaussian_hump(amplitude, width, grid, x0=x0), Bathymetry.flat(grid)
+    if name == "hump_over_bar":
+        center = 0.5 * grid.length if x0 is None else x0
+        state = gaussian_hump(amplitude, width, grid, x0=center)
+        return state, bar_bathymetry(bar_height, bar_width, grid, x0=center + 0.25 * grid.length)
+    return rest_state(grid), bar_bathymetry(bar_height, bar_width, grid, x0=x0)

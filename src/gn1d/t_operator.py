@@ -74,21 +74,13 @@ _GRAM_Q = read_only(np.concatenate([np.arange(p, 5) for p in range(5)]))
 _GRAM_BLOCKS = ((0, 5), (5, 9), (9, 12), (12, 14), (14, 15))
 
 
-def _factor_bands(
-    h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """The five bands of T1 as one (5, n) stack, rows at offsets -2..2, and T2's diagonal."""
-    a = (h / _SQRT3) * d1_fd(grid).bands
-    a[2] = -(_SQRT3 / 2.0) * params.epsilon * bathymetry.b_x
-    return a, (params.epsilon / 2.0) * bathymetry.b_x
-
-
 def build_factor_ops(
     h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> tuple[BandedOperator, np.ndarray]:
-    """First-order factors (T1 as a banded operator, T2 as a diagonal) of the operator."""
-    t1, t2_diag = _factor_bands(h, bathymetry, params, grid)
-    return BandedOperator(t1), t2_diag
+    """First-order factors: T1 over its (5, n) band stack (offsets -2..2), T2's diagonal."""
+    a = (h / _SQRT3) * d1_fd(grid).bands
+    a[2] = -(_SQRT3 / 2.0) * params.epsilon * bathymetry.b_x
+    return BandedOperator(a), (params.epsilon / 2.0) * bathymetry.b_x
 
 
 class TOperator:
@@ -176,7 +168,8 @@ def assemble_T(
     h = np.asarray(h, dtype=float)
     require_depth(h, params)
     n = grid.n
-    a, t2_diag = _factor_bands(h, bathymetry, params, grid)
+    t1, t2_diag = build_factor_ops(h, bathymetry, params, grid)
+    a = t1.bands
     terms = ((a * h)[_GRAM_P] * a[_GRAM_Q]).ravel()[_gram_shift_plan(n)]
 
     bands = np.zeros((9, n))

@@ -10,8 +10,8 @@ monitor trips.  Runs terminate early (with a labeled outcome, never an
 exception) when the depth drops below the floor, the factorization
 fails, or the solution norm blows up (a stage whose state or tendency
 overflows to a non-finite value counts as a norm blow-up).  Stage errors
-and tripped post-step monitors raise alike, and one handler turns each
-into its status; the outcome keeps the error's message as the reason.
+and tripped post-step monitors raise a StopError alike; one handler ends
+the run with the error's status and keeps its message as the reason.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import numpy as np
 
 from .core import (
     Bathymetry,
-    DepthError,
-    FactorizationError,
     Grid,
     NonFiniteError,
     Parameters,
     State,
+    StopError,
     compute_depth,
     require_depth,
 )
@@ -110,8 +109,10 @@ def rk4_step(
     return State(z + dz, u + du, t + dt)
 
 
-class _NormCeilingError(Exception):
+class _NormCeilingError(StopError):
     """The X^s norm of an accepted step exceeds the run's ceiling."""
+
+    status = "blowup_norm"
 
 
 @dataclass
@@ -127,14 +128,6 @@ class RunOutcome:
     @property
     def completed(self) -> bool:
         return self.status == "completed"
-
-
-_STOP_STATUS = {
-    DepthError: "blowup_depth",
-    FactorizationError: "solver_failure",
-    NonFiniteError: "blowup_norm",
-    _NormCeilingError: "blowup_norm",
-}
 
 
 def run(
@@ -178,7 +171,7 @@ def run(
                 raise _NormCeilingError(
                     f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}"
                 )
-        except tuple(_STOP_STATUS) as exc:
-            return RunOutcome(_STOP_STATUS[type(exc)], state, history, steps, str(exc))
+        except StopError as exc:
+            return RunOutcome(exc.status, state, history, steps, str(exc))
         on_state(steps, state)
     return RunOutcome("completed", state, history, steps)

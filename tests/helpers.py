@@ -43,12 +43,6 @@ def admissible_depth(grid: Grid, params: Parameters, seed: int) -> np.ndarray:
     return params.h0 * (1.02 + np.abs(rng.standard_normal(grid.n)))
 
 
-def state_from_depth(h: np.ndarray, bathymetry: Bathymetry, params: Parameters) -> State:
-    """Surface elevation that realizes a prescribed depth field."""
-    zeta = bathymetry.b + (h - 1.0) / params.epsilon
-    return State(zeta, np.zeros_like(zeta))
-
-
 def l2_diff(a: State, b: State, grid: Grid) -> float:
     return float(np.sqrt(np.sum((a.zeta - b.zeta) ** 2 + (a.u - b.u) ** 2) * grid.dx))
 
@@ -71,7 +65,7 @@ def reference_d1_bands(grid: Grid) -> dict:
     return {1: c1 * one, -1: -c1 * one, 2: -c2 * one, -2: c2 * one}
 
 
-def reference_factor_bands(h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid):
+def reference_t1_bands(h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid):
     """Bands of T1 written out one offset at a time."""
     bands = {o: (h / np.sqrt(3.0)) * c for o, c in reference_d1_bands(grid).items()}
     bands[0] = -(np.sqrt(3.0) / 2.0) * params.epsilon * bathymetry.b_x
@@ -114,7 +108,7 @@ def reference_assembly(h: np.ndarray, bathymetry: Bathymetry, params: Parameters
     order.  Returns (bands, ab, cho) with bands a dict keyed by offset.
     """
     n = grid.n
-    t1 = reference_factor_bands(h, bathymetry, params, grid)
+    t1 = reference_t1_bands(h, bathymetry, params, grid)
     t2_diag = (params.epsilon / 2.0) * bathymetry.b_x
     gram = _gram_bands(t1, h, n)
     bands = {d: params.mu * gram[d] for d in range(1, 5)}

@@ -49,6 +49,13 @@ def test_dump_config_round_trips_modified_values():
     assert parse_config(dump_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("value", ["out#1", " padded ", "a\nb"])
+def test_dump_config_refuses_a_string_that_would_not_parse_back(value):
+    # parse_config would cut the comment, strip the padding, or split the line
+    with pytest.raises(ConfigError, match="output_dir"):
+        dump_config(RunConfig(output_dir=value))
+
+
 def test_every_run_config_default_has_its_annotated_type():
     # parse_config reads the type of each key from its default
     hints = typing.get_type_hints(RunConfig)

@@ -189,26 +189,31 @@ def test_constant_trajectory_holds_the_state():
 def test_trajectory_depth_guard():
     grid = Grid(16, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.5)
+    control = StepControl(t_end=1.0)
     deep = State(np.zeros(grid.n), np.zeros(grid.n))
     shallow = State(np.full(grid.n, -1.5), np.zeros(grid.n), time=1.0)  # h = 0.25
     traj = ReferenceTrajectory.from_states([deep, shallow])
     with pytest.raises(DepthError):
-        traj.validate_depth(Bathymetry.flat(grid), params)
+        solve_linear(traj, deep, Bathymetry.flat(grid), params, grid, control)
     dip = np.zeros(grid.n)
     dip[5] = -1.5  # h = 0.25 at node 5 of the second snapshot only
     traj = ReferenceTrajectory.from_states([deep, State(dip, np.zeros(grid.n), time=1.0)])
     with pytest.raises(DepthError) as info:
-        traj.validate_depth(Bathymetry.flat(grid), params)
+        solve_linear(traj, deep, Bathymetry.flat(grid), params, grid, control)
     assert info.value.location == 5
     assert info.value.min_value == 0.25
 
 
 def test_trajectory_speed_at_rest():
+    """At rest the largest wave speed is sqrt(h) = 1, so the step is cfl dx."""
     grid = Grid(16, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.5)
+    control = StepControl(t_end=1.0, cfl=0.5)
     st = State(np.zeros(grid.n), np.zeros(grid.n))
-    traj = ReferenceTrajectory.constant(st, 1.0)
-    assert traj.max_speed(Bathymetry.flat(grid), params) == pytest.approx(1.0)
+    sol = solve_linear(
+        ReferenceTrajectory.constant(st, 1.0), st, Bathymetry.flat(grid), params, grid, control
+    )
+    assert sol.times.size == math.ceil(control.t_end / (control.cfl * grid.dx)) + 1
 
 
 def test_linearized_tendency_at_the_reference_is_the_nonlinear_one():

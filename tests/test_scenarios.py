@@ -156,8 +156,8 @@ def test_rest_state_is_zero():
 
 def test_scenario_registry_contents():
     assert set(SCENARIOS) == {"solitary", "hump", "hump_over_bar", "rest_over_bar"}
-    for scen in SCENARIOS.values():
-        assert scen.description
+    for description in SCENARIOS.values():
+        assert isinstance(description, str) and description
 
 
 def test_build_scenario_rejects_unknown_names():

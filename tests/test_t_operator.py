@@ -38,7 +38,7 @@ from helpers import (
     reference_assembly,
     reference_band_apply,
     reference_d1_bands,
-    reference_factor_bands,
+    reference_t1_bands,
 )
 
 
@@ -78,7 +78,7 @@ def test_stacked_assembly_equals_the_per_band_reference_bit_for_bit(n, bottom):
         _assert_bitwise_equal(op.cho, cho)
 
         t1, _ = build_factor_ops(h, bath, params, grid)
-        _assert_bitwise_equal(t1.bands, _dict_stack(reference_factor_bands(h, bath, params, grid), 2))
+        _assert_bitwise_equal(t1.bands, _dict_stack(reference_t1_bands(h, bath, params, grid), 2))
 
 
 @pytest.mark.parametrize("n", [8, 10, 64, 512])
@@ -94,7 +94,7 @@ def test_band_apply_equals_the_per_band_reference_bit_for_bit(n):
     t1, _ = build_factor_ops(h, bath, params, grid)
     pairs = [
         (op.banded, reference_assembly(h, bath, params, grid)[0]),
-        (t1, reference_factor_bands(h, bath, params, grid)),
+        (t1, reference_t1_bands(h, bath, params, grid)),
         (d1_fd(grid), reference_d1_bands(grid)),
     ]
     rng = np.random.default_rng(n)

@@ -10,7 +10,9 @@ calling would read 0 just as silently, so a tiny Picard solve, counted
 by the benchmark's own CallCounter, must reach every linear-path
 target (one solve plain, one mollified).  tools/output_digest.py must
 hash every output of a case.  The README's config table must list the
-RunConfig fields, in order, so the documented keys cannot drift.  No
+RunConfig fields, in order, and its scenario row every name in
+SCENARIOS, so the documented keys cannot drift.  Every StopError
+subclass must carry one of the statuses run() ends with.  No
 module of gn1d or of its tests may import a name it never uses, so a
 deletion cannot leave a stale import behind (checked with ast; no
 linter is needed).  Every bound of a guarantee is read through a name,
@@ -21,12 +23,14 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from gn1d import Bathymetry, Grid, Parameters, StepControl, gaussian_hump
+import gn1d
+from gn1d import SCENARIOS, Bathymetry, Grid, Parameters, StepControl, gaussian_hump
 from gn1d.cli import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,15 +99,39 @@ def test_a_picard_solve_calls_every_traced_linear_path_target():
     assert sorted(expected - called) == []
 
 
-def test_readme_config_table_lists_every_run_config_field_in_order():
+def _readme_config_rows() -> list[str]:
+    """The rows of the README's config table, in order."""
     lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     start = lines.index("| key | default | meaning |")
-    keys = []
+    rows = []
     for line in lines[start + 2:]:
         if not line.startswith("| `"):
             break
-        keys.append(line.split("`")[1])
+        rows.append(line)
+    return rows
+
+
+def test_readme_config_table_lists_every_run_config_field_in_order():
+    keys = [row.split("`")[1] for row in _readme_config_rows()]
     assert keys == [f.name for f in fields(RunConfig)]
+
+
+def test_readme_scenario_row_names_every_scenario():
+    row = next(row for row in _readme_config_rows() if row.startswith("| `scenario` |"))
+    meaning = row.split("|")[3]
+    assert sorted(re.findall(r"`([^`]+)`", meaning)) == sorted(SCENARIOS)
+
+
+def test_every_stop_error_carries_a_run_status():
+    # run() ends on any StopError with the status the error declares
+    statuses, pending = {}, gn1d.StopError.__subclasses__()
+    while pending:
+        cls = pending.pop()
+        pending += cls.__subclasses__()
+        statuses[cls.__qualname__] = getattr(cls, "status", None)
+    assert len(statuses) >= 4
+    allowed = {"blowup_depth", "blowup_norm", "solver_failure"}
+    assert {name: status for name, status in statuses.items() if status not in allowed} == {}
 
 
 def _unused_imports(path: Path) -> list[str]:

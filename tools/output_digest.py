@@ -33,14 +33,21 @@ _PICARD_BENCH = {
     "dt_max": 0.005, "t_end": 0.2, "x0": 47.5,
 }
 
+# an over-tall hump whose depth falls below the floor within t_end
+_TALL_HUMP = {
+    "scenario": "hump", "n": 64, "length": 20.0, "epsilon": 1.0, "amplitude": 2.0,
+    "width": 1.0, "h0": 0.95, "t_end": 5.0,
+}
+
 # name -> (command, config keys over the defaults); a run case always has a config
 CASES = {
     "default": ("run", {"t_end": 2.0, "snapshot_every": 0.7}),
     "solitary_bench": ("run", _SOLITARY_BENCH),
-    "hump_depth_loss": ("run", {
-        "scenario": "hump", "n": 64, "length": 20.0, "epsilon": 1.0, "amplitude": 2.0,
-        "width": 1.0, "h0": 0.95, "t_end": 5.0, "snapshot_every": 0.05,
-    }),
+    "hump_depth_loss": ("run", {**_TALL_HUMP, "snapshot_every": 0.05}),
+    # early stops of the picard and linearized modes: one stderr line, no timeseries.dat
+    "picard_depth_loss": ("run", {**_TALL_HUMP, "mode": "picard"}),
+    "linearized_reference_stop": ("run", {**_TALL_HUMP, "mode": "linearized"}),
+    "picard_overflow": ("run", {"amplitude": 1e200, "h0": 0.5, "t_end": 0.1, "mode": "picard"}),
     "norm_ceiling": ("run", {"blowup_factor": 1.0000001, "t_end": 1.0, "snapshot_every": 0.2}),
     "linearized": ("run", {"mode": "linearized", "t_end": 1.0, "mollifier_delta": 0.5}),
     "picard_bar": ("run", {
@@ -55,6 +62,7 @@ CASES = {
     }),
     "verify": ("verify", None),
     "verify_break_depth": ("verify", {"verify_break_depth": True}),
+    "scenarios": ("scenarios", None),
 }
 
 
