@@ -24,7 +24,6 @@ from .diagnostics import (
 from .gn_rhs import (
     CoefficientFields,
     FrozenState,
-    Tendency,
     apply_A,
     coefficient_fields,
     condensed_rhs,

@@ -5,7 +5,8 @@ are whitespace-separated text with 17 significant digits, so a rerun of
 the same config and seed reproduces every byte.
 
 Exit codes: 0 success, 1 blow-up or non-convergence, 2 configuration
-error, 3 verification failure.
+error (an input file that cannot be read or decoded as UTF-8, or an
+output file that cannot be written, included), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
 
@@ -187,7 +188,7 @@ def load_bathymetry(path: str, grid: Grid) -> Bathymetry:
                     rows.append((float(parts[0]), float(parts[1])))
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: non-numeric entry") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read bathymetry {path!r}: {exc}") from exc
 
     if len(rows) < 8:
@@ -233,14 +234,19 @@ _SNAPSHOT_HEADER = "# x zeta u b h"
 _SNAPSHOT_ROW = "%.17g %.17g %.17g %.17g %.17g\n"
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+
+
 def emit_timeseries(records: list[DiagnosticRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_TIMESERIES_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.t:.17g} {r.energy:.17g} {r.mass:.17g} "
-                f"{r.min_h:.17g} {r.xs:.17g} {r.es:.17g}\n"
-            )
+    _write_output(path, _TIMESERIES_HEADER + "\n" + "".join(
+        f"{r.t:.17g} {r.energy:.17g} {r.mass:.17g} {r.min_h:.17g} {r.xs:.17g} {r.es:.17g}\n"
+        for r in records
+    ))
 
 
 def emit_snapshot(
@@ -248,9 +254,9 @@ def emit_snapshot(
 ) -> None:
     h = compute_depth(state.zeta, bathymetry, params)
     rows = np.stack((grid.nodes(), state.zeta, state.u, bathymetry.b, h), axis=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_SNAPSHOT_HEADER + "\n")
-        fh.write((_SNAPSHOT_ROW * grid.n) % tuple(rows.ravel().tolist()))
+    _write_output(
+        path, _SNAPSHOT_HEADER + "\n" + (_SNAPSHOT_ROW * grid.n) % tuple(rows.ravel().tolist())
+    )
 
 
 def snapshot_path(output_dir: str, step: int) -> str:
@@ -395,7 +401,7 @@ def _emit_trajectory(prep: PreparedRun, sol: ReferenceTrajectory) -> list[Diagno
     """Write one diagnostic record per stored snapshot to timeseries.dat."""
     records = [
         record_for(
-            State(sol.zetas[j], sol.us[j], float(sol.times[j])),
+            State(*sol.fields[j], sol.times[j]),
             prep.bathymetry, prep.params, prep.grid, prep.cfg.s,
         )
         for j in range(sol.times.size)

@@ -25,11 +25,6 @@ from .grid_ops import d1_spectral
 from .t_operator import TOperator, assemble_T, solve_T
 
 
-class Tendency(NamedTuple):
-    dzeta: np.ndarray
-    du: np.ndarray
-
-
 def q_total(
     h: np.ndarray,
     u: np.ndarray,
@@ -100,8 +95,8 @@ def q1_apply(
 
 def nonlinear_rhs(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
-) -> Tendency:
-    """Tendency of the full nonlinear system at one state.
+) -> np.ndarray:
+    """The tendency of the full nonlinear system at one state, a (2, n) stack.
 
     Assembles and factorizes the dispersive operator for the current
     depth; propagates DepthError / FactorizationError / NonFiniteError to
@@ -113,7 +108,7 @@ def nonlinear_rhs(
     hux, zx, ux = d1_spectral(np.array((h * state.u, state.zeta, state.u)), grid)
     q = q_total(h, state.u, ux, bathymetry, params, grid)
     du = -eps * state.u * ux - solve_T(op, h * zx + eps * mu * h * q)
-    return Tendency(-hux, du)
+    return np.array((-hux, du))
 
 
 class FrozenState(NamedTuple):
@@ -141,9 +136,9 @@ def eval_B(coeff: FrozenState) -> tuple[np.ndarray, np.ndarray]:
     return coeff.fields.b1, solve_T(coeff.op, coeff.fields.q2)
 
 
-def condensed_tendency(coeff: FrozenState, zeta: np.ndarray, u: np.ndarray, cut=None) -> Tendency:
-    """-(J A[coeff] J U_x + B(coeff)) for U = (zeta, u) at the frozen
-    coefficient state coeff.
+def condensed_tendency(coeff: FrozenState, zu: np.ndarray, cut=None) -> np.ndarray:
+    """-(J A[coeff] J U_x + B(coeff)) for the (2, n) stack U = zu at the
+    frozen coefficient state coeff, as a (2, n) stack.
 
     J is the frequency cutoff that cut(f) applies (the identity when cut
     is None).  At coeff = U without cutoff this is the condensed form of
@@ -151,17 +146,16 @@ def condensed_tendency(coeff: FrozenState, zeta: np.ndarray, u: np.ndarray, cut=
     linearized system.
     """
     cut = cut or (lambda f: f)
-    v = cut(d1_spectral(np.array((zeta, u)), coeff.op.grid))
-    a1, a2 = apply_A(coeff, v)
+    a1, a2 = apply_A(coeff, cut(d1_spectral(zu, coeff.op.grid)))
     b1, b2 = eval_B(coeff)
-    return Tendency(-(cut(a1) + b1), -(cut(a2) + b2))
+    return -np.array((cut(a1) + b1, cut(a2) + b2))
 
 
 def condensed_rhs(
     state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
-) -> Tendency:
-    """Tendency evaluated through the condensed quasilinear form."""
+) -> np.ndarray:
+    """The tendency at one state through the condensed form, a (2, n) stack."""
     h = compute_depth(state.zeta, bathymetry, params)
     op = assemble_T(h, bathymetry, params, grid)
     frozen = FrozenState(op, coefficient_fields(h, state.u, bathymetry, params, grid))
-    return condensed_tendency(frozen, state.zeta, state.u)
+    return condensed_tendency(frozen, np.array((state.zeta, state.u)))

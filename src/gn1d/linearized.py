@@ -64,37 +64,29 @@ def mollify(f: np.ndarray, m: Mollifier, grid: Grid) -> np.ndarray:
 class ReferenceTrajectory:
     """Time-stamped snapshots with linear interpolation between them.
 
-    at(times) returns (zetas, us), two (len(times), n) stacks, one row per time.
+    fields is one (m, 2, n) stack, row j the pair (zeta, u) at times[j];
+    at(times) returns the (len(times), 2, n) stack of interpolants.
     """
 
-    def __init__(self, times: np.ndarray, zetas: np.ndarray, us: np.ndarray):
+    def __init__(self, times: np.ndarray, fields: np.ndarray):
         times = np.asarray(times, dtype=float)
-        zetas = np.asarray(zetas, dtype=float)
-        us = np.asarray(us, dtype=float)
+        fields = np.asarray(fields, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("a trajectory needs at least two snapshots")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("snapshot times must be strictly increasing")
-        if zetas.ndim != 2 or zetas.shape[0] != times.size or us.shape != zetas.shape:
-            raise ValueError(
-                f"snapshot arrays must be (m, n) alike, got {zetas.shape} and {us.shape}"
-            )
+        if fields.ndim != 3 or fields.shape[:2] != (times.size, 2):
+            raise ValueError(f"snapshots must be an (m, 2, n) stack, got {fields.shape}")
         self.times = times
-        self.zetas = zetas
-        self.us = us
+        self.fields = fields
 
     @classmethod
     def from_states(cls, states: list[State]) -> "ReferenceTrajectory":
-        return cls(
-            np.array([st.time for st in states]),
-            np.stack([st.zeta for st in states]),
-            np.stack([st.u for st in states]),
-        )
+        return cls([st.time for st in states], [(st.zeta, st.u) for st in states])
 
     @classmethod
     def constant(cls, state: State, t_end: float) -> "ReferenceTrajectory":
-        times = np.array([state.time, t_end])
-        return cls(times, np.stack([state.zeta] * 2), np.stack([state.u] * 2))
+        return cls([state.time, t_end], [(state.zeta, state.u)] * 2)
 
     @property
     def t0(self) -> float:
@@ -104,7 +96,7 @@ class ReferenceTrajectory:
     def t1(self) -> float:
         return float(self.times[-1])
 
-    def at(self, times) -> tuple[np.ndarray, np.ndarray]:
+    def at(self, times) -> np.ndarray:
         t = np.asarray(times, dtype=float)
         span = self.t1 - self.t0
         out = ~((t >= self.t0 - 1e-9 * span) & (t <= self.t1 + 1e-9 * span))
@@ -112,11 +104,8 @@ class ReferenceTrajectory:
             raise ValueError(f"time {t[out][0]} outside trajectory range [{self.t0}, {self.t1}]")
         t = np.clip(t, self.t0, self.t1)
         j = np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
-        w = ((t - self.times[j]) / (self.times[j + 1] - self.times[j]))[:, None]
-        return (
-            (1.0 - w) * self.zetas[j] + w * self.zetas[j + 1],
-            (1.0 - w) * self.us[j] + w * self.us[j + 1],
-        )
+        w = ((t - self.times[j]) / (self.times[j + 1] - self.times[j]))[:, None, None]
+        return (1.0 - w) * self.fields[j] + w * self.fields[j + 1]
 
 
 def solve_linear(
@@ -136,7 +125,7 @@ def solve_linear(
     then rounded down so the span divides evenly; snapshots are stored at
     every step so the result can serve as the next reference.
     """
-    ref_h = compute_depth(ref.zetas, bathymetry, params)
+    ref_h = compute_depth(ref.fields[:, 0], bathymetry, params)
     # every snapshot must itself be admissible; interpolants then are too
     require_depth(ref_h, params)
     t0 = ref.t0
@@ -148,12 +137,12 @@ def solve_linear(
             f"reference trajectory ends at {ref.t1}, before t_end {control.t_end}"
         )
     if dt is None:
-        dt = control.step_for(max_wave_speed(ref.us, ref_h, params), grid.dx)
+        dt = control.step_for(max_wave_speed(ref.fields[:, 1], ref_h, params), grid.dx)
     m = max(1, math.ceil(span / dt - 1e-12))
     dt = span / m
 
-    z, u = initial.zeta.copy(), initial.u.copy()
-    zetas, us = [z], [u]
+    zu = np.array((initial.zeta, initial.u))
+    fields = [zu]
     cut = None if mollifier is None else (lambda f: mollify(f, mollifier, grid))
     block = max(1, 2**17 // grid.n)  # steps per block: a stage stack holds about 2^18 values
 
@@ -166,9 +155,9 @@ def solve_linear(
         stage_times = np.stack((starts + 0.5 * dt, starts + dt), axis=1).ravel()
         if end is None:
             stage_times = np.append(t0, stage_times)
-        coeff_z, coeff_u = ref.at(stage_times)
-        coeff_h = compute_depth(coeff_z, bathymetry, params)
-        coeff_fields = coefficient_fields(coeff_h, coeff_u, bathymetry, params, grid)
+        coeff = ref.at(stage_times)
+        coeff_h = compute_depth(coeff[:, 0], bathymetry, params)
+        coeff_fields = coefficient_fields(coeff_h, coeff[:, 1], bathymetry, params, grid)
         frozen = (
             FrozenState(assemble_T(h, bathymetry, params, grid), coeff_fields.row(i))
             for i, h in enumerate(coeff_h)
@@ -178,17 +167,14 @@ def solve_linear(
         for mid, stop in zip(frozen, frozen):  # two rows per step, built as the step reaches them
             states = (end, mid, stop)  # at offsets 0, 1/2, 1
 
-            def tendency(c, stage_z, stage_u):
-                return condensed_tendency(states[int(2 * c)], stage_z, stage_u, cut)
+            def tendency(c, y):
+                return condensed_tendency(states[int(2 * c)], y, cut)
 
-            dz, du = _rk4(z, u, dt, grid, tendency)
-            z = z + dz
-            u = u + du
-            zetas.append(z)
-            us.append(u)
+            zu = zu + _rk4(zu, dt, grid, tendency)
+            fields.append(zu)
             end = stop
     times = t0 + dt * np.arange(m + 1)
-    return ReferenceTrajectory(times, np.stack(zetas), np.stack(us))
+    return ReferenceTrajectory(times, fields)
 
 
 @dataclass
@@ -225,12 +211,12 @@ def picard_solve(
         sol = solve_linear(
             ref, initial, bathymetry, params, grid, control, mollifier, dt=dt
         )
-        prev_z, prev_u = ref.at(sol.times)
-        prev_h = compute_depth(prev_z, bathymetry, params)
+        prev = ref.at(sol.times)
+        prev_h = compute_depth(prev[:, 0], bathymetry, params)
         # np.max carries a NaN norm through, so a NaN gap never converges
         gap = float(np.max([
-            es_norm(State(dz, du), h, bathymetry, params, grid, s)
-            for dz, du, h in zip(sol.zetas - prev_z, sol.us - prev_u, prev_h)
+            es_norm(State(*d), h, bathymetry, params, grid, s)
+            for d, h in zip(sol.fields - prev, prev_h)
         ]))
         gaps.append(gap)
         ref = sol

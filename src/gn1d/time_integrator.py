@@ -77,18 +77,16 @@ def cfl_dt(
     return control.step_for(max_wave_speed(state.u, h, params), grid.dx)
 
 
-def _rk4(z: np.ndarray, u: np.ndarray, dt: float, grid: Grid, tendency):
-    """Increments (dz, du) of one classical Runge-Kutta step.
+def _rk4(zu: np.ndarray, dt: float, grid: Grid, tendency) -> np.ndarray:
+    """Increment of one classical Runge-Kutta step of the (2, n) stack zu.
 
-    tendency(c, z, u) is evaluated at stage time t + c dt, and each stage
-    tendency is truncated to the alias-free band.  The pair (z, u) is
-    carried as one (2, n) stack, so each stage dealiases both fields in one
-    transform pair; the increments are the two rows of the result.
+    tendency(c, y) is evaluated at stage time t + c dt on the stage stack
+    y and returns a (2, n) stack, which is truncated to the alias-free band
+    (both fields in one transform pair).
     """
-    def stage(c, stage_zu):
-        return dealias(np.array(tendency(c, *stage_zu)), grid)
+    def stage(c, y):
+        return dealias(tendency(c, y), grid)
 
-    zu = np.array((z, u))
     k1 = stage(0.0, zu)
     k2 = stage(0.5, zu + 0.5 * dt * k1)
     k3 = stage(0.5, zu + 0.5 * dt * k2)
@@ -100,13 +98,13 @@ def rk4_step(
     state: State, dt: float, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> State:
     """One classical Runge-Kutta step; raises on depth or factorization loss."""
-    z, u, t = state.zeta, state.u, state.time
+    t = state.time
 
-    def tendency(c, stage_z, stage_u):
-        return nonlinear_rhs(State(stage_z, stage_u, t + c * dt), bathymetry, params, grid)
+    def tendency(c, y):
+        return nonlinear_rhs(State(*y, t + c * dt), bathymetry, params, grid)
 
-    dz, du = _rk4(z, u, dt, grid, tendency)
-    return State(z + dz, u + du, t + dt)
+    zu = np.array((state.zeta, state.u))
+    return State(*(zu + _rk4(zu, dt, grid, tendency)), t + dt)
 
 
 class _NormCeilingError(StopError):

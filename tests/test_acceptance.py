@@ -233,7 +233,7 @@ def test_07_picard_convergence():
     ratios = [result.gaps[i] / result.gaps[i - 1] for i in range(1, len(result.gaps))]
     direct = run(wave, bath, params, grid, control)
     assert direct.completed, direct.status
-    limit = State(result.trajectory.zetas[-1], result.trajectory.us[-1])
+    limit = State(*result.trajectory.fields[-1])
     gap = State(
         limit.zeta - direct.final_state.zeta, limit.u - direct.final_state.u
     )
@@ -275,12 +275,12 @@ def _envelope_fit(n: int):
     # forcing vanishes, so the fitted source constant is exactly 0
     zero = State(np.zeros(grid.n), np.zeros(grid.n))
     sol_0 = solve_linear(ref, zero, bath, params, grid, control)
-    forcing = max(float(np.max(np.abs(sol_0.zetas))), float(np.max(np.abs(sol_0.us))))
+    forcing = float(np.max(np.abs(sol_0.fields)))
 
-    h_ref = compute_depth(ref.at(sol_a.times)[0], bath, params)
+    h_ref = compute_depth(ref.at(sol_a.times)[:, 0], bath, params)
     e = np.array([
-        es_norm(State(dz, du), h, bath, params, grid, 2.0) ** 2
-        for dz, du, h in zip(sol_a.zetas - sol_b.zetas, sol_a.us - sol_b.us, h_ref)
+        es_norm(State(*d), h, bath, params, grid, 2.0) ** 2
+        for d, h in zip(sol_a.fields - sol_b.fields, h_ref)
     ])
     x = params.epsilon * (np.asarray(sol_a.times) - sol_a.times[0])
     y = np.log(e / e[0])
@@ -358,7 +358,7 @@ def test_09_mollifier_properties():
             tol=1e-10, mollifier=Mollifier.for_grid(delta, pg),
         )
         assert res.converged, res.gaps
-        finals.append(State(res.trajectory.zetas[-1], res.trajectory.us[-1]))
+        finals.append(State(*res.trajectory.fields[-1]))
     ladder = [
         xs_norm(State(b.zeta - a.zeta, b.u - a.u), params, pg, 2.0)
         for a, b in zip(finals, finals[1:])

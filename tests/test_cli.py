@@ -432,6 +432,47 @@ def test_main_run_reports_an_unusable_output_dir_as_a_config_error(tmp_path, cap
     assert blocker.read_text(encoding="utf-8") == "a regular file\n"
 
 
+@pytest.mark.parametrize(
+    "mode, name",
+    [
+        ("nonlinear", "timeseries.dat"),
+        ("nonlinear", "snap_000000.dat"),
+        ("linearized", "timeseries.dat"),
+        ("picard", "timeseries.dat"),
+    ],
+)
+def test_main_run_reports_an_unwritable_output_file_as_a_config_error(tmp_path, capsys, mode, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, scenario="hump", mode=mode, n=64, epsilon=0.2, amplitude=0.2, t_end=0.02,
+        dt_max=0.01, snapshot_every=0.01 if mode == "nonlinear" else 0.0, output_dir=str(out),
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {str(out / name)!r}")
+
+
+@pytest.mark.parametrize("which", ["config", "bathymetry"])
+def test_main_reports_an_input_file_that_is_not_utf8_as_a_config_error(tmp_path, capsys, which):
+    bath_path = tmp_path / "bath.dat"
+    xs = np.arange(16) * 2.0 * math.pi / 16
+    _write_samples(bath_path, xs, 0.1 * np.cos(xs))
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, scenario="hump", bathymetry_file=str(bath_path), n=64, length=2.0 * math.pi,
+        epsilon=0.2, amplitude=0.2, output_dir=str(tmp_path / "out"),
+    )
+    path = cfg_path if which == "config" else bath_path
+    path.write_bytes(path.read_bytes() + (b"# caf\xe9\n" if which == "config" else b"\xff 0\n"))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {which} {str(path)!r}")
+    assert "can't decode byte" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_run_picard_rejects_an_infinite_cutoff_scale_as_a_config_error(tmp_path, capsys):
     # an infinite scale would turn the cutoff symbol into NaN and end the
     # march at its first solve; it is refused before any work

@@ -122,30 +122,30 @@ def test_mollifier_keeps_sup_norm_controlled():
 
 
 def test_trajectory_validation():
-    z = np.zeros((2, 8))
+    z = np.zeros((2, 2, 8))
     with pytest.raises(ValueError):
-        ReferenceTrajectory(np.array([0.0]), z[:1], z[:1])
+        ReferenceTrajectory(np.array([0.0]), z[:1])
     with pytest.raises(ValueError):
-        ReferenceTrajectory(np.array([0.0, 0.0]), z, z)
+        ReferenceTrajectory(np.array([0.0, 0.0]), z)
     with pytest.raises(ValueError):
-        ReferenceTrajectory(np.array([1.0, 0.5]), z, z)
+        ReferenceTrajectory(np.array([1.0, 0.5]), z)
     with pytest.raises(ValueError):
-        ReferenceTrajectory(np.array([0.0, 1.0]), z, np.zeros((3, 8)))
-    for zetas, us in ((z, np.zeros(8)), (np.zeros(2), np.zeros(2))):
-        with pytest.raises(ValueError, match="snapshot arrays"):
-            ReferenceTrajectory(np.array([0.0, 1.0]), zetas, us)
+        ReferenceTrajectory(np.array([0.0, 1.0]), np.zeros((3, 2, 8)))
+    for fields in (np.zeros((2, 8)), np.zeros((2, 3, 8))):
+        with pytest.raises(ValueError, match=r"\(m, 2, n\) stack"):
+            ReferenceTrajectory(np.array([0.0, 1.0]), fields)
 
 
 def test_trajectory_interpolates_linearly():
     n = 8
     za = np.zeros(n)
     zb = np.ones(n)
-    traj = ReferenceTrajectory(np.array([0.0, 2.0]), np.stack([za, zb]), np.stack([zb, za]))
-    zetas, us = traj.at([0.5])
-    assert np.allclose(zetas[0], 0.25, atol=1e-15)
-    assert np.allclose(us[0], 0.75, atol=1e-15)
-    zetas, us = traj.at([2.0])
-    assert np.array_equal(zetas[0], zb) and np.array_equal(us[0], za)
+    traj = ReferenceTrajectory(np.array([0.0, 2.0]), [(za, zb), (zb, za)])
+    (zeta, u), = traj.at([0.5])
+    assert np.allclose(zeta, 0.25, atol=1e-15)
+    assert np.allclose(u, 0.75, atol=1e-15)
+    (zeta, u), = traj.at([2.0])
+    assert np.array_equal(zeta, zb) and np.array_equal(u, za)
     with pytest.raises(ValueError):
         traj.at([2.5])
 
@@ -153,7 +153,7 @@ def test_trajectory_interpolates_linearly():
 def test_trajectory_stack_equals_the_single_time_calls():
     rng = np.random.default_rng(21)
     times = np.cumsum(rng.uniform(0.1, 1.0, 6))
-    traj = ReferenceTrajectory(times, rng.standard_normal((6, 16)), rng.standard_normal((6, 16)))
+    traj = ReferenceTrajectory(times, rng.standard_normal((6, 2, 16)))
     # interior, snapshot and end times, the roundoff margins past either end
     # (clamped), and an unsorted order
     span = times[-1] - times[0]
@@ -161,17 +161,15 @@ def test_trajectory_stack_equals_the_single_time_calls():
         (rng.uniform(times[0], times[-1], 9), times,
          [times[0] - 1e-10 * span, times[-1] + 1e-10 * span])
     )[::-1]
-    zetas, us = traj.at(queries)
-    assert zetas.shape == us.shape == (queries.size, 16)
+    zus = traj.at(queries)
+    assert zus.shape == (queries.size, 2, 16)
     for i, t in enumerate(queries):
-        z1, u1 = traj.at([t])
-        assert np.array_equal(zetas[i], z1[0]) and np.array_equal(us[i], u1[0])
+        assert np.array_equal(zus[i], traj.at([t])[0])
         # the scalar interpolation, one time at a time, as the reference
         t = min(max(float(t), traj.t0), traj.t1)
         j = min(int(np.searchsorted(times, t, side="right") - 1), times.size - 2)
         w = (t - times[j]) / (times[j + 1] - times[j])
-        assert np.array_equal(zetas[i], (1.0 - w) * traj.zetas[j] + w * traj.zetas[j + 1])
-        assert np.array_equal(us[i], (1.0 - w) * traj.us[j] + w * traj.us[j + 1])
+        assert np.array_equal(zus[i], (1.0 - w) * traj.fields[j] + w * traj.fields[j + 1])
     for bad in ([times[0] - 1e-6 * span], [times[1], times[-1] + 1e-6 * span], [np.nan]):
         with pytest.raises(ValueError, match="outside trajectory range"):
             traj.at(bad)
@@ -180,8 +178,7 @@ def test_trajectory_stack_equals_the_single_time_calls():
 def test_constant_trajectory_holds_the_state():
     st = State(np.full(8, 0.3), np.full(8, -0.1), time=1.0)
     traj = ReferenceTrajectory.constant(st, 4.0)
-    zetas, us = traj.at([1.0, 2.5, 4.0])
-    for zeta, u in zip(zetas, us):
+    for zeta, u in traj.at([1.0, 2.5, 4.0]):
         assert np.array_equal(zeta, st.zeta)
         assert np.array_equal(u, st.u)
 
@@ -222,15 +219,15 @@ def test_linearized_tendency_at_the_reference_is_the_nonlinear_one():
     bath = bumpy_bathymetry(grid)
     st = random_state(grid, 33, kc=24)
     ref = ReferenceTrajectory.constant(st, 1.0)
-    zetas, us = ref.at([0.0])
-    h = compute_depth(zetas[0], bath, params)
+    (zeta, u), = ref.at([0.0])
+    h = compute_depth(zeta, bath, params)
     frozen = FrozenState(
-        assemble_T(h, bath, params, grid), coefficient_fields(h, us[0], bath, params, grid)
+        assemble_T(h, bath, params, grid), coefficient_fields(h, u, bath, params, grid)
     )
-    lin = condensed_tendency(frozen, st.zeta, st.u)
+    lin = condensed_tendency(frozen, np.array((st.zeta, st.u)))
     cond = condensed_rhs(st, bath, params, grid)
-    assert np.array_equal(lin.dzeta, cond.dzeta)
-    assert np.array_equal(lin.du, cond.du)
+    assert np.array_equal(lin[0], cond[0])
+    assert np.array_equal(lin[1], cond[1])
 
 
 def test_linearization_about_rest_recovers_dispersive_waves():
@@ -247,8 +244,7 @@ def test_linearization_about_rest_recovers_dispersive_waves():
     ref = ReferenceTrajectory.constant(State(np.zeros(grid.n), np.zeros(grid.n)), period)
     ic = State(np.cos(k * x), (omega / k) * np.cos(k * x))
     out = solve_linear(ref, ic, flat, params, grid, StepControl(t_end=period), dt=period / 400)
-    zetas, us = out.at([period])
-    assert l2_diff(State(zetas[0], us[0]), ic, grid) <= 1e-6
+    assert l2_diff(State(*out.at([period])[0]), ic, grid) <= 1e-6
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -376,8 +372,8 @@ def test_fixed_point_iteration_converges_to_the_nonlinear_flow():
     assert result.iterations < 20
     assert all(b < a for a, b in zip(result.gaps, result.gaps[1:]))
     direct = run(hump, flat, params, grid, control)
-    zetas, us = result.trajectory.at([0.1])
-    gap = State(zetas[0] - direct.final_state.zeta, us[0] - direct.final_state.u)
+    (zeta, u), = result.trajectory.at([0.1])
+    gap = State(zeta - direct.final_state.zeta, u - direct.final_state.u)
     assert xs_norm(gap, params, grid, s=2.0) <= 1e-5 * xs_norm(direct.final_state, params, grid, s=2.0)
 
 

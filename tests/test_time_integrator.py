@@ -188,7 +188,8 @@ def test_rk4_kernel_integrates_a_cubic_in_time_exactly():
     def integral(t):
         return t - t**2 + t**3 + t**4
 
-    dz, du = _rk4(one, one, dt, grid, lambda c, z, u: (p(t0 + c * dt) * one, -p(t0 + c * dt) * one))
+    pair = np.array((one, -one))
+    dz, du = _rk4(np.array((one, one)), dt, grid, lambda c, y: p(t0 + c * dt) * pair)
     exact = integral(t0 + dt) - integral(t0)
     assert np.allclose(dz, exact, rtol=1e-14, atol=0.0)
     assert np.allclose(du, -exact, rtol=1e-14, atol=0.0)
@@ -200,7 +201,7 @@ def test_rk4_kernel_matches_the_taylor_polynomial_on_linear_decay():
     grid = Grid(16, 1.0)
     lam, dt = -1.3, 0.2
     z = np.full(grid.n, 2.0)
-    dz, du = _rk4(z, z, dt, grid, lambda c, zs, us: (lam * zs, 0.0 * us))
+    dz, du = _rk4(np.array((z, z)), dt, grid, lambda c, y: np.array((lam * y[0], 0.0 * y[1])))
     x = lam * dt
     assert np.allclose(z + dz, 2.0 * (1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24), rtol=1e-14, atol=0.0)
     assert np.array_equal(du, np.zeros(grid.n))

@@ -5,10 +5,13 @@ perfbench/worker.py lists (module, public name, span label) triples that
 its tracer wraps.  The tracer reports a name that has gone as null rather
 than failing, so a rename would silently blind the per-layer metrics;
 this test makes it fail here instead.  The lists are read with ast, so
-the worker is never imported.  A target that the picard workload stops
+that check does not import the worker.  A target that the picard workload stops
 calling would read 0 just as silently, so a tiny Picard solve, counted
 by the benchmark's own CallCounter, must reach every linear-path
-target (one solve plain, one mollified).  tools/output_digest.py must
+target (one solve plain, one mollified).  A tiny run of each benchmark
+workload, counted the same way, must keep worker.cross_check's exact
+count rules, so a count break fails here and not only in a benchmark
+run.  tools/output_digest.py must
 hash every output of a case.  The README's config table must list the
 RunConfig fields, in order, and its scenario row every name in
 SCENARIOS, so the documented keys cannot drift.  Every StopError
@@ -24,12 +27,15 @@ import hashlib
 import importlib
 import importlib.util
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gn1d
+import gn1d.cli
 from gn1d import SCENARIOS, Bathymetry, Grid, Parameters, StepControl, gaussian_hump
 from gn1d.cli import RunConfig
 
@@ -97,6 +103,52 @@ def test_a_picard_solve_calls_every_traced_linear_path_target():
     called = {labels[label] for label, calls in counter.counts.items() if calls > 0}
     assert counter.missing == set()
     assert sorted(expected - called) == []
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """perfbench/worker.py, loaded as it is; the sibling modules it imports
+    through its own sys.path entry are dropped again afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in {"reference", "tracer", "workloads"} - before:
+        sys.modules.pop(name, None)
+
+
+# tiny runs of the benchmark's workloads: config keys over the workload's own
+TINY_WORKLOADS = {
+    "solitary": {"n": 128, "length": 60.0, "t_end": 0.5},
+    "picard": {
+        "n": 128, "length": 120.0, "amplitude": 0.1, "h0": 0.4, "dt_max": 0.005, "t_end": 0.03,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TINY_WORKLOADS))
+def test_a_tiny_benchmark_run_keeps_the_exact_count_rules(tmp_path, capsys, worker, workload):
+    workloads = sys.modules[worker.check.__module__]
+    cfg = {**getattr(workloads, workload.upper()), **TINY_WORKLOADS[workload]}
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "".join(f"{k} = {v}\n" for k, v in {**cfg, "output_dir": out}.items()), encoding="utf-8"
+    )
+    # TARGETS alone: STEP_COUNTER repeats rk4_step, so adding it counts each step twice
+    counter = worker.CallCounter(worker.TARGETS)
+    try:
+        code = gn1d.cli.main(["run", "--config", str(cfg_path)])
+    finally:
+        counter.restore()
+    res = worker.check(workload, code, capsys.readouterr().out, str(out), cfg["t_end"])
+    assert res["ok"], res
+    assert counter.missing == set()
+    assert counter.counts["t_operator.assemble"] > 0
+    summary = {label: {"calls": calls} for label, calls in counter.counts.items()}
+    assert worker.cross_check(workload, res, summary, counter.missing) == []
 
 
 def _readme_config_rows() -> list[str]:

@@ -54,6 +54,10 @@ CASES = {
         "scenario": "hump_over_bar", "mode": "picard", "t_end": 0.3, "mollifier_delta": 0.5,
     }),
     "picard_bench": ("run", _PICARD_BENCH),
+    # the nonlinear and the linearized march over a bar, where the b_x and
+    # b_xx terms of q_total and coefficient_fields are nonzero outside picard
+    "nonlinear_bar": ("run", {"scenario": "hump_over_bar", "t_end": 1.0, "snapshot_every": 0.5}),
+    "linearized_bar": ("run", {"scenario": "hump_over_bar", "mode": "linearized", "t_end": 0.5}),
     # a domain long against the dispersive length: the factor of T holds
     # subnormal entries, so band storage, factor and apply meet them
     "long_domain": ("run", {
