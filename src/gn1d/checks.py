@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bathymetry, Grid, Parameters, State, compute_depth
+from .core import Bathymetry, Grid, Parameters, compute_depth
 from .diagnostics import SWEEP_EPSILONS, SWEEP_H0, SWEEP_MUS, SWEEP_S, DiagnosticRecord
 from .gn_rhs import coefficient_fields, condensed_rhs, nonlinear_rhs, q1_apply, q_total
 from .grid_ops import d1_fd, d1_spectral, hs_norm, inner_product, lambda_s
@@ -151,22 +151,24 @@ def inverse_bound_spreads(
     return worst1, worst2
 
 
-def source_defect(state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid) -> float:
+def source_defect(zu: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid) -> float:
     """Relative defect of the split source Q1[U] u_x + q2(U) against eps mu h Q(u)."""
-    h = compute_depth(state.zeta, bathymetry, params)
-    ux = d1_spectral(state.u, grid)
-    whole = params.epsilon * params.mu * h * q_total(h, state.u, ux, bathymetry, params, grid)
-    fields = coefficient_fields(h, state.u, bathymetry, params, grid)
+    zeta, u = zu
+    h = compute_depth(zeta, bathymetry, params)
+    ux = d1_spectral(u, grid)
+    whole = params.epsilon * params.mu * h * q_total(h, u, ux, bathymetry, params, grid)
+    fields = coefficient_fields(h, u, bathymetry, params, grid)
     split = q1_apply(fields, ux, params, grid) + fields.q2
     return float(np.linalg.norm(split - whole) / np.linalg.norm(whole))
 
 
-def formulation_gap(state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid) -> float:
-    """Relative gap between the direct and the condensed tendency at one state."""
-    dz1, du1 = nonlinear_rhs(state, bathymetry, params, grid)
-    dz2, du2 = condensed_rhs(state, bathymetry, params, grid)
-    scale = np.linalg.norm(np.concatenate([dz1, du1]))
-    return float(np.linalg.norm(np.concatenate([dz1 - dz2, du1 - du2])) / scale)
+def formulation_gap(
+    zu: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
+) -> float:
+    """Relative gap between the direct and the condensed tendency at the state zu."""
+    direct = nonlinear_rhs(zu, bathymetry, params, grid)
+    gap = direct - condensed_rhs(zu, bathymetry, params, grid)
+    return float(np.linalg.norm(gap) / np.linalg.norm(direct))
 
 
 def mollifier_adjoint_defect(f: np.ndarray, g: np.ndarray, mol: Mollifier, grid: Grid) -> float:

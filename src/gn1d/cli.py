@@ -263,6 +263,10 @@ def snapshot_path(output_dir: str, step: int) -> str:
     return os.path.join(output_dir, f"snap_{step:06d}.dat")
 
 
+def timeseries_path(output_dir: str) -> str:
+    return os.path.join(output_dir, "timeseries.dat")
+
+
 @dataclass(frozen=True)
 class PreparedRun:
     cfg: RunConfig
@@ -304,10 +308,11 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
             cfg.scenario, grid, probe, cfg.amplitude, cfg.width,
             cfg.bar_height, cfg.bar_width, None if cfg.x0 < 0.0 else cfg.x0,
         )
-    except ValueError as exc:
+        if cfg.bathymetry_file:
+            bathymetry = load_bathymetry(cfg.bathymetry_file, grid)
+    # a grid too large to allocate is refused by numpy before it touches memory
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.bathymetry_file:
-        bathymetry = load_bathymetry(cfg.bathymetry_file, grid)
 
     min_h = float(compute_depth(state.zeta, bathymetry, probe).min())
     if cfg.h0 > 0.0:
@@ -325,8 +330,8 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
     # an s is at fault when its norm is not finite but the X^0 norm is;
     # a state too large for any norm is left to the run's labeled outcome
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = xs_norm(state, params, grid, cfg.s)
-        if not math.isfinite(xs) and math.isfinite(xs_norm(state, params, grid, 0.0)):
+        xs = xs_norm(state.zu, params, grid, cfg.s)
+        if not math.isfinite(xs) and math.isfinite(xs_norm(state.zu, params, grid, 0.0)):
             raise ConfigError(f"s = {cfg.s:g} gives the initial state a non-finite X^s norm ({xs})")
     # run() ends within end_tolerance of t_end, so a shorter first step
     # would march without end
@@ -365,7 +370,7 @@ def _run_nonlinear(prep: PreparedRun) -> int:
     )
     if cfg.snapshot_every > 0.0 and outcome.completed and last_snap != outcome.steps:
         snapshot(outcome.steps, outcome.final_state)
-    emit_timeseries(outcome.history, os.path.join(cfg.output_dir, "timeseries.dat"))
+    emit_timeseries(outcome.history, timeseries_path(cfg.output_dir))
     last = outcome.history[-1]
     print(
         f"{outcome.status}: t = {last.t:.6g}, steps = {outcome.steps}, "
@@ -400,13 +405,10 @@ def _mollifier(prep: PreparedRun) -> Mollifier | None:
 def _emit_trajectory(prep: PreparedRun, sol: ReferenceTrajectory) -> list[DiagnosticRecord]:
     """Write one diagnostic record per stored snapshot to timeseries.dat."""
     records = [
-        record_for(
-            State(*sol.fields[j], sol.times[j]),
-            prep.bathymetry, prep.params, prep.grid, prep.cfg.s,
-        )
-        for j in range(sol.times.size)
+        record_for(State(zu, t), prep.bathymetry, prep.params, prep.grid, prep.cfg.s)
+        for zu, t in zip(sol.fields, sol.times)
     ]
-    emit_timeseries(records, os.path.join(prep.cfg.output_dir, "timeseries.dat"))
+    emit_timeseries(records, timeseries_path(prep.cfg.output_dir))
     return records
 
 
@@ -449,6 +451,10 @@ def command_run(cfg: RunConfig) -> int:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.output_dir!r}: {exc}") from exc
+    # every mode writes timeseries.dat last: refuse an unwritable one before the march
+    path = timeseries_path(cfg.output_dir)
+    if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ConfigError(f"cannot write output {path!r}: it is a directory or not writable")
     # an overflowing state is reported by the finite checks and monitors;
     # numpy's warnings on the way there would only precede that message
     try:
@@ -485,7 +491,7 @@ def _report(checks: list[tuple]) -> int:
 
 
 def _verify_state(rng, grid, bathymetry, params):
-    """Random band-limited admissible state over the given bottom."""
+    """Random band-limited admissible state over the given bottom, a (2, n) stack."""
     k = grid.wavenumbers()
     k_cut = k.max() / 5.0
     def field(scale):
@@ -499,7 +505,7 @@ def _verify_state(rng, grid, bathymetry, params):
     lift = params.h0 * 1.5 - h.min()
     if lift > 0.0:
         zeta = zeta + lift / params.epsilon
-    return State(zeta, field(0.3))
+    return np.array((zeta, field(0.3)))
 
 
 def verify_suite(cfg: RunConfig) -> int:
@@ -518,11 +524,11 @@ def verify_suite(cfg: RunConfig) -> int:
     sym_worst = res_worst = round_worst = 0.0
     coer_margin = np.inf
     for _ in range(6):
-        state = _verify_state(rng, grid, bathymetry, params)
+        zu = _verify_state(rng, grid, bathymetry, params)
         if cfg.verify_break_depth:
-            state = State(state.zeta - 2.0 / params.epsilon, state.u)
+            zu[0] -= 2.0 / params.epsilon
         try:
-            op = assemble_T(compute_depth(state.zeta, bathymetry, params), bathymetry, params, grid)
+            op = assemble_T(compute_depth(zu[0], bathymetry, params), bathymetry, params, grid)
         except StopError:
             return _report([_check("operator assembly succeeded", 0.0, BOUNDS["assembly"])])
         sym_worst = max(sym_worst, symmetry_defect(op))
@@ -535,8 +541,7 @@ def verify_suite(cfg: RunConfig) -> int:
     # energy identity: assembled quadratic form vs factorized evaluation
     ident_worst = 0.0
     for _ in range(4):
-        state = _verify_state(rng, grid, bathymetry, params)
-        h = compute_depth(state.zeta, bathymetry, params)
+        h = compute_depth(_verify_state(rng, grid, bathymetry, params)[0], bathymetry, params)
         op = assemble_T(h, bathymetry, params, grid)
         w = rng.standard_normal(grid.n)
         quad = inner_product(apply_T(op, w), w, grid)
@@ -546,9 +551,9 @@ def verify_suite(cfg: RunConfig) -> int:
     # source decomposition and formulation equivalence on band-limited states
     dec_worst = equiv_worst = 0.0
     for _ in range(6):
-        state = _verify_state(rng, grid, bathymetry, params)
-        dec_worst = max(dec_worst, source_defect(state, bathymetry, params, grid))
-        equiv_worst = max(equiv_worst, formulation_gap(state, bathymetry, params, grid))
+        zu = _verify_state(rng, grid, bathymetry, params)
+        dec_worst = max(dec_worst, source_defect(zu, bathymetry, params, grid))
+        equiv_worst = max(equiv_worst, formulation_gap(zu, bathymetry, params, grid))
 
     # cutoff operator: smoothing-commutation and self-adjointness
     mol = Mollifier.for_grid(4.0 / grid.wavenumbers().max(), grid)
@@ -560,20 +565,18 @@ def verify_suite(cfg: RunConfig) -> int:
         adj_worst = max(adj_worst, mollifier_adjoint_defect(f, g, mol, grid))
 
     # parameter sweeps: inverse bounds and norm equivalence
-    sweep_depths = []
-    for _ in range(2):
-        st = _verify_state(rng, grid, bathymetry, params)
-        sweep_depths.append(compute_depth(st.zeta, bathymetry, params))
+    sweep_depths = [
+        compute_depth(_verify_state(rng, grid, bathymetry, params)[0], bathymetry, params)
+        for _ in range(2)
+    ]
     spread1, spread2 = inverse_bound_spreads(
         sweep_depths, bathymetry, grid, trials=3, seed=cfg.seed + 1
     )
 
-    pair_states = []
-    for _ in range(4):
-        st = _verify_state(rng, grid, bathymetry, params)
-        ref = _verify_state(rng, grid, bathymetry, params)
-        pair_states.append((st, ref))
-    eq = equivalence_report(pair_states, bathymetry, grid)
+    pairs = [
+        tuple(_verify_state(rng, grid, bathymetry, params) for _ in range(2)) for _ in range(4)
+    ]
+    eq = equivalence_report(pairs, bathymetry, grid)
     hi, lo = equivalence_spreads(eq)
 
     # short conservation run on the demo solitary wave

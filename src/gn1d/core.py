@@ -172,20 +172,26 @@ class Bathymetry:
 
 @dataclass(frozen=True)
 class State:
-    """Surface elevation and depth-averaged velocity at one instant."""
+    """Surface elevation and depth-averaged velocity at one instant, as the
+    (2, n) stack zu of (zeta, u); zeta and u are views of its rows."""
 
-    zeta: np.ndarray
-    u: np.ndarray
+    zu: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "zeta", _as_field(self.zeta, "zeta"))
-        object.__setattr__(self, "u", _as_field(self.u, "u"))
+        zu = np.asarray(self.zu, dtype=float)
+        if zu.ndim != 2 or zu.shape[0] != 2:
+            raise ValueError(f"a state must be a (2, n) stack of (zeta, u), got shape {zu.shape}")
+        object.__setattr__(self, "zu", zu)
         object.__setattr__(self, "time", float(self.time))
-        if self.zeta.shape != self.u.shape:
-            raise ValueError(
-                f"zeta and u must share one shape, got {self.zeta.shape} and {self.u.shape}"
-            )
+
+    @property
+    def zeta(self) -> np.ndarray:
+        return self.zu[0]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.zu[1]
 
 
 def compute_depth(zeta: np.ndarray, bathymetry: Bathymetry, params: Parameters) -> np.ndarray:

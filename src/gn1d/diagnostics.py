@@ -1,8 +1,9 @@
 """Conserved quantities and the norms used by monitors and analysis.
 
-The exactly conserved energy pairs the surface with the operator-weighted
-velocity; it is evaluated through the first-order factors, never through
-an assembled matrix, so it costs O(n) per record.
+The energy, mass and norms take a state as the (2, n) stack zu of
+(zeta, u).  The exactly conserved energy pairs the surface with the
+operator-weighted velocity; it is evaluated through the first-order
+factors, never through an assembled matrix, so it costs O(n) per record.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from .grid_ops import d1_spectral, inner_product, l2_norm, lambda_s
 from .t_operator import build_factor_ops
 
 
-def mass(state: State, grid: Grid) -> float:
+def mass(zu: np.ndarray, grid: Grid) -> float:
     """Integral of the surface elevation."""
-    return float(grid.dx * state.zeta.sum())
+    return float(grid.dx * zu[0].sum())
 
 
 def weighted_velocity_form(
@@ -36,46 +37,31 @@ def weighted_velocity_form(
 
 
 def conserved_energy(
-    state: State, h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
+    zu: np.ndarray, h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> float:
-    """|zeta|_2^2 + (T u, u), the invariant of the nonlinear evolution; h is the state's depth."""
-    return inner_product(state.zeta, state.zeta, grid) + weighted_velocity_form(
-        state.u, h, bathymetry, params, grid
-    )
+    """|zeta|_2^2 + (T[h] u, u), the invariant of the nonlinear evolution when h is zu's depth."""
+    zeta, u = zu
+    return inner_product(zeta, zeta, grid) + weighted_velocity_form(u, h, bathymetry, params, grid)
 
 
-def xs_norm(state: State, params: Parameters, grid: Grid, s: float = 2.0) -> float:
+def xs_norm(zu: np.ndarray, params: Parameters, grid: Grid, s: float = 2.0) -> float:
     """Dispersive Sobolev norm: |zeta|_{H^s}^2 + |u|_{H^s}^2 + mu |u_x|_{H^s}^2."""
-    ux = d1_spectral(state.u, grid)
-    lz, lu, lux = lambda_s(np.array((state.zeta, state.u, ux)), s, grid)
-    return float(
-        np.sqrt(
-            l2_norm(lz, grid) ** 2
-            + l2_norm(lu, grid) ** 2
-            + params.mu * l2_norm(lux, grid) ** 2
-        )
-    )
+    lz, lu, lux = lambda_s(np.array((*zu, d1_spectral(zu[1], grid))), s, grid)
+    return float(np.sqrt(
+        l2_norm(lz, grid) ** 2 + l2_norm(lu, grid) ** 2 + params.mu * l2_norm(lux, grid) ** 2
+    ))
 
 
 def es_norm(
-    state: State,
-    h_ref: np.ndarray,
-    bathymetry: Bathymetry,
-    params: Parameters,
-    grid: Grid,
+    zu: np.ndarray, h_ref: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid,
     s: float = 2.0,
 ) -> float:
-    """Energy norm with operator weight frozen at the reference depth h_ref.
+    """Energy norm with operator weight frozen at the reference depth h_ref,
+    the conserved energy of Lambda^s zu at h_ref:
 
     E^s(U)^2 = |Lambda^s zeta|_2^2 + (T[h_ref] Lambda^s u, Lambda^s u).
     """
-    lz, lu = lambda_s(np.array((state.zeta, state.u)), s, grid)
-    return float(
-        np.sqrt(
-            inner_product(lz, lz, grid)
-            + weighted_velocity_form(lu, h_ref, bathymetry, params, grid)
-        )
-    )
+    return float(np.sqrt(conserved_energy(lambda_s(zu, s, grid), h_ref, bathymetry, params, grid)))
 
 
 @dataclass(frozen=True)
@@ -94,11 +80,11 @@ def record_for(
     h = compute_depth(state.zeta, bathymetry, params)
     return DiagnosticRecord(
         t=state.time,
-        energy=conserved_energy(state, h, bathymetry, params, grid),
-        mass=mass(state, grid),
+        energy=conserved_energy(state.zu, h, bathymetry, params, grid),
+        mass=mass(state.zu, grid),
         min_h=float(h.min()),
-        xs=xs_norm(state, params, grid, s),
-        es=es_norm(state, h, bathymetry, params, grid, s),
+        xs=xs_norm(state.zu, params, grid, s),
+        es=es_norm(state.zu, h, bathymetry, params, grid, s),
     )
 
 
@@ -112,7 +98,7 @@ SWEEP_MUS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 def equivalence_report(
-    states: list[tuple[State, State]], bathymetry: Bathymetry, grid: Grid
+    pairs: list[tuple[np.ndarray, np.ndarray]], bathymetry: Bathymetry, grid: Grid
 ) -> np.ndarray:
     """Max and min of E^s / X^s over (state, reference) pairs at each (eps, mu).
 
@@ -126,10 +112,10 @@ def equivalence_report(
         for j, mu in enumerate(SWEEP_MUS):
             params = Parameters(epsilon=eps, mu=mu, h0=SWEEP_H0)
             hi, lo = -np.inf, np.inf
-            for state, ref in states:
-                h_ref = compute_depth(ref.zeta, bathymetry, params)
-                ratio = es_norm(state, h_ref, bathymetry, params, grid, SWEEP_S) / xs_norm(
-                    state, params, grid, SWEEP_S
+            for zu, ref in pairs:
+                h_ref = compute_depth(ref[0], bathymetry, params)
+                ratio = es_norm(zu, h_ref, bathymetry, params, grid, SWEEP_S) / xs_norm(
+                    zu, params, grid, SWEEP_S
                 )
                 hi, lo = max(hi, ratio), min(lo, ratio)
             out[i, j] = hi, lo

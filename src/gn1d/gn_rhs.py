@@ -8,7 +8,8 @@ The evolution system is
 with h = 1 + eps (zeta - b) and Q the quadratic dispersive source.  The
 condensed form rewrites the same dynamics as U_t + A[U] U_x + B(U) = 0,
 splitting eps mu h Q(u) = Q1[U] u_x + q2(U) so that only first-order
-derivatives of the unknowns appear; both forms are evaluated here and
+derivatives of the unknowns appear.  Both forms take the state U as the
+(2, n) stack zu of (zeta, u), return its tendency as such a stack, and
 must agree to rounding on band-limited fields.  What the condensed form
 needs of a frozen coefficient state alone, coefficient_fields computes
 once, for one state or a stack, so a linear stage does only stage work.
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Bathymetry, Grid, Parameters, State, compute_depth
+from .core import Bathymetry, Grid, Parameters, compute_depth
 from .grid_ops import d1_spectral
 from .t_operator import TOperator, assemble_T, solve_T
 
@@ -94,20 +95,21 @@ def q1_apply(
 
 
 def nonlinear_rhs(
-    state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
+    zu: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> np.ndarray:
-    """The tendency of the full nonlinear system at one state, a (2, n) stack.
+    """The tendency of the full nonlinear system at the state zu, a (2, n) stack.
 
     Assembles and factorizes the dispersive operator for the current
     depth; propagates DepthError / FactorizationError / NonFiniteError to
     the caller, which treats them as blow-up events.
     """
     eps, mu = params.epsilon, params.mu
-    h = compute_depth(state.zeta, bathymetry, params)
+    zeta, u = zu
+    h = compute_depth(zeta, bathymetry, params)
     op = assemble_T(h, bathymetry, params, grid)
-    hux, zx, ux = d1_spectral(np.array((h * state.u, state.zeta, state.u)), grid)
-    q = q_total(h, state.u, ux, bathymetry, params, grid)
-    du = -eps * state.u * ux - solve_T(op, h * zx + eps * mu * h * q)
+    hux, zx, ux = d1_spectral(np.array((h * u, zeta, u)), grid)
+    q = q_total(h, u, ux, bathymetry, params, grid)
+    du = -eps * u * ux - solve_T(op, h * zx + eps * mu * h * q)
     return np.array((-hux, du))
 
 
@@ -152,10 +154,11 @@ def condensed_tendency(coeff: FrozenState, zu: np.ndarray, cut=None) -> np.ndarr
 
 
 def condensed_rhs(
-    state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid
+    zu: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> np.ndarray:
-    """The tendency at one state through the condensed form, a (2, n) stack."""
-    h = compute_depth(state.zeta, bathymetry, params)
+    """The tendency at the state zu through the condensed form, a (2, n) stack."""
+    zeta, u = zu
+    h = compute_depth(zeta, bathymetry, params)
     op = assemble_T(h, bathymetry, params, grid)
-    frozen = FrozenState(op, coefficient_fields(h, state.u, bathymetry, params, grid))
-    return condensed_tendency(frozen, np.array((state.zeta, state.u)))
+    frozen = FrozenState(op, coefficient_fields(h, u, bathymetry, params, grid))
+    return condensed_tendency(frozen, zu)

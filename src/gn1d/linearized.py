@@ -82,11 +82,11 @@ class ReferenceTrajectory:
 
     @classmethod
     def from_states(cls, states: list[State]) -> "ReferenceTrajectory":
-        return cls([st.time for st in states], [(st.zeta, st.u) for st in states])
+        return cls([st.time for st in states], [st.zu for st in states])
 
     @classmethod
     def constant(cls, state: State, t_end: float) -> "ReferenceTrajectory":
-        return cls([state.time, t_end], [(state.zeta, state.u)] * 2)
+        return cls([state.time, t_end], [state.zu] * 2)
 
     @property
     def t0(self) -> float:
@@ -141,7 +141,7 @@ def solve_linear(
     m = max(1, math.ceil(span / dt - 1e-12))
     dt = span / m
 
-    zu = np.array((initial.zeta, initial.u))
+    zu = initial.zu
     fields = [zu]
     cut = None if mollifier is None else (lambda f: mollify(f, mollifier, grid))
     block = max(1, 2**17 // grid.n)  # steps per block: a stage stack holds about 2^18 values
@@ -215,7 +215,7 @@ def picard_solve(
         prev_h = compute_depth(prev[:, 0], bathymetry, params)
         # np.max carries a NaN norm through, so a NaN gap never converges
         gap = float(np.max([
-            es_norm(State(*d), h, bathymetry, params, grid, s)
+            es_norm(d, h, bathymetry, params, grid, s)
             for d, h in zip(sol.fields - prev, prev_h)
         ]))
         gaps.append(gap)

@@ -60,8 +60,7 @@ def solitary_wave(
     r = _wrapped_offset(grid.nodes(), x0, grid.length)
     with np.errstate(over="ignore"):
         zeta = amplitude / np.cosh(kappa * r) ** 2
-    u = c * zeta / (1.0 + eps * zeta)
-    return State(zeta, u)
+    return State(np.array((zeta, c * zeta / (1.0 + eps * zeta))))
 
 
 def _require_finite(what: str, *profiles: np.ndarray) -> None:
@@ -84,7 +83,7 @@ def gaussian_hump(
     with np.errstate(all="ignore"):
         zeta = amplitude * np.exp(-(r**2) / (2.0 * width**2))
     _require_finite(f"hump width {width:g}", zeta)
-    return State(zeta, np.zeros(grid.n))
+    return State(np.array((zeta, np.zeros(grid.n))))
 
 
 def bar_bathymetry(
@@ -106,7 +105,7 @@ def bar_bathymetry(
 
 
 def rest_state(grid: Grid) -> State:
-    return State(np.zeros(grid.n), np.zeros(grid.n))
+    return State(np.zeros((2, grid.n)))
 
 
 SCENARIOS: dict[str, str] = {

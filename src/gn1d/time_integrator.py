@@ -98,13 +98,11 @@ def rk4_step(
     state: State, dt: float, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> State:
     """One classical Runge-Kutta step; raises on depth or factorization loss."""
-    t = state.time
 
     def tendency(c, y):
-        return nonlinear_rhs(State(*y, t + c * dt), bathymetry, params, grid)
+        return nonlinear_rhs(y, bathymetry, params, grid)
 
-    zu = np.array((state.zeta, state.u))
-    return State(*(zu + _rk4(zu, dt, grid, tendency)), t + dt)
+    return State(state.zu + _rk4(state.zu, dt, grid, tendency), state.time + dt)
 
 
 class _NormCeilingError(StopError):
@@ -158,7 +156,7 @@ def run(
         try:
             state = rk4_step(state, dt, bathymetry, params, grid)
             steps += 1
-            bad = np.flatnonzero(~np.isfinite(state.zeta) | ~np.isfinite(state.u))
+            bad = np.flatnonzero(~np.isfinite(state.zu).all(axis=0))
             if bad.size:
                 raise NonFiniteError("state", bad[0])
             rec = record_for(state, bathymetry, params, grid, s)

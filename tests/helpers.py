@@ -11,7 +11,7 @@ lets several identities below be checked at near-roundoff tolerances.
 import numpy as np
 from scipy.linalg import cholesky_banded
 
-from gn1d import Bathymetry, Grid, Parameters, State
+from gn1d import Bathymetry, Grid, Parameters
 
 
 def band_limited(grid: Grid, kc: int, seed: int, amp: float = 1.0) -> np.ndarray:
@@ -29,12 +29,13 @@ def bumpy_bathymetry(grid: Grid) -> Bathymetry:
     return Bathymetry.from_profile(0.2 * np.cos(2.0 * x) + 0.1 * np.sin(5.0 * x), grid)
 
 
-def random_state(grid: Grid, seed: int, kc: int = 24, zeta_amp: float = 0.2, u_amp: float = 0.3) -> State:
-    """Band-limited random state; amplitudes keep the depth positive for eps <= 1."""
-    return State(
+def random_state(grid: Grid, seed: int, kc: int = 24, zeta_amp: float = 0.2, u_amp: float = 0.3) -> np.ndarray:
+    """Band-limited random state as a (2, n) stack of (zeta, u); amplitudes
+    keep the depth positive for eps <= 1."""
+    return np.array((
         band_limited(grid, kc, seed, zeta_amp),
         band_limited(grid, kc, seed + 1000, u_amp),
-    )
+    ))
 
 
 def admissible_depth(grid: Grid, params: Parameters, seed: int) -> np.ndarray:
@@ -43,8 +44,9 @@ def admissible_depth(grid: Grid, params: Parameters, seed: int) -> np.ndarray:
     return params.h0 * (1.02 + np.abs(rng.standard_normal(grid.n)))
 
 
-def l2_diff(a: State, b: State, grid: Grid) -> float:
-    return float(np.sqrt(np.sum((a.zeta - b.zeta) ** 2 + (a.u - b.u) ** 2) * grid.dx))
+def l2_diff(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """L2 distance of two (2, n) stacks of (zeta, u)."""
+    return float(np.sqrt(np.sum((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) * grid.dx))
 
 
 def fd_symbol(k: np.ndarray, dx: float) -> np.ndarray:

@@ -150,8 +150,8 @@ def test_03_operator_exactness():
     params = Parameters(0.5, 0.3, h0=0.25)
     worst_sym = worst_res = worst_round = 0.0
     for i in range(100):
-        state = random_state(grid, seed=100 + i)
-        op = assemble_T(compute_depth(state.zeta, bath, params), bath, params, grid)
+        zeta, _ = random_state(grid, seed=100 + i)
+        op = assemble_T(compute_depth(zeta, bath, params), bath, params, grid)
         worst_sym = max(worst_sym, symmetry_defect(op))
         rng = np.random.default_rng(5000 + i)
         worst_res = max(worst_res, solve_residual(op, rng.standard_normal(grid.n)))
@@ -173,8 +173,8 @@ def test_04_inverse_bounds_uniform_in_mu():
     base = Parameters(0.5, 0.5, h0=0.25)
     depths = []
     for i in range(3):
-        st = random_state(grid, seed=300 + i)
-        depths.append(compute_depth(st.zeta, bath, base))
+        zeta, _ = random_state(grid, seed=300 + i)
+        depths.append(compute_depth(zeta, bath, base))
     spread1, spread2 = inverse_bound_spreads(depths, bath, grid, trials=4, seed=0)
     spread = BOUNDS["inverse_bound_spread"]
     _verdict(
@@ -209,8 +209,8 @@ def test_06_source_decomposition():
     params = Parameters(0.3, 0.5, h0=0.25)
     worst = 0.0
     for i in range(100):
-        state = random_state(grid, seed=1000 + i)
-        worst = max(worst, source_defect(state, bath, params, grid))
+        zu = random_state(grid, seed=1000 + i)
+        worst = max(worst, source_defect(zu, bath, params, grid))
     bound = BOUNDS["source_decomposition"]
     _verdict(
         6,
@@ -233,12 +233,9 @@ def test_07_picard_convergence():
     ratios = [result.gaps[i] / result.gaps[i - 1] for i in range(1, len(result.gaps))]
     direct = run(wave, bath, params, grid, control)
     assert direct.completed, direct.status
-    limit = State(*result.trajectory.fields[-1])
-    gap = State(
-        limit.zeta - direct.final_state.zeta, limit.u - direct.final_state.u
-    )
+    gap = result.trajectory.fields[-1] - direct.final_state.zu
     xs_gap = xs_norm(gap, params, grid, 2.0)
-    xs_rel = xs_gap / xs_norm(direct.final_state, params, grid, 2.0)
+    xs_rel = xs_gap / xs_norm(direct.final_state.zu, params, grid, 2.0)
     elapsed = time.perf_counter() - started
     gap_text = ", ".join(f"{g:.2e}" for g in result.gaps)
     _verdict(
@@ -264,22 +261,22 @@ def _envelope_fit(n: int):
     ref = ReferenceTrajectory.from_states(states)
 
     def perturbed(seed_z: int, seed_u: int) -> State:
-        return State(
-            wave.zeta + band_limited(grid, 8, seed_z, 1e-3),
-            wave.u + band_limited(grid, 8, seed_u, 1e-3),
-        )
+        return State(wave.zu + np.array((
+            band_limited(grid, 8, seed_z, 1e-3),
+            band_limited(grid, 8, seed_u, 1e-3),
+        )))
 
     sol_a = solve_linear(ref, perturbed(11, 12), bath, params, grid, control)
     sol_b = solve_linear(ref, perturbed(21, 22), bath, params, grid, control)
     # zero initial data must stay zero over a flat bottom: the affine
     # forcing vanishes, so the fitted source constant is exactly 0
-    zero = State(np.zeros(grid.n), np.zeros(grid.n))
+    zero = State(np.zeros((2, grid.n)))
     sol_0 = solve_linear(ref, zero, bath, params, grid, control)
     forcing = float(np.max(np.abs(sol_0.fields)))
 
     h_ref = compute_depth(ref.at(sol_a.times)[:, 0], bath, params)
     e = np.array([
-        es_norm(State(*d), h, bath, params, grid, 2.0) ** 2
+        es_norm(d, h, bath, params, grid, 2.0) ** 2
         for d, h in zip(sol_a.fields - sol_b.fields, h_ref)
     ])
     x = params.epsilon * (np.asarray(sol_a.times) - sol_a.times[0])
@@ -358,9 +355,9 @@ def test_09_mollifier_properties():
             tol=1e-10, mollifier=Mollifier.for_grid(delta, pg),
         )
         assert res.converged, res.gaps
-        finals.append(State(*res.trajectory.fields[-1]))
+        finals.append(res.trajectory.fields[-1])
     ladder = [
-        xs_norm(State(b.zeta - a.zeta, b.u - a.u), params, pg, 2.0)
+        xs_norm(b - a, params, pg, 2.0)
         for a, b in zip(finals, finals[1:])
     ]
     cauchy = all(b < a for a, b in zip(ladder, ladder[1:]))
@@ -435,7 +432,7 @@ def test_11_physical_sanity():
         cosk, cosk, dgrid
     )
     omega = k / math.sqrt(tau)
-    ic = State(amp * cosk, (omega / k) * amp * cosk)
+    ic = State(np.array((amp * cosk, (omega / k) * amp * cosk)))
     doutcome = run(
         ic, dbath, dparams, dgrid,
         StepControl(t_end=1.0, cfl=0.25), norm_factor=1e6,
@@ -474,8 +471,8 @@ def test_12_solitary_wave_transit():
         outcome = run(wave, Bathymetry.flat(grid), params, grid, StepControl(t_end=period, cfl=0.5))
         assert outcome.completed, outcome.status
         final = outcome.final_state
-        gap = State(final.zeta - wave.zeta, final.u - wave.u)
-        errors.append(xs_norm(gap, params, grid, 2.0) / xs_norm(wave, params, grid, 2.0))
+        gap = final.zu - wave.zu
+        errors.append(xs_norm(gap, params, grid, 2.0) / xs_norm(wave.zu, params, grid, 2.0))
     elapsed = time.perf_counter() - started
     order = math.log2(errors[0] / errors[1])
     _verdict(

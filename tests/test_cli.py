@@ -239,7 +239,7 @@ def test_emit_snapshot_columns(tmp_path):
     grid = Grid(16, 4.0)
     params = Parameters(0.5, 0.5, h0=0.2)
     rng = np.random.default_rng(3)
-    state = State(0.1 * rng.standard_normal(grid.n), 0.1 * rng.standard_normal(grid.n))
+    state = State(0.1 * rng.standard_normal((2, grid.n)))
     bath = Bathymetry.from_profile(0.05 * np.cos(2.0 * np.pi * grid.nodes() / 4.0), grid)
     path = tmp_path / "snap.dat"
     emit_snapshot(state, bath, params, grid, str(path))
@@ -262,7 +262,7 @@ def test_emit_snapshot_writes_the_bytes_of_the_per_node_formatter(tmp_path):
     zeta = np.array([-0.0, 1e300, 5e-324, 0.1, -1e-300, np.inf, np.nan, 1.0 / 3.0])
     u = np.array([5e-324, -0.0, 1e300, -np.inf, 2.0 / 3.0, 0.0, 1e-7, -5e-324])
     b = np.array([0.0, -0.0, 5e-324, 1e300, 0.25, -1e-17, 0.0, 1e-300])
-    state = State(zeta, u)
+    state = State(np.array((zeta, u)))
     bath = Bathymetry(b, np.zeros(grid.n), np.zeros(grid.n))
     path = tmp_path / "snap.dat"
     emit_snapshot(state, bath, params, grid, str(path))
@@ -441,7 +441,9 @@ def test_main_run_reports_an_unusable_output_dir_as_a_config_error(tmp_path, cap
         ("picard", "timeseries.dat"),
     ],
 )
-def test_main_run_reports_an_unwritable_output_file_as_a_config_error(tmp_path, capsys, mode, name):
+def test_main_run_reports_an_unwritable_output_file_as_a_config_error(
+    tmp_path, capsys, monkeypatch, mode, name
+):
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     cfg_path = tmp_path / "run.cfg"
@@ -449,9 +451,76 @@ def test_main_run_reports_an_unwritable_output_file_as_a_config_error(tmp_path, 
         cfg_path, scenario="hump", mode=mode, n=64, epsilon=0.2, amplitude=0.2, t_end=0.02,
         dt_max=0.01, snapshot_every=0.01 if mode == "nonlinear" else 0.0, output_dir=str(out),
     )
+    if mode != "nonlinear":
+        # timeseries.dat is written last, so its path is checked before any march
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("the march started")
+
+        for march in ("run", "solve_linear", "picard_solve"):
+            monkeypatch.setattr(gn1d.cli, march, no_march)
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write output {str(out / name)!r}")
+    assert [p.name for p in out.glob("snap_*.dat") if p.is_file()] == []
+
+
+def test_main_run_refuses_a_read_only_timeseries_file_and_leaves_it_as_it_was(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "timeseries.dat"
+    target.write_text("an earlier run\n", encoding="utf-8")
+    target.chmod(0o444)
+    # a superuser may write any file, so os.access answers as for anyone else
+    real_access = os.access
+    monkeypatch.setattr(
+        os, "access",
+        lambda path, mode, **kw: path != str(target) and real_access(path, mode, **kw),
+    )
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(cfg_path, scenario="hump", n=64, t_end=0.02, output_dir=str(out))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot write output {str(target)!r}"
+    )
+    assert target.read_text(encoding="utf-8") == "an earlier run\n"
+
+
+def test_an_early_stop_leaves_an_existing_timeseries_file_as_it_was(tmp_path, capsys):
+    # the output check before the march opens nothing, so a picard run that
+    # stops at its first sweep writes no timeseries.dat and truncates none
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "timeseries.dat").write_text("an earlier run\n", encoding="utf-8")
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, scenario="hump", mode="picard", n=64, length=20.0, epsilon=1.0,
+        amplitude=2.0, width=1.0, h0=0.95, t_end=5.0, output_dir=str(out),
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("terminated: depth condition violated")
+    assert (out / "timeseries.dat").read_text(encoding="utf-8") == "an earlier run\n"
+
+
+@pytest.mark.parametrize("with_bathymetry_file", [False, True])
+def test_main_run_reports_a_grid_too_large_to_allocate_as_a_config_error(
+    tmp_path, capsys, with_bathymetry_file
+):
+    # numpy refuses an array of 1e13 doubles (73 TiB) without touching memory
+    bath_path = tmp_path / "bath.dat"
+    xs = np.arange(16) * 60.0 / 16
+    _write_samples(bath_path, xs, 0.1 * np.cos(2.0 * np.pi * xs / 60.0))
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, n=10_000_000_000_000, output_dir=str(tmp_path / "out"),
+        bathymetry_file=str(bath_path) if with_bathymetry_file else "",
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "(10000000000000,)" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("which", ["config", "bathymetry"])

@@ -60,12 +60,34 @@ def test_grid_rejects_bad_length():
             Grid(8, length)
 
 
+@pytest.mark.parametrize(
+    "zu, shape",
+    [
+        (np.zeros(8), r"\(8,\)"),
+        (np.zeros((3, 8)), r"\(3, 8\)"),
+        ([np.zeros(8), np.zeros(9)], r"\(2,\) \+ inhomogeneous"),
+    ],
+    ids=["1-D", "three rows", "ragged pair"],
+)
+def test_state_takes_only_a_two_row_stack(zu, shape):
+    with pytest.raises(ValueError, match=f"shape.*{shape}"):
+        State(zu)
+
+
+def test_state_fields_are_views_of_the_stack():
+    zu = np.arange(16.0).reshape(2, 8)
+    state = State(zu, time=0.5)
+    assert state.zu is zu and state.time == 0.5
+    assert np.shares_memory(state.zeta, zu) and np.array_equal(state.zeta, zu[0])
+    assert np.shares_memory(state.u, zu) and np.array_equal(state.u, zu[1])
+
+
 def test_depth_formula_elementwise():
     grid = Grid(16, 2.0 * np.pi)
     params = Parameters(0.5, 0.5)
     x = grid.nodes()
     bath = Bathymetry.from_profile(0.1 * np.cos(x), grid)
-    state = State(0.2 * np.sin(x), np.zeros(grid.n))
+    state = State(np.array((0.2 * np.sin(x), np.zeros(grid.n))))
     depth = compute_depth(state.zeta, bath, params)
     assert np.allclose(depth, 1.0 + 0.5 * (state.zeta - bath.b), atol=0.0)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gn1d import Bathymetry, Grid, Parameters, State, compute_depth
+from gn1d import Bathymetry, Grid, Parameters, compute_depth
 from gn1d.gn_rhs import (
     FrozenState,
     coefficient_fields,
@@ -34,11 +34,11 @@ def test_remainder_source_is_quadratic_in_velocity():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
-    st = random_state(grid, 17, kc=10)
-    h = 1.0 + params.epsilon * (st.zeta - bath.b)
+    zeta, u = random_state(grid, 17, kc=10)
+    h = 1.0 + params.epsilon * (zeta - bath.b)
     assert np.array_equal(
-        coefficient_fields(h, 2.0 * st.u, bath, params, grid).q2,
-        4.0 * coefficient_fields(h, st.u, bath, params, grid).q2,
+        coefficient_fields(h, 2.0 * u, bath, params, grid).q2,
+        4.0 * coefficient_fields(h, u, bath, params, grid).q2,
     )
 
 
@@ -46,12 +46,12 @@ def test_first_order_source_is_linear_in_its_argument():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
-    st = random_state(grid, 23, kc=10)
+    zeta, u = random_state(grid, 23, kc=10)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(grid.n)
     g = rng.standard_normal(grid.n)
-    h = 1.0 + params.epsilon * (st.zeta - bath.b)
-    fields = coefficient_fields(h, st.u, bath, params, grid)
+    h = 1.0 + params.epsilon * (zeta - bath.b)
+    fields = coefficient_fields(h, u, bath, params, grid)
     assert np.array_equal(
         q1_apply(fields, 2.0 * f, params, grid), 2.0 * q1_apply(fields, f, params, grid)
     )
@@ -64,7 +64,7 @@ def test_rest_state_is_an_equilibrium_over_any_bottom():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.7, 0.6, h0=0.3)
     for bath in (Bathymetry.flat(grid), bumpy_bathymetry(grid)):
-        dz, du = nonlinear_rhs(State(np.zeros(grid.n), np.zeros(grid.n)), bath, params, grid)
+        dz, du = nonlinear_rhs(np.zeros((2, grid.n)), bath, params, grid)
         assert not dz.any()
         assert not du.any()
 
@@ -75,8 +75,8 @@ def test_small_amplitude_velocity_response():
     params = Parameters(1e-8, 0.5, h0=0.5)
     x = grid.nodes()
     k = 3.0
-    st = State(np.cos(k * x), np.zeros(grid.n))
-    _, du = nonlinear_rhs(st, Bathymetry.flat(grid), params, grid)
+    zu = np.array((np.cos(k * x), np.zeros(grid.n)))
+    _, du = nonlinear_rhs(zu, Bathymetry.flat(grid), params, grid)
     sigma = fd_symbol(np.array(k), grid.dx)
     want = k * np.sin(k * x) / (1.0 + params.mu * sigma**2 / 3.0)
     assert np.max(np.abs(du - want)) <= 1e-7
@@ -86,10 +86,10 @@ def test_mass_flux_form_of_surface_tendency():
     grid = Grid(128, 2.0 * np.pi)
     params = Parameters(0.4, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
-    st = random_state(grid, 31, kc=12)
-    h = 1.0 + params.epsilon * (st.zeta - bath.b)
-    dz, _ = nonlinear_rhs(st, bath, params, grid)
-    assert np.allclose(dz, -d1_spectral(h * st.u, grid), atol=1e-13)
+    zu = random_state(grid, 31, kc=12)
+    h = 1.0 + params.epsilon * (zu[0] - bath.b)
+    dz, _ = nonlinear_rhs(zu, bath, params, grid)
+    assert np.allclose(dz, -d1_spectral(h * zu[1], grid), atol=1e-13)
 
 
 def test_condensed_form_matches_direct_tendency():
@@ -99,9 +99,9 @@ def test_condensed_form_matches_direct_tendency():
     params = Parameters(0.3, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
     for seed in range(8):
-        st = random_state(grid, seed, kc=24)
-        direct = nonlinear_rhs(st, bath, params, grid)
-        cond = condensed_rhs(st, bath, params, grid)
+        zu = random_state(grid, seed, kc=24)
+        direct = nonlinear_rhs(zu, bath, params, grid)
+        cond = condensed_rhs(zu, bath, params, grid)
         scale = l2_norm(direct[0], grid) + l2_norm(direct[1], grid)
         err = l2_norm(direct[0] - cond[0], grid) + l2_norm(direct[1] - cond[1], grid)
         assert err <= 1e-12 * scale
@@ -112,19 +112,19 @@ def test_source_split_reassembles_the_dispersive_source():
     params = Parameters(0.4, 0.6, h0=0.3)
     bath = bumpy_bathymetry(grid)
     for seed in range(8):
-        st = random_state(grid, seed + 100, kc=24)
-        h = 1.0 + params.epsilon * (st.zeta - bath.b)
-        ux = d1_spectral(st.u, grid)
-        whole = params.epsilon * params.mu * h * q_total(h, st.u, ux, bath, params, grid)
-        fields = coefficient_fields(h, st.u, bath, params, grid)
+        zeta, u = random_state(grid, seed + 100, kc=24)
+        h = 1.0 + params.epsilon * (zeta - bath.b)
+        ux = d1_spectral(u, grid)
+        whole = params.epsilon * params.mu * h * q_total(h, u, ux, bath, params, grid)
+        fields = coefficient_fields(h, u, bath, params, grid)
         split = q1_apply(fields, ux, params, grid) + fields.q2
         assert l2_norm(whole - split, grid) <= 1e-12 * l2_norm(whole, grid)
 
 
-def _frozen(st, bath, params, grid):
-    h = compute_depth(st.zeta, bath, params)
+def _frozen(zu, bath, params, grid):
+    h = compute_depth(zu[0], bath, params)
     return FrozenState(
-        assemble_T(h, bath, params, grid), coefficient_fields(h, st.u, bath, params, grid)
+        assemble_T(h, bath, params, grid), coefficient_fields(h, zu[1], bath, params, grid)
     )
 
 
@@ -145,7 +145,7 @@ def test_zero_order_source_slope_term():
     bath = bumpy_bathymetry(grid)
     st = random_state(grid, 61, kc=10)
     b1, _ = eval_B(_frozen(st, bath, params, grid))
-    assert np.allclose(b1, -params.epsilon * bath.b_x * st.u, atol=1e-15)
+    assert np.allclose(b1, -params.epsilon * bath.b_x * st[1], atol=1e-15)
 
 
 def test_stacked_coefficient_fields_match_the_one_row_call_bit_for_bit():
@@ -153,8 +153,8 @@ def test_stacked_coefficient_fields_match_the_one_row_call_bit_for_bit():
     params = Parameters(0.4, 0.6, h0=0.3)
     bath = bumpy_bathymetry(grid)
     states = [random_state(grid, seed + 300, kc=24) for seed in range(5)]
-    hs = compute_depth(np.stack([st.zeta for st in states]), bath, params)
-    us = np.stack([st.u for st in states])
+    hs = compute_depth(np.stack([st[0] for st in states]), bath, params)
+    us = np.stack([st[1] for st in states])
     stacked = coefficient_fields(hs, us, bath, params, grid)
     for i, (h, u) in enumerate(zip(hs, us)):
         one = coefficient_fields(h, u, bath, params, grid)
@@ -203,9 +203,9 @@ def test_frozen_state_tendency_matches_the_source_split_bit_for_bit():
     bath = bumpy_bathymetry(grid)
     coeff = random_state(grid, 401, kc=24)
     stage = random_state(grid, 402, kc=40)
-    op = assemble_T(compute_depth(coeff.zeta, bath, params), bath, params, grid)
+    op = assemble_T(compute_depth(coeff[0], bath, params), bath, params, grid)
     # each field is the left operand the written-out formulas compute
-    eps, mu, h, u = params.epsilon, params.mu, op.h, coeff.u
+    eps, mu, h, u = params.epsilon, params.mu, op.h, coeff[1]
     ux = d1_spectral(u, grid)
     frozen = FrozenState(op, coefficient_fields(h, u, bath, params, grid))
     fields = frozen.fields
@@ -216,7 +216,7 @@ def test_frozen_state_tendency_matches_the_source_split_bit_for_bit():
     assert np.array_equal(fields.b1, -eps * bath.b_x * u)
     mol = Mollifier.for_grid(0.1, grid)
     for cutoff, cut in ((None, None), (mol.symbol, lambda f: mollify(f, mol, grid))):
-        got = condensed_tendency(frozen, np.array((stage.zeta, stage.u)), cut)
-        want = _tendency_by_the_source_split(op, u, stage.zeta, stage.u, cutoff)
+        got = condensed_tendency(frozen, stage, cut)
+        want = _tendency_by_the_source_split(op, u, *stage, cutoff)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])

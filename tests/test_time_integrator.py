@@ -50,8 +50,24 @@ def test_fourth_order_self_convergence():
         return st
 
     u1, u2, u4 = march(0.04), march(0.02), march(0.01)
-    ratio = l2_diff(u1, u2, grid) / l2_diff(u2, u4, grid)
+    ratio = l2_diff(u1.zu, u2.zu, grid) / l2_diff(u2.zu, u4.zu, grid)
     assert 12.8 <= ratio <= 19.2
+
+
+def test_a_step_hands_each_stage_stack_to_the_tendency(monkeypatch):
+    grid = Grid(64, 60.0)
+    params = Parameters(0.5, 0.5, h0=0.25)
+    wave = solitary_wave(0.4, params, grid)
+    seen = []
+
+    def spy(zu, *args):
+        seen.append(zu)
+        return gn1d.gn_rhs.nonlinear_rhs(zu, *args)
+
+    monkeypatch.setattr(gn1d.time_integrator, "nonlinear_rhs", spy)
+    rk4_step(wave, 0.01, Bathymetry.flat(grid), params, grid)
+    assert [(type(zu), zu.shape) for zu in seen] == [(np.ndarray, (2, grid.n))] * 4
+    assert seen[0] is wave.zu
 
 
 def test_resting_lake_is_preserved_bit_for_bit():
@@ -90,7 +106,7 @@ def test_mass_is_conserved_along_a_run():
 def test_initial_depth_violation_stops_immediately():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.5)
-    drowned = State(np.full(grid.n, -4.0), np.zeros(grid.n))  # h = -1
+    drowned = State(np.array((np.full(grid.n, -4.0), np.zeros(grid.n))))  # h = -1
     out = run(drowned, Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
     assert out.status == "blowup_depth"
     assert out.steps == 0
@@ -134,12 +150,10 @@ def test_stage_overflow_ends_the_run_as_a_norm_blowup():
     grid = Grid(64, 60.0)
     params = Parameters(0.5, 0.5, h0=0.25)
     wave = solitary_wave(0.4, params, grid)
-    u = wave.u.copy()
-    u[3] = 1e200
+    zu = wave.zu.copy()
+    zu[1, 3] = 1e200
     with np.errstate(all="ignore"):
-        outcome = run(
-            State(wave.zeta, u), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0)
-        )
+        outcome = run(State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
     assert outcome.status == "blowup_norm"
     assert outcome.steps == 0
     assert outcome.final_state.u[3] == 1e200
@@ -218,7 +232,8 @@ def test_every_early_stop_keeps_its_reason(monkeypatch):
     done = run(wave, bath, params, grid, StepControl(t_end=0.1))
     assert done.completed and done.reason == ""
 
-    drowned = State(wave.zeta - 4.0 * (np.arange(grid.n) == 9), wave.u)  # h = -1 at node 9
+    drowned = State(wave.zu.copy())
+    drowned.zeta[9] -= 4.0  # h = -1 at node 9
     out = run(drowned, bath, params, grid, control)
     assert out.status == "blowup_depth"
     assert out.reason == "depth condition violated: min depth -1 at grid index 9"
@@ -233,9 +248,9 @@ def test_every_early_stop_keeps_its_reason(monkeypatch):
     def step_with(node, value):
         def step(*args):
             new = real_step(*args)
-            zeta = new.zeta.copy()
-            zeta[node] = value
-            return State(zeta, new.u, new.time)
+            zu = new.zu.copy()
+            zu[0, node] = value
+            return State(zu, new.time)
         return step
 
     monkeypatch.setattr(gn1d.time_integrator, "rk4_step", step_with(17, -3.0))

@@ -15,7 +15,9 @@ run.  tools/output_digest.py must
 hash every output of a case.  The README's config table must list the
 RunConfig fields, in order, and its scenario row every name in
 SCENARIOS, so the documented keys cannot drift.  Every StopError
-subclass must carry one of the statuses run() ends with.  No
+subclass must carry one of the statuses run() ends with.  A state
+travels through gn1d as one (2, n) stack: no module unpacks a stack
+into State(*...) or restacks (....zeta, ....u).  No
 module of gn1d or of its tests may import a name it never uses, so a
 deletion cannot leave a stale import behind (checked with ast; no
 linter is needed).  Every bound of a guarantee is read through a name,
@@ -184,6 +186,20 @@ def test_every_stop_error_carries_a_run_status():
     assert len(statuses) >= 4
     allowed = {"blowup_depth", "blowup_norm", "solver_failure"}
     assert {name: status for name, status in statuses.items() if status not in allowed} == {}
+
+
+def test_no_module_splits_or_restacks_a_state():
+    split = re.compile(r"\bState\(\*")
+    restack = re.compile(r"\(\s*[\w.\[\]]+\.zeta\s*,\s*[\w.\[\]]+\.u\s*[,)]")
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 11
+    found = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in modules
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if split.search(line) or restack.search(line)
+    ]
+    assert found == []
 
 
 def _unused_imports(path: Path) -> list[str]:
