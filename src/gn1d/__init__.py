@@ -45,7 +45,6 @@ from .grid_ops import (
 )
 from .linearized import (
     Mollifier,
-    PicardResult,
     ReferenceTrajectory,
     cutoff_profile,
     mollify,

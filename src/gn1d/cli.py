@@ -7,11 +7,13 @@ the same config and seed reproduces every byte.
 Exit codes: 0 success, 1 blow-up or non-convergence, 2 configuration
 error (an input file that cannot be read or decoded as UTF-8, or an
 output file that cannot be written, included), 3 verification failure.
+Every mode ends in one labeled outcome; a stop prints `status: reason` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import math
 import os
 import sys
@@ -48,7 +50,7 @@ from .grid_ops import inner_product
 from .linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
 from .scenarios import SCENARIOS, build_scenario, solitary_wave
 from .t_operator import apply_T, assemble_T
-from .time_integrator import StepControl, cfl_dt, run
+from .time_integrator import RunOutcome, StepControl, cfl_dt, run
 
 
 class ConfigError(Exception):
@@ -280,7 +282,7 @@ class PreparedRun:
 def prepare_run(cfg: RunConfig) -> PreparedRun:
     """Materialize grid, parameters, initial data, and bathymetry."""
     # every comparison below is written so that NaN fails it
-    if cfg.mode not in ("nonlinear", "linearized", "picard"):
+    if cfg.mode not in _RUNS:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     for name in ("s", "x0", "amplitude", "bar_height", "mollifier_delta"):
         if not math.isfinite(getattr(cfg, name)):
@@ -346,7 +348,7 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
     return PreparedRun(cfg, grid, params, state, bathymetry, control)
 
 
-def _run_nonlinear(prep: PreparedRun) -> int:
+def _run_nonlinear(prep: PreparedRun) -> RunOutcome:
     cfg = prep.cfg
 
     def snapshot(step: int, state: State) -> None:
@@ -376,25 +378,7 @@ def _run_nonlinear(prep: PreparedRun) -> int:
         f"{outcome.status}: t = {last.t:.6g}, steps = {outcome.steps}, "
         f"energy = {last.energy:.12g}, min_h = {last.min_h:.6g}"
     )
-    if not outcome.completed:
-        print(f"reason: {outcome.reason}")
-    return 0 if outcome.completed else 1
-
-
-def _reference_from_nonlinear(prep: PreparedRun) -> ReferenceTrajectory | None:
-    states: list[State] = []
-    outcome = run(
-        prep.state, prep.bathymetry, prep.params, prep.grid, prep.control,
-        s=prep.cfg.s, norm_factor=prep.cfg.blowup_factor,
-        on_state=lambda step, st: states.append(st),
-    )
-    if not outcome.completed:
-        print(
-            f"reference run terminated early: {outcome.status}: {outcome.reason}",
-            file=sys.stderr,
-        )
-        return None
-    return ReferenceTrajectory.from_states(states)
+    return outcome
 
 
 def _mollifier(prep: PreparedRun) -> Mollifier | None:
@@ -412,37 +396,46 @@ def _emit_trajectory(prep: PreparedRun, sol: ReferenceTrajectory) -> list[Diagno
     return records
 
 
-def _run_linearized(prep: PreparedRun) -> int:
-    reference = _reference_from_nonlinear(prep)
-    if reference is None:
-        return 1
-    sol = solve_linear(
-        reference, prep.state, prep.bathymetry, prep.params, prep.grid,
-        prep.control, mollifier=_mollifier(prep),
+def _run_linearized(prep: PreparedRun) -> RunOutcome:
+    states: list[State] = []
+    outcome = run(
+        prep.state, prep.bathymetry, prep.params, prep.grid, prep.control,
+        s=prep.cfg.s, norm_factor=prep.cfg.blowup_factor,
+        on_state=lambda step, st: states.append(st),
     )
-    records = _emit_trajectory(prep, sol)
-    print(
-        f"completed: linearized solve to t = {sol.t1:.6g} "
-        f"({sol.times.size - 1} steps), es_norm = {records[-1].es:.12g}"
+    if not outcome.completed:
+        return replace(outcome, reason=f"reference run: {outcome.reason}")
+    outcome = solve_linear(
+        ReferenceTrajectory.from_states(states), prep.state, prep.bathymetry, prep.params,
+        prep.grid, prep.control, mollifier=_mollifier(prep),
     )
-    return 0
+    if outcome.completed:
+        records = _emit_trajectory(prep, outcome.trajectory)
+        print(
+            f"completed: linearized solve to t = {outcome.trajectory.t1:.6g} "
+            f"({outcome.steps} steps), es_norm = {records[-1].es:.12g}"
+        )
+    return outcome
 
 
-def _run_picard(prep: PreparedRun) -> int:
+def _run_picard(prep: PreparedRun) -> RunOutcome:
     cfg = prep.cfg
-    result = picard_solve(
+    outcome = picard_solve(
         prep.state, prep.bathymetry, prep.params, prep.grid, prep.control,
         max_iters=cfg.picard_max_iters, tol=cfg.picard_tol, s=cfg.s,
         mollifier=_mollifier(prep),
     )
-    for i, gap in enumerate(result.gaps, start=1):
+    for i, gap in enumerate(outcome.gaps, start=1):
         print(f"iteration {i}: gap = {gap:.6e}")
-    _emit_trajectory(prep, result.trajectory)
-    if result.converged:
-        print(f"converged in {result.iterations} iterations")
-        return 0
-    print(f"not converged after {result.iterations} iterations", file=sys.stderr)
-    return 1
+    # a stopped sweep leaves no trajectory, so no timeseries.dat
+    if outcome.trajectory is not None:
+        _emit_trajectory(prep, outcome.trajectory)
+    if outcome.completed:
+        print(f"converged in {len(outcome.gaps)} iterations")
+    return outcome
+
+
+_RUNS = {"nonlinear": _run_nonlinear, "linearized": _run_linearized, "picard": _run_picard}
 
 
 def command_run(cfg: RunConfig) -> int:
@@ -451,22 +444,21 @@ def command_run(cfg: RunConfig) -> int:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.output_dir!r}: {exc}") from exc
-    # every mode writes timeseries.dat last: refuse an unwritable one before the march
-    path = timeseries_path(cfg.output_dir)
-    if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
-        raise ConfigError(f"cannot write output {path!r}: it is a directory or not writable")
+    # every mode writes timeseries.dat last, and a nonlinear run may write
+    # over any snapshot: refuse an unwritable one before the march
+    snaps = glob.glob("snap_*.dat", root_dir=cfg.output_dir) if cfg.snapshot_every > 0.0 else []
+    for path in [timeseries_path(cfg.output_dir)] + [
+        os.path.join(cfg.output_dir, name) for name in sorted(snaps)
+    ]:
+        if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+            raise ConfigError(f"cannot write output {path!r}: it is a directory or not writable")
     # an overflowing state is reported by the finite checks and monitors;
     # numpy's warnings on the way there would only precede that message
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.mode == "nonlinear":
-                return _run_nonlinear(prep)
-            if cfg.mode == "linearized":
-                return _run_linearized(prep)
-            return _run_picard(prep)
-    except StopError as exc:
-        print(f"terminated: {exc}", file=sys.stderr)
-        return 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcome = _RUNS[cfg.mode](prep)
+    if not outcome.completed:
+        print(f"{outcome.status}: {outcome.reason}", file=sys.stderr)
+    return 0 if outcome.completed else 1
 
 
 # ---------------------------------------------------------------------------

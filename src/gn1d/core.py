@@ -17,6 +17,13 @@ class StopError(Exception):
     """A condition that ends a run early; status is the outcome it ends with."""
 
     status: str
+    stage = 0  # the RK4 stage (1-4) it was raised in, set by the kernel; 0 outside a stage
+    offset = 0.0  # that stage's time offset c, in steps
+
+    def at(self, t: float, dt: float) -> str:
+        """The message and where it was raised, in the step of size dt from time t."""
+        stage = f", RK stage {self.stage}" if self.stage else ""
+        return f"{self} (t = {t + self.offset * dt:.6g}{stage})"
 
 
 class DepthError(StopError):

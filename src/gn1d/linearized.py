@@ -7,21 +7,22 @@ U_t + J A[Ubar] J U_x + B(Ubar) = 0, which is the regularized problem the
 cutoff-removal study solves on a shrinking ladder of cutoff scales.  The
 fixed-point iteration re-feeds each linear solution as the next
 coefficient trajectory, starting from the constant-in-time initial state.
+Both end in a labeled RunOutcome, as run() does; Picard adds not_converged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Bathymetry, Grid, Parameters, State, compute_depth, require_depth
+from .core import Bathymetry, Grid, Parameters, State, StopError, compute_depth
 from .diagnostics import es_norm
 from .gn_rhs import FrozenState, coefficient_fields, condensed_tendency
 from .grid_ops import apply_symbol
 from .t_operator import assemble_T
-from .time_integrator import StepControl, _rk4, cfl_dt, max_wave_speed
+from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, max_wave_speed
 
 
 def cutoff_profile(r) -> np.ndarray:
@@ -117,17 +118,14 @@ def solve_linear(
     control: StepControl,
     mollifier: Mollifier | None = None,
     dt: float | None = None,
-) -> ReferenceTrajectory:
+) -> RunOutcome:
     """March the linearized system with fixed uniform steps.
 
-    Raises DepthError unless every reference snapshot is admissible.  The
-    step is chosen once from the reference coefficients (or passed in),
-    then rounded down so the span divides evenly; snapshots are stored at
-    every step so the result can serve as the next reference.
+    The step is chosen once from the reference coefficients (or passed in),
+    then rounded down so the span divides evenly; a snapshot is kept at
+    every step, so the trajectory can serve as the next reference.  A stage
+    assembles each coefficient state's operator, which checks its depth.
     """
-    ref_h = compute_depth(ref.fields[:, 0], bathymetry, params)
-    # every snapshot must itself be admissible; interpolants then are too
-    require_depth(ref_h, params)
     t0 = ref.t0
     span = control.t_end - t0
     if span <= 0.0:
@@ -137,52 +135,47 @@ def solve_linear(
             f"reference trajectory ends at {ref.t1}, before t_end {control.t_end}"
         )
     if dt is None:
+        ref_h = compute_depth(ref.fields[:, 0], bathymetry, params)
         dt = control.step_for(max_wave_speed(ref.fields[:, 1], ref_h, params), grid.dx)
     m = max(1, math.ceil(span / dt - 1e-12))
     dt = span / m
 
-    zu = initial.zu
-    fields = [zu]
+    fields = [initial.zu]
     cut = None if mollifier is None else (lambda f: mollify(f, mollifier, grid))
     block = max(1, 2**17 // grid.n)  # steps per block: a stage stack holds about 2^18 values
+    # the frozen states at offsets 0, 1/2 and 1 of the step, each built when a
+    # stage first needs it (stages 2 and 3 share it); the end starts the next step
+    step = []
 
-    end = None  # the frozen state at the last step's end, which starts the next step
-    for j0 in range(0, m, block):
-        # the coefficient states of a block of steps, one row per stage time:
-        # each step's offsets 1/2 and 1 (stages 2 and 3 share the midpoint),
-        # with t0 in front in the first block only
-        starts = t0 + dt * np.arange(j0, min(j0 + block, m))
-        stage_times = np.stack((starts + 0.5 * dt, starts + dt), axis=1).ravel()
-        if end is None:
-            stage_times = np.append(t0, stage_times)
-        coeff = ref.at(stage_times)
-        coeff_h = compute_depth(coeff[:, 0], bathymetry, params)
-        coeff_fields = coefficient_fields(coeff_h, coeff[:, 1], bathymetry, params, grid)
-        frozen = (
-            FrozenState(assemble_T(h, bathymetry, params, grid), coeff_fields.row(i))
-            for i, h in enumerate(coeff_h)
-        )
-        if end is None:
-            end = next(frozen)
-        for mid, stop in zip(frozen, frozen):  # two rows per step, built as the step reaches them
-            states = (end, mid, stop)  # at offsets 0, 1/2, 1
+    def tendency(c, y):
+        i = int(2 * c)
+        if i == len(step):
+            step.append(next(frozen))
+        return condensed_tendency(step[i], y, cut)
 
-            def tendency(c, y):
-                return condensed_tendency(states[int(2 * c)], y, cut)
-
-            zu = zu + _rk4(zu, dt, grid, tendency)
-            fields.append(zu)
-            end = stop
-    times = t0 + dt * np.arange(m + 1)
-    return ReferenceTrajectory(times, fields)
-
-
-@dataclass
-class PicardResult:
-    trajectory: ReferenceTrajectory
-    gaps: list[float]
-    converged: bool
-    iterations: int
+    try:
+        for j0 in range(0, m, block):
+            # the coefficient states of a block of steps, one row per stage time:
+            # each step's offsets 1/2 and 1, with t0 in front in the first block only
+            starts = t0 + dt * np.arange(j0, min(j0 + block, m))
+            stage_times = np.stack((starts + 0.5 * dt, starts + dt), axis=1).ravel()
+            if not step:
+                stage_times = np.append(t0, stage_times)
+            coeff = ref.at(stage_times)
+            coeff_h = compute_depth(coeff[:, 0], bathymetry, params)
+            coeff_fields = coefficient_fields(coeff_h, coeff[:, 1], bathymetry, params, grid)
+            frozen = (
+                FrozenState(assemble_T(h, bathymetry, params, grid), coeff_fields.row(i))
+                for i, h in enumerate(coeff_h)
+            )
+            for _ in starts:
+                fields.append(fields[-1] + _rk4(fields[-1], dt, grid, tendency))
+                del step[:2]
+    except StopError as exc:
+        steps = len(fields) - 1
+        return RunOutcome(exc.status, steps=steps, reason=exc.at(t0 + steps * dt, dt))
+    trajectory = ReferenceTrajectory(t0 + dt * np.arange(m + 1), fields)
+    return RunOutcome("completed", steps=m, trajectory=trajectory)
 
 
 def picard_solve(
@@ -195,31 +188,32 @@ def picard_solve(
     tol: float = 1e-8,
     s: float = 2.0,
     mollifier: Mollifier | None = None,
-) -> PicardResult:
+) -> RunOutcome:
     """Fixed-point iteration on the linearized flow.
 
-    Iterate zero is the initial state frozen in time; each pass solves
+    Iterate zero is the initial state frozen in time; each sweep solves
     the system linearized about the previous iterate.  The gap between
     consecutive iterates is the sup over snapshot times of the energy
-    norm weighted at the previous iterate's coefficients.
+    norm weighted at the previous iterate's coefficients.  The outcome is
+    the last sweep's, with the gaps so far; a stopped sweep is named.
     """
     dt = cfl_dt(initial, bathymetry, params, grid, control)
-
     ref = ReferenceTrajectory.constant(initial, control.t_end)
     gaps: list[float] = []
-    for it in range(1, max_iters + 1):
-        sol = solve_linear(
-            ref, initial, bathymetry, params, grid, control, mollifier, dt=dt
-        )
-        prev = ref.at(sol.times)
+    for sweep in range(1, max_iters + 1):
+        sol = solve_linear(ref, initial, bathymetry, params, grid, control, mollifier, dt=dt)
+        if not sol.completed:
+            return replace(sol, reason=f"sweep {sweep}: {sol.reason}", gaps=gaps)
+        prev = ref.at(sol.trajectory.times)
         prev_h = compute_depth(prev[:, 0], bathymetry, params)
         # np.max carries a NaN norm through, so a NaN gap never converges
         gap = float(np.max([
             es_norm(d, h, bathymetry, params, grid, s)
-            for d, h in zip(sol.fields - prev, prev_h)
+            for d, h in zip(sol.trajectory.fields - prev, prev_h)
         ]))
         gaps.append(gap)
-        ref = sol
+        ref = sol.trajectory
         if gap <= tol:
-            return PicardResult(sol, gaps, True, it)
-    return PicardResult(ref, gaps, False, max_iters)
+            return replace(sol, gaps=gaps)
+    reason = f"not converged after {max_iters} iterations"
+    return replace(sol, status="not_converged", reason=reason, gaps=gaps)

@@ -11,7 +11,8 @@ exception) when the depth drops below the floor, the factorization
 fails, or the solution norm blows up (a stage whose state or tendency
 overflows to a non-finite value counts as a norm blow-up).  Stage errors
 and tripped post-step monitors raise a StopError alike; one handler ends
-the run with the error's status and keeps its message as the reason.
+the run with the error's status and keeps its message, with the time and
+RK stage, as the reason.
 """
 
 from __future__ import annotations
@@ -82,15 +83,20 @@ def _rk4(zu: np.ndarray, dt: float, grid: Grid, tendency) -> np.ndarray:
 
     tendency(c, y) is evaluated at stage time t + c dt on the stage stack
     y and returns a (2, n) stack, which is truncated to the alias-free band
-    (both fields in one transform pair).
+    (both fields in one transform pair).  A StopError raised inside stage k
+    leaves tagged with k and c.
     """
-    def stage(c, y):
-        return dealias(tendency(c, y), grid)
+    def stage(k, c, y):
+        try:
+            return dealias(tendency(c, y), grid)
+        except StopError as exc:
+            exc.stage, exc.offset = k, c
+            raise
 
-    k1 = stage(0.0, zu)
-    k2 = stage(0.5, zu + 0.5 * dt * k1)
-    k3 = stage(0.5, zu + 0.5 * dt * k2)
-    k4 = stage(1.0, zu + dt * k3)
+    k1 = stage(1, 0.0, zu)
+    k2 = stage(2, 0.5, zu + 0.5 * dt * k1)
+    k3 = stage(3, 0.5, zu + 0.5 * dt * k2)
+    k4 = stage(4, 1.0, zu + dt * k3)
     return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -98,11 +104,8 @@ def rk4_step(
     state: State, dt: float, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> State:
     """One classical Runge-Kutta step; raises on depth or factorization loss."""
-
-    def tendency(c, y):
-        return nonlinear_rhs(y, bathymetry, params, grid)
-
-    return State(state.zu + _rk4(state.zu, dt, grid, tendency), state.time + dt)
+    increment = _rk4(state.zu, dt, grid, lambda c, y: nonlinear_rhs(y, bathymetry, params, grid))
+    return State(state.zu + increment, state.time + dt)
 
 
 class _NormCeilingError(StopError):
@@ -113,13 +116,15 @@ class _NormCeilingError(StopError):
 
 @dataclass
 class RunOutcome:
-    """Terminal status of a run plus the sampled diagnostic history."""
+    """How a march (run, solve_linear or picard_solve) ended, after steps steps."""
 
-    status: str  # completed | blowup_depth | blowup_norm | solver_failure
-    final_state: State
+    status: str  # completed | blowup_depth | blowup_norm | solver_failure | not_converged
+    final_state: State | None = None  # run()'s last state; history holds its records
     history: list[DiagnosticRecord] = field(default_factory=list)
     steps: int = 0
     reason: str = ""  # why an early stop happened; empty when completed
+    trajectory: object = None  # a completed linear march's ReferenceTrajectory
+    gaps: list[float] = field(default_factory=list)  # of Picard's completed sweeps
 
     @property
     def completed(self) -> bool:
@@ -168,6 +173,6 @@ def run(
                     f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}"
                 )
         except StopError as exc:
-            return RunOutcome(exc.status, state, history, steps, str(exc))
+            return RunOutcome(exc.status, state, history, steps, exc.at(state.time, dt))
         on_state(steps, state)
     return RunOutcome("completed", state, history, steps)

@@ -229,7 +229,7 @@ def test_07_picard_convergence():
     wave = solitary_wave(0.1, params, grid)
     control = StepControl(t_end=0.1, cfl=0.5, dt_max=0.005)
     result = picard_solve(wave, bath, params, grid, control, tol=1e-10)
-    assert result.converged, result.gaps
+    assert result.completed, result.reason
     ratios = [result.gaps[i] / result.gaps[i - 1] for i in range(1, len(result.gaps))]
     direct = run(wave, bath, params, grid, control)
     assert direct.completed, direct.status
@@ -266,12 +266,12 @@ def _envelope_fit(n: int):
             band_limited(grid, 8, seed_u, 1e-3),
         )))
 
-    sol_a = solve_linear(ref, perturbed(11, 12), bath, params, grid, control)
-    sol_b = solve_linear(ref, perturbed(21, 22), bath, params, grid, control)
+    sol_a = solve_linear(ref, perturbed(11, 12), bath, params, grid, control).trajectory
+    sol_b = solve_linear(ref, perturbed(21, 22), bath, params, grid, control).trajectory
     # zero initial data must stay zero over a flat bottom: the affine
     # forcing vanishes, so the fitted source constant is exactly 0
     zero = State(np.zeros((2, grid.n)))
-    sol_0 = solve_linear(ref, zero, bath, params, grid, control)
+    sol_0 = solve_linear(ref, zero, bath, params, grid, control).trajectory
     forcing = float(np.max(np.abs(sol_0.fields)))
 
     h_ref = compute_depth(ref.at(sol_a.times)[:, 0], bath, params)
@@ -354,7 +354,7 @@ def test_09_mollifier_properties():
             hump, bath, params, pg, control,
             tol=1e-10, mollifier=Mollifier.for_grid(delta, pg),
         )
-        assert res.converged, res.gaps
+        assert res.completed, res.reason
         finals.append(res.trajectory.fields[-1])
     ladder = [
         xs_norm(b - a, params, pg, 2.0)

@@ -378,21 +378,29 @@ def test_main_run_reports_blowup_with_exit_one(tmp_path, capsys):
 
 def test_main_run_prints_the_grid_index_where_an_over_tall_hump_loses_depth(tmp_path, capsys):
     # a hump twice the still depth sheds troughs that dip below a floor of
-    # 0.95 inside an RK4 stage; the early stop names the node and depth
-    cfg_path = tmp_path / "run.cfg"
-    _write_config(
-        cfg_path, scenario="hump", n=64, length=20.0, epsilon=1.0, mu=0.5, amplitude=2.0,
-        width=1.0, h0=0.95, t_end=5.0, output_dir=str(tmp_path / "out"),
-    )
-    assert main(["run", "--config", str(cfg_path)]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("blowup_depth: t = ")
-    match = re.fullmatch(
-        r"reason: depth condition violated: min depth (\S+) at grid index (\d+)", out[1]
-    )
-    assert match is not None, out
-    assert float(match.group(1)) < 0.95
-    assert 0 <= int(match.group(2)) < 64
+    # 0.95 inside an RK4 stage (in picard mode, in the coefficients of the
+    # second sweep); the stop line names the node, the depth, the time and
+    # the stage
+    for mode, first_line, sweep in [
+        ("nonlinear", "blowup_depth: t = ", ""), ("picard", "iteration 1: gap = ", "sweep 2: "),
+    ]:
+        cfg_path = tmp_path / f"{mode}.cfg"
+        _write_config(
+            cfg_path, scenario="hump", mode=mode, n=64, length=20.0, epsilon=1.0, mu=0.5,
+            amplitude=2.0, width=1.0, h0=0.95, t_end=5.0, output_dir=str(tmp_path / mode),
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0].startswith(first_line)
+        match = re.fullmatch(
+            rf"blowup_depth: {sweep}depth condition violated: min depth (\S+) "
+            r"at grid index (\d+) \(t = (\S+), RK stage ([1-4])\)\n",
+            captured.err,
+        )
+        assert match is not None, captured.err
+        assert float(match.group(1)) < 0.95
+        assert 0 <= int(match.group(2)) < 64
+        assert 0.0 < float(match.group(3)) < 5.0
 
 
 @pytest.mark.parametrize(
@@ -451,18 +459,50 @@ def test_main_run_reports_an_unwritable_output_file_as_a_config_error(
         cfg_path, scenario="hump", mode=mode, n=64, epsilon=0.2, amplitude=0.2, t_end=0.02,
         dt_max=0.01, snapshot_every=0.01 if mode == "nonlinear" else 0.0, output_dir=str(out),
     )
-    if mode != "nonlinear":
-        # timeseries.dat is written last, so its path is checked before any march
+    # timeseries.dat is written last, and a snapshot may be written at any
+    # step, so every output path is checked before any march
 
-        def no_march(*args, **kwargs):
-            raise AssertionError("the march started")
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march started")
 
-        for march in ("run", "solve_linear", "picard_solve"):
-            monkeypatch.setattr(gn1d.cli, march, no_march)
+    for march in ("run", "solve_linear", "picard_solve"):
+        monkeypatch.setattr(gn1d.cli, march, no_march)
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write output {str(out / name)!r}")
     assert [p.name for p in out.glob("snap_*.dat") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("blocked", ["directory", "read_only"])
+def test_main_run_refuses_a_later_snapshot_path_before_the_march(
+    tmp_path, capsys, monkeypatch, blocked
+):
+    # snap_000015.dat would be written at step 15 of this run, after three
+    # earlier snapshots; an unusable one is refused before any is written
+    out = tmp_path / "out"
+    target = out / "snap_000015.dat"
+    if blocked == "directory":
+        target.mkdir(parents=True)
+    else:
+        out.mkdir()
+        target.write_text("an earlier run\n", encoding="utf-8")
+        # a superuser may write any file, so os.access answers as for anyone else
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access",
+            lambda path, mode, **kw: path != str(target) and real_access(path, mode, **kw),
+        )
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, scenario="hump", n=64, t_end=0.2, snapshot_every=0.05, dt_max=0.01,
+        output_dir=str(out),
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot write output {str(target)!r}: it is a directory or not writable"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["snap_000015.dat"]
+    assert blocked == "directory" or target.read_text(encoding="utf-8") == "an earlier run\n"
 
 
 def test_main_run_refuses_a_read_only_timeseries_file_and_leaves_it_as_it_was(
@@ -490,7 +530,7 @@ def test_main_run_refuses_a_read_only_timeseries_file_and_leaves_it_as_it_was(
 
 def test_an_early_stop_leaves_an_existing_timeseries_file_as_it_was(tmp_path, capsys):
     # the output check before the march opens nothing, so a picard run that
-    # stops at its first sweep writes no timeseries.dat and truncates none
+    # stops in a sweep writes no timeseries.dat and truncates none
     out = tmp_path / "out"
     out.mkdir()
     (out / "timeseries.dat").write_text("an earlier run\n", encoding="utf-8")
@@ -500,7 +540,11 @@ def test_an_early_stop_leaves_an_existing_timeseries_file_as_it_was(tmp_path, ca
         amplitude=2.0, width=1.0, h0=0.95, t_end=5.0, output_dir=str(out),
     )
     assert main(["run", "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err.startswith("terminated: depth condition violated")
+    assert re.fullmatch(
+        r"blowup_depth: sweep 2: depth condition violated: min depth \S+ at grid index \d+ "
+        r"\(t = \S+, RK stage [1-4]\)\n",
+        capsys.readouterr().err,
+    )
     assert (out / "timeseries.dat").read_text(encoding="utf-8") == "an earlier run\n"
 
 
@@ -620,7 +664,7 @@ def test_main_run_picard_that_does_not_converge_exits_one(tmp_path, capsys):
         output_dir=str(out),
     )
     assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "not converged after 1 iterations" in capsys.readouterr().err
+    assert capsys.readouterr().err == "not_converged: not converged after 1 iterations\n"
     assert (out / "timeseries.dat").exists()
 
 
@@ -679,7 +723,12 @@ def test_main_run_reports_a_non_finite_operator_with_exit_one(tmp_path, capsys, 
     with np.errstate(invalid="ignore"):
         code = main(["run", "--config", str(cfg_path)])
     assert code == 1
-    assert "terminated: non-finite value in the band storage of T" in capsys.readouterr().err
+    sweep = "sweep 1: " if mode == "picard" else ""
+    # T's stencil spreads node 3 over nodes 1 to 5; the first in factor order is named
+    assert capsys.readouterr().err == (
+        f"blowup_norm: {sweep}non-finite value in the band storage of T at grid index 1 "
+        "(t = 0, RK stage 1)\n"
+    )
 
 
 def test_main_run_picard_on_an_overflowing_state_exits_one(tmp_path, capsys):
@@ -692,20 +741,23 @@ def test_main_run_picard_on_an_overflowing_state_exits_one(tmp_path, capsys):
     with np.errstate(all="ignore"):
         code = main(["run", "--config", str(cfg_path)])
     assert code == 1
-    assert "terminated: non-finite value" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "blowup_norm: sweep 1: non-finite value in the band storage of T at grid index 0 "
+        "(t = 0, RK stage 1)\n"
+    )
 
 
 @pytest.mark.parametrize(
-    "mode, stream, message",
+    "mode, out, where",
     [
-        ("nonlinear", "out", "blowup_norm: t = 0, steps = 0"),
-        ("linearized", "err", "reference run terminated early: blowup_norm"),
-        ("picard", "err", "terminated: non-finite value in the band storage of T"),
+        ("nonlinear", "blowup_norm: t = 0, steps = 0", ""),
+        ("linearized", "", "reference run: "),
+        ("picard", "", "sweep 1: "),
     ],
     ids=["nonlinear", "linearized", "picard"],
 )
 def test_main_run_on_an_overflowing_state_prints_only_the_labeled_outcome(
-    tmp_path, capsys, mode, stream, message
+    tmp_path, capsys, mode, out, where
 ):
     cfg_path = tmp_path / "run.cfg"
     _write_config(
@@ -715,7 +767,12 @@ def test_main_run_on_an_overflowing_state_prints_only_the_labeled_outcome(
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["run", "--config", str(cfg_path)])
     assert code == 1
-    assert message in getattr(capsys.readouterr(), stream)
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out)
+    assert captured.err == (
+        f"blowup_norm: {where}non-finite value in the band storage of T at grid index 0 "
+        "(t = 0, RK stage 1)\n"
+    )
 
 
 def test_main_config_error_exits_two(tmp_path, capsys):

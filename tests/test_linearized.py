@@ -7,9 +7,7 @@ import pytest
 
 from gn1d import (
     Bathymetry,
-    DepthError,
     Grid,
-    NonFiniteError,
     Parameters,
     State,
     compute_depth,
@@ -184,21 +182,28 @@ def test_constant_trajectory_holds_the_state():
 
 
 def test_trajectory_depth_guard():
+    # a coefficient state is checked when a stage assembles its operator, so
+    # the march ends at the first stage whose interpolated depth is too low
     grid = Grid(16, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.5)
     control = StepControl(t_end=1.0)
     deep = State(np.zeros((2, grid.n)))
     shallow = State(np.array((np.full(grid.n, -1.5), np.zeros(grid.n))), time=1.0)  # h = 0.25
     traj = ReferenceTrajectory.from_states([deep, shallow])
-    with pytest.raises(DepthError):
-        solve_linear(traj, deep, Bathymetry.flat(grid), params, grid, control)
+    out = solve_linear(traj, deep, Bathymetry.flat(grid), params, grid, control)
+    assert (out.status, out.steps, out.trajectory) == ("blowup_depth", 4, None)
+    assert out.reason == (
+        "depth condition violated: min depth 0.4375 at grid index 0 (t = 0.75, RK stage 2)"
+    )
     dip = np.zeros(grid.n)
     dip[5] = -1.5  # h = 0.25 at node 5 of the second snapshot only
     traj = ReferenceTrajectory.from_states([deep, State(np.array((dip, np.zeros(grid.n))), 1.0)])
-    with pytest.raises(DepthError) as info:
-        solve_linear(traj, deep, Bathymetry.flat(grid), params, grid, control)
-    assert info.value.location == 5
-    assert info.value.min_value == 0.25
+    # one step: the midpoint's depth 0.625 passes, the end's 0.25 does not
+    out = solve_linear(traj, deep, Bathymetry.flat(grid), params, grid, control, dt=1.0)
+    assert (out.status, out.steps) == ("blowup_depth", 0)
+    assert out.reason == (
+        "depth condition violated: min depth 0.25 at grid index 5 (t = 1, RK stage 4)"
+    )
 
 
 def test_trajectory_speed_at_rest():
@@ -209,7 +214,7 @@ def test_trajectory_speed_at_rest():
     st = State(np.zeros((2, grid.n)))
     sol = solve_linear(
         ReferenceTrajectory.constant(st, 1.0), st, Bathymetry.flat(grid), params, grid, control
-    )
+    ).trajectory
     assert sol.times.size == math.ceil(control.t_end / (control.cfl * grid.dx)) + 1
 
 
@@ -244,7 +249,47 @@ def test_linearization_about_rest_recovers_dispersive_waves():
     ref = ReferenceTrajectory.constant(State(np.zeros((2, grid.n))), period)
     ic = State(np.array((np.cos(k * x), (omega / k) * np.cos(k * x))))
     out = solve_linear(ref, ic, flat, params, grid, StepControl(t_end=period), dt=period / 400)
-    assert l2_diff(out.at([period])[0], ic.zu, grid) <= 1e-6
+    assert l2_diff(out.trajectory.at([period])[0], ic.zu, grid) <= 1e-6
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1], ids=["plain", "mollified"])
+def test_linear_march_about_rest_is_rk4_applied_mode_by_mode(delta):
+    """About rest on a flat bottom the linearized system decouples into
+    Fourier modes: U_k' = phi_k^2 M_k U_k with M_k = [[0, -ik], [-ik/tau_k, 0]],
+    tau_k = 1 + mu sigma_k^2 / 3 the symbol of T (ik is 0 at Nyquist, phi_k
+    the cutoff symbol or 1).  So m steps multiply mode k by R(dt phi_k^2 M_k)^m,
+    R the degree-4 Taylor polynomial of exp; modes above n/3 are dealiased
+    out of every increment and keep their initial coefficients.  The oracle
+    uses none of gn1d's operator or stepping code."""
+    grid = Grid(64, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5, h0=0.5)
+    t_end, m = 1.0, 100
+    zu = np.random.default_rng(7).standard_normal((2, grid.n))
+    mollifier = Mollifier.for_grid(delta, grid) if delta > 0.0 else None
+    rest = ReferenceTrajectory.constant(State(np.zeros((2, grid.n))), t_end)
+    out = solve_linear(
+        rest, State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=t_end),
+        mollifier, dt=t_end / m,
+    )
+    assert out.completed and out.steps == m
+
+    k = grid.wavenumbers()
+    ik = 1j * k
+    ik[-1] = 0.0
+    tau = 1.0 + params.mu * fd_symbol(k, grid.dx) ** 2 / 3.0
+    phi = np.ones(k.size) if mollifier is None else mollifier.symbol
+    z = np.zeros((k.size, 2, 2), dtype=complex)
+    z[:, 0, 1] = -ik
+    z[:, 1, 0] = -ik / tau
+    z *= ((t_end / m) * phi**2)[:, None, None]
+    z2 = z @ z
+    r = np.eye(2) + z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
+    coeff = np.fft.rfft(zu).T[:, :, None]  # (modes, 2, 1)
+    marched = np.linalg.matrix_power(r, m) @ coeff
+    kept = np.arange(k.size) <= grid.n // 3
+    want = np.where(kept[:, None, None], marched, coeff)[:, :, 0].T
+    err = np.max(np.abs(out.trajectory.fields[-1] - np.fft.irfft(want, grid.n)))
+    assert err <= 1e-12
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -263,8 +308,8 @@ def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     """Stages 2 and 3 share the midpoint operator and each step-end
     operator is reused as the next step's start: 2m + 1 assemblies.
     Each of the 4m stage tendencies applies A and evaluates B once, and
-    solves once in each.  The depths come from two stacked calls: one
-    validates the reference, one serves every stage.  The coefficient
+    solves once in each.  The depths come from one stacked call, which
+    serves every stage.  The coefficient
     fields of all stages come from one stacked derivative per block; a
     stage differentiates only its own fields and Q1's argument."""
     import gn1d.gn_rhs
@@ -282,13 +327,13 @@ def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     out = solve_linear(
         ref, hump, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.1), dt=0.02
     )
-    m = out.times.size - 1
+    m = out.trajectory.times.size - 1
     assert m == 5
     assert calls["assemble_T"] == 2 * m + 1
     assert calls["solve_T"] == 8 * m
     assert calls["apply_A"] == calls["eval_B"] == 4 * m
     assert calls["d1_spectral"] == 2 * 4 * m + 1
-    assert calls["compute_depth"] == 2
+    assert calls["compute_depth"] == 1
 
 
 def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatch):
@@ -309,10 +354,10 @@ def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatc
     out = solve_linear(
         ref, hump, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.033), dt=0.001
     )
-    m = out.times.size - 1
+    m = out.trajectory.times.size - 1
     assert m == 33
     assert calls["assemble_T"] == 2 * m + 1
-    assert calls["compute_depth"] == 3
+    assert calls["compute_depth"] == 2
     assert calls["d1_spectral"] == 2 * 4 * m + 2
 
 
@@ -330,10 +375,10 @@ def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):
     control = StepControl(t_end=0.1, dt_max=0.02)
     result = picard_solve(hump, Bathymetry.flat(grid), params, grid, control, max_iters=3, tol=0.0)
     m = result.trajectory.times.size - 1
-    assert (result.iterations, m) == (3, 5)
-    assert calls["es_norm"] == result.iterations * (m + 1)
-    # per sweep: validate the reference, the stage depths, the gap depths
-    assert calls["compute_depth"] == 3 * result.iterations
+    assert (result.status, len(result.gaps), m) == ("not_converged", 3, 5)
+    assert calls["es_norm"] == len(result.gaps) * (m + 1)
+    # per sweep: the stage depths, the gap depths
+    assert calls["compute_depth"] == 2 * len(result.gaps)
 
 
 def test_a_nan_picard_gap_never_counts_as_converged():
@@ -347,8 +392,9 @@ def test_a_nan_picard_gap_never_counts_as_converged():
             hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, control,
             max_iters=2, s=1000.0,
         )
-    assert not result.converged
-    assert result.iterations == 2
+    assert result.status == "not_converged"
+    assert result.reason == "not converged after 2 iterations"
+    assert len(result.gaps) == 2
     assert all(math.isnan(gap) for gap in result.gaps)
 
 
@@ -368,8 +414,8 @@ def test_fixed_point_iteration_converges_to_the_nonlinear_flow():
     hump = gaussian_hump(0.3, 0.5, grid)
     control = StepControl(t_end=0.1, cfl=0.5, dt_max=0.005)
     result = picard_solve(hump, flat, params, grid, control, max_iters=20, tol=1e-9)
-    assert result.converged
-    assert result.iterations < 20
+    assert result.completed
+    assert len(result.gaps) < 20
     assert all(b < a for a, b in zip(result.gaps, result.gaps[1:]))
     direct = run(hump, flat, params, grid, control)
     gap = result.trajectory.at([0.1])[0] - direct.final_state.zu
@@ -391,33 +437,36 @@ def test_fixed_point_iteration_with_smoothing_still_converges():
         tol=1e-9,
         mollifier=m,
     )
-    assert result.converged
+    assert result.completed
 
 
-def test_picard_solve_on_an_overflowed_state_raises_the_labeled_error():
+def test_picard_solve_on_an_overflowed_state_ends_with_the_labeled_outcome():
     """The CFL step of an overflowed velocity is about 1e-200, so the march
     has an absurd step count; the first stage must still end it with a
-    NonFiniteError rather than a failed allocation sized by that count."""
+    non-finite blow-up rather than a failed allocation sized by that count."""
     grid = Grid(64, 60.0)
     params = Parameters(0.5, 0.5, h0=0.25)
     wave = solitary_wave(0.4, params, grid)
     zu = wave.zu.copy()
     zu[1, 3] = 1e200
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
-        picard_solve(State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
+    with np.errstate(all="ignore"):
+        out = picard_solve(State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
+    assert (out.status, out.steps, out.gaps, out.trajectory) == ("blowup_norm", 0, [], None)
+    assert out.reason == (
+        "sweep 1: non-finite value in the right-hand side of a solve with T at grid index 0 "
+        "(t = 0, RK stage 1)"
+    )
 
 
-def test_picard_solve_below_the_depth_floor_raises_depth_error():
-    # the first linear solve validates its constant reference, whose
-    # snapshots are the initial state
+def test_picard_solve_below_the_depth_floor_ends_with_blowup_depth():
+    # the first stage assembles the operator of the constant reference,
+    # whose snapshots are the initial state
     grid = Grid(16, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.5)
     zu = np.zeros((2, grid.n))
     zu[0, 5] = -1.5  # h = 0.25 at node 5
-    with pytest.raises(DepthError) as info:
-        picard_solve(
-            State(zu), Bathymetry.flat(grid), params, grid,
-            StepControl(t_end=0.1),
-        )
-    assert info.value.min_value == 0.25
-    assert info.value.location == 5
+    out = picard_solve(State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=0.1))
+    assert (out.status, out.steps, out.gaps, out.trajectory) == ("blowup_depth", 0, [], None)
+    assert out.reason == (
+        "sweep 1: depth condition violated: min depth 0.25 at grid index 5 (t = 0, RK stage 1)"
+    )

@@ -222,7 +222,8 @@ def test_rk4_kernel_matches_the_taylor_polynomial_on_linear_decay():
 
 
 def test_every_early_stop_keeps_its_reason(monkeypatch):
-    """The outcome keeps the message of the stage error or tripped monitor."""
+    """The outcome keeps the message of the stage error or tripped monitor,
+    with the time and RK stage of a stage error, or the time of the step."""
     grid = Grid(64, 60.0)
     params = Parameters(0.5, 0.5, h0=0.25)
     bath = Bathymetry.flat(grid)
@@ -236,7 +237,9 @@ def test_every_early_stop_keeps_its_reason(monkeypatch):
     drowned.zeta[9] -= 4.0  # h = -1 at node 9
     out = run(drowned, bath, params, grid, control)
     assert out.status == "blowup_depth"
-    assert out.reason == "depth condition violated: min depth -1 at grid index 9"
+    assert out.reason == (
+        "depth condition violated: min depth -1 at grid index 9 (t = 0, RK stage 1)"
+    )
 
     out = run(wave, bath, params, grid, control, norm_factor=1e-12)
     assert out.status == "blowup_norm"
@@ -256,9 +259,10 @@ def test_every_early_stop_keeps_its_reason(monkeypatch):
     monkeypatch.setattr(gn1d.time_integrator, "rk4_step", step_with(17, -3.0))
     out = run(wave, bath, params, grid, control)
     assert out.status == "blowup_depth" and out.steps == 1
-    assert out.reason == "depth condition violated: min depth -0.5 at grid index 17"
+    t = f"{out.final_state.time:.6g}"
+    assert out.reason == f"depth condition violated: min depth -0.5 at grid index 17 (t = {t})"
 
     monkeypatch.setattr(gn1d.time_integrator, "rk4_step", step_with(23, np.nan))
     out = run(wave, bath, params, grid, control)
     assert out.status == "blowup_norm" and out.steps == 1
-    assert out.reason == "non-finite value in the state at grid index 23"
+    assert out.reason == f"non-finite value in the state at grid index 23 (t = {t})"

@@ -14,8 +14,9 @@ count rules, so a count break fails here and not only in a benchmark
 run.  tools/output_digest.py must
 hash every output of a case.  The README's config table must list the
 RunConfig fields, in order, and its scenario row every name in
-SCENARIOS, so the documented keys cannot drift.  Every StopError
-subclass must carry one of the statuses run() ends with.  A state
+SCENARIOS, so the documented keys cannot drift.  The README's table of
+outcome statuses must list exactly the statuses a march can end with,
+and every StopError subclass must carry one of them.  A state
 travels through gn1d as one (2, n) stack: no module unpacks a stack
 into State(*...) or restacks (....zeta, ....u).  No
 module of gn1d or of its tests may import a name it never uses, so a
@@ -176,16 +177,51 @@ def test_readme_scenario_row_names_every_scenario():
     assert sorted(re.findall(r"`([^`]+)`", meaning)) == sorted(SCENARIOS)
 
 
-def test_every_stop_error_carries_a_run_status():
-    # run() ends on any StopError with the status the error declares
+def _readme_statuses() -> list[str]:
+    """The statuses of the README's table of outcomes, in order."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| status | modes that end with it | exit code |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("| `"):
+            break
+        rows.append(line.split("`")[1])
+    return rows
+
+
+def _stop_error_statuses() -> dict:
     statuses, pending = {}, gn1d.StopError.__subclasses__()
     while pending:
         cls = pending.pop()
         pending += cls.__subclasses__()
         statuses[cls.__qualname__] = getattr(cls, "status", None)
+    return statuses
+
+
+def test_every_stop_error_carries_a_run_status():
+    # a march ends on any StopError with the status the error declares
+    statuses = _stop_error_statuses()
     assert len(statuses) >= 4
-    allowed = {"blowup_depth", "blowup_norm", "solver_failure"}
+    allowed = set(_readme_statuses()) - {"completed"}
     assert {name: status for name, status in statuses.items() if status not in allowed} == {}
+
+
+def test_readme_outcome_table_lists_every_status_a_march_ends_with():
+    # a march ends with a StopError's status or with one it names itself,
+    # as the first argument of RunOutcome(...) or as replace(..., status=...)
+    named = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", None) == "RunOutcome" and node.args:
+                named.add(node.args[0])
+            named.update(k.value for k in node.keywords if k.arg == "status")
+    literals = {n.value for n in named if isinstance(n, ast.Constant)}
+    assert {"completed", "not_converged"} <= literals
+    table = _readme_statuses()
+    assert len(table) == len(set(table))
+    assert set(table) == literals | set(_stop_error_statuses().values())
 
 
 def test_no_module_splits_or_restacks_a_state():
@@ -237,7 +273,11 @@ def test_output_digest_hashes_every_output_of_a_case():
         f"hump_depth_loss/out/{name}" for name in outputs
     ]
     assert lines[2].split(" ")[0] == hashlib.sha256(b"1").hexdigest()
-    assert lines[1].split(" ")[0] == hashlib.sha256(b"").hexdigest()
+    stop = (
+        "blowup_depth: depth condition violated: min depth 0.943215 at grid index 32 "
+        "(t = 3.26234, RK stage 4)\n"
+    )
+    assert lines[1].split(" ")[0] == hashlib.sha256(stop.encode()).hexdigest()
     # a rerun in a fresh directory reproduces every byte
     assert tool.digest_case("hump_depth_loss") == lines
 

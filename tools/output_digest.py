@@ -39,15 +39,26 @@ _TALL_HUMP = {
     "width": 1.0, "h0": 0.95, "t_end": 5.0,
 }
 
-# name -> (command, config keys over the defaults); a run case always has a config
+# name -> (command, config keys over the defaults); a run case always has a config.
+# Every outcome status has a case: completed (default), blowup_depth
+# (hump_depth_loss), blowup_norm (norm_ceiling), solver_failure and
+# picard_not_converged.
 CASES = {
     "default": ("run", {"t_end": 2.0, "snapshot_every": 0.7}),
     "solitary_bench": ("run", _SOLITARY_BENCH),
     "hump_depth_loss": ("run", {**_TALL_HUMP, "snapshot_every": 0.05}),
-    # early stops of the picard and linearized modes: one stderr line, no timeseries.dat
+    # early stops of the picard and linearized modes: one stderr line, picard's
+    # gaps of its completed sweeps, no timeseries.dat
     "picard_depth_loss": ("run", {**_TALL_HUMP, "mode": "picard"}),
     "linearized_reference_stop": ("run", {**_TALL_HUMP, "mode": "linearized"}),
     "picard_overflow": ("run", {"amplitude": 1e200, "h0": 0.5, "t_end": 0.1, "mode": "picard"}),
+    "picard_not_converged": ("run", {"mode": "picard", "t_end": 0.1, "picard_max_iters": 1}),
+    # a domain so short that mu / dx^2 swamps the depth in T, which is then
+    # positive definite in exact arithmetic only: pbtrf fails at the first stage
+    "solver_failure": ("run", {
+        "scenario": "hump", "n": 64, "length": 1e-7, "width": 1e-7, "amplitude": 0.1,
+        "t_end": 1e-9,
+    }),
     "norm_ceiling": ("run", {"blowup_factor": 1.0000001, "t_end": 1.0, "snapshot_every": 0.2}),
     "linearized": ("run", {"mode": "linearized", "t_end": 1.0, "mollifier_delta": 0.5}),
     "picard_bar": ("run", {
