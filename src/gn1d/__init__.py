@@ -22,7 +22,6 @@ from .diagnostics import (
     xs_norm,
 )
 from .gn_rhs import (
-    CoefficientFields,
     FrozenState,
     apply_A,
     coefficient_fields,

@@ -335,10 +335,10 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
         xs = xs_norm(state.zu, params, grid, cfg.s)
         if not math.isfinite(xs) and math.isfinite(xs_norm(state.zu, params, grid, 0.0)):
             raise ConfigError(f"s = {cfg.s:g} gives the initial state a non-finite X^s norm ({xs})")
-    # run() ends within end_tolerance of t_end, so a shorter first step
-    # would march without end
+    # every march ends within end_tolerance of t_end, so a shorter first
+    # step is refused here (run() ends at a later one as blowup_norm)
     if math.isfinite(xs):
-        dt = cfl_dt(state, bathymetry, params, grid, control)
+        dt = cfl_dt(state.zu, bathymetry, params, grid, control)
         if not dt >= control.end_tolerance:
             raise ConfigError(
                 f"cfl = {cfg.cfl:g} and dt_max = {cfg.dt_max:g} give a first step of {dt:.3g}, "
@@ -521,7 +521,8 @@ def verify_suite(cfg: RunConfig) -> int:
             zu[0] -= 2.0 / params.epsilon
         try:
             op = assemble_T(compute_depth(zu[0], bathymetry, params), bathymetry, params, grid)
-        except StopError:
+        except StopError as exc:
+            print(f"{exc.status}: {exc}", file=sys.stderr)  # no time or stage: no march
             return _report([_check("operator assembly succeeded", 0.0, BOUNDS["assembly"])])
         sym_worst = max(sym_worst, symmetry_defect(op))
         trial = np.random.default_rng(int(rng.integers(2**31)))

@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Bathymetry, Grid, Parameters, State, StopError, compute_depth
+from .core import Bathymetry, DepthError, Grid, Parameters, State, StopError, compute_depth
 from .diagnostics import es_norm
 from .gn_rhs import FrozenState, coefficient_fields, condensed_tendency
 from .grid_ops import apply_symbol
 from .t_operator import assemble_T
-from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, max_wave_speed
+from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt
 
 
 def cutoff_profile(r) -> np.ndarray:
@@ -130,13 +130,10 @@ def solve_linear(
     span = control.t_end - t0
     if span <= 0.0:
         raise ValueError(f"t_end {control.t_end} does not exceed trajectory start {t0}")
-    if ref.t1 < control.t_end - 1e-12 * max(abs(control.t_end), 1.0):
-        raise ValueError(
-            f"reference trajectory ends at {ref.t1}, before t_end {control.t_end}"
-        )
+    if ref.t1 < control.t_end - control.end_tolerance:
+        raise ValueError(f"reference trajectory ends at {ref.t1}, before t_end {control.t_end}")
     if dt is None:
-        ref_h = compute_depth(ref.fields[:, 0], bathymetry, params)
-        dt = control.step_for(max_wave_speed(ref.fields[:, 1], ref_h, params), grid.dx)
+        dt = cfl_dt(ref.fields, bathymetry, params, grid, control)
     m = max(1, math.ceil(span / dt - 1e-12))
     dt = span / m
 
@@ -195,15 +192,24 @@ def picard_solve(
     the system linearized about the previous iterate.  The gap between
     consecutive iterates is the sup over snapshot times of the energy
     norm weighted at the previous iterate's coefficients.  The outcome is
-    the last sweep's, with the gaps so far; a stopped sweep is named.
+    the last sweep's, with the gaps so far; a stopped sweep is named, and
+    an iterate with a snapshot below the depth floor ends it blowup_depth.
     """
-    dt = cfl_dt(initial, bathymetry, params, grid, control)
+    dt = cfl_dt(initial.zu, bathymetry, params, grid, control)
     ref = ReferenceTrajectory.constant(initial, control.t_end)
     gaps: list[float] = []
     for sweep in range(1, max_iters + 1):
         sol = solve_linear(ref, initial, bathymetry, params, grid, control, mollifier, dt=dt)
         if not sol.completed:
             return replace(sol, reason=f"sweep {sweep}: {sol.reason}", gaps=gaps)
+        # solve_linear checks the coefficient states it assembles, not the iterate
+        h = compute_depth(sol.trajectory.fields[:, 0], bathymetry, params)
+        low = np.flatnonzero(~(h.min(axis=1) >= params.h0))  # NaN is low too
+        if low.size:
+            j = int(low[0])
+            exc = DepthError(h[j].min(), h[j].argmin())
+            reason = f"sweep {sweep}: {exc.at(sol.trajectory.times[j], dt)}"
+            return RunOutcome(exc.status, steps=j, reason=reason, gaps=gaps)
         prev = ref.at(sol.trajectory.times)
         prev_h = compute_depth(prev[:, 0], bathymetry, params)
         # np.max carries a NaN norm through, so a NaN gap never converges

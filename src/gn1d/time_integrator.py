@@ -9,10 +9,11 @@ regularize it, and without the truncation that band grows until the norm
 monitor trips.  Runs terminate early (with a labeled outcome, never an
 exception) when the depth drops below the floor, the factorization
 fails, or the solution norm blows up (a stage whose state or tendency
-overflows to a non-finite value counts as a norm blow-up).  Stage errors
-and tripped post-step monitors raise a StopError alike; one handler ends
-the run with the error's status and keeps its message, with the time and
-RK stage, as the reason.
+overflows to a non-finite value, or a step that falls below the end
+tolerance, counts as a norm blow-up).  Stage errors and tripped
+post-step monitors raise a StopError alike; one handler ends the run
+with the error's status and keeps its message, with the time and RK
+stage, as the reason.
 """
 
 from __future__ import annotations
@@ -55,27 +56,18 @@ class StepControl:
 
     @property
     def end_tolerance(self) -> float:
-        """run() stops once the time is within this of t_end."""
+        """Every march ends once its time is within this of t_end."""
         return 1e-12 * self.t_end
-
-    def step_for(self, speed: float, dx: float) -> float:
-        """The step this policy allows on spacing dx at the given max wave speed."""
-        if speed <= 0.0:
-            return self.dt_max
-        return min(self.dt_max, self.cfl * dx / speed)
-
-
-def max_wave_speed(u: np.ndarray, h: np.ndarray, params: Parameters) -> float:
-    """Largest advective-acoustic speed eps |u| + sqrt(h) over all samples."""
-    return float(np.max(params.epsilon * np.abs(u) + np.sqrt(np.maximum(h, 0.0))))
 
 
 def cfl_dt(
-    state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid, control: StepControl
+    zu: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid, control: StepControl
 ) -> float:
-    """Advective-acoustic step bound from the current fields."""
-    h = compute_depth(state.zeta, bathymetry, params)
-    return control.step_for(max_wave_speed(state.u, h, params), grid.dx)
+    """The step min(dt_max, cfl dx / max(eps |u| + sqrt(h))) over a (2, n)
+    state stack or an (m, 2, n) trajectory stack; dt_max when every speed is 0."""
+    h = compute_depth(zu[..., 0, :], bathymetry, params)
+    speed = float(np.max(params.epsilon * np.abs(zu[..., 1, :]) + np.sqrt(np.maximum(h, 0.0))))
+    return control.dt_max if speed <= 0.0 else min(control.dt_max, control.cfl * grid.dx / speed)
 
 
 def _rk4(zu: np.ndarray, dt: float, grid: Grid, tendency) -> np.ndarray:
@@ -108,8 +100,9 @@ def rk4_step(
     return State(state.zu + increment, state.time + dt)
 
 
-class _NormCeilingError(StopError):
-    """The X^s norm of an accepted step exceeds the run's ceiling."""
+class _MonitorError(StopError):
+    """A monitor of an accepted step tripped: the X^s norm passed the run's
+    ceiling, or the step fell below the end tolerance."""
 
     status = "blowup_norm"
 
@@ -154,10 +147,7 @@ def run(
 
     steps = 0
     while state.time < control.t_end - control.end_tolerance:
-        dt = min(
-            cfl_dt(state, bathymetry, params, grid, control),
-            control.t_end - state.time,
-        )
+        dt = min(cfl_dt(state.zu, bathymetry, params, grid, control), control.t_end - state.time)
         try:
             state = rk4_step(state, dt, bathymetry, params, grid)
             steps += 1
@@ -169,8 +159,11 @@ def run(
             if rec.min_h < params.h0:
                 require_depth(compute_depth(state.zeta, bathymetry, params), params)
             if not rec.xs <= norm_ceiling:
-                raise _NormCeilingError(
-                    f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}"
+                raise _MonitorError(f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}")
+            # a shorter step would take more than 1e12 steps to reach t_end
+            if not dt >= control.end_tolerance:
+                raise _MonitorError(
+                    f"step {dt:.3g} is shorter than the end tolerance {control.end_tolerance:.3g}"
                 )
         except StopError as exc:
             return RunOutcome(exc.status, state, history, steps, exc.at(state.time, dt))

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: band-limited random fields,
 admissible random states over a bumpy bottom, the closed forms some
-oracles compare against, and per-band references: T's assembly and the
-product of a banded matrix, each written over an {offset: band} dict.
+oracles compare against (the RK4 march about rest among them), and
+per-band references: T's assembly and the product of a banded matrix,
+each written over an {offset: band} dict.
 
 Keeping every random field's spectrum well inside the grid's resolvable
 band makes pointwise products exact (no aliased content), which is what
@@ -52,6 +53,37 @@ def l2_diff(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
 def fd_symbol(k: np.ndarray, dx: float) -> np.ndarray:
     """Wavenumber response of d1_fd: D e^{ikx} = i*sigma(k) e^{ikx}."""
     return (8.0 * np.sin(k * dx) - np.sin(2.0 * k * dx)) / (6.0 * dx)
+
+
+def rk4_about_rest(
+    zu: np.ndarray, params: Parameters, grid: Grid, dt: float, m: int, phi=None
+) -> np.ndarray:
+    """m RK4 steps of size dt from the (2, n) stack zu of the system
+    linearized about rest on a flat bottom, computed mode by mode.
+
+    That system decouples into Fourier modes: U_k' = phi_k^2 M_k U_k with
+    M_k = [[0, -ik], [-ik/tau_k, 0]], tau_k = 1 + mu sigma_k^2 / 3 the symbol
+    of T (ik is 0 at Nyquist, phi the cutoff symbol or 1).  So m steps
+    multiply mode k by R(dt phi_k^2 M_k)^m, R the degree-4 Taylor polynomial
+    of exp; modes above n/3 are dealiased out of every increment and keep
+    their initial coefficients.  It uses none of gn1d's operator or stepping
+    code.
+    """
+    k = grid.wavenumbers()
+    ik = 1j * k
+    ik[-1] = 0.0
+    tau = 1.0 + params.mu * fd_symbol(k, grid.dx) ** 2 / 3.0
+    phi = np.ones(k.size) if phi is None else phi
+    z = np.zeros((k.size, 2, 2), dtype=complex)
+    z[:, 0, 1] = -ik
+    z[:, 1, 0] = -ik / tau
+    z *= (dt * phi**2)[:, None, None]
+    z2 = z @ z
+    r = np.eye(2) + z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
+    coeff = np.fft.rfft(zu).T[:, :, None]  # (modes, 2, 1)
+    marched = np.linalg.matrix_power(r, m) @ coeff
+    kept = np.arange(k.size) <= grid.n // 3
+    return np.fft.irfft(np.where(kept[:, None, None], marched, coeff)[:, :, 0].T, grid.n)
 
 
 def solitary_speed(amplitude: float, params: Parameters) -> float:

@@ -26,9 +26,11 @@ from gn1d.linearized import (
     solve_linear,
 )
 from gn1d.t_operator import assemble_T
-from gn1d.time_integrator import StepControl, run
+from gn1d.time_integrator import StepControl, cfl_dt, run
 
-from helpers import band_limited, bumpy_bathymetry, fd_symbol, l2_diff, random_state
+from helpers import (
+    band_limited, bumpy_bathymetry, fd_symbol, l2_diff, random_state, rk4_about_rest,
+)
 
 
 def test_cutoff_profile_plateaus_are_exact():
@@ -254,13 +256,8 @@ def test_linearization_about_rest_recovers_dispersive_waves():
 
 @pytest.mark.parametrize("delta", [0.0, 0.1], ids=["plain", "mollified"])
 def test_linear_march_about_rest_is_rk4_applied_mode_by_mode(delta):
-    """About rest on a flat bottom the linearized system decouples into
-    Fourier modes: U_k' = phi_k^2 M_k U_k with M_k = [[0, -ik], [-ik/tau_k, 0]],
-    tau_k = 1 + mu sigma_k^2 / 3 the symbol of T (ik is 0 at Nyquist, phi_k
-    the cutoff symbol or 1).  So m steps multiply mode k by R(dt phi_k^2 M_k)^m,
-    R the degree-4 Taylor polynomial of exp; modes above n/3 are dealiased
-    out of every increment and keep their initial coefficients.  The oracle
-    uses none of gn1d's operator or stepping code."""
+    """About rest on a flat bottom the linear march is the RK4 amplification
+    matrix applied mode by mode (helpers.rk4_about_rest), to round-off."""
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.5)
     t_end, m = 1.0, 100
@@ -272,24 +269,9 @@ def test_linear_march_about_rest_is_rk4_applied_mode_by_mode(delta):
         mollifier, dt=t_end / m,
     )
     assert out.completed and out.steps == m
-
-    k = grid.wavenumbers()
-    ik = 1j * k
-    ik[-1] = 0.0
-    tau = 1.0 + params.mu * fd_symbol(k, grid.dx) ** 2 / 3.0
-    phi = np.ones(k.size) if mollifier is None else mollifier.symbol
-    z = np.zeros((k.size, 2, 2), dtype=complex)
-    z[:, 0, 1] = -ik
-    z[:, 1, 0] = -ik / tau
-    z *= ((t_end / m) * phi**2)[:, None, None]
-    z2 = z @ z
-    r = np.eye(2) + z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
-    coeff = np.fft.rfft(zu).T[:, :, None]  # (modes, 2, 1)
-    marched = np.linalg.matrix_power(r, m) @ coeff
-    kept = np.arange(k.size) <= grid.n // 3
-    want = np.where(kept[:, None, None], marched, coeff)[:, :, 0].T
-    err = np.max(np.abs(out.trajectory.fields[-1] - np.fft.irfft(want, grid.n)))
-    assert err <= 1e-12
+    phi = None if mollifier is None else mollifier.symbol
+    want = rk4_about_rest(zu, params, grid, t_end / m, m, phi)
+    assert np.max(np.abs(out.trajectory.fields[-1] - want)) <= 1e-12
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -363,7 +345,8 @@ def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatc
 
 def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):
     """Each sweep's gap is a sup over its m + 1 snapshot times, one es_norm
-    call each, weighted by the depths of one stacked call."""
+    call each, weighted by the depths of one stacked call; the iterate's
+    own depths, checked against the floor, are one more."""
     import gn1d.linearized
 
     calls = {}
@@ -377,8 +360,8 @@ def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):
     m = result.trajectory.times.size - 1
     assert (result.status, len(result.gaps), m) == ("not_converged", 3, 5)
     assert calls["es_norm"] == len(result.gaps) * (m + 1)
-    # per sweep: the stage depths, the gap depths
-    assert calls["compute_depth"] == 2 * len(result.gaps)
+    # per sweep: the stage depths, the iterate's depths, the gap depths
+    assert calls["compute_depth"] == 3 * len(result.gaps)
 
 
 def test_a_nan_picard_gap_never_counts_as_converged():
@@ -470,3 +453,23 @@ def test_picard_solve_below_the_depth_floor_ends_with_blowup_depth():
     assert out.reason == (
         "sweep 1: depth condition violated: min depth 0.25 at grid index 5 (t = 0, RK stage 1)"
     )
+
+
+def test_a_picard_iterate_below_the_depth_floor_ends_with_blowup_depth():
+    """A linear march checks the coefficient states it assembles, not the
+    states it produces, so picard_solve checks each completed iterate: the
+    over-tall hump's first iterate dips below h0 = 0.95 at t = 2.05357, and
+    the solve ends there, with no gap and no trajectory."""
+    grid = Grid(64, 20.0)
+    params = Parameters(1.0, 0.5, h0=0.95)
+    hump = gaussian_hump(2.0, 1.0, grid)
+    control = StepControl(t_end=5.0)
+    out = picard_solve(hump, Bathymetry.flat(grid), params, grid, control, max_iters=1)
+    assert (out.status, out.gaps, out.trajectory) == ("blowup_depth", [], None)
+    assert out.reason == (
+        "sweep 1: depth condition violated: min depth 0.852784 at grid index 32 (t = 2.05357)"
+    )
+    # steps counts the steps that reached that snapshot, of the uniform
+    # step that divides t_end evenly into steps no longer than the CFL step
+    m = math.ceil(control.t_end / cfl_dt(hump.zu, Bathymetry.flat(grid), params, grid, control))
+    assert out.reason.endswith(f"(t = {out.steps * control.t_end / m:.6g})")

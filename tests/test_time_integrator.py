@@ -1,5 +1,7 @@
 """Time stepping: order of accuracy, safety monitors, and snapshots."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from gn1d import Bathymetry, FactorizationError, Grid, Parameters, State, solita
 from gn1d.scenarios import bar_bathymetry, rest_state
 from gn1d.time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, rk4_step, run
 
-from helpers import l2_diff
+from helpers import l2_diff, rk4_about_rest
 
 
 def test_step_control_validation():
@@ -29,10 +31,26 @@ def test_cfl_step_at_rest_uses_gravity_speed():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.3)
     control = StepControl(t_end=1.0, cfl=0.5)
-    dt = cfl_dt(rest_state(grid), Bathymetry.flat(grid), params, grid, control)
+    dt = cfl_dt(rest_state(grid).zu, Bathymetry.flat(grid), params, grid, control)
     assert dt == pytest.approx(0.5 * grid.dx)  # max speed is sqrt(h) = 1
     capped = StepControl(t_end=1.0, cfl=0.5, dt_max=1e-3)
-    assert cfl_dt(rest_state(grid), Bathymetry.flat(grid), params, grid, capped) == 1e-3
+    assert cfl_dt(rest_state(grid).zu, Bathymetry.flat(grid), params, grid, capped) == 1e-3
+
+
+def test_cfl_step_of_a_trajectory_stack_is_its_fastest_state_step():
+    # one rule for a state and for an (m, 2, n) stack of them: the stack's
+    # step is the smallest of its states' steps, bit for bit
+    grid = Grid(64, 60.0)
+    params = Parameters(0.5, 0.5, h0=0.25)
+    bath = Bathymetry.flat(grid)
+    control = StepControl(t_end=1.0)
+    states = [rest_state(grid).zu, solitary_wave(0.4, params, grid).zu]
+    steps = [cfl_dt(zu, bath, params, grid, control) for zu in states]
+    assert steps[1] < steps[0]
+    assert cfl_dt(np.array(states), bath, params, grid, control) == steps[1]
+    # no depth and no velocity anywhere: no speed limits the step
+    dry = np.array((np.full(grid.n, -2.0 / params.epsilon), np.zeros(grid.n)))
+    assert cfl_dt(dry, bath, params, grid, control) == math.inf
 
 
 def test_fourth_order_self_convergence():
@@ -266,3 +284,51 @@ def test_every_early_stop_keeps_its_reason(monkeypatch):
     out = run(wave, bath, params, grid, control)
     assert out.status == "blowup_norm" and out.steps == 1
     assert out.reason == f"non-finite value in the state at grid index 23 (t = {t})"
+
+
+def test_a_step_below_the_end_tolerance_ends_the_run(monkeypatch):
+    """A step shorter than end_tolerance would need more than 1e12 steps to
+    reach t_end; the run ends blowup_norm after the first such step, once it
+    passed the other monitors.  The patched step rule collapses after step
+    1 and refuses to be asked more than a few times, so a run that kept
+    stepping fails instead of hanging."""
+    grid = Grid(64, 60.0)
+    params = Parameters(0.5, 0.5, h0=0.25)
+    wave = solitary_wave(0.4, params, grid)
+    real_cfl_dt = gn1d.time_integrator.cfl_dt
+    calls = []
+
+    def collapsing(*args):
+        calls.append(args)
+        assert len(calls) <= 5, "the run kept stepping below the end tolerance"
+        return real_cfl_dt(*args) if len(calls) == 1 else 1e-15
+
+    monkeypatch.setattr(gn1d.time_integrator, "cfl_dt", collapsing)
+    out = run(wave, Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
+    assert (out.status, out.steps, len(out.history)) == ("blowup_norm", 2, 3)
+    t = f"{out.final_state.time:.6g}"
+    assert out.reason == f"step 1e-15 is shorter than the end tolerance 1e-12 (t = {t})"
+
+
+def test_nonlinear_march_about_rest_misses_the_rk4_oracle_linearly_in_the_amplitude():
+    """About rest on a flat bottom the nonlinear march is the linear one
+    plus a quadratic nonlinearity, so its relative miss against the RK4
+    amplification matrix applied mode by mode (helpers.rk4_about_rest)
+    is proportional to the amplitude a of the state.  Measured miss / a:
+    32.174, 32.147, 32.147 at a = 1e-4, 1e-6, 1e-8 (spread 1.0008).  A wrong
+    RK4 weight adds a miss that does not shrink with a, so miss / a grows
+    as a falls."""
+    grid = Grid(64, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5, h0=0.5)
+    t_end, m = 1.0, 100
+    # dt_max binds: at speed about 1 the CFL step is 0.5 dx = 0.049
+    control = StepControl(t_end=t_end, dt_max=t_end / m)
+    zu = np.random.default_rng(7).standard_normal((2, grid.n))
+    ratios = []
+    for a in (1e-4, 1e-6, 1e-8):
+        out = run(State(a * zu), Bathymetry.flat(grid), params, grid, control)
+        assert out.completed and out.steps == m
+        want = rk4_about_rest(a * zu, params, grid, t_end / m, m)
+        miss = np.max(np.abs(out.final_state.zu - want)) / np.max(np.abs(want))
+        ratios.append(miss / a)
+    assert max(ratios) <= 1.01 * min(ratios), ratios

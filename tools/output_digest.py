@@ -15,23 +15,22 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-# the solitary and picard benchmark configs of perfbench/workloads.py
-_SOLITARY_BENCH = {
-    "scenario": "solitary", "mode": "nonlinear", "n": 512, "length": 60.0,
-    "epsilon": 0.5, "mu": 0.5, "amplitude": 0.4, "h0": 0.25, "cfl": 0.5,
-    "t_end": 4.0, "snapshot_every": 1.0, "x0": 12.5,
-}
-_PICARD_BENCH = {
-    "scenario": "solitary", "mode": "picard", "n": 512, "length": 120.0,
-    "epsilon": 0.5, "mu": 0.5, "amplitude": 0.1, "h0": 0.4, "cfl": 0.5,
-    "dt_max": 0.005, "t_end": 0.2, "x0": 47.5,
-}
+# the solitary and picard benchmark configs of this checkout's
+# perfbench/workloads.py (only read), each at one fixed crest position x0
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+)
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+_SOLITARY_BENCH = {**_workloads.SOLITARY, "x0": 12.5}
+_PICARD_BENCH = {**_workloads.PICARD, "x0": 47.5}
 
 # an over-tall hump whose depth falls below the floor within t_end
 _TALL_HUMP = {
