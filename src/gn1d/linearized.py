@@ -188,15 +188,17 @@ def picard_solve(
 ) -> RunOutcome:
     """Fixed-point iteration on the linearized flow.
 
-    Iterate zero is the initial state frozen in time; each sweep solves
-    the system linearized about the previous iterate.  The gap between
-    consecutive iterates is the sup over snapshot times of the energy
-    norm weighted at the previous iterate's coefficients.  The outcome is
-    the last sweep's, with the gaps so far; a stopped sweep is named, and
-    an iterate with a snapshot below the depth floor ends it blowup_depth.
+    Iterate zero is the initial state at every time; each sweep solves the
+    system linearized about the previous iterate on the same steps.  The gap
+    is the sup over snapshot times of the energy norm of the difference of
+    consecutive iterates, weighted by the depths the floor check took of the
+    previous one; the loop holds both and derives neither again.  The outcome
+    is the last sweep's, with the gaps so far; a stopped sweep is named, and
+    an iterate with a snapshot below h0 ends it blowup_depth.
     """
     dt = cfl_dt(initial.zu, bathymetry, params, grid, control)
     ref = ReferenceTrajectory.constant(initial, control.t_end)
+    prev, prev_h = initial.zu[None], compute_depth(initial.zeta, bathymetry, params)[None]
     gaps: list[float] = []
     for sweep in range(1, max_iters + 1):
         sol = solve_linear(ref, initial, bathymetry, params, grid, control, mollifier, dt=dt)
@@ -210,15 +212,13 @@ def picard_solve(
             exc = DepthError(h[j].min(), h[j].argmin())
             reason = f"sweep {sweep}: {exc.at(sol.trajectory.times[j], dt)}"
             return RunOutcome(exc.status, steps=j, reason=reason, gaps=gaps)
-        prev = ref.at(sol.trajectory.times)
-        prev_h = compute_depth(prev[:, 0], bathymetry, params)
         # np.max carries a NaN norm through, so a NaN gap never converges
         gap = float(np.max([
-            es_norm(d, h, bathymetry, params, grid, s)
-            for d, h in zip(sol.trajectory.fields - prev, prev_h)
+            es_norm(d, h_prev, bathymetry, params, grid, s)
+            for d, h_prev in zip(sol.trajectory.fields - prev, np.broadcast_to(prev_h, h.shape))
         ]))
         gaps.append(gap)
-        ref = sol.trajectory
+        ref, prev, prev_h = sol.trajectory, sol.trajectory.fields, h
         if gap <= tol:
             return replace(sol, gaps=gaps)
     reason = f"not converged after {max_iters} iterations"

@@ -54,7 +54,7 @@ from gn1d.checks import (
     source_defect,
     symmetry_defect,
 )
-from helpers import band_limited, bumpy_bathymetry, random_state, solitary_speed
+from helpers import band_limited, bumpy_bathymetry, random_state, rk4_about_rest, solitary_speed
 
 
 # bounds that only this suite checks
@@ -75,6 +75,12 @@ TRANSIT_ERROR_128 = Bound("<=", 5e-2)  # 12: relative X^2 error at n = 128
 TRANSIT_ERROR_256 = Bound("<=", 3e-3)
 TRANSIT_ORDER = Bound("in", (3.5, 4.5))  # 12
 WALL_12 = Bound("<=", 30.0)
+ORACLE_MISS = Bound("<=", 1e-12)  # 13: max abs miss of the linear march against the RK4 oracle
+ORACLE_SPREAD = Bound("<=", 1.01)  # 13: max/min of the nonlinear march's relative miss over a
+LONG_TIME = 0.1  # 14: T of t_end = T / eps
+FIXED_T_END = 0.25  # 14
+UNIFORM_SPREAD = Bound("<=", 1.25)  # 14: max/min of the worst gap ratio along t_end = T / eps
+FIXED_SLOPE = Bound("in", (0.8, 1.2))  # 14: log-log slope in eps of that ratio at FIXED_T_END
 
 
 def _verdict(num: int, name: str, held: list[bool], detail: str) -> None:
@@ -484,4 +490,86 @@ def test_12_solitary_wave_transit():
         f"{TRANSIT_ERROR_128:.0e} and {errors[1]:.2e} (n=256) required "
         f"{TRANSIT_ERROR_256:.0e}; observed order {order:.2f} required "
         f"{TRANSIT_ORDER}; {elapsed:.1f}s required {WALL_12}s",
+    )
+
+
+def test_13_rk4_oracle_about_rest():
+    # about rest on a flat bottom the linearized system decouples into
+    # Fourier modes, so m RK4 steps are the RK4 amplification matrix applied
+    # mode by mode (helpers.rk4_about_rest, which uses no gn1d operator or
+    # stepping code): the linear march meets it to round-off, plain and
+    # mollified.  The nonlinear march adds a quadratic nonlinearity, so its
+    # relative miss is proportional to the amplitude a of the state, while a
+    # wrong RK4 weight adds a miss that does not shrink with a
+    started = time.perf_counter()
+    grid = Grid(64, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5, h0=0.5)
+    flat = Bathymetry.flat(grid)
+    t_end, m = 1.0, 100
+    dt = t_end / m
+    zu = np.random.default_rng(7).standard_normal((2, grid.n))
+    rest = ReferenceTrajectory.constant(rest_state(grid), t_end)
+    linear = []
+    for mollifier in (None, Mollifier.for_grid(0.1, grid)):
+        out = solve_linear(
+            rest, State(zu), flat, params, grid, StepControl(t_end=t_end), mollifier, dt=dt
+        )
+        assert out.completed and out.steps == m, out.reason
+        phi = None if mollifier is None else mollifier.symbol
+        want = rk4_about_rest(zu, params, grid, dt, m, phi)
+        linear.append(float(np.max(np.abs(out.trajectory.fields[-1] - want))))
+    # dt_max binds: at speed about 1 the CFL step is 0.5 dx = 0.049
+    control = StepControl(t_end=t_end, dt_max=dt)
+    amplitudes = (1e-4, 1e-6, 1e-8)
+    ratios = []
+    for a in amplitudes:
+        out = run(State(a * zu), flat, params, grid, control)
+        assert out.completed and out.steps == m, out.status
+        want = rk4_about_rest(a * zu, params, grid, dt, m)
+        ratios.append(float(np.max(np.abs(out.final_state.zu - want)) / np.max(np.abs(want))) / a)
+    spread = max(ratios) / min(ratios)
+    elapsed = time.perf_counter() - started
+    _verdict(
+        13,
+        "RK4 oracle about rest",
+        [ORACLE_MISS.holds(*linear), ORACLE_SPREAD.holds(spread)],
+        f"linear march miss {linear[0]:.1e} (plain), {linear[1]:.1e} (mollified) required "
+        f"{ORACLE_MISS}; nonlinear relative miss / a "
+        f"{', '.join(f'{r:.3f}' for r in ratios)} at a = "
+        f"{', '.join(f'{a:.0e}' for a in amplitudes)}, spread {spread:.4f} required "
+        f"{ORACLE_SPREAD}; {elapsed:.2f}s",
+    )
+
+
+def test_14_picard_contracts_uniformly_on_the_long_time_scale():
+    # the paper's time scale is [0, T/eps]: there the coefficients of the
+    # linearized system move by O(eps) per unit time, so the worst ratio of
+    # successive Picard gaps must not depend on eps; on a fixed interval it
+    # falls like eps (log-log slope near 1), which the check must tell apart
+    started = time.perf_counter()
+    grid = Grid(256, 40.0)
+    flat = Bathymetry.flat(grid)
+    hump = gaussian_hump(0.5, 2.0, grid)
+    epsilons = (0.8, 0.4, 0.2, 0.1)
+
+    def worst_ratio(eps: float, t_end: float) -> float:
+        control = StepControl(t_end=t_end, dt_max=0.01)
+        result = picard_solve(hump, flat, Parameters(eps, 0.5, h0=0.4), grid, control, tol=1e-11)
+        assert result.completed, result.reason
+        return max(b / a for a, b in zip(result.gaps, result.gaps[1:]))
+
+    scaled = [worst_ratio(eps, LONG_TIME / eps) for eps in epsilons]
+    fixed = [worst_ratio(eps, FIXED_T_END) for eps in epsilons]
+    spread = max(scaled) / min(scaled)
+    slope = float(np.polyfit(np.log(epsilons), np.log(fixed), 1)[0])
+    elapsed = time.perf_counter() - started
+    _verdict(
+        14,
+        "Picard contraction uniform on [0, T/eps]",
+        [UNIFORM_SPREAD.holds(spread), FIXED_SLOPE.holds(slope)],
+        f"worst gap ratios at eps = {', '.join(f'{e:g}' for e in epsilons)}: along "
+        f"t_end = {LONG_TIME:g}/eps {', '.join(f'{r:.2e}' for r in scaled)}, spread "
+        f"{spread:.2f} required {UNIFORM_SPREAD}; at t_end = {FIXED_T_END:g} "
+        f"{', '.join(f'{r:.2e}' for r in fixed)}, log-log slope {slope:.2f} required "
+        f"{FIXED_SLOPE}; {elapsed:.1f}s",
     )

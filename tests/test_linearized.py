@@ -10,11 +10,12 @@ from gn1d import (
     Grid,
     Parameters,
     State,
+    bar_bathymetry,
     compute_depth,
     gaussian_hump,
     solitary_wave,
 )
-from gn1d.diagnostics import xs_norm
+from gn1d.diagnostics import es_norm, xs_norm
 from gn1d.gn_rhs import FrozenState, coefficient_fields, condensed_rhs, condensed_tendency
 from gn1d.grid_ops import apply_symbol, inner_product, lambda_s
 from gn1d.linearized import (
@@ -28,9 +29,7 @@ from gn1d.linearized import (
 from gn1d.t_operator import assemble_T
 from gn1d.time_integrator import StepControl, cfl_dt, run
 
-from helpers import (
-    band_limited, bumpy_bathymetry, fd_symbol, l2_diff, random_state, rk4_about_rest,
-)
+from helpers import band_limited, bumpy_bathymetry, fd_symbol, l2_diff, random_state
 
 
 def test_cutoff_profile_plateaus_are_exact():
@@ -254,26 +253,6 @@ def test_linearization_about_rest_recovers_dispersive_waves():
     assert l2_diff(out.trajectory.at([period])[0], ic.zu, grid) <= 1e-6
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.1], ids=["plain", "mollified"])
-def test_linear_march_about_rest_is_rk4_applied_mode_by_mode(delta):
-    """About rest on a flat bottom the linear march is the RK4 amplification
-    matrix applied mode by mode (helpers.rk4_about_rest), to round-off."""
-    grid = Grid(64, 2.0 * np.pi)
-    params = Parameters(0.5, 0.5, h0=0.5)
-    t_end, m = 1.0, 100
-    zu = np.random.default_rng(7).standard_normal((2, grid.n))
-    mollifier = Mollifier.for_grid(delta, grid) if delta > 0.0 else None
-    rest = ReferenceTrajectory.constant(State(np.zeros((2, grid.n))), t_end)
-    out = solve_linear(
-        rest, State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=t_end),
-        mollifier, dt=t_end / m,
-    )
-    assert out.completed and out.steps == m
-    phi = None if mollifier is None else mollifier.symbol
-    want = rk4_about_rest(zu, params, grid, t_end / m, m, phi)
-    assert np.max(np.abs(out.trajectory.fields[-1] - want)) <= 1e-12
-
-
 def _count_calls(monkeypatch, calls, module, name):
     """Count the calls of module.name into calls[name]."""
     original = getattr(module, name)
@@ -345,8 +324,9 @@ def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatc
 
 def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):
     """Each sweep's gap is a sup over its m + 1 snapshot times, one es_norm
-    call each, weighted by the depths of one stacked call; the iterate's
-    own depths, checked against the floor, are one more."""
+    call each, weighted by the depths of the previous iterate.  Those are
+    the depths the floor check took of that iterate (of the initial state
+    for iterate zero), so each iterate's depth is one stacked call."""
     import gn1d.linearized
 
     calls = {}
@@ -360,8 +340,46 @@ def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):
     m = result.trajectory.times.size - 1
     assert (result.status, len(result.gaps), m) == ("not_converged", 3, 5)
     assert calls["es_norm"] == len(result.gaps) * (m + 1)
-    # per sweep: the stage depths, the iterate's depths, the gap depths
-    assert calls["compute_depth"] == 3 * len(result.gaps)
+    # per sweep: the stage depths and the iterate's depths; one for iterate zero
+    assert calls["compute_depth"] == 2 * len(result.gaps) + 1
+
+
+@pytest.mark.parametrize("setting", ["plain", "mollified", "bar"])
+def test_each_picard_gap_is_the_gap_to_the_interpolated_previous_iterate(monkeypatch, setting):
+    """The gap is taken against the iterate the loop holds.  Each gap must
+    equal, bit for bit, the gap to the previous iterate interpolated at the
+    new snapshot times and weighted by its own depths (iterate zero is the
+    initial state frozen in time)."""
+    import gn1d.linearized
+
+    grid = Grid(64, 20.0)
+    params = Parameters(0.5, 0.5, h0=0.4)
+    hump = gaussian_hump(0.3, 2.0, grid)
+    bath = bar_bathymetry(0.3, 1.5, grid, x0=15.0) if setting == "bar" else Bathymetry.flat(grid)
+    mollifier = Mollifier.for_grid(0.5, grid) if setting == "mollified" else None
+    control = StepControl(t_end=0.3, dt_max=0.02)
+    iterates = [ReferenceTrajectory.constant(hump, control.t_end)]
+    original = gn1d.linearized.solve_linear
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        iterates.append(out.trajectory)
+        return out
+
+    monkeypatch.setattr(gn1d.linearized, "solve_linear", recorded)
+    result = picard_solve(
+        hump, bath, params, grid, control, max_iters=4, tol=0.0, mollifier=mollifier
+    )
+    assert (result.status, len(result.gaps), len(iterates)) == ("not_converged", 4, 5)
+    want = []
+    for prev, cur in zip(iterates, iterates[1:]):
+        at = prev.at(cur.times)
+        prev_h = compute_depth(at[:, 0], bath, params)
+        want.append(float(np.max([
+            es_norm(d, h, bath, params, grid, 2.0) for d, h in zip(cur.fields - at, prev_h)
+        ])))
+    assert result.gaps == want
+    assert all(b < a for a, b in zip(want, want[1:]))
 
 
 def test_a_nan_picard_gap_never_counts_as_converged():

@@ -11,10 +11,12 @@ by the benchmark's own CallCounter, must reach every linear-path
 target (one solve plain, one mollified).  A tiny run of each benchmark
 workload, counted the same way, must keep worker.cross_check's exact
 count rules, so a count break fails here and not only in a benchmark
-run.  tools/output_digest.py must
-hash every output of a case.  The README's config table must list the
-RunConfig fields, in order, and its scenario row every name in
-SCENARIOS, so the documented keys cannot drift.  The README's table of
+run.  tools/paired_bench.py, run for two tiny pairs of this checkout
+against itself, must print rows that parse and show no output
+difference.  tools/output_digest.py must hash every output of a case.
+The README's config table must list the RunConfig fields, in order,
+and its scenario row every name in SCENARIOS, so the documented keys
+cannot drift.  The README's table of
 outcome statuses must list exactly the statuses a march can end with,
 and every StopError subclass must carry one of them.  A state
 travels through gn1d as one (2, n) stack: no module unpacks a stack
@@ -152,6 +154,32 @@ def test_a_tiny_benchmark_run_keeps_the_exact_count_rules(tmp_path, capsys, work
     assert counter.counts["t_operator.assemble"] > 0
     summary = {label: {"calls": calls} for label, calls in counter.counts.items()}
     assert worker.cross_check(workload, res, summary, counter.missing) == []
+
+
+def test_paired_bench_finds_no_difference_between_a_checkout_and_itself():
+    path = ROOT / "tools" / "paired_bench.py"
+    spec = importlib.util.spec_from_file_location("paired_bench", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    workloads = {name: {**tool.WORKLOADS[name], **TINY_WORKLOADS[name]} for name in tool.WORKLOADS}
+    sides = ("gn1d_a", "gn1d_b")
+    try:
+        lines = tool.compare(*(tool.load_cli(ROOT, side) for side in sides), 2, workloads)
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] in sides]:
+            del sys.modules[name]
+    assert lines[0] == tool.HEADER
+    rows = [dict(zip(tool.HEADER.split(), line.split(), strict=True)) for line in lines[1:]]
+    assert [row.pop("workload") for row in rows] == list(workloads)
+    for row in rows:
+        values = {key: float(value) for key, value in row.items()}
+        assert values["pairs"] == 2 and values["A_won"] + values["B_won"] <= 2
+        assert all(values[key] > 0.0 for key in row if key.endswith("_s"))
+        assert 0.0 < values["sign_p"] <= 1.0
+        assert values["max_abs_diff"] == 0.0
+    # 17 of 20 pairs is the fewest that a two-sided p < 0.01 needs
+    assert (tool.sign_test(0, 0), tool.sign_test(2, 0)) == (1.0, 0.5)
+    assert tool.sign_test(17, 3) < 0.01 < tool.sign_test(16, 4)
 
 
 def _readme_config_rows() -> list[str]:

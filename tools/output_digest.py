@@ -29,8 +29,8 @@ _spec = importlib.util.spec_from_file_location(
 )
 _workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_workloads)
-_SOLITARY_BENCH = {**_workloads.SOLITARY, "x0": 12.5}
-_PICARD_BENCH = {**_workloads.PICARD, "x0": 47.5}
+SOLITARY_BENCH = {**_workloads.SOLITARY, "x0": 12.5}
+PICARD_BENCH = {**_workloads.PICARD, "x0": 47.5}
 
 # an over-tall hump whose depth falls below the floor within t_end
 _TALL_HUMP = {
@@ -44,7 +44,7 @@ _TALL_HUMP = {
 # picard_not_converged.
 CASES = {
     "default": ("run", {"t_end": 2.0, "snapshot_every": 0.7}),
-    "solitary_bench": ("run", _SOLITARY_BENCH),
+    "solitary_bench": ("run", SOLITARY_BENCH),
     "hump_depth_loss": ("run", {**_TALL_HUMP, "snapshot_every": 0.05}),
     # early stops of the picard and linearized modes: one stderr line, picard's
     # gaps of its completed sweeps, no timeseries.dat
@@ -63,7 +63,7 @@ CASES = {
     "picard_bar": ("run", {
         "scenario": "hump_over_bar", "mode": "picard", "t_end": 0.3, "mollifier_delta": 0.5,
     }),
-    "picard_bench": ("run", _PICARD_BENCH),
+    "picard_bench": ("run", PICARD_BENCH),
     # the nonlinear and the linearized march over a bar, where the b_x and
     # b_xx terms of q_total and coefficient_fields are nonzero outside picard
     "nonlinear_bar": ("run", {"scenario": "hump_over_bar", "t_end": 1.0, "snapshot_every": 0.5}),
