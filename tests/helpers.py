@@ -1,7 +1,7 @@
 """Shared builders for the test suite: band-limited random fields,
 admissible random states over a bumpy bottom, the closed forms some
-oracles compare against (the RK4 march about rest among them), and
-per-band references: T's assembly and the product of a banded matrix,
+oracles compare against (the RK4 march about rest among them), the
+misses of gn1d's two marches against that oracle, and per-band references: T's assembly and the product of a banded matrix,
 each written over an {offset: band} dict.
 
 Keeping every random field's spectrum well inside the grid's resolvable
@@ -12,7 +12,17 @@ lets several identities below be checked at near-roundoff tolerances.
 import numpy as np
 from scipy.linalg import cholesky_banded
 
-from gn1d import Bathymetry, Grid, Parameters
+from gn1d import (
+    Bathymetry,
+    Grid,
+    Mollifier,
+    Parameters,
+    ReferenceTrajectory,
+    State,
+    run,
+    solve_linear,
+    StepControl,
+)
 
 
 def band_limited(grid: Grid, kc: int, seed: int, amp: float = 1.0) -> np.ndarray:
@@ -85,6 +95,46 @@ def rk4_about_rest(
     kept = np.arange(k.size) <= grid.n // 3
     return np.fft.irfft(np.where(kept[:, None, None], marched, coeff)[:, :, 0].T, grid.n)
 
+
+
+def _oracle_setting():
+    """Grid, parameters, seeded (2, n) state, t_end and step count shared by
+    the two oracle misses below: 64 nodes on [0, 2 pi), mu = eps = h0 = 0.5,
+    100 steps to t = 1."""
+    grid = Grid(64, 2.0 * np.pi)
+    zu = np.random.default_rng(7).standard_normal((2, grid.n))
+    return grid, Parameters(0.5, 0.5, h0=0.5), zu, 1.0, 100
+
+
+def linear_march_oracle_miss(delta: float) -> float:
+    """Max abs miss of the linear march about rest on a flat bottom against
+    rk4_about_rest, plain (delta = 0) or mollified with cutoff delta."""
+    grid, params, zu, t_end, m = _oracle_setting()
+    mollifier = Mollifier.for_grid(delta, grid) if delta > 0.0 else None
+    rest = ReferenceTrajectory.constant(State(np.zeros((2, grid.n))), t_end)
+    out = solve_linear(
+        rest, State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=t_end),
+        mollifier, dt=t_end / m,
+    )
+    assert out.completed and out.steps == m, out.reason
+    phi = None if mollifier is None else mollifier.symbol
+    want = rk4_about_rest(zu, params, grid, t_end / m, m, phi)
+    return float(np.max(np.abs(out.trajectory.fields[-1] - want)))
+
+
+def nonlinear_march_oracle_ratios(amplitudes) -> list:
+    """Relative miss / a of the nonlinear march from a times the seeded
+    state against rk4_about_rest, one per amplitude a."""
+    grid, params, zu, t_end, m = _oracle_setting()
+    # dt_max binds: at speed about 1 the CFL step is 0.5 dx = 0.049
+    control = StepControl(t_end=t_end, dt_max=t_end / m)
+    ratios = []
+    for a in amplitudes:
+        out = run(State(a * zu), Bathymetry.flat(grid), params, grid, control)
+        assert out.completed and out.steps == m, out.status
+        want = rk4_about_rest(a * zu, params, grid, t_end / m, m)
+        ratios.append(float(np.max(np.abs(out.final_state.zu - want)) / np.max(np.abs(want))) / a)
+    return ratios
 
 def solitary_speed(amplitude: float, params: Parameters) -> float:
     """Speed c = sqrt(1 + eps a) of the solitary wave of amplitude a."""

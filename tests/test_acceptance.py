@@ -54,7 +54,14 @@ from gn1d.checks import (
     source_defect,
     symmetry_defect,
 )
-from helpers import band_limited, bumpy_bathymetry, random_state, rk4_about_rest, solitary_speed
+from helpers import (
+    band_limited,
+    bumpy_bathymetry,
+    linear_march_oracle_miss,
+    nonlinear_march_oracle_ratios,
+    random_state,
+    solitary_speed,
+)
 
 
 # bounds that only this suite checks
@@ -502,31 +509,9 @@ def test_13_rk4_oracle_about_rest():
     # relative miss is proportional to the amplitude a of the state, while a
     # wrong RK4 weight adds a miss that does not shrink with a
     started = time.perf_counter()
-    grid = Grid(64, 2.0 * np.pi)
-    params = Parameters(0.5, 0.5, h0=0.5)
-    flat = Bathymetry.flat(grid)
-    t_end, m = 1.0, 100
-    dt = t_end / m
-    zu = np.random.default_rng(7).standard_normal((2, grid.n))
-    rest = ReferenceTrajectory.constant(rest_state(grid), t_end)
-    linear = []
-    for mollifier in (None, Mollifier.for_grid(0.1, grid)):
-        out = solve_linear(
-            rest, State(zu), flat, params, grid, StepControl(t_end=t_end), mollifier, dt=dt
-        )
-        assert out.completed and out.steps == m, out.reason
-        phi = None if mollifier is None else mollifier.symbol
-        want = rk4_about_rest(zu, params, grid, dt, m, phi)
-        linear.append(float(np.max(np.abs(out.trajectory.fields[-1] - want))))
-    # dt_max binds: at speed about 1 the CFL step is 0.5 dx = 0.049
-    control = StepControl(t_end=t_end, dt_max=dt)
+    linear = [linear_march_oracle_miss(delta) for delta in (0.0, 0.1)]
     amplitudes = (1e-4, 1e-6, 1e-8)
-    ratios = []
-    for a in amplitudes:
-        out = run(State(a * zu), flat, params, grid, control)
-        assert out.completed and out.steps == m, out.status
-        want = rk4_about_rest(a * zu, params, grid, dt, m)
-        ratios.append(float(np.max(np.abs(out.final_state.zu - want)) / np.max(np.abs(want))) / a)
+    ratios = nonlinear_march_oracle_ratios(amplitudes)
     spread = max(ratios) / min(ratios)
     elapsed = time.perf_counter() - started
     _verdict(

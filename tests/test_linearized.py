@@ -29,7 +29,9 @@ from gn1d.linearized import (
 from gn1d.t_operator import assemble_T
 from gn1d.time_integrator import StepControl, cfl_dt, run
 
-from helpers import band_limited, bumpy_bathymetry, fd_symbol, l2_diff, random_state
+from helpers import (
+    band_limited, bumpy_bathymetry, fd_symbol, l2_diff, linear_march_oracle_miss, random_state,
+)
 
 
 def test_cutoff_profile_plateaus_are_exact():
@@ -252,6 +254,14 @@ def test_linearization_about_rest_recovers_dispersive_waves():
     out = solve_linear(ref, ic, flat, params, grid, StepControl(t_end=period), dt=period / 400)
     assert l2_diff(out.trajectory.at([period])[0], ic.zu, grid) <= 1e-6
 
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1], ids=["plain", "mollified"])
+def test_linear_march_about_rest_is_rk4_applied_mode_by_mode(delta):
+    """About rest on a flat bottom the linear march is the RK4 amplification
+    matrix applied mode by mode (helpers.rk4_about_rest), to round-off;
+    ACCEPTANCE 13 prints the same miss."""
+    assert linear_march_oracle_miss(delta) <= 1e-12
 
 def _count_calls(monkeypatch, calls, module, name):
     """Count the calls of module.name into calls[name]."""
