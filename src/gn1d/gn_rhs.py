@@ -121,21 +121,20 @@ class FrozenState(NamedTuple):
     fields: CoefficientFields
 
 
-def apply_A(
-    coeff: FrozenState, v: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def apply_A(coeff: FrozenState, v: np.ndarray) -> np.ndarray:
     """Advection-structure map of the condensed form at the coefficient
-    state coeff, applied to v = (v1, v2)."""
+    state coeff, applied to the (2, n) stack v = (v1, v2), as a (2, n) stack."""
     op, fields = coeff
     v1, v2 = v
     a1 = fields.eps_u * v1 + op.h * v2
     a2 = solve_T(op, op.h * v1 + q1_apply(fields, v2, op.params, op.grid)) + fields.eps_u * v2
-    return a1, a2
+    return np.array((a1, a2))
 
 
-def eval_B(coeff: FrozenState) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order source of the condensed form at the coefficient state coeff."""
-    return coeff.fields.b1, solve_T(coeff.op, coeff.fields.q2)
+def eval_B(coeff: FrozenState) -> np.ndarray:
+    """Zero-order source of the condensed form at the coefficient state coeff,
+    as a (2, n) stack."""
+    return np.array((coeff.fields.b1, solve_T(coeff.op, coeff.fields.q2)))
 
 
 def condensed_tendency(coeff: FrozenState, zu: np.ndarray, cut=None) -> np.ndarray:
@@ -148,9 +147,7 @@ def condensed_tendency(coeff: FrozenState, zu: np.ndarray, cut=None) -> np.ndarr
     linearized system.
     """
     cut = cut or (lambda f: f)
-    a1, a2 = apply_A(coeff, cut(d1_spectral(zu, coeff.op.grid)))
-    b1, b2 = eval_B(coeff)
-    return -np.array((cut(a1) + b1, cut(a2) + b2))
+    return -(cut(apply_A(coeff, cut(d1_spectral(zu, coeff.op.grid)))) + eval_B(coeff))
 
 
 def condensed_rhs(

@@ -88,6 +88,13 @@ LONG_TIME = 0.1  # 14: T of t_end = T / eps
 FIXED_T_END = 0.25  # 14
 UNIFORM_SPREAD = Bound("<=", 1.25)  # 14: max/min of the worst gap ratio along t_end = T / eps
 FIXED_SLOPE = Bound("in", (0.8, 1.2))  # 14: log-log slope in eps of that ratio at FIXED_T_END
+ROUGH_EXPONENT = 3.65  # 15: mode k of the data has amplitude (1 + k^2)^(-ROUGH_EXPONENT / 2)
+ROUGH_AMPLITUDE = 0.5  # 15: scale of the data (min zeta -0.69 keeps the depth above h0 = 0.3)
+ROUGH_NS = (128, 256, 512)  # 15: grids that sample the one fixed function
+ROUGH_X2_SPREAD = Bound("<=", 1.1)  # 15: max/min of X^2(0) over ROUGH_NS
+ROUGH_X3_SLOPE = Bound(">=", 0.5)  # 15: log-log slope of X^3(0) in n, so the data is not in X^3
+ROUGH_NORM_RATIO = Bound("in", (0.95, 1.05))  # 15: X^2(Picard limit) / X^2(0) at each n
+ROUGH_GAP_RATIO = Bound("<=", 0.1)  # 15: worst ratio of successive Picard gaps over ROUGH_NS
 
 
 def _verdict(num: int, name: str, held: list[bool], detail: str) -> None:
@@ -558,3 +565,66 @@ def test_14_picard_contracts_uniformly_on_the_long_time_scale():
         f"{', '.join(f'{r:.2e}' for r in fixed)}, log-log slope {slope:.2f} required "
         f"{FIXED_SLOPE}; {elapsed:.1f}s",
     )
+
+
+def _rough_data(grid: Grid, exponent: float) -> np.ndarray:
+    """(zeta, u) as a (2, n) stack whose mode j, for 1 <= j < n/2, has
+    amplitude ROUGH_AMPLITUDE (1 + k_j^2)^(-exponent / 2) and a phase fixed
+    per mode, so every grid of ROUGH_NS samples one fixed function."""
+    phases = np.random.default_rng(15).uniform(0.0, 2.0 * np.pi, (2, ROUGH_NS[-1] // 2 - 1))
+    j = np.arange(1, grid.n // 2)
+    k = grid.wavenumbers()[j]
+    coeff = np.zeros((2, grid.n // 2 + 1), dtype=complex)
+    coeff[:, j] = (0.5 * grid.n * ROUGH_AMPLITUDE) * (1.0 + k**2) ** (-exponent / 2.0) * np.exp(
+        1j * phases[:, : j.size]
+    )
+    return np.fft.irfft(coeff, grid.n)
+
+
+def _picard_regularity(exponent: float) -> tuple[list[bool], str]:
+    """ACCEPTANCE 15's conditions and detail for data of the given exponent."""
+    params = Parameters(0.5, 0.5, h0=0.3)
+    control = StepControl(t_end=0.2, dt_max=0.005)
+    x2, x3, norm_ratios, gap_ratios = [], [], [], []
+    for n in ROUGH_NS:
+        grid = Grid(n, 20.0)
+        zu = _rough_data(grid, exponent)
+        result = picard_solve(State(zu), Bathymetry.flat(grid), params, grid, control)
+        assert result.completed, result.reason
+        x2.append(xs_norm(zu, params, grid, 2.0))
+        x3.append(xs_norm(zu, params, grid, 3.0))
+        norm_ratios.append(xs_norm(result.trajectory.fields[-1], params, grid, 2.0) / x2[-1])
+        gap_ratios.append(max(b / a for a, b in zip(result.gaps, result.gaps[1:])))
+    spread = max(x2) / min(x2)
+    slope = float(np.polyfit(np.log(ROUGH_NS), np.log(x3), 1)[0])
+    held = [
+        ROUGH_X2_SPREAD.holds(spread),
+        ROUGH_X3_SLOPE.holds(slope),
+        ROUGH_NORM_RATIO.holds(*norm_ratios),
+        ROUGH_GAP_RATIO.holds(max(gap_ratios)),
+    ]
+    detail = (
+        f"exponent {exponent:g} at n = {', '.join(str(n) for n in ROUGH_NS)}: X^2(0) "
+        f"{', '.join(f'{v:.4f}' for v in x2)}, spread {spread:.3f} required {ROUGH_X2_SPREAD}; "
+        f"X^3(0) slope in n {slope:.2f} required {ROUGH_X3_SLOPE}; X^2(limit) / X^2(0) "
+        f"{', '.join(f'{r:.4f}' for r in norm_ratios)} required {ROUGH_NORM_RATIO}; worst gap "
+        f"ratio {max(gap_ratios):.3f} required {ROUGH_GAP_RATIO}"
+    )
+    return held, detail
+
+
+def test_15_picard_limit_loses_no_regularity():
+    # the paper's headline claim: data in X^2 but not in X^3 (its X^3 norm
+    # grows with n while its X^2 norm settles) gives a Picard limit whose
+    # X^2 norm stays that of the data, at every resolution of one function
+    started = time.perf_counter()
+    held, detail = _picard_regularity(ROUGH_EXPONENT)
+    elapsed = time.perf_counter() - started
+    _verdict(15, "Picard limit loses no regularity", held, f"{detail}; {elapsed:.1f}s")
+
+
+def test_15_fails_on_data_one_derivative_rougher():
+    # data one derivative rougher is not in X^2: its X^2(0) grows with n
+    held, detail = _picard_regularity(ROUGH_EXPONENT - 1.0)
+    print(f"ACCEPTANCE 15 on rougher data: {'PASS' if all(held) else 'FAIL'} ({detail})")
+    assert not all(held), detail

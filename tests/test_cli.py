@@ -24,7 +24,6 @@ from gn1d.cli import (
     parse_config,
     prepare_run,
     snapshot_path,
-    verify_suite,
 )
 from gn1d.core import Bathymetry, Grid, Parameters, State, compute_depth
 from gn1d.diagnostics import DiagnosticRecord
@@ -43,7 +42,6 @@ def test_dump_config_round_trips_modified_values():
         epsilon=1.0 / 3.0,
         amplitude=0.123456789012345678,
         snapshot_every=0.7,
-        verify_break_depth=True,
     )
     # repr floats must survive the text round trip bit for bit
     assert parse_config(dump_config(cfg)) == cfg
@@ -67,13 +65,6 @@ def test_parse_config_skips_comments_and_blanks():
     cfg = parse_config("# a comment\n\nn = 64  # inline comment\n\nmode = picard\n")
     assert cfg.n == 64
     assert cfg.mode == "picard"
-
-
-def test_parse_config_reads_bool_words():
-    assert parse_config("verify_break_depth = yes").verify_break_depth is True
-    assert parse_config("verify_break_depth = False").verify_break_depth is False
-    with pytest.raises(ConfigError, match="line 1"):
-        parse_config("verify_break_depth = maybe")
 
 
 def test_parse_config_reports_unknown_key_with_line_number():
@@ -320,6 +311,27 @@ def test_prepare_run_rejects_floor_violations(monkeypatch):
     monkeypatch.setattr(gn1d.cli, "compute_depth", lambda zeta, *args: np.full_like(zeta, np.nan))
     with pytest.raises(ConfigError, match="violates the depth floor"):
         prepare_run(RunConfig(h0=0.25))
+
+
+def test_prepare_run_names_a_configured_floor_out_of_range():
+    with pytest.raises(ConfigError) as info:
+        prepare_run(RunConfig(h0=1.5))
+    assert str(info.value) == (
+        "configured depth floor is not admissible: h0 must lie in (0, 1], got 1.5"
+    )
+
+
+def test_prepare_run_names_a_derived_floor_out_of_range(tmp_path):
+    # a flat bottom at b = -3 deepens the water to at least 2.5, so half
+    # the initial minimum depth derives a floor of 1.25 (plus the wave's
+    # tail, which is nowhere exactly 0)
+    path = tmp_path / "bath.dat"
+    _write_samples(path, np.arange(16) * 60.0 / 16, np.full(16, -3.0))
+    with pytest.raises(ConfigError) as info:
+        prepare_run(RunConfig(bathymetry_file=str(path)))
+    assert str(info.value).startswith(
+        "derived depth floor is not admissible: h0 must lie in (0, 1], got 1.250000000000"
+    )
 
 
 def _write_config(path, **overrides):
@@ -931,12 +943,23 @@ def test_verify_suite_passes_on_defaults(capsys):
     assert not any(line.endswith("FAIL") for line in lines)
 
 
-def test_verify_suite_detects_broken_depth(capsys):
-    # negative control: sabotaged states must be caught, not papered over
-    assert verify_suite(RunConfig(verify_break_depth=True)) == 3
+def test_verify_suite_detects_broken_depth(monkeypatch, capsys):
+    # negative control: sabotaged states must be caught, not papered over;
+    # every state verify draws is lowered by 2 / eps (eps = 0.5 there)
+    draw = gn1d.cli._verify_state
+
+    def lowered(*args):
+        zu = draw(*args)
+        zu[0] -= 2.0 / 0.5
+        return zu
+
+    monkeypatch.setattr(gn1d.cli, "_verify_state", lowered)
+    assert main(["verify"]) == 3
     captured = capsys.readouterr()
-    assert "FAIL" in captured.out
-    assert "0/1 checks passed" in captured.out
+    assert captured.out == (
+        "operator assembly succeeded  measured 0.000000e+00  required >= 1.000000e+00  FAIL\n"
+        "0/1 checks passed\n"
+    )
     # the stop is printed as `gn1d run` prints one; verify marches nothing,
     # so it has no time or stage
     assert captured.err == (
@@ -944,12 +967,15 @@ def test_verify_suite_detects_broken_depth(capsys):
     )
 
 
-def test_verify_rejects_a_negative_seed_as_a_config_error(tmp_path, capsys):
+def test_verify_rejects_a_negative_seed_as_a_config_error(capsys):
     assert main(["verify", "--seed", "-1"]) == 2
-    assert "config error: seed" in capsys.readouterr().err
-    cfg_path = tmp_path / "verify.cfg"
-    _write_config(cfg_path, seed=-5)
-    assert main(["verify", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert "config error: seed" in err
-    assert "Traceback" not in err
+    assert err == "config error: seed must be non-negative, got -1\n"
+
+
+def test_verify_takes_no_config(capsys):
+    # verify draws everything it checks from its seed; a run config has no part in it
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--config", "run.cfg"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --config run.cfg" in capsys.readouterr().err

@@ -144,6 +144,29 @@ def test_flat_bathymetry_is_zero():
     assert not bath.b.any() and not bath.b_x.any() and not bath.b_xx.any()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: Bathymetry(np.zeros((2, 4)), np.zeros(8), np.zeros(8)),
+            r"b must be a 1-D array, got shape \(2, 4\)",
+        ),
+        (
+            lambda: Bathymetry(np.zeros(8), np.zeros(8), np.zeros(6)),
+            r"must share one shape, got \(8,\), \(8,\), \(6,\)",
+        ),
+        (
+            lambda: Bathymetry.from_profile(np.zeros(10), Grid(8, 1.0)),
+            "profile has 10 values, grid has 8 nodes",
+        ),
+    ],
+    ids=["2-D", "mixed shapes", "profile length"],
+)
+def test_bathymetry_rejects_arrays_that_do_not_fit(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_profile_derivatives_match_calculus():
     grid = Grid(64, 2.0 * np.pi)
     x = grid.nodes()

@@ -418,6 +418,15 @@ def test_linear_march_requires_a_covering_reference():
         solve_linear(ref, st, Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
 
 
+def test_linear_march_requires_t_end_after_the_reference_start():
+    grid = Grid(32, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5, h0=0.5)
+    st = State(np.zeros((2, grid.n)), 1.0)
+    ref = ReferenceTrajectory.constant(st, 2.0)
+    with pytest.raises(ValueError, match="t_end 1.0 does not exceed trajectory start 1.0"):
+        solve_linear(ref, st, Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
+
+
 def test_fixed_point_iteration_converges_to_the_nonlinear_flow():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)

@@ -16,11 +16,12 @@ against itself, must print rows that parse and show no output
 difference.  tools/output_digest.py must hash every output of a case.
 The README's config table must list the RunConfig fields, in order,
 and its scenario row every name in SCENARIOS, so the documented keys
-cannot drift.  The README's table of
-outcome statuses must list exactly the statuses a march can end with,
-and every StopError subclass must carry one of them.  A state
-travels through gn1d as one (2, n) stack: no module unpacks a stack
-into State(*...) or restacks (....zeta, ....u).  No
+cannot drift; every RunConfig field must be read by a run, so the
+config of `gn1d run` carries no key that only `gn1d verify` reads.  The
+README's table of outcome statuses must list exactly the statuses a
+march can end with, and every StopError subclass must carry one of them.
+A state travels through gn1d as one (2, n) stack: no module unpacks a
+stack into State(*...) or restacks (....zeta, ....u).  No
 module of gn1d or of its tests may import a name it never uses, so a
 deletion cannot leave a stale import behind (checked with ast; no
 linter is needed).  Every bound of a guarantee is read through a name,
@@ -197,6 +198,23 @@ def _readme_config_rows() -> list[str]:
 def test_readme_config_table_lists_every_run_config_field_in_order():
     keys = [row.split("`")[1] for row in _readme_config_rows()]
     assert keys == [f.name for f in fields(RunConfig)]
+
+
+def test_every_run_config_field_is_read_by_a_run():
+    # RunConfig is the config of `gn1d run` alone: each field is read as
+    # cfg.<field> or prep.cfg.<field> somewhere in cli.py outside verify_suite
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    read = set()
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == "verify_suite":
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            if getattr(owner, "id", None) == "cfg" or getattr(owner, "attr", None) == "cfg":
+                read.add(node.attr)
+    assert [f.name for f in fields(RunConfig) if f.name not in read] == []
 
 
 def test_readme_scenario_row_names_every_scenario():

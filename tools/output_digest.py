@@ -38,7 +38,7 @@ _TALL_HUMP = {
     "width": 1.0, "h0": 0.95, "t_end": 5.0,
 }
 
-# name -> (command, config keys over the defaults); a run case always has a config.
+# name -> (command, config keys over the defaults); only a run case has a config.
 # Every outcome status has a case: completed (default), blowup_depth
 # (hump_depth_loss), blowup_norm (norm_ceiling), solver_failure and
 # picard_not_converged.
@@ -75,7 +75,6 @@ CASES = {
         "amplitude": 0.4, "h0": 0.25, "t_end": 0.5, "snapshot_every": 0.25,
     }),
     "verify": ("verify", None),
-    "verify_break_depth": ("verify", {"verify_break_depth": True}),
     "scenarios": ("scenarios", None),
 }
 
@@ -95,9 +94,7 @@ def digest_case(name: str) -> list[str]:
         try:
             argv = [command, "--seed", "1234"] if command == "verify" else [command]
             if keys is not None:
-                lines = [f"{k} = {v}" for k, v in keys.items()]
-                if command == "run":
-                    lines.append("output_dir = out")
+                lines = [f"{k} = {v}" for k, v in keys.items()] + ["output_dir = out"]
                 Path("case.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
                 argv += ["--config", "case.cfg"]
             out, err = io.StringIO(), io.StringIO()
