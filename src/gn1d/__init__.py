@@ -12,44 +12,10 @@ from .core import (
     StopError,
     compute_depth,
 )
-from .diagnostics import (
-    DiagnosticRecord,
-    conserved_energy,
-    equivalence_report,
-    es_norm,
-    mass,
-    record_for,
-    xs_norm,
-)
-from .gn_rhs import (
-    FrozenState,
-    apply_A,
-    coefficient_fields,
-    condensed_rhs,
-    eval_B,
-    nonlinear_rhs,
-    q1_apply,
-    q_total,
-)
-from .grid_ops import (
-    BandedOperator,
-    apply_symbol,
-    d1_fd,
-    d1_spectral,
-    dealias,
-    hs_norm,
-    inner_product,
-    l2_norm,
-    lambda_s,
-)
-from .linearized import (
-    Mollifier,
-    ReferenceTrajectory,
-    cutoff_profile,
-    mollify,
-    picard_solve,
-    solve_linear,
-)
+from .diagnostics import equivalence_report, es_norm, xs_norm
+from .gn_rhs import nonlinear_rhs
+from .grid_ops import d1_spectral, inner_product, l2_norm
+from .linearized import Mollifier, ReferenceTrajectory, mollify, picard_solve, solve_linear
 from .scenarios import (
     SCENARIOS,
     bar_bathymetry,
@@ -58,7 +24,7 @@ from .scenarios import (
     rest_state,
     solitary_wave,
 )
-from .t_operator import TOperator, apply_T, assemble_T, build_factor_ops, solve_T
-from .time_integrator import RunOutcome, StepControl, cfl_dt, rk4_step, run
+from .t_operator import apply_T, assemble_T
+from .time_integrator import StepControl, run
 
 __version__ = "0.1.0"

@@ -1,25 +1,37 @@
-"""Per-sample measurements behind the property checks, and their bounds.
+"""The property checks of `gn1d verify`: per-sample measurements, their
+bounds, and the suite that draws verify's samples and prints its table.
 
-`gn1d verify` and the acceptance suite draw their own samples and read
-each bound from BOUNDS; each function here measures one sample, or one
-run history, so both report the same quantity computed the same way.
-The one exception is the inverse-bound sweep, which draws its trial
-fields from the seed its caller passes.
+Each measurement function measures one sample, or one run history, so
+`gn1d verify` and the acceptance suite, which draws its own samples,
+report the same quantity computed the same way and read each bound from
+BOUNDS.  The inverse-bound sweep draws its trial fields from the seed
+its caller passes.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bathymetry, Grid, Parameters, compute_depth
-from .diagnostics import SWEEP_EPSILONS, SWEEP_H0, SWEEP_MUS, SWEEP_S, DiagnosticRecord
+from .core import Bathymetry, Grid, Parameters, StopError, compute_depth
+from .diagnostics import (
+    SWEEP_EPSILONS,
+    SWEEP_H0,
+    SWEEP_MUS,
+    SWEEP_S,
+    DiagnosticRecord,
+    equivalence_report,
+    weighted_velocity_form,
+)
 from .gn_rhs import coefficient_fields, condensed_rhs, nonlinear_rhs, q1_apply, q_total
 from .grid_ops import d1_fd, d1_spectral, hs_norm, inner_product, lambda_s
 from .linearized import Mollifier, mollify
+from .scenarios import solitary_wave
 from .t_operator import TOperator, apply_T, assemble_T, solve_T
+from .time_integrator import StepControl, run
 
 _RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
 
@@ -202,3 +214,137 @@ def mass_drift(history: list[DiagnosticRecord]) -> float:
     """Largest absolute mass deviation from the first record."""
     m0 = history[0].mass
     return max(abs(r.mass - m0) for r in history)
+
+
+# ---------------------------------------------------------------------------
+# verification suite
+
+
+def _check(name: str, measured: float, bound: Bound, ok: bool = True):
+    """One table row; it passes when ok and the bound holds."""
+    return name, measured, bound, ok and bound.holds(measured)
+
+
+def _report(checks: list[tuple]) -> int:
+    width = max(len(c[0]) for c in checks)
+    for name, measured, bound, ok in checks:
+        print(
+            f"{name:<{width}}  measured {measured:.6e}  "
+            f"required {bound:.6e}  {'PASS' if ok else 'FAIL'}"
+        )
+    passed = sum(c[-1] for c in checks)
+    print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 3
+
+
+def _verify_state(rng, grid, bathymetry):
+    """Random band-limited state over the given bottom, a (2, n) stack; at
+    verify's eps = 0.5 its depth 1 + eps (zeta - b) is at least 0.875."""
+    k = grid.wavenumbers()
+    k_cut = k.max() / 5.0
+    def field(scale):
+        coeff = np.fft.rfft(rng.standard_normal(grid.n))
+        coeff[k > k_cut] = 0.0
+        f = np.fft.irfft(coeff, grid.n)
+        return scale * f / np.max(np.abs(f))
+    return np.array((bathymetry.b + field(0.25), field(0.3)))
+
+
+def verify_suite(seed: int) -> int:
+    """Run the property checks on states drawn from seed (>= 0) and print a
+    pass/fail table; 0 when every row passes, else 3."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(128, 2.0 * np.pi)
+    x = grid.nodes()
+    bathymetry = Bathymetry.from_profile(
+        0.15 * np.cos(2.0 * x) + 0.08 * np.sin(5.0 * x), grid
+    )
+    params = Parameters(0.5, 0.3, h0=0.25)
+
+    # operator symmetry, coercivity, and solve accuracy
+    sym_worst = res_worst = round_worst = 0.0
+    coer_margin = np.inf
+    for _ in range(6):
+        zu = _verify_state(rng, grid, bathymetry)
+        try:
+            op = assemble_T(compute_depth(zu[0], bathymetry, params), bathymetry, params, grid)
+        except StopError as exc:
+            print(f"{exc.status}: {exc}", file=sys.stderr)  # no time or stage: no march
+            return _report([_check("operator assembly succeeded", 0.0, BOUNDS["assembly"])])
+        sym_worst = max(sym_worst, symmetry_defect(op))
+        trial = np.random.default_rng(int(rng.integers(2**31)))
+        ratio = min(rayleigh_ratio(op, trial.standard_normal(grid.n)) for _ in range(8))
+        coer_margin = min(coer_margin, ratio / coercivity_bound(params))
+        res_worst = max(res_worst, solve_residual(op, rng.standard_normal(grid.n)))
+        round_worst = max(round_worst, round_trip(op, rng.standard_normal(grid.n)))
+
+    # energy identity: assembled quadratic form vs factorized evaluation
+    ident_worst = 0.0
+    for _ in range(4):
+        h = compute_depth(_verify_state(rng, grid, bathymetry)[0], bathymetry, params)
+        op = assemble_T(h, bathymetry, params, grid)
+        w = rng.standard_normal(grid.n)
+        quad = inner_product(apply_T(op, w), w, grid)
+        split = weighted_velocity_form(w, h, bathymetry, params, grid)
+        ident_worst = max(ident_worst, abs(quad - split) / abs(split))
+
+    # source decomposition and formulation equivalence on band-limited states
+    dec_worst = equiv_worst = 0.0
+    for _ in range(6):
+        zu = _verify_state(rng, grid, bathymetry)
+        dec_worst = max(dec_worst, source_defect(zu, bathymetry, params, grid))
+        equiv_worst = max(equiv_worst, formulation_gap(zu, bathymetry, params, grid))
+
+    # cutoff operator: smoothing-commutation and self-adjointness
+    mol = Mollifier.for_grid(4.0 / grid.wavenumbers().max(), grid)
+    comm_worst = adj_worst = 0.0
+    for _ in range(4):
+        f = rng.standard_normal(grid.n)
+        g = rng.standard_normal(grid.n)
+        comm_worst = max(comm_worst, mollifier_commutation(f, mol, grid))
+        adj_worst = max(adj_worst, mollifier_adjoint_defect(f, g, mol, grid))
+
+    # parameter sweeps: inverse bounds and norm equivalence
+    sweep_depths = [
+        compute_depth(_verify_state(rng, grid, bathymetry)[0], bathymetry, params)
+        for _ in range(2)
+    ]
+    spread1, spread2 = inverse_bound_spreads(
+        sweep_depths, bathymetry, grid, trials=3, seed=seed + 1
+    )
+
+    pairs = [
+        tuple(_verify_state(rng, grid, bathymetry) for _ in range(2)) for _ in range(4)
+    ]
+    eq = equivalence_report(pairs, bathymetry, grid)
+    hi, lo = equivalence_spreads(eq)
+
+    # short conservation run on the demo solitary wave
+    run_grid = Grid(256, 60.0)
+    run_params = Parameters(0.5, 0.5, h0=0.25)
+    wave = solitary_wave(0.4, run_params, run_grid)
+    outcome = run(
+        wave, Bathymetry.flat(run_grid), run_params, run_grid,
+        StepControl(t_end=2.0, cfl=0.5),
+    )
+    drift = energy_drift(outcome.history)
+
+    return _report([
+        _check("operator symmetry (max abs)", sym_worst, BOUNDS["symmetry"]),
+        _check("coercivity margin (min ratio/bound)", coer_margin, BOUNDS["coercivity_margin"]),
+        _check("solve residual (relative)", res_worst, BOUNDS["solve"]),
+        _check("solve round-trip (relative)", round_worst, BOUNDS["solve"]),
+        _check("energy identity (relative)", ident_worst, BOUNDS["energy_identity"]),
+        _check("source decomposition (relative)", dec_worst, BOUNDS["source_decomposition"]),
+        _check(
+            "formulation equivalence (relative)", equiv_worst, BOUNDS["formulation_equivalence"]
+        ),
+        _check("cutoff commutation (relative)", comm_worst, BOUNDS["cutoff_commutation"]),
+        _check("cutoff self-adjointness (relative)", adj_worst, BOUNDS["cutoff_adjointness"]),
+        _check("inverse bound spread (first)", spread1, BOUNDS["inverse_bound_spread"]),
+        _check("inverse bound spread (derivative)", spread2, BOUNDS["inverse_bound_spread"]),
+        _check("norm equivalence spread (upper)", hi, BOUNDS["equivalence_spread"]),
+        _check("norm equivalence spread (lower)", lo, BOUNDS["equivalence_spread"]),
+        _check("energy drift (relative, t=2)", drift, BOUNDS["energy_drift"], ok=outcome.completed),
+        _check("mass drift (absolute, t=2)", mass_drift(outcome.history), BOUNDS["mass_drift"]),
+    ])

@@ -10,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import gn1d.checks
 import gn1d.cli
 import gn1d.linearized
 from gn1d.cli import (
@@ -321,17 +322,28 @@ def test_prepare_run_names_a_configured_floor_out_of_range():
     )
 
 
-def test_prepare_run_names_a_derived_floor_out_of_range(tmp_path):
+def test_prepare_run_names_a_derived_floor_out_of_range():
+    # a bar of height 2.5 at eps = 0.5 leaves a lake at rest of minimum
+    # depth 1 - 0.5 * 2.5 = -0.25, so half of it derives a floor of -0.125
+    with pytest.raises(ConfigError) as info:
+        prepare_run(RunConfig(scenario="rest_over_bar", bar_height=2.5))
+    assert str(info.value) == (
+        "derived depth floor is not admissible: h0 must lie in (0, 1], got -0.125"
+    )
+
+
+def test_a_derived_floor_over_deep_water_is_capped_at_one(tmp_path, capsys):
     # a flat bottom at b = -3 deepens the water to at least 2.5, so half
-    # the initial minimum depth derives a floor of 1.25 (plus the wave's
-    # tail, which is nowhere exactly 0)
+    # the initial minimum depth would be 1.25, above the largest admissible
+    # floor; the derived floor is 1 and the run goes ahead
     path = tmp_path / "bath.dat"
     _write_samples(path, np.arange(16) * 60.0 / 16, np.full(16, -3.0))
-    with pytest.raises(ConfigError) as info:
-        prepare_run(RunConfig(bathymetry_file=str(path)))
-    assert str(info.value).startswith(
-        "derived depth floor is not admissible: h0 must lie in (0, 1], got 1.250000000000"
-    )
+    cfg = RunConfig(bathymetry_file=str(path), t_end=0.2, output_dir=str(tmp_path / "out"))
+    assert prepare_run(cfg).params.h0 == 1.0
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(dump_config(cfg), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.startswith("completed: t = 0.2,")
 
 
 def _write_config(path, **overrides):
@@ -946,14 +958,14 @@ def test_verify_suite_passes_on_defaults(capsys):
 def test_verify_suite_detects_broken_depth(monkeypatch, capsys):
     # negative control: sabotaged states must be caught, not papered over;
     # every state verify draws is lowered by 2 / eps (eps = 0.5 there)
-    draw = gn1d.cli._verify_state
+    draw = gn1d.checks._verify_state
 
     def lowered(*args):
         zu = draw(*args)
         zu[0] -= 2.0 / 0.5
         return zu
 
-    monkeypatch.setattr(gn1d.cli, "_verify_state", lowered)
+    monkeypatch.setattr(gn1d.checks, "_verify_state", lowered)
     assert main(["verify"]) == 3
     captured = capsys.readouterr()
     assert captured.out == (

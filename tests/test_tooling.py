@@ -13,7 +13,8 @@ workload, counted the same way, must keep worker.cross_check's exact
 count rules, so a count break fails here and not only in a benchmark
 run.  tools/paired_bench.py, run for two tiny pairs of this checkout
 against itself, must print rows that parse and show no output
-difference.  tools/output_digest.py must hash every output of a case.
+difference.  tools/output_digest.py must hash every output of a case,
+and record an argv that argparse rejects as that case's stderr and exit.
 The README's config table must list the RunConfig fields, in order,
 and its scenario row every name in SCENARIOS, so the documented keys
 cannot drift; every RunConfig field must be read by a run, so the
@@ -26,6 +27,8 @@ module of gn1d or of its tests may import a name it never uses, so a
 deletion cannot leave a stale import behind (checked with ast; no
 linter is needed).  Every bound of a guarantee is read through a name,
 so that `gn1d verify` and the acceptance suite cannot drift apart.
+Every name the package exports is imported from gn1d by a test, a tool
+or a README example, so gn1d exports no name that nothing uses.
 """
 
 import ast
@@ -202,18 +205,15 @@ def test_readme_config_table_lists_every_run_config_field_in_order():
 
 def test_every_run_config_field_is_read_by_a_run():
     # RunConfig is the config of `gn1d run` alone: each field is read as
-    # cfg.<field> or prep.cfg.<field> somewhere in cli.py outside verify_suite
+    # cfg.<field> or prep.cfg.<field> somewhere in cli.py
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     read = set()
-    for top in tree.body:
-        if isinstance(top, ast.FunctionDef) and top.name == "verify_suite":
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
             continue
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Attribute):
-                continue
-            owner = node.value
-            if getattr(owner, "id", None) == "cfg" or getattr(owner, "attr", None) == "cfg":
-                read.add(node.attr)
+        owner = node.value
+        if getattr(owner, "id", None) == "cfg" or getattr(owner, "attr", None) == "cfg":
+            read.add(node.attr)
     assert [f.name for f in fields(RunConfig) if f.name not in read] == []
 
 
@@ -270,6 +270,29 @@ def test_readme_outcome_table_lists_every_status_a_march_ends_with():
     assert set(table) == literals | set(_stop_error_statuses().values())
 
 
+def test_every_package_export_is_imported_from_gn1d():
+    # by a test, by a tool (tools/ or perfbench/), or by a README example
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    used = set()
+    for folder in ("tests", "tools", "perfbench"):
+        for path in (ROOT / folder).glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module == "gn1d" and not node.level:
+                    used.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "gn1d":
+                    used.add(node.attr)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for names in re.findall(r"^from gn1d import (.+)$", readme, re.MULTILINE):
+        used.update(name.strip() for name in names.split(","))
+    assert [name for name in exported if name not in used] == []
+
+
 def test_no_module_splits_or_restacks_a_state():
     split = re.compile(r"\bState\(\*")
     restack = re.compile(r"\(\s*[\w.\[\]]+\.zeta\s*,\s*[\w.\[\]]+\.u\s*[,)]")
@@ -308,10 +331,15 @@ def test_no_module_imports_a_name_it_never_uses():
     assert [line for path in modules + tests for line in _unused_imports(path)] == []
 
 
-def test_output_digest_hashes_every_output_of_a_case():
+def _output_digest():
     spec = importlib.util.spec_from_file_location("digest", ROOT / "tools" / "output_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_output_digest_hashes_every_output_of_a_case():
+    tool = _output_digest()
     lines = tool.digest_case("hump_depth_loss")
     names = [line.split(" ")[1] for line in lines]
     outputs = [f"snap_{step:06d}.dat" for step in range(40)] + ["timeseries.dat"]
@@ -326,6 +354,24 @@ def test_output_digest_hashes_every_output_of_a_case():
     assert lines[1].split(" ")[0] == hashlib.sha256(stop.encode()).hexdigest()
     # a rerun in a fresh directory reproduces every byte
     assert tool.digest_case("hump_depth_loss") == lines
+
+
+def test_output_digest_records_an_argv_that_argparse_rejects(capsys):
+    # `run` without --config: argparse prints its usage and exits 2, and
+    # the digest records that as the case's stderr and exit, then goes on
+    tool = _output_digest()
+    tool.CASES["no_config"] = ("run", None)
+    lines = tool.digest_case("no_config")
+    assert [line.split(" ")[1] for line in lines] == [
+        f"no_config/{name}" for name in ["stdout", "stderr", "exit"]
+    ]
+    with pytest.raises(SystemExit):
+        gn1d.cli.main(["run"])
+    usage = capsys.readouterr().err
+    assert usage.startswith("usage: gn1d run")
+    assert [line.split(" ")[0] for line in lines] == [
+        hashlib.sha256(text.encode()).hexdigest() for text in ["", usage, "2"]
+    ]
 
 
 def _numeric_literal(node: ast.AST) -> bool:
@@ -349,9 +395,9 @@ def test_every_guarantee_bound_is_read_through_a_name():
         if isinstance(node, ast.Compare)
         and any(_numeric_literal(x) for x in [node.left, *node.comparators])
     ]
-    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    checks = ast.parse((SRC / "checks.py").read_text(encoding="utf-8"))
     suite = next(
-        node for node in cli.body
+        node for node in checks.body
         if isinstance(node, ast.FunctionDef) and node.name == "verify_suite"
     )
     rows = [
@@ -360,7 +406,7 @@ def test_every_guarantee_bound_is_read_through_a_name():
     ]
     assert len(rows) == 16  # the 15 rows of the table and the failed-assembly row
     thresholds = [
-        f"cli.py:{row.lineno}"
+        f"checks.py:{row.lineno}"
         for row in rows
         if any(_numeric_literal(arg) for arg in row.args[2:] + [k.value for k in row.keywords])
     ]

@@ -9,6 +9,8 @@ from the roots of two checkouts and diffing the two outputs shows whether
 they produce the same bytes.  Each case is one call of ``gn1d.cli.main``
 in its own temporary directory; one line ``sha256 name`` is printed for
 the case's stdout, its stderr, its exit code and every file it writes.
+An argv that argparse rejects is a case like any other: its usage text
+is its stderr, and argparse's exit code its exit.
 """
 
 from __future__ import annotations
@@ -99,7 +101,10 @@ def digest_case(name: str) -> list[str]:
                 argv += ["--config", "case.cfg"]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's exit, its usage text in err
+                    code = exc.code
             digests = [
                 (_sha(out.getvalue().encode()), f"{name}/stdout"),
                 (_sha(err.getvalue().encode()), f"{name}/stderr"),
