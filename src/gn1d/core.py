@@ -111,8 +111,12 @@ class Grid:
         # even for the real-FFT layout; d1_fd's stencil and T's nine bands need n >= 8
         if not (self.n >= 8 and self.n % 2 == 0):
             raise ValueError(f"grid size must be an even integer of at least 8, got n = {self.n}")
-        if not 0.0 < float(self.length) < np.inf:
-            raise ValueError(f"domain length must be positive and finite, got {self.length}")
+        # a length that underflows the spacing to 0 would leave no wavenumbers
+        if not (0.0 < float(self.length) / self.n and float(self.length) < np.inf):
+            raise ValueError(
+                f"domain length must be positive and finite, with a nonzero spacing "
+                f"length / n, got {self.length}"
+            )
         object.__setattr__(self, "length", float(self.length))
 
     @property

@@ -18,13 +18,15 @@ written by one formula from d1_fd's, whose zero diagonal row it
 replaces; T is the (9, n) stack (offsets -4..4) that the assembly fills
 and the returned operator holds.  T is built in a few whole-array
 passes: one product gives the 15 terms a[p] * h * a[p + d] of the upper
-Gram bands of T1* diag(h) T1, ordered by p and then d; one gather shifts
-each term by its p; one add per p, in increasing p, sums the terms into
-the upper bands, which start at zero; one gather mirrors them into the
-lower bands.  The sums are explicit ordered adds, not a segmented
-reduction such as np.add.reduceat, which may pair the terms differently:
-each entry is then summed exactly as a per-band loop sums it, to the
-last bit and sign.
+Gram bands of T1* diag(h) T1, ordered by p and then d, written between
+periodic halos of two cells; one add per p, in increasing p, sums a
+slice of that buffer shifted by p into the upper bands, which start at
+zero; the lower bands are one strided view of the upper ones behind a
+left halo of four, row k shifted by k, as BandedOperator.apply views its
+halo.  The sums are explicit ordered adds, not a segmented reduction
+such as np.add.reduceat, which may pair the terms differently: each
+entry is then summed exactly as a per-band loop sums it, to the last
+bit and sign.
 
 T has nine periodic bands.  Renumbering the nodes in the interleaved
 order 0, n-1, 1, n-2, 2, ... puts every periodic coupling within eight
@@ -39,10 +41,9 @@ to them passes one explicit np.isfinite check: the band storage before
 pbtrf, and each right-hand side before pbtrs.  A failed check raises
 NonFiniteError with the grid index of an offending node.
 
-The index patterns depend only on n and are built once, read-only: the
-interleaved order and its inverse, the gathers that shift the Gram terms
-and mirror the bands, and the (source, destination) plan of the
-band-storage scatter.
+The two index permutations depend only on n and are built once,
+read-only: the interleaved order and its inverse, and the (source,
+destination) plan of the band-storage scatter.
 """
 
 from __future__ import annotations
@@ -107,21 +108,6 @@ def _interleaved_order(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _gram_shift_plan(n: int) -> np.ndarray:
-    """Flat gather shifting Gram product row r by its offset p: out[r, i] = prod[r, (i - p) % n]."""
-    p = _GRAM_P[:, None] - 2
-    rows = np.arange(_GRAM_P.size)[:, None]
-    return read_only(rows * n + (np.arange(n) - p) % n)
-
-
-@lru_cache(maxsize=16)
-def _mirror_plan(n: int) -> np.ndarray:
-    """Flat gather of the lower bands from the upper ones: band -d at i is band d at (i - d) % n."""
-    d = np.arange(4, 0, -1)[:, None]
-    return read_only((4 + d) * n + (np.arange(n) - d) % n)
-
-
-@lru_cache(maxsize=16)
 def _band_storage_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat index of each stored entry in the (9, n) band stack, and its F-order index in ab."""
     _, p = _interleaved_order(n)
@@ -170,15 +156,22 @@ def assemble_T(
     n = grid.n
     t1, t2_diag = build_factor_ops(h, bathymetry, params, grid)
     a = t1.bands
-    terms = ((a * h)[_GRAM_P] * a[_GRAM_Q]).ravel()[_gram_shift_plan(n)]
+    prod = (a * h)[_GRAM_P]
+    prod *= a[_GRAM_Q]
+    # periodic halos of 2: terms[:, 2 + j] is the term at node j % n
+    terms = np.concatenate((prod[:, n - 2 :], prod, prod[:, :2]), axis=1)
 
     bands = np.zeros((9, n))
     gram = bands[4:]  # upper bands of T1* diag(h) T1, offsets 0..4
-    for lo, hi in _GRAM_BLOCKS:
-        gram[: hi - lo] += terms[lo:hi]
+    for p, (lo, hi) in enumerate(_GRAM_BLOCKS):  # gram[d, i] += prod[lo + d, (i - p + 2) % n]
+        gram[: hi - lo] += terms[lo:hi, 4 - p : 4 - p + n]
     bands[4] = h + params.mu * (gram[0] + h * t2_diag**2)
     bands[5:] *= params.mu
-    bands[:4] = bands.ravel()[_mirror_plan(n)]  # the mirror keeps symmetry exact
+    # band -d at i is band d at (i - d) % n, which keeps symmetry exact: row
+    # k of the view over bands d = 4..1 behind a left halo of 4 is up[k, k + i]
+    up = np.concatenate((bands[8:4:-1, n - 4 :], bands[8:4:-1]), axis=1)
+    s = up.itemsize
+    bands[:4] = np.ndarray((4, n), up.dtype, up, 0, ((n + 5) * s, s))
 
     ab = _lower_band_storage(bands)
     _require_finite(ab, "band storage of T")

@@ -95,6 +95,11 @@ ROUGH_X2_SPREAD = Bound("<=", 1.1)  # 15: max/min of X^2(0) over ROUGH_NS
 ROUGH_X3_SLOPE = Bound(">=", 0.5)  # 15: log-log slope of X^3(0) in n, so the data is not in X^3
 ROUGH_NORM_RATIO = Bound("in", (0.95, 1.05))  # 15: X^2(Picard limit) / X^2(0) at each n
 ROUGH_GAP_RATIO = Bound("<=", 0.1)  # 15: worst ratio of successive Picard gaps over ROUGH_NS
+LONG_EPSILONS = (0.5, 0.25, 0.125)  # 16: eps of t_end = LONG_TIME / eps, on 15's data at n = 256
+LONG_SUP_RATIO = Bound("<=", 1.02)  # 16: sup_t X^2(limit(t)) / X^2(0), measured 1.0015
+LONG_SUP_SPREAD = Bound("<=", 1.01)  # 16: max/min of that sup across eps, measured 1.00004
+LONG_GAP_RATIO = Bound("<=", 0.08)  # 16: worst ratio of successive Picard gaps, measured 0.039
+LONG_GAP_SPREAD = Bound("<=", 1.5)  # 16: max/min of that ratio across eps, measured 1.18
 
 
 def _verdict(num: int, name: str, held: list[bool], detail: str) -> None:
@@ -627,4 +632,54 @@ def test_15_fails_on_data_one_derivative_rougher():
     # data one derivative rougher is not in X^2: its X^2(0) grows with n
     held, detail = _picard_regularity(ROUGH_EXPONENT - 1.0)
     print(f"ACCEPTANCE 15 on rougher data: {'PASS' if all(held) else 'FAIL'} ({detail})")
+    assert not all(held), detail
+
+
+def _long_time_regularity(exponent: float) -> tuple[list[bool], str]:
+    """ACCEPTANCE 16's conditions and detail for data of the given exponent."""
+    grid = Grid(256, 20.0)
+    zu = _rough_data(grid, exponent)
+    sups, gap_ratios = [], []
+    for eps in LONG_EPSILONS:
+        params = Parameters(eps, 0.5, h0=0.3)
+        control = StepControl(t_end=LONG_TIME / eps, dt_max=0.005)
+        result = picard_solve(State(zu), Bathymetry.flat(grid), params, grid, control)
+        assert result.completed, result.reason
+        x2 = [xs_norm(f, params, grid, 2.0) for f in result.trajectory.fields]
+        sups.append(max(x2) / x2[0])
+        gap_ratios.append(max(b / a for a, b in zip(result.gaps, result.gaps[1:])))
+    sup_spread = max(sups) / min(sups)
+    gap_spread = max(gap_ratios) / min(gap_ratios)
+    held = [
+        LONG_SUP_RATIO.holds(*sups),
+        LONG_SUP_SPREAD.holds(sup_spread),
+        LONG_GAP_RATIO.holds(*gap_ratios),
+        LONG_GAP_SPREAD.holds(gap_spread),
+    ]
+    detail = (
+        f"exponent {exponent:g} at eps = {', '.join(f'{e:g}' for e in LONG_EPSILONS)}, "
+        f"t_end = {LONG_TIME:g}/eps: sup_t X^2(limit(t)) / X^2(0) "
+        f"{', '.join(f'{v:.4f}' for v in sups)} required {LONG_SUP_RATIO}, spread "
+        f"{sup_spread:.4f} required {LONG_SUP_SPREAD}; worst gap ratio "
+        f"{', '.join(f'{r:.3f}' for r in gap_ratios)} required {LONG_GAP_RATIO}, spread "
+        f"{gap_spread:.2f} required {LONG_GAP_SPREAD}"
+    )
+    return held, detail
+
+
+def test_16_picard_limit_loses_no_regularity_on_the_long_time_scale():
+    # the headline claim on the paper's interval [0, T/eps]: data in X^2
+    # gives a limit whose X^2 norm stays bounded by the data's at every
+    # snapshot, and the contraction that builds it does not degrade as eps
+    # falls and the interval grows
+    started = time.perf_counter()
+    held, detail = _long_time_regularity(ROUGH_EXPONENT)
+    elapsed = time.perf_counter() - started
+    _verdict(16, "no loss of regularity on [0, T/eps]", held, f"{detail}; {elapsed:.1f}s")
+
+
+def test_16_fails_on_data_one_derivative_rougher():
+    # data not in X^2 contracts ever more slowly as the interval grows
+    held, detail = _long_time_regularity(ROUGH_EXPONENT - 1.0)
+    print(f"ACCEPTANCE 16 on rougher data: {'PASS' if all(held) else 'FAIL'} ({detail})")
     assert not all(held), detail

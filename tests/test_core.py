@@ -55,7 +55,8 @@ def test_grid_rejects_bad_size(n):
 
 
 def test_grid_rejects_bad_length():
-    for length in (0.0, np.inf):
+    # 5e-324 / 8 underflows the spacing to 0, which leaves no wavenumbers
+    for length in (0.0, -1.0, np.inf, np.nan, 5e-324):
         with pytest.raises(ValueError):
             Grid(8, length)
 

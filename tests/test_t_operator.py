@@ -149,8 +149,6 @@ def test_cached_assembly_plans_cannot_be_corrupted():
     arrays = [
         *top._interleaved_order(n),
         *top._band_storage_plan(n),
-        top._gram_shift_plan(n),
-        top._mirror_plan(n),
         d1_fd(grid).bands,
         top._GRAM_P,
         top._GRAM_Q,
