@@ -88,8 +88,8 @@ def _parse_value(raw: str, target_type: type, key: str, lineno: int):
 def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines into a RunConfig.
 
-    Unknown keys, malformed lines, and untypable values are reported
-    with their line number.
+    Unknown or repeated keys, malformed lines, and untypable values are
+    reported with their line number.
     """
     types = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
@@ -103,6 +103,8 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(raw, types[key], key, lineno)
     return RunConfig(**values)
 

@@ -213,7 +213,7 @@ def compute_depth(zeta: np.ndarray, bathymetry: Bathymetry, params: Parameters) 
 
 
 def require_depth(h: np.ndarray, params: Parameters) -> None:
-    """Raise DepthError unless min(h) >= h0; h is one depth or an (m, n) stack."""
+    """Raise DepthError unless min(h) >= h0: the one depth-floor test of every march."""
     m = float(h.min())
     if not m >= params.h0:  # catches NaN as well
-        raise DepthError(m, int(h.argmin()) % h.shape[-1])
+        raise DepthError(m, int(h.argmin()))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Bathymetry, DepthError, Grid, Parameters, State, StopError, compute_depth
+from .core import Bathymetry, Grid, Parameters, State, StopError, compute_depth, require_depth
 from .diagnostics import es_norm
 from .gn_rhs import FrozenState, coefficient_fields, condensed_tendency
 from .grid_ops import apply_symbol
@@ -204,12 +204,12 @@ def picard_solve(
         sol = solve_linear(ref, initial, bathymetry, params, grid, control, mollifier, dt=dt)
         if not sol.completed:
             return replace(sol, reason=f"sweep {sweep}: {sol.reason}", gaps=gaps)
-        # solve_linear checks the coefficient states it assembles, not the iterate
+        # solve_linear checks its coefficient states, not the iterate: check it earliest first
         h = compute_depth(sol.trajectory.fields[:, 0], bathymetry, params)
-        low = np.flatnonzero(~(h.min(axis=1) >= params.h0))  # NaN is low too
-        if low.size:
-            j = int(low[0])
-            exc = DepthError(h[j].min(), h[j].argmin())
+        try:
+            for j, h_j in enumerate(h):
+                require_depth(h_j, params)
+        except StopError as exc:
             reason = f"sweep {sweep}: {exc.at(sol.trajectory.times[j], dt)}"
             return RunOutcome(exc.status, steps=j, reason=reason, gaps=gaps)
         # np.max carries a NaN norm through, so a NaN gap never converges

@@ -156,8 +156,7 @@ def run(
                 raise NonFiniteError("state", bad[0])
             rec = record_for(state, bathymetry, params, grid, s)
             history.append(rec)
-            if rec.min_h < params.h0:
-                require_depth(compute_depth(state.zeta, bathymetry, params), params)
+            require_depth(compute_depth(state.zeta, bathymetry, params), params)
             if not rec.xs <= norm_ceiling:
                 raise _MonitorError(f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}")
             # a shorter step would take more than 1e12 steps to reach t_end

@@ -83,6 +83,23 @@ def test_parse_config_rejects_lines_without_assignment():
         parse_config("n 64\n")
 
 
+def test_parse_config_refuses_a_repeated_key(tmp_path, capsys):
+    # a key given twice is a config error, not a silent choice of the last value
+    with pytest.raises(ConfigError, match="^line 2: duplicate key 'n'$"):
+        parse_config("n = 64\nn = 128\n")
+    with pytest.raises(ConfigError, match="^line 4: duplicate key 'mode'$"):
+        parse_config("mode = picard\n# the same key, the same value\n\n mode=picard  # again\n")
+    # the defaults, then t_end once more: gn1d run exits 2 before any march
+    text = dump_config() + "t_end = 0.1\n"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lineno = len(text.splitlines())
+    assert captured.err == f"config error: line {lineno}: duplicate key 't_end'\n"
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(str(tmp_path / "nope.cfg"))
@@ -496,6 +513,38 @@ def test_main_run_reports_an_unwritable_output_file_as_a_config_error(
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write output {str(out / name)!r}")
     assert [p.name for p in out.glob("snap_*.dat") if p.is_file()] == []
+
+
+@pytest.mark.parametrize(
+    "mode, name",
+    [
+        ("nonlinear", "timeseries.dat"),
+        ("nonlinear", "snap_000000.dat"),
+        ("linearized", "timeseries.dat"),
+        ("picard", "timeseries.dat"),
+    ],
+)
+def test_main_run_reports_an_output_write_that_fails_in_the_run_as_a_config_error(
+    tmp_path, capsys, mode, name
+):
+    """A dangling symlink into a missing directory passes the pre-check (it
+    does not exist, so it is neither a directory nor unwritable), and only
+    the write itself fails, once the march has started: the run still exits
+    2 with one labeled line and no traceback."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to(tmp_path / "missing" / name)
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, scenario="hump", mode=mode, n=64, epsilon=0.2, amplitude=0.2, t_end=0.02,
+        dt_max=0.01, snapshot_every=0.01 if mode == "nonlinear" else 0.0, output_dir=str(out),
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {str(out / name)!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("blocked", ["directory", "read_only"])

@@ -109,17 +109,6 @@ def test_depth_of_a_stack_equals_the_row_by_row_calls():
         compute_depth(np.zeros((3, grid.n - 1)), bath, params)
 
 
-def test_require_depth_on_a_stack_reports_the_grid_index():
-    params = Parameters(0.5, 0.5, h0=0.5)
-    h = np.ones((2, 8))
-    h[0, 2] = 0.4
-    h[1, 5] = 0.1
-    with pytest.raises(DepthError) as info:
-        require_depth(h, params)
-    assert info.value.location == 5
-    assert info.value.min_value == 0.1
-
-
 def test_require_depth_raises_with_details():
     params = Parameters(0.5, 0.5, h0=0.5)
     h = np.ones(8)

@@ -27,7 +27,7 @@ from gn1d.linearized import (
     solve_linear,
 )
 from gn1d.t_operator import assemble_T
-from gn1d.time_integrator import StepControl, cfl_dt, run
+from gn1d.time_integrator import RunOutcome, StepControl, cfl_dt, run
 
 from helpers import (
     band_limited, bumpy_bathymetry, fd_symbol, l2_diff, linear_march_oracle_miss, random_state,
@@ -510,3 +510,29 @@ def test_a_picard_iterate_below_the_depth_floor_ends_with_blowup_depth():
     # step that divides t_end evenly into steps no longer than the CFL step
     m = math.ceil(control.t_end / cfl_dt(hump.zu, Bathymetry.flat(grid), params, grid, control))
     assert out.reason.endswith(f"(t = {out.steps * control.t_end / m:.6g})")
+
+
+def test_a_picard_iterate_stops_at_its_earliest_low_snapshot(monkeypatch):
+    """Two snapshots of the iterate lie below h0 = 0.5: at t = 0.05 the depth
+    is 0.45 at node 3, at t = 0.1 it is 0.1 at node 9 and NaN at node 12.
+    The sweep stops at the earlier one, with that snapshot's own minimum and
+    grid index, not the iterate's deepest value or its first NaN."""
+    import gn1d.linearized
+
+    grid = Grid(16, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5, h0=0.5)
+    fields = np.zeros((3, 2, grid.n))
+    fields[1, 0, 3] = -1.1  # h = 0.45
+    fields[2, 0, 9] = -1.8  # h = 0.1
+    fields[2, 0, 12] = np.nan
+    iterate = ReferenceTrajectory([0.0, 0.05, 0.1], fields)
+    monkeypatch.setattr(
+        gn1d.linearized, "solve_linear",
+        lambda *args, **kwargs: RunOutcome("completed", steps=2, trajectory=iterate),
+    )
+    rest = State(np.zeros((2, grid.n)))
+    out = picard_solve(rest, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.1))
+    assert (out.status, out.steps, out.gaps, out.trajectory) == ("blowup_depth", 1, [], None)
+    assert out.reason == (
+        "sweep 1: depth condition violated: min depth 0.45 at grid index 3 (t = 0.05)"
+    )
