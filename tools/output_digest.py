@@ -70,6 +70,11 @@ CASES = {
     # b_xx terms of q_total and coefficient_fields are nonzero outside picard
     "nonlinear_bar": ("run", {"scenario": "hump_over_bar", "t_end": 1.0, "snapshot_every": 0.5}),
     "linearized_bar": ("run", {"scenario": "hump_over_bar", "mode": "linearized", "t_end": 0.5}),
+    # still water over a bar placed off centre: every snapshot must keep
+    # the rest state's bits
+    "rest_over_bar": ("run", {
+        "scenario": "rest_over_bar", "x0": 20.0, "t_end": 1.0, "snapshot_every": 0.5,
+    }),
     # a domain long against the dispersive length: the factor of T holds
     # subnormal entries, so band storage, factor and apply meet them
     "long_domain": ("run", {
