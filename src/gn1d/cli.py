@@ -20,7 +20,7 @@ import glob
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -74,11 +74,7 @@ class RunConfig:
 def _parse_value(raw: str, target_type: type, key: str, lineno: int):
     raw = raw.strip()
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
+        return target_type(raw)  # int, float or str: each field's type parses it
     except ValueError:
         raise ConfigError(
             f"line {lineno}: cannot parse {raw!r} as {target_type.__name__} for key {key!r}"
@@ -202,22 +198,20 @@ def load_bathymetry(path: str, grid: Grid) -> Bathymetry:
 
 _TIMESERIES_HEADER = "# t energy mass min_h xs_norm es_norm"
 _SNAPSHOT_HEADER = "# x zeta u b h"
-_SNAPSHOT_ROW = "%.17g %.17g %.17g %.17g %.17g\n"
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_table(path: str, header: str, rows: np.ndarray) -> None:
+    """Write the header line, then each row with 17 significant digits per value."""
+    row = " ".join(["%.17g"] * rows.shape[1]) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def emit_timeseries(records: list[DiagnosticRecord], path: str) -> None:
-    _write_output(path, _TIMESERIES_HEADER + "\n" + "".join(
-        f"{r.t:.17g} {r.energy:.17g} {r.mass:.17g} {r.min_h:.17g} {r.xs:.17g} {r.es:.17g}\n"
-        for r in records
-    ))
+    _write_table(path, _TIMESERIES_HEADER, np.array([astuple(r) for r in records]))
 
 
 def emit_snapshot(
@@ -225,9 +219,7 @@ def emit_snapshot(
 ) -> None:
     h = compute_depth(state.zeta, bathymetry, params)
     rows = np.stack((grid.nodes(), state.zeta, state.u, bathymetry.b, h), axis=1)
-    _write_output(
-        path, _SNAPSHOT_HEADER + "\n" + (_SNAPSHOT_ROW * grid.n) % tuple(rows.ravel().tolist())
-    )
+    _write_table(path, _SNAPSHOT_HEADER, rows)
 
 
 def snapshot_path(output_dir: str, step: int) -> str:
@@ -246,6 +238,7 @@ class PreparedRun:
     state: State
     bathymetry: Bathymetry
     control: StepControl
+    mollifier: Mollifier | None  # the cutoff of the linear modes; None when delta = 0
 
 
 def prepare_run(cfg: RunConfig) -> PreparedRun:
@@ -273,6 +266,8 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
             cfl=cfg.cfl,
             dt_max=cfg.dt_max if cfg.dt_max > 0.0 else math.inf,
         )
+        delta = cfg.mollifier_delta
+        mollifier = Mollifier.for_grid(delta, grid) if delta > 0.0 else None
         # build with a provisional floor; the configured/derived floor is applied below
         probe = Parameters(cfg.epsilon, cfg.mu, h0=1e-12)
         state, bathymetry = build_scenario(
@@ -316,7 +311,7 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
                 f"shorter than the end-time tolerance {control.end_tolerance:.3g}: "
                 f"the run would take more than 1e12 steps"
             )
-    return PreparedRun(cfg, grid, params, state, bathymetry, control)
+    return PreparedRun(cfg, grid, params, state, bathymetry, control, mollifier)
 
 
 def _run_nonlinear(prep: PreparedRun) -> RunOutcome:
@@ -352,16 +347,12 @@ def _run_nonlinear(prep: PreparedRun) -> RunOutcome:
     return outcome
 
 
-def _mollifier(prep: PreparedRun) -> Mollifier | None:
-    delta = prep.cfg.mollifier_delta
-    return Mollifier.for_grid(delta, prep.grid) if delta > 0.0 else None
-
-
 def _emit_trajectory(prep: PreparedRun, sol: ReferenceTrajectory) -> list[DiagnosticRecord]:
     """Write one diagnostic record per stored snapshot to timeseries.dat."""
+    hs = compute_depth(sol.fields[:, 0], prep.bathymetry, prep.params)
     records = [
-        record_for(State(zu, t), prep.bathymetry, prep.params, prep.grid, prep.cfg.s)
-        for zu, t in zip(sol.fields, sol.times)
+        record_for(State(zu, t), h, prep.bathymetry, prep.params, prep.grid, prep.cfg.s)
+        for zu, t, h in zip(sol.fields, sol.times, hs)
     ]
     emit_timeseries(records, timeseries_path(prep.cfg.output_dir))
     return records
@@ -378,7 +369,7 @@ def _run_linearized(prep: PreparedRun) -> RunOutcome:
         return replace(outcome, reason=f"reference run: {outcome.reason}")
     outcome = solve_linear(
         ReferenceTrajectory.from_states(states), prep.state, prep.bathymetry, prep.params,
-        prep.grid, prep.control, mollifier=_mollifier(prep),
+        prep.grid, prep.control, mollifier=prep.mollifier,
     )
     if outcome.completed:
         records = _emit_trajectory(prep, outcome.trajectory)
@@ -394,7 +385,7 @@ def _run_picard(prep: PreparedRun) -> RunOutcome:
     outcome = picard_solve(
         prep.state, prep.bathymetry, prep.params, prep.grid, prep.control,
         max_iters=cfg.picard_max_iters, tol=cfg.picard_tol, s=cfg.s,
-        mollifier=_mollifier(prep),
+        mollifier=prep.mollifier,
     )
     for i, gap in enumerate(outcome.gaps, start=1):
         print(f"iteration {i}: gap = {gap:.6e}")
@@ -416,12 +407,17 @@ def command_run(cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.output_dir!r}: {exc}") from exc
     # every mode writes timeseries.dat last, and a nonlinear run may write
-    # over any snapshot: refuse an unwritable one before the march
+    # over any snapshot: refuse an unwritable one before the march, a link
+    # into a missing directory included (os.path.exists is false for it)
     snaps = glob.glob("snap_*.dat", root_dir=cfg.output_dir) if cfg.snapshot_every > 0.0 else []
     for path in [timeseries_path(cfg.output_dir)] + [
         os.path.join(cfg.output_dir, name) for name in sorted(snaps)
     ]:
-        if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        if (
+            os.path.isdir(path)
+            or (os.path.exists(path) and not os.access(path, os.W_OK))
+            or not os.path.isdir(os.path.dirname(os.path.realpath(path)))
+        ):
             raise ConfigError(f"cannot write output {path!r}: it is a directory or not writable")
     # an overflowing state is reported by the finite checks and monitors;
     # numpy's warnings on the way there would only precede that message

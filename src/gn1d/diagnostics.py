@@ -75,9 +75,10 @@ class DiagnosticRecord:
 
 
 def record_for(
-    state: State, bathymetry: Bathymetry, params: Parameters, grid: Grid, s: float = 2.0
+    state: State, h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid,
+    s: float = 2.0,
 ) -> DiagnosticRecord:
-    h = compute_depth(state.zeta, bathymetry, params)
+    """The diagnostics of state, whose depth compute_depth gave as h."""
     return DiagnosticRecord(
         t=state.time,
         energy=conserved_energy(state.zu, h, bathymetry, params, grid),

@@ -31,18 +31,12 @@ def cutoff_profile(r) -> np.ndarray:
     The transition uses the standard exp(-1/t) bump bridge, so every
     derivative vanishes at both ends of [1, 2].
     """
-    r = np.abs(np.asarray(r, dtype=float))
-    t = 2.0 - r  # rescaled transition coordinate, 1 -> keep, 0 -> drop
-    ga = np.zeros_like(t)
-    m = t > 0.0
-    ga[m] = np.exp(-1.0 / t[m])
-    gb = np.zeros_like(t)
-    m = (1.0 - t) > 0.0
-    gb[m] = np.exp(-1.0 / (1.0 - t[m]))
-    out = ga / (ga + gb)
-    out[r <= 1.0] = 1.0
-    out[r >= 2.0] = 0.0
-    return out
+    t = 2.0 - np.abs(np.asarray(r, dtype=float))  # 1 -> keep, 0 -> drop
+    # with t clamped at 0, exp(-1/t) is exp(-inf) = 0 wherever t <= 0
+    with np.errstate(divide="ignore"):
+        ga = np.exp(-1.0 / np.maximum(t, 0.0))
+        gb = np.exp(-1.0 / np.maximum(1.0 - t, 0.0))
+    return ga / (ga + gb)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,15 @@ from .core import Bathymetry, Grid, Parameters, State
 SEAM_TOL = 1e-12
 
 
-def _wrapped_offset(x: np.ndarray, x0: float, length: float) -> np.ndarray:
-    """Signed distance to x0 along the shorter way around the circle."""
-    return (x - x0 + 0.5 * length) % length - 0.5 * length
+def _placed(grid: Grid, x0: float | None) -> float:
+    """x0, or the centre of the domain when x0 is None."""
+    return 0.5 * grid.length if x0 is None else x0
+
+
+def _wrapped_offset(grid: Grid, x0: float | None) -> np.ndarray:
+    """Signed distance to _placed(grid, x0) along the shorter way around the circle."""
+    x0, length = _placed(grid, x0), grid.length
+    return (grid.nodes() - x0 + 0.5 * length) % length - 0.5 * length
 
 
 def solitary_wave(
@@ -40,8 +46,6 @@ def solitary_wave(
     if not amplitude > 0.0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     eps, mu = params.epsilon, params.mu
-    if x0 is None:
-        x0 = 0.5 * grid.length
     kappa = np.sqrt(3.0 * eps * amplitude / (4.0 * mu * (1.0 + eps * amplitude)))
     if not np.isfinite(kappa):
         raise ValueError(f"amplitude {amplitude} overflows the solitary-wave width")
@@ -57,7 +61,7 @@ def solitary_wave(
     c = np.sqrt(1.0 + eps * amplitude)
     if not np.isfinite(float(c) * float(amplitude)):  # bounds c zeta, since zeta <= amplitude
         raise ValueError(f"amplitude {amplitude} overflows the solitary-wave velocity")
-    r = _wrapped_offset(grid.nodes(), x0, grid.length)
+    r = _wrapped_offset(grid, x0)
     with np.errstate(over="ignore"):
         zeta = amplitude / np.cosh(kappa * r) ** 2
     return State(np.array((zeta, c * zeta / (1.0 + eps * zeta))))
@@ -68,20 +72,26 @@ def _require_finite(what: str, *profiles: np.ndarray) -> None:
         raise ValueError(f"{what} gives a non-finite profile or derivative on this grid")
 
 
-def gaussian_hump(
-    amplitude: float, width: float, grid: Grid, x0: float | None = None
-) -> State:
-    """Resting hump of water; splits into two counter-propagating waves."""
+def _gaussian(
+    height: float, width: float, grid: Grid, x0: float | None
+) -> tuple[np.ndarray, np.float64, np.ndarray]:
+    """height exp(-r^2 / (2 width^2)) about x0, with the wrapped offset r
+    and the width as a numpy float: (r, width, profile)."""
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
-    if x0 is None:
-        x0 = 0.5 * grid.length
-    r = _wrapped_offset(grid.nodes(), x0, grid.length)
+    r = _wrapped_offset(grid, x0)
     # a numpy width makes an extreme one overflow to inf, not raise; the
     # powers are the same libm calls, so every value keeps its bits
     width = np.float64(width)
     with np.errstate(all="ignore"):
-        zeta = amplitude * np.exp(-(r**2) / (2.0 * width**2))
+        return r, width, height * np.exp(-(r**2) / (2.0 * width**2))
+
+
+def gaussian_hump(
+    amplitude: float, width: float, grid: Grid, x0: float | None = None
+) -> State:
+    """Resting hump of water; splits into two counter-propagating waves."""
+    _, width, zeta = _gaussian(amplitude, width, grid, x0)
     _require_finite(f"hump width {width:g}", zeta)
     return State(np.array((zeta, np.zeros(grid.n))))
 
@@ -90,14 +100,8 @@ def bar_bathymetry(
     height: float, width: float, grid: Grid, x0: float | None = None
 ) -> Bathymetry:
     """Gaussian bar with analytic first and second derivatives."""
-    if not width > 0.0:
-        raise ValueError(f"width must be positive, got {width}")
-    if x0 is None:
-        x0 = 0.5 * grid.length
-    r = _wrapped_offset(grid.nodes(), x0, grid.length)
-    width = np.float64(width)  # as in gaussian_hump
+    r, width, b = _gaussian(height, width, grid, x0)
     with np.errstate(all="ignore"):
-        b = height * np.exp(-(r**2) / (2.0 * width**2))
         b_x = -(r / width**2) * b
         b_xx = (r**2 / width**4 - 1.0 / width**2) * b
     _require_finite(f"bar width {width:g}", b, b_x, b_xx)
@@ -134,7 +138,7 @@ def build_scenario(
     if name == "hump":
         return gaussian_hump(amplitude, width, grid, x0=x0), Bathymetry.flat(grid)
     if name == "hump_over_bar":
-        center = 0.5 * grid.length if x0 is None else x0
-        state = gaussian_hump(amplitude, width, grid, x0=center)
-        return state, bar_bathymetry(bar_height, bar_width, grid, x0=center + 0.25 * grid.length)
+        state = gaussian_hump(amplitude, width, grid, x0=x0)
+        bar_x0 = _placed(grid, x0) + 0.25 * grid.length
+        return state, bar_bathymetry(bar_height, bar_width, grid, x0=bar_x0)
     return rest_state(grid), bar_bathymetry(bar_height, bar_width, grid, x0=x0)

@@ -141,7 +141,8 @@ def run(
     with every accepted step.
     """
     state = initial
-    history = [record_for(state, bathymetry, params, grid, s)]
+    h = compute_depth(state.zeta, bathymetry, params)
+    history = [record_for(state, h, bathymetry, params, grid, s)]
     norm_ceiling = norm_factor * max(history[0].xs, 1e-300)
     on_state(0, state)
 
@@ -154,9 +155,10 @@ def run(
             bad = np.flatnonzero(~np.isfinite(state.zu).all(axis=0))
             if bad.size:
                 raise NonFiniteError("state", bad[0])
-            rec = record_for(state, bathymetry, params, grid, s)
+            h = compute_depth(state.zeta, bathymetry, params)
+            rec = record_for(state, h, bathymetry, params, grid, s)
             history.append(rec)
-            require_depth(compute_depth(state.zeta, bathymetry, params), params)
+            require_depth(h, params)
             if not rec.xs <= norm_ceiling:
                 raise _MonitorError(f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}")
             # a shorter step would take more than 1e12 steps to reach t_end

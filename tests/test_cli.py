@@ -244,6 +244,22 @@ def test_emit_timeseries_round_trips_floats(tmp_path):
         assert data[i].tolist() == [r.t, r.energy, r.mass, r.min_h, r.xs, r.es]
 
 
+def test_emit_timeseries_writes_the_bytes_of_the_per_record_formatter(tmp_path):
+    # signed zeros, subnormals, infinities and nan, as emit_snapshot's test has them
+    records = [
+        DiagnosticRecord(t=-0.0, energy=np.nan, mass=5e-324, min_h=-np.inf, xs=1e300, es=0.0),
+        DiagnosticRecord(t=0.1, energy=np.inf, mass=-0.0, min_h=-5e-324, xs=-1e-300, es=np.nan),
+        DiagnosticRecord(t=1.0 / 3.0, energy=-np.inf, mass=-2.0 / 7.0, min_h=0.9, xs=1e-7, es=2.0),
+    ]
+    path = tmp_path / "ts.dat"
+    emit_timeseries(records, str(path))
+    want = "# t energy mass min_h xs_norm es_norm\n" + "".join(
+        f"{r.t:.17g} {r.energy:.17g} {r.mass:.17g} {r.min_h:.17g} {r.xs:.17g} {r.es:.17g}\n"
+        for r in records
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_emit_snapshot_columns(tmp_path):
     grid = Grid(16, 4.0)
     params = Parameters(0.5, 0.5, h0=0.2)
@@ -482,6 +498,7 @@ def test_main_run_reports_an_unusable_output_dir_as_a_config_error(tmp_path, cap
     assert blocker.read_text(encoding="utf-8") == "a regular file\n"
 
 
+@pytest.mark.parametrize("blocker", ["directory", "dangling_link"])
 @pytest.mark.parametrize(
     "mode, name",
     [
@@ -492,10 +509,15 @@ def test_main_run_reports_an_unusable_output_dir_as_a_config_error(tmp_path, cap
     ],
 )
 def test_main_run_reports_an_unwritable_output_file_as_a_config_error(
-    tmp_path, capsys, monkeypatch, mode, name
+    tmp_path, capsys, monkeypatch, mode, name, blocker
 ):
     out = tmp_path / "out"
-    (out / name).mkdir(parents=True)
+    if blocker == "directory":
+        (out / name).mkdir(parents=True)
+    else:
+        # os.path.exists is false for a link into a missing directory
+        out.mkdir()
+        (out / name).symlink_to(tmp_path / "missing" / name)
     cfg_path = tmp_path / "run.cfg"
     _write_config(
         cfg_path, scenario="hump", mode=mode, n=64, epsilon=0.2, amplitude=0.2, t_end=0.02,
@@ -525,15 +547,21 @@ def test_main_run_reports_an_unwritable_output_file_as_a_config_error(
     ],
 )
 def test_main_run_reports_an_output_write_that_fails_in_the_run_as_a_config_error(
-    tmp_path, capsys, mode, name
+    tmp_path, capsys, monkeypatch, mode, name
 ):
-    """A dangling symlink into a missing directory passes the pre-check (it
-    does not exist, so it is neither a directory nor unwritable), and only
-    the write itself fails, once the march has started: the run still exits
-    2 with one labeled line and no traceback."""
+    """A link into a missing directory that appears after the output
+    pre-check, as the march starts, makes only the write itself fail: the
+    run still exits 2 with one labeled line and no traceback."""
     out = tmp_path / "out"
     out.mkdir()
-    (out / name).symlink_to(tmp_path / "missing" / name)
+    march_name = "picard_solve" if mode == "picard" else "run"
+    march = getattr(gn1d.cli, march_name)
+
+    def link_then_march(*args, **kwargs):
+        (out / name).symlink_to(tmp_path / "missing" / name)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(gn1d.cli, march_name, link_then_march)
     cfg_path = tmp_path / "run.cfg"
     _write_config(
         cfg_path, scenario="hump", mode=mode, n=64, epsilon=0.2, amplitude=0.2, t_end=0.02,

@@ -92,7 +92,8 @@ def test_record_gathers_all_diagnostics():
     params = Parameters(0.5, 0.5, h0=0.3)
     bath = bumpy_bathymetry(grid)
     zu = random_state(grid, 9, kc=10)
-    rec = record_for(State(zu, time=1.25), bath, params, grid, s=2.0)
+    state = State(zu, time=1.25)
+    rec = record_for(state, compute_depth(state.zeta, bath, params), bath, params, grid, s=2.0)
     assert rec.t == 1.25
     h = 1.0 + params.epsilon * (zu[0] - bath.b)
     assert rec.energy == conserved_energy(zu, h, bath, params, grid)

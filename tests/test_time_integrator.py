@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gn1d.diagnostics
 import gn1d.gn_rhs
 import gn1d.time_integrator
 from gn1d import Bathymetry, FactorizationError, Grid, Parameters, State, solitary_wave
@@ -160,6 +161,21 @@ def test_reported_depth_minimum_matches_states():
         h = 1.0 + params.epsilon * st.zeta
         assert rec.min_h == h.min()
         assert rec.t == st.time
+
+
+def test_a_run_hands_each_state_depth_to_its_record(monkeypatch):
+    """run() takes each accepted state's depth once, for the record and the
+    floor check alike; the record computes none of its own."""
+
+    def no_depth(*args, **kwargs):
+        raise AssertionError("the record computed a depth")
+
+    monkeypatch.setattr(gn1d.diagnostics, "compute_depth", no_depth)
+    grid = Grid(128, 60.0)
+    params = Parameters(0.5, 0.5, h0=0.25)
+    wave = solitary_wave(0.4, params, grid)
+    out = run(wave, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.2, cfl=0.5))
+    assert out.completed and out.steps > 0
 
 
 def test_stage_overflow_ends_the_run_as_a_norm_blowup():
