@@ -259,6 +259,8 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
             raise ConfigError(f"{name} must be >= 0 (0 disables it), got {getattr(cfg, name)}")
     if cfg.snapshot_every > 0.0 and cfg.mode != "nonlinear":
         raise ConfigError(f"snapshot_every is written only in nonlinear mode, not in {cfg.mode!r}")
+    if cfg.mollifier_delta > 0.0 and cfg.mode == "nonlinear":
+        raise ConfigError("mollifier_delta is applied only in linearized and picard mode")
     try:
         grid = Grid(cfg.n, cfg.length)
         control = StepControl(
@@ -280,7 +282,8 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
     except (ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    min_h = float(compute_depth(state.zeta, bathymetry, probe).min())
+    h = compute_depth(state.zeta, bathymetry, probe)
+    min_h = float(h.min())
     if cfg.h0 > 0.0:
         h0, origin = cfg.h0, "configured"
     else:
@@ -304,7 +307,7 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
     # every march ends within end_tolerance of t_end, so a shorter first
     # step is refused here (run() ends at a later one as blowup_norm)
     if math.isfinite(xs):
-        dt = cfl_dt(state.zu, bathymetry, params, grid, control)
+        dt = cfl_dt(state.u, h, params, grid, control)
         if not dt >= control.end_tolerance:
             raise ConfigError(
                 f"cfl = {cfg.cfl:g} and dt_max = {cfg.dt_max:g} give a first step of {dt:.3g}, "
@@ -322,22 +325,20 @@ def _run_nonlinear(prep: PreparedRun) -> RunOutcome:
             state, prep.bathymetry, prep.params, prep.grid, snapshot_path(cfg.output_dir, step)
         )
 
-    # a snapshot at t0 and whenever snapshot_every has elapsed, plus the
-    # final state of a completed run
-    next_mark, last_snap = prep.state.time, None
+    # a snapshot at t0, whenever snapshot_every has elapsed, and of the state
+    # that ends a completed run (the march's own end test)
+    next_mark, end = prep.state.time, prep.control.t_end - prep.control.end_tolerance
 
     def on_state(step: int, state: State) -> None:
-        nonlocal next_mark, last_snap
-        if cfg.snapshot_every > 0.0 and state.time >= next_mark - 1e-12:
+        nonlocal next_mark
+        if cfg.snapshot_every > 0.0 and (state.time >= next_mark - 1e-12 or state.time >= end):
             snapshot(step, state)
-            next_mark, last_snap = next_mark + cfg.snapshot_every, step
+            next_mark += cfg.snapshot_every
 
     outcome = run(
         prep.state, prep.bathymetry, prep.params, prep.grid, prep.control,
         s=cfg.s, norm_factor=cfg.blowup_factor, on_state=on_state,
     )
-    if cfg.snapshot_every > 0.0 and outcome.completed and last_snap != outcome.steps:
-        snapshot(outcome.steps, outcome.final_state)
     emit_timeseries(outcome.history, timeseries_path(cfg.output_dir))
     last = outcome.history[-1]
     print(

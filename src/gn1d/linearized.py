@@ -127,7 +127,8 @@ def solve_linear(
     if ref.t1 < control.t_end - control.end_tolerance:
         raise ValueError(f"reference trajectory ends at {ref.t1}, before t_end {control.t_end}")
     if dt is None:
-        dt = cfl_dt(ref.fields, bathymetry, params, grid, control)
+        h = compute_depth(ref.fields[:, 0], bathymetry, params)
+        dt = cfl_dt(ref.fields[:, 1], h, params, grid, control)
     m = max(1, math.ceil(span / dt - 1e-12))
     dt = span / m
 
@@ -190,9 +191,11 @@ def picard_solve(
     is the last sweep's, with the gaps so far; a stopped sweep is named, and
     an iterate with a snapshot below h0 ends it blowup_depth.
     """
-    dt = cfl_dt(initial.zu, bathymetry, params, grid, control)
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     ref = ReferenceTrajectory.constant(initial, control.t_end)
     prev, prev_h = initial.zu[None], compute_depth(initial.zeta, bathymetry, params)[None]
+    dt = cfl_dt(initial.u, prev_h, params, grid, control)
     gaps: list[float] = []
     for sweep in range(1, max_iters + 1):
         sol = solve_linear(ref, initial, bathymetry, params, grid, control, mollifier, dt=dt)

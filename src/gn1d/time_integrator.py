@@ -61,12 +61,11 @@ class StepControl:
 
 
 def cfl_dt(
-    zu: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid, control: StepControl
+    u: np.ndarray, h: np.ndarray, params: Parameters, grid: Grid, control: StepControl
 ) -> float:
-    """The step min(dt_max, cfl dx / max(eps |u| + sqrt(h))) over a (2, n)
-    state stack or an (m, 2, n) trajectory stack; dt_max when every speed is 0."""
-    h = compute_depth(zu[..., 0, :], bathymetry, params)
-    speed = float(np.max(params.epsilon * np.abs(zu[..., 1, :]) + np.sqrt(np.maximum(h, 0.0))))
+    """The step min(dt_max, cfl dx / max(eps |u| + sqrt(h))) over the velocity
+    and depth of one state or (m, n) stacks of them; dt_max when every speed is 0."""
+    speed = float(np.max(params.epsilon * np.abs(u) + np.sqrt(np.maximum(h, 0.0))))
     return control.dt_max if speed <= 0.0 else min(control.dt_max, control.cfl * grid.dx / speed)
 
 
@@ -148,7 +147,7 @@ def run(
 
     steps = 0
     while state.time < control.t_end - control.end_tolerance:
-        dt = min(cfl_dt(state.zu, bathymetry, params, grid, control), control.t_end - state.time)
+        dt = min(cfl_dt(state.u, h, params, grid, control), control.t_end - state.time)
         try:
             state = rk4_step(state, dt, bathymetry, params, grid)
             steps += 1

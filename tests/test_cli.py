@@ -465,6 +465,8 @@ def test_main_run_prints_the_grid_index_where_an_over_tall_hump_loses_depth(tmp_
     "overrides, code, snapshot_steps",
     [
         pytest.param(dict(t_end=2.0, snapshot_every=0.7), 0, [0, 8, 16, 22], id="completed"),
+        # the final state lands on a mark: one snapshot of it, not two
+        pytest.param(dict(t_end=2.0, snapshot_every=1.0), 0, [0, 11, 22], id="end_on_a_mark"),
         # the depth is lost inside step 40: no snapshot of it, no final one
         pytest.param(
             dict(scenario="hump", n=64, length=20.0, epsilon=1.0, amplitude=2.0, width=1.0,
@@ -474,15 +476,23 @@ def test_main_run_prints_the_grid_index_where_an_over_tall_hump_loses_depth(tmp_
     ],
 )
 def test_main_run_writes_snapshots_at_the_cadence_marks(
-    tmp_path, capsys, overrides, code, snapshot_steps
+    tmp_path, capsys, monkeypatch, overrides, code, snapshot_steps
 ):
     out = tmp_path / "out"
     cfg_path = tmp_path / "run.cfg"
     _write_config(cfg_path, output_dir=str(out), **overrides)
+    calls = []
+
+    def recorded(state, bathymetry, params, grid, path):
+        calls.append(os.path.basename(path))
+        emit_snapshot(state, bathymetry, params, grid, path)
+
+    monkeypatch.setattr(gn1d.cli, "emit_snapshot", recorded)
     assert main(["run", "--config", str(cfg_path)]) == code
     assert f"steps = {snapshot_steps[-1]}," in capsys.readouterr().out
-    written = sorted(p.name for p in out.glob("snap_*.dat"))
-    assert written == [f"snap_{step:06d}.dat" for step in snapshot_steps]
+    # each file written once, in step order
+    assert calls == [f"snap_{step:06d}.dat" for step in snapshot_steps]
+    assert sorted(p.name for p in out.glob("snap_*.dat")) == calls
 
 
 @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
@@ -963,6 +973,19 @@ def test_main_rejects_snapshots_outside_nonlinear_mode(tmp_path, capsys, mode):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "snapshot_every" in err
+    assert not out.exists()
+
+
+def test_main_rejects_a_cutoff_in_nonlinear_mode(tmp_path, capsys):
+    # the nonlinear march applies no cutoff; the key must not be dropped
+    # without a word, and the run must stop before it does any work
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(cfg_path, t_end=0.5, mollifier_delta=0.5, output_dir=str(out))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1
+    assert "mollifier_delta" in err
     assert not out.exists()
 
 

@@ -460,6 +460,20 @@ def test_fixed_point_iteration_with_smoothing_still_converges():
     assert result.completed
 
 
+def test_picard_solve_refuses_fewer_than_one_sweep():
+    # with no sweep there is no outcome to return: refused at entry, like a
+    # reference that ends before t_end
+    grid = Grid(32, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5, h0=0.3)
+    rest = State(np.zeros((2, grid.n)))
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            picard_solve(
+                rest, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.1),
+                max_iters=max_iters,
+            )
+
+
 def test_picard_solve_on_an_overflowed_state_ends_with_the_labeled_outcome():
     """The CFL step of an overflowed velocity is about 1e-200, so the march
     has an absurd step count; the first stage must still end it with a
@@ -508,7 +522,8 @@ def test_a_picard_iterate_below_the_depth_floor_ends_with_blowup_depth():
     )
     # steps counts the steps that reached that snapshot, of the uniform
     # step that divides t_end evenly into steps no longer than the CFL step
-    m = math.ceil(control.t_end / cfl_dt(hump.zu, Bathymetry.flat(grid), params, grid, control))
+    h = compute_depth(hump.zeta, Bathymetry.flat(grid), params)
+    m = math.ceil(control.t_end / cfl_dt(hump.u, h, params, grid, control))
     assert out.reason.endswith(f"(t = {out.steps * control.t_end / m:.6g})")
 
 

@@ -8,7 +8,9 @@ import pytest
 import gn1d.diagnostics
 import gn1d.gn_rhs
 import gn1d.time_integrator
-from gn1d import Bathymetry, FactorizationError, Grid, Parameters, State, solitary_wave
+from gn1d import (
+    Bathymetry, FactorizationError, Grid, Parameters, State, compute_depth, solitary_wave,
+)
 from gn1d.scenarios import bar_bathymetry, rest_state
 from gn1d.time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, rk4_step, run
 
@@ -32,26 +34,27 @@ def test_cfl_step_at_rest_uses_gravity_speed():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.3)
     control = StepControl(t_end=1.0, cfl=0.5)
-    dt = cfl_dt(rest_state(grid).zu, Bathymetry.flat(grid), params, grid, control)
-    assert dt == pytest.approx(0.5 * grid.dx)  # max speed is sqrt(h) = 1
+    u, h = np.zeros(grid.n), np.ones(grid.n)
+    assert cfl_dt(u, h, params, grid, control) == pytest.approx(0.5 * grid.dx)  # sqrt(h) = 1
     capped = StepControl(t_end=1.0, cfl=0.5, dt_max=1e-3)
-    assert cfl_dt(rest_state(grid).zu, Bathymetry.flat(grid), params, grid, capped) == 1e-3
+    assert cfl_dt(u, h, params, grid, capped) == 1e-3
 
 
 def test_cfl_step_of_a_trajectory_stack_is_its_fastest_state_step():
-    # one rule for a state and for an (m, 2, n) stack of them: the stack's
-    # step is the smallest of its states' steps, bit for bit
+    # one rule for a state and for (m, n) stacks of them: the stack's step
+    # is the smallest of its states' steps, bit for bit
     grid = Grid(64, 60.0)
     params = Parameters(0.5, 0.5, h0=0.25)
     bath = Bathymetry.flat(grid)
     control = StepControl(t_end=1.0)
-    states = [rest_state(grid).zu, solitary_wave(0.4, params, grid).zu]
-    steps = [cfl_dt(zu, bath, params, grid, control) for zu in states]
+    states = [rest_state(grid), solitary_wave(0.4, params, grid)]
+    depths = [compute_depth(st.zeta, bath, params) for st in states]
+    steps = [cfl_dt(st.u, h, params, grid, control) for st, h in zip(states, depths)]
     assert steps[1] < steps[0]
-    assert cfl_dt(np.array(states), bath, params, grid, control) == steps[1]
+    u, h = np.array([st.u for st in states]), np.array(depths)
+    assert cfl_dt(u, h, params, grid, control) == steps[1]
     # no depth and no velocity anywhere: no speed limits the step
-    dry = np.array((np.full(grid.n, -2.0 / params.epsilon), np.zeros(grid.n)))
-    assert cfl_dt(dry, bath, params, grid, control) == math.inf
+    assert cfl_dt(np.zeros(grid.n), np.full(grid.n, -1.0), params, grid, control) == math.inf
 
 
 def test_fourth_order_self_convergence():
@@ -176,6 +179,26 @@ def test_a_run_hands_each_state_depth_to_its_record(monkeypatch):
     wave = solitary_wave(0.4, params, grid)
     out = run(wave, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.2, cfl=0.5))
     assert out.completed and out.steps > 0
+
+
+def test_a_run_takes_one_depth_per_accepted_state(monkeypatch):
+    """The step rule reads the depth run() took for the record and the floor
+    check, so a run takes steps + 1 depths: one of the initial state and one
+    of each accepted step, none for the step that follows it."""
+    real_depth = gn1d.time_integrator.compute_depth
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_depth(*args)
+
+    monkeypatch.setattr(gn1d.time_integrator, "compute_depth", counted)
+    grid = Grid(128, 60.0)
+    params = Parameters(0.5, 0.5, h0=0.25)
+    wave = solitary_wave(0.4, params, grid)
+    out = run(wave, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.2, cfl=0.5))
+    assert out.completed and out.steps > 1
+    assert len(calls) == out.steps + 1
 
 
 def test_stage_overflow_ends_the_run_as_a_norm_blowup():
