@@ -7,8 +7,9 @@ Run it from the root of a checkout:
 gn1d is imported from that checkout's ``src``, so running the same script
 from the roots of two checkouts and diffing the two outputs shows whether
 they produce the same bytes.  Each case is one call of ``gn1d.cli.main``
-in its own temporary directory; one line ``sha256 name`` is printed for
-the case's stdout, its stderr, its exit code and every file it writes.
+in its own temporary directory, beside the input files it names in
+``FILES``; one line ``sha256 name`` is printed for the case's stdout, its
+stderr, its exit code and every file it writes.
 An argv that argparse rejects is a case like any other: its usage text
 is its stderr, and argparse's exit code its exit.
 """
@@ -19,6 +20,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import os
 import sys
 import tempfile
@@ -39,6 +41,13 @@ _TALL_HUMP = {
     "scenario": "hump", "n": 64, "length": 20.0, "epsilon": 1.0, "amplitude": 2.0,
     "width": 1.0, "h0": 0.95, "t_end": 5.0,
 }
+
+# a bottom sampled at 32 points from an origin off the grid's first node, in
+# a file with CRLF line ends, a comment and a blank line
+_BOTTOM = "# x b\r\n\r\n" + "".join(
+    f"{x!r} {0.15 * math.cos(2.0 * math.pi * (x - 40.0) / 60.0):.6f}\r\n"
+    for x in (1.5 + 1.875 * k for k in range(32))
+)
 
 # name -> (command, config keys over the defaults); only a run case has a config.
 # Every outcome status has a case: completed (default), blowup_depth
@@ -81,9 +90,18 @@ CASES = {
         "scenario": "solitary", "n": 2048, "length": 960.0, "epsilon": 0.5, "mu": 0.5,
         "amplitude": 0.4, "h0": 0.25, "t_end": 0.5, "snapshot_every": 0.25,
     }),
+    # a nonlinear run with snapshots over the bottom read from FILES' bottom.dat
+    "bathymetry_file": ("run", {
+        "scenario": "hump", "bathymetry_file": "bottom.dat", "t_end": 1.0,
+        "snapshot_every": 0.5,
+    }),
     "verify": ("verify", None),
     "scenarios": ("scenarios", None),
 }
+
+
+# name -> {file name: text}, written into the case's directory before it runs
+FILES = {"bathymetry_file": {"bottom.dat": _BOTTOM}}
 
 
 def _sha(data: bytes) -> str:
@@ -99,6 +117,8 @@ def digest_case(name: str) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            for file_name, text in FILES.get(name, {}).items():
+                Path(file_name).write_bytes(text.encode())
             argv = [command, "--seed", "1234"] if command == "verify" else [command]
             if keys is not None:
                 lines = [f"{k} = {v}" for k, v in keys.items()] + ["output_dir = out"]
