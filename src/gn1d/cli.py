@@ -81,6 +81,24 @@ def _parse_value(raw: str, target_type: type, key: str, lineno: int):
         ) from None
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 input file; one that cannot be read is a config error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _lines(text: str):
+    """(lineno, line, body) of each str.splitlines line of an input file
+    whose body, the line without its `#` comment and outer whitespace, is not empty."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, line, body
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines into a RunConfig.
 
@@ -89,10 +107,7 @@ def parse_config(text: str) -> RunConfig:
     """
     types = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, line, body in _lines(text):
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, raw = body.split("=", 1)
@@ -124,39 +139,29 @@ def dump_config(cfg: RunConfig | None = None) -> str:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(_read_text(path, "config"))
 
 
+# samples near the float limit overflow in the spacing checks and the
+# resampling; what overflows is refused by its test or the final one
+@np.errstate(over="ignore", invalid="ignore")
 def load_bathymetry(path: str, grid: Grid) -> Bathymetry:
     """Read a two-column `x b(x)` file and resample onto the grid.
 
     The samples must be finite, at least 8 rows, strictly increasing,
-    uniformly spaced, and cover exactly one period of the domain.  The
-    resampling is trigonometric, so band-limited profiles are exact.
+    uniformly spaced, and cover exactly one period of the domain, and the
+    resampled bottom and its derivatives must be finite.  The resampling
+    is trigonometric, so band-limited profiles are exact.
     """
     rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                parts = body.split()
-                if len(parts) != 2:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected two columns `x b`, got {len(parts)}"
-                    )
-                try:
-                    rows.append((float(parts[0]), float(parts[1])))
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: non-numeric entry") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read bathymetry {path!r}: {exc}") from exc
+    for lineno, _, body in _lines(_read_text(path, "bathymetry")):
+        parts = body.split()
+        if len(parts) != 2:
+            raise ConfigError(f"{path}:{lineno}: expected two columns `x b`, got {len(parts)}")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: non-numeric entry") from None
 
     if len(rows) < 8:
         raise ConfigError(f"{path}: need at least 8 samples, got {len(rows)}")
@@ -192,8 +197,10 @@ def load_bathymetry(path: str, grid: Grid) -> Bathymetry:
     target[: keep + 1] *= np.exp(-2j * np.pi * j * xs[0] / grid.length)
     # on the grid nodes +n/2 and -n/2 coincide as one pure cosine
     target[n // 2] = 2.0 * target[n // 2].real
-    b = np.fft.irfft(target * n, n)
-    return Bathymetry.from_profile(b, grid)
+    bathymetry = Bathymetry.from_profile(np.fft.irfft(target * n, n), grid)
+    if not all(np.isfinite(a).all() for a in (bathymetry.b, bathymetry.b_x, bathymetry.b_xx)):
+        raise ConfigError(f"{path}: the resampled bottom or its derivatives are not finite")
+    return bathymetry
 
 
 _TIMESERIES_HEADER = "# t energy mass min_h xs_norm es_norm"
@@ -326,12 +333,12 @@ def _run_nonlinear(prep: PreparedRun) -> RunOutcome:
         )
 
     # a snapshot at t0, whenever snapshot_every has elapsed, and of the state
-    # that ends a completed run (the march's own end test)
-    next_mark, end = prep.state.time, prep.control.t_end - prep.control.end_tolerance
+    # that ends a completed run, each time read with the march's end tolerance
+    next_mark, t_end, tol = prep.state.time, prep.control.t_end, prep.control.end_tolerance
 
     def on_state(step: int, state: State) -> None:
         nonlocal next_mark
-        if cfg.snapshot_every > 0.0 and (state.time >= next_mark - 1e-12 or state.time >= end):
+        if cfg.snapshot_every > 0.0 and state.time >= min(next_mark, t_end) - tol:
             snapshot(step, state)
             next_mark += cfg.snapshot_every
 

@@ -22,7 +22,7 @@ from .diagnostics import es_norm
 from .gn_rhs import FrozenState, coefficient_fields, condensed_tendency
 from .grid_ops import apply_symbol
 from .t_operator import assemble_T
-from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt
+from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, require_step
 
 
 def cutoff_profile(r) -> np.ndarray:
@@ -115,10 +115,12 @@ def solve_linear(
 ) -> RunOutcome:
     """March the linearized system with fixed uniform steps.
 
-    The step is chosen once from the reference coefficients (or passed in),
-    then rounded down so the span divides evenly; a snapshot is kept at
-    every step, so the trajectory can serve as the next reference.  A stage
-    assembles each coefficient state's operator, which checks its depth.
+    The step is chosen once from the reference coefficients (or passed in)
+    and must be positive; it is rounded down so the span divides evenly.  A
+    snapshot is kept at every step, so the trajectory can serve as the next
+    reference.  A stage assembles each coefficient state's operator, which
+    checks its depth, and the march stops after a step shorter than the end
+    tolerance, as run() does.
     """
     t0 = ref.t0
     span = control.t_end - t0
@@ -129,6 +131,8 @@ def solve_linear(
     if dt is None:
         h = compute_depth(ref.fields[:, 0], bathymetry, params)
         dt = cfl_dt(ref.fields[:, 1], h, params, grid, control)
+    if not dt > 0.0:
+        raise ValueError(f"step dt must be positive, got {dt}")
     m = max(1, math.ceil(span / dt - 1e-12))
     dt = span / m
 
@@ -163,6 +167,7 @@ def solve_linear(
             for _ in starts:
                 fields.append(fields[-1] + _rk4(fields[-1], dt, grid, tendency))
                 del step[:2]
+                require_step(dt, control)
     except StopError as exc:
         steps = len(fields) - 1
         return RunOutcome(exc.status, steps=steps, reason=exc.at(t0 + steps * dt, dt))

@@ -73,12 +73,12 @@ def _require_finite(what: str, *profiles: np.ndarray) -> None:
 
 
 def _gaussian(
-    height: float, width: float, grid: Grid, x0: float | None
+    name: str, height: float, width: float, grid: Grid, x0: float | None
 ) -> tuple[np.ndarray, np.float64, np.ndarray]:
     """height exp(-r^2 / (2 width^2)) about x0, with the wrapped offset r
     and the width as a numpy float: (r, width, profile)."""
     if not width > 0.0:
-        raise ValueError(f"width must be positive, got {width}")
+        raise ValueError(f"{name} width must be positive, got {width}")
     r = _wrapped_offset(grid, x0)
     # a numpy width makes an extreme one overflow to inf, not raise; the
     # powers are the same libm calls, so every value keeps its bits
@@ -91,7 +91,7 @@ def gaussian_hump(
     amplitude: float, width: float, grid: Grid, x0: float | None = None
 ) -> State:
     """Resting hump of water; splits into two counter-propagating waves."""
-    _, width, zeta = _gaussian(amplitude, width, grid, x0)
+    _, width, zeta = _gaussian("hump", amplitude, width, grid, x0)
     _require_finite(f"hump width {width:g}", zeta)
     return State(np.array((zeta, np.zeros(grid.n))))
 
@@ -100,7 +100,7 @@ def bar_bathymetry(
     height: float, width: float, grid: Grid, x0: float | None = None
 ) -> Bathymetry:
     """Gaussian bar with analytic first and second derivatives."""
-    r, width, b = _gaussian(height, width, grid, x0)
+    r, width, b = _gaussian("bar", height, width, grid, x0)
     with np.errstate(all="ignore"):
         b_x = -(r / width**2) * b
         b_xx = (r**2 / width**4 - 1.0 / width**2) * b

@@ -106,6 +106,15 @@ class _MonitorError(StopError):
     status = "blowup_norm"
 
 
+def require_step(dt: float, control: StepControl) -> None:
+    """Stop a march whose step is shorter than the end tolerance (NaN
+    included): it would take more than 1e12 such steps to reach t_end."""
+    if not dt >= control.end_tolerance:
+        raise _MonitorError(
+            f"step {dt:.3g} is shorter than the end tolerance {control.end_tolerance:.3g}"
+        )
+
+
 @dataclass
 class RunOutcome:
     """How a march (run, solve_linear or picard_solve) ended, after steps steps."""
@@ -160,11 +169,7 @@ def run(
             require_depth(h, params)
             if not rec.xs <= norm_ceiling:
                 raise _MonitorError(f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}")
-            # a shorter step would take more than 1e12 steps to reach t_end
-            if not dt >= control.end_tolerance:
-                raise _MonitorError(
-                    f"step {dt:.3g} is shorter than the end tolerance {control.end_tolerance:.3g}"
-                )
+            require_step(dt, control)
         except StopError as exc:
             return RunOutcome(exc.status, state, history, steps, exc.at(state.time, dt))
         on_state(steps, state)

@@ -5,7 +5,7 @@ import os
 import re
 import typing
 import warnings
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -226,6 +226,22 @@ def test_load_bathymetry_rejects_bad_files(tmp_path):
     _write_samples(path, xs, bs)
     with pytest.raises(ConfigError, match="non-finite"):
         load_bathymetry(str(path), grid)
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"], ids=["form_feed", "nel", "ls"])
+def test_load_bathymetry_ends_a_line_where_the_config_does(tmp_path, sep):
+    # both input files split lines by one rule: a break str.splitlines
+    # knows ends a bathymetry row, as it ends a config line
+    grid = Grid(32, 10.0)
+    xs = np.arange(16) * 10.0 / 16
+    path = tmp_path / "bath.dat"
+    _write_samples(path, xs, 0.1 * np.cos(2.0 * np.pi * xs / 10.0))
+    want = load_bathymetry(str(path), grid)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[8] = lines[8] + sep + lines.pop(9)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    got = load_bathymetry(str(path), grid)
+    assert all(np.array_equal(a, b) for a, b in zip(astuple(got), astuple(want)))
 
 
 def test_emit_timeseries_round_trips_floats(tmp_path):
@@ -951,6 +967,50 @@ def test_main_run_on_an_extreme_scenario_width(tmp_path, capsys, override, code)
         key = next(k for k in override if k.endswith("width"))
         assert "config error:" in err
         assert f"width {override[key]:g}" in err
+
+
+_XS = np.arange(16) * 60.0 / 16  # one period of the default domain
+_SIGNS = (-1.0) ** np.arange(16)
+
+
+@pytest.mark.parametrize(
+    "positions, values",
+    [
+        pytest.param(_XS, np.full(16, 1e308), id="1e308"),
+        pytest.param(_XS, 1e308 * _SIGNS, id="alternating_1e308"),
+        pytest.param(_XS, np.where(np.arange(16) == 3, 1.7e308, 0.0), id="one_1.7e308"),
+        pytest.param(-1.7e308 * _SIGNS, np.zeros(16), id="positions_1.7e308"),
+    ],
+)
+def test_main_run_refuses_a_bathymetry_file_that_overflows_at_the_file(
+    tmp_path, capsys, positions, values
+):
+    # samples near the float limit overflow in the spacing or the resampling;
+    # the run is refused naming the file, with no numpy warning on the way
+    bath_path = tmp_path / "bath.dat"
+    _write_samples(bath_path, positions, values)
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, scenario="hump", bathymetry_file=str(bath_path), t_end=0.05,
+        output_dir=str(tmp_path / "out"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {bath_path}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, profile", [("width", "hump"), ("bar_width", "bar")])
+def test_main_run_names_the_profile_whose_width_is_not_positive(tmp_path, capsys, key, profile):
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, scenario="hump_over_bar", t_end=0.05, output_dir=str(tmp_path / "out"),
+        **{key: 0.0},
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {profile} width must be positive, got 0.0\n"
 
 
 @pytest.mark.parametrize("mode", ("nonlinear", "picard"))

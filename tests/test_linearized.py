@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gn1d.linearized
 from gn1d import (
     Bathymetry,
     Grid,
@@ -425,6 +426,53 @@ def test_linear_march_requires_t_end_after_the_reference_start():
     ref = ReferenceTrajectory.constant(st, 2.0)
     with pytest.raises(ValueError, match="t_end 1.0 does not exceed trajectory start 1.0"):
         solve_linear(ref, st, Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
+
+
+@pytest.mark.parametrize("dt", (0.0, -0.01, math.nan))
+def test_linear_march_refuses_a_step_that_is_not_positive(dt):
+    grid = Grid(32, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5, h0=0.5)
+    st = State(np.zeros((2, grid.n)))
+    ref = ReferenceTrajectory.constant(st, 0.1)
+    with pytest.raises(ValueError, match=f"^step dt must be positive, got {dt}$"):
+        solve_linear(
+            ref, st, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.1), dt=dt
+        )
+
+
+@pytest.mark.parametrize("march", ("solve_linear", "picard_solve"))
+def test_a_step_below_the_end_tolerance_ends_the_linear_march(monkeypatch, march):
+    """Like run(), the linear march ends blowup_norm after its first step
+    shorter than end_tolerance: a caller's step of 1e-20, and Picard's
+    first sweep at cfl = 1e-300.  The RK4 step refuses a third call, so a
+    march that kept stepping toward its 1e19 or more steps fails at once."""
+    real_rk4 = gn1d.linearized._rk4
+    calls = []
+
+    def bounded(*args):
+        calls.append(args)
+        assert len(calls) <= 2, "the linear march kept stepping below the end tolerance"
+        return real_rk4(*args)
+
+    monkeypatch.setattr(gn1d.linearized, "_rk4", bounded)
+    grid = Grid(32, 20.0)
+    params = Parameters(0.5, 0.5, h0=0.3)
+    flat = Bathymetry.flat(grid)
+    hump = gaussian_hump(0.2, 2.0, grid)
+    if march == "solve_linear":
+        ref = ReferenceTrajectory.constant(hump, 0.1)
+        out = solve_linear(ref, hump, flat, params, grid, StepControl(t_end=0.1), dt=1e-20)
+        dt, prefix = 1e-20, ""
+    else:
+        control = StepControl(t_end=0.1, cfl=1e-300)
+        out = picard_solve(hump, flat, params, grid, control)
+        h = compute_depth(hump.zeta, flat, params)
+        dt = 0.1 / math.ceil(0.1 / cfl_dt(hump.u, h, params, grid, control))
+        prefix = "sweep 1: "
+    assert (out.status, out.steps, out.trajectory, len(calls)) == ("blowup_norm", 1, None, 1)
+    assert out.reason == (
+        f"{prefix}step {dt:.3g} is shorter than the end tolerance 1e-13 (t = {dt:.6g})"
+    )
 
 
 def test_fixed_point_iteration_converges_to_the_nonlinear_flow():

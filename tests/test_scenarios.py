@@ -115,7 +115,7 @@ def test_gaussian_hump_profile_and_rest_velocity():
 
 def test_gaussian_hump_rejects_bad_width():
     grid = Grid(64, 40.0)
-    with pytest.raises(ValueError, match="width"):
+    with pytest.raises(ValueError, match="^hump width must be positive, got 0.0$"):
         gaussian_hump(0.3, 0.0, grid)
 
 
@@ -143,7 +143,7 @@ def test_bar_bathymetry_closed_form():
 
 def test_bar_bathymetry_rejects_bad_width():
     grid = Grid(64, 40.0)
-    with pytest.raises(ValueError, match="width"):
+    with pytest.raises(ValueError, match="^bar width must be positive, got -1.0$"):
         bar_bathymetry(0.3, -1.0, grid)
 
 
