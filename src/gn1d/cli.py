@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -279,12 +280,13 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
         mollifier = Mollifier.for_grid(delta, grid) if delta > 0.0 else None
         # build with a provisional floor; the configured/derived floor is applied below
         probe = Parameters(cfg.epsilon, cfg.mu, h0=1e-12)
+        # a bottom read from a file takes the place of the scenario's own
+        from_file = partial(load_bathymetry, cfg.bathymetry_file, grid)
         state, bathymetry = build_scenario(
             cfg.scenario, grid, probe, cfg.amplitude, cfg.width,
             cfg.bar_height, cfg.bar_width, None if cfg.x0 < 0.0 else cfg.x0,
+            from_file if cfg.bathymetry_file else None,
         )
-        if cfg.bathymetry_file:
-            bathymetry = load_bathymetry(cfg.bathymetry_file, grid)
     # a grid too large to allocate is refused by numpy before it touches memory
     except (ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -13,10 +13,14 @@ derivatives of the unknowns appear.  Both forms take the state U as the
 must agree to rounding on band-limited fields.  What the condensed form
 needs of a frozen coefficient state alone, coefficient_fields computes
 once, for one state or a stack, so a linear stage does only stage work.
+frozen_states is the one place a coefficient state is frozen: it turns a
+stack of states into their FrozenStates, of which condensed_rhs freezes
+one row and the linear march a stream.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -150,12 +154,22 @@ def condensed_tendency(coeff: FrozenState, zu: np.ndarray, cut=None) -> np.ndarr
     return -(cut(apply_A(coeff, cut(d1_spectral(zu, coeff.op.grid)))) + eval_B(coeff))
 
 
+def frozen_states(
+    coeff: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
+) -> Iterator[FrozenState]:
+    """Each row's FrozenState of the (k, 2, n) stack coeff of coefficient
+    states, in order.  One depth and one coefficient_fields call serve the
+    whole stack; a row's operator is assembled, which checks its depth, only
+    when that row is reached, so an assembly error ends in the stage that
+    needs it."""
+    h = compute_depth(coeff[:, 0], bathymetry, params)
+    fields = coefficient_fields(h, coeff[:, 1], bathymetry, params, grid)
+    for i, h_i in enumerate(h):
+        yield FrozenState(assemble_T(h_i, bathymetry, params, grid), fields.row(i))
+
+
 def condensed_rhs(
     zu: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> np.ndarray:
     """The tendency at the state zu through the condensed form, a (2, n) stack."""
-    zeta, u = zu
-    h = compute_depth(zeta, bathymetry, params)
-    op = assemble_T(h, bathymetry, params, grid)
-    frozen = FrozenState(op, coefficient_fields(h, u, bathymetry, params, grid))
-    return condensed_tendency(frozen, zu)
+    return condensed_tendency(next(frozen_states(zu[None], bathymetry, params, grid)), zu)

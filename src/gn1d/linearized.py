@@ -7,21 +7,23 @@ U_t + J A[Ubar] J U_x + B(Ubar) = 0, which is the regularized problem the
 cutoff-removal study solves on a shrinking ladder of cutoff scales.  The
 fixed-point iteration re-feeds each linear solution as the next
 coefficient trajectory, starting from the constant-in-time initial state.
+The march reads its frozen coefficient states from one stream in time
+order, which gn_rhs.frozen_states builds one block of steps at a time.
 Both end in a labeled RunOutcome, as run() does; Picard adds not_converged.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State, StopError, compute_depth, require_depth
 from .diagnostics import es_norm
-from .gn_rhs import FrozenState, coefficient_fields, condensed_tendency
+from .gn_rhs import FrozenState, condensed_tendency, frozen_states
 from .grid_ops import apply_symbol
-from .t_operator import assemble_T
 from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, require_step
 
 
@@ -103,6 +105,24 @@ class ReferenceTrajectory:
         return (1.0 - w) * self.fields[j] + w * self.fields[j + 1]
 
 
+def _frozen_stream(
+    ref: ReferenceTrajectory, dt: float, m: int, bathymetry: Bathymetry, params: Parameters,
+    grid: Grid,
+) -> Iterator[FrozenState]:
+    """The frozen coefficient states of an m-step march from ref.t0 with
+    steps dt, in time order: t0, then offsets 1/2 and 1 of each step.  They
+    are read from ref one block of steps at a time, so a long march holds
+    one block's stage stack (about 2^18 values) beside its trajectory."""
+    t0 = ref.t0
+    block = max(1, 2**17 // grid.n)
+    for j0 in range(0, m, block):
+        starts = t0 + dt * np.arange(j0, min(j0 + block, m))
+        stage_times = np.stack((starts + 0.5 * dt, starts + dt), axis=1).ravel()
+        if j0 == 0:
+            stage_times = np.append(t0, stage_times)
+        yield from frozen_states(ref.at(stage_times), bathymetry, params, grid)
+
+
 def solve_linear(
     ref: ReferenceTrajectory,
     initial: State,
@@ -115,12 +135,12 @@ def solve_linear(
 ) -> RunOutcome:
     """March the linearized system with fixed uniform steps.
 
-    The step is chosen once from the reference coefficients (or passed in)
-    and must be positive; it is rounded down so the span divides evenly.  A
-    snapshot is kept at every step, so the trajectory can serve as the next
-    reference.  A stage assembles each coefficient state's operator, which
-    checks its depth, and the march stops after a step shorter than the end
-    tolerance, as run() does.
+    The step is chosen once from the reference coefficients, or passed in,
+    when it must be positive; it is rounded down so the span divides evenly.
+    A step below the end tolerance is taken as it is, once: the march stops
+    after it, as run() does.  A snapshot is kept at every step, so the
+    trajectory can serve as the next reference.  A stage assembles each
+    coefficient state's operator, which checks its depth.
     """
     t0 = ref.t0
     span = control.t_end - t0
@@ -131,15 +151,17 @@ def solve_linear(
     if dt is None:
         h = compute_depth(ref.fields[:, 0], bathymetry, params)
         dt = cfl_dt(ref.fields[:, 1], h, params, grid, control)
-    if not dt > 0.0:
+    elif not dt > 0.0:
         raise ValueError(f"step dt must be positive, got {dt}")
-    m = max(1, math.ceil(span / dt - 1e-12))
-    dt = span / m
+    m = 1  # a step below the end tolerance ends the march, and its count may overflow
+    if dt >= control.end_tolerance:
+        m = max(1, math.ceil(span / dt - 1e-12))
+        dt = span / m
 
     fields = [initial.zu]
     cut = None if mollifier is None else (lambda f: mollify(f, mollifier, grid))
-    block = max(1, 2**17 // grid.n)  # steps per block: a stage stack holds about 2^18 values
-    # the frozen states at offsets 0, 1/2 and 1 of the step, each built when a
+    frozen = _frozen_stream(ref, dt, m, bathymetry, params, grid)
+    # the frozen states at offsets 0, 1/2 and 1 of the step, each taken when a
     # stage first needs it (stages 2 and 3 share it); the end starts the next step
     step = []
 
@@ -150,24 +172,10 @@ def solve_linear(
         return condensed_tendency(step[i], y, cut)
 
     try:
-        for j0 in range(0, m, block):
-            # the coefficient states of a block of steps, one row per stage time:
-            # each step's offsets 1/2 and 1, with t0 in front in the first block only
-            starts = t0 + dt * np.arange(j0, min(j0 + block, m))
-            stage_times = np.stack((starts + 0.5 * dt, starts + dt), axis=1).ravel()
-            if not step:
-                stage_times = np.append(t0, stage_times)
-            coeff = ref.at(stage_times)
-            coeff_h = compute_depth(coeff[:, 0], bathymetry, params)
-            coeff_fields = coefficient_fields(coeff_h, coeff[:, 1], bathymetry, params, grid)
-            frozen = (
-                FrozenState(assemble_T(h, bathymetry, params, grid), coeff_fields.row(i))
-                for i, h in enumerate(coeff_h)
-            )
-            for _ in starts:
-                fields.append(fields[-1] + _rk4(fields[-1], dt, grid, tendency))
-                del step[:2]
-                require_step(dt, control)
+        for _ in range(m):
+            fields.append(fields[-1] + _rk4(fields[-1], dt, grid, tendency))
+            del step[:2]
+            require_step(dt, control)
     except StopError as exc:
         steps = len(fields) - 1
         return RunOutcome(exc.status, steps=steps, reason=exc.at(t0 + steps * dt, dt))
@@ -200,7 +208,9 @@ def picard_solve(
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     ref = ReferenceTrajectory.constant(initial, control.t_end)
     prev, prev_h = initial.zu[None], compute_depth(initial.zeta, bathymetry, params)[None]
-    dt = cfl_dt(initial.u, prev_h, params, grid, control)
+    # a CFL step that underflows to 0 is not refused as a caller's would be:
+    # solve_linear derives it again and stops after one step
+    dt = cfl_dt(initial.u, prev_h, params, grid, control) or None
     gaps: list[float] = []
     for sweep in range(1, max_iters + 1):
         sol = solve_linear(ref, initial, bathymetry, params, grid, control, mollifier, dt=dt)

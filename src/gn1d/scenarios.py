@@ -10,6 +10,8 @@ an exact traveling solution on the whole line.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .core import Bathymetry, Grid, Parameters, State
@@ -129,16 +131,23 @@ def build_scenario(
     bar_height: float,
     bar_width: float,
     x0: float | None = None,
+    bottom: Callable[[], Bathymetry] | None = None,
 ) -> tuple[State, Bathymetry]:
+    """The scenario's initial state and bottom.  A given bottom() is called
+    once the state is built and replaces the scenario's own bottom, which
+    is then neither built nor checked."""
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {name!r}; known scenarios: {known}")
     if name == "solitary":
-        return solitary_wave(amplitude, params, grid, x0=x0), Bathymetry.flat(grid)
-    if name == "hump":
-        return gaussian_hump(amplitude, width, grid, x0=x0), Bathymetry.flat(grid)
-    if name == "hump_over_bar":
+        state = solitary_wave(amplitude, params, grid, x0=x0)
+    elif name == "rest_over_bar":
+        state = rest_state(grid)
+    else:
         state = gaussian_hump(amplitude, width, grid, x0=x0)
-        bar_x0 = _placed(grid, x0) + 0.25 * grid.length
-        return state, bar_bathymetry(bar_height, bar_width, grid, x0=bar_x0)
-    return rest_state(grid), bar_bathymetry(bar_height, bar_width, grid, x0=x0)
+    if bottom is not None:
+        return state, bottom()
+    if name in ("solitary", "hump"):
+        return state, Bathymetry.flat(grid)
+    bar_x0 = x0 if name == "rest_over_bar" else _placed(grid, x0) + 0.25 * grid.length
+    return state, bar_bathymetry(bar_height, bar_width, grid, x0=bar_x0)

@@ -56,8 +56,9 @@ class StepControl:
 
     @property
     def end_tolerance(self) -> float:
-        """Every march ends once its time is within this of t_end."""
-        return 1e-12 * self.t_end
+        """Every march ends once its time is within this of t_end.  It is
+        never below the smallest positive double, so a step of 0 is shorter."""
+        return max(1e-12 * self.t_end, math.ulp(0.0))
 
 
 def cfl_dt(

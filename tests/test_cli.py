@@ -395,6 +395,30 @@ def test_a_derived_floor_over_deep_water_is_capped_at_one(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("completed: t = 0.2,")
 
 
+@pytest.mark.parametrize("with_bathymetry_file", [False, True])
+def test_a_bathymetry_file_takes_the_place_of_the_scenario_bar(
+    tmp_path, capsys, with_bathymetry_file
+):
+    # a bar of width 0 is refused, unless a file replaces it: then it is never built
+    path = tmp_path / "bath.dat"
+    xs = np.arange(16) * 60.0 / 16
+    _write_samples(path, xs, 0.1 * np.cos(2.0 * np.pi * xs / 60.0))
+    cfg = RunConfig(
+        scenario="rest_over_bar", bar_width=0.0, t_end=0.2, output_dir=str(tmp_path / "out"),
+        bathymetry_file=str(path) if with_bathymetry_file else "",
+    )
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(dump_config(cfg), encoding="utf-8")
+    code = main(["run", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    if with_bathymetry_file:
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("completed: t = 0.2,")
+    else:
+        assert code == 2
+        assert captured.err == "config error: bar width must be positive, got 0.0\n"
+
+
 def _write_config(path, **overrides):
     cfg = RunConfig(**overrides)
     with open(path, "w", encoding="utf-8") as fh:
@@ -826,15 +850,19 @@ def test_main_run_snapshots_the_bottom_read_from_the_bathymetry_file(tmp_path):
 @pytest.mark.parametrize("mode", ("linearized", "picard"))
 def test_main_run_reports_a_non_finite_operator_with_exit_one(tmp_path, capsys, monkeypatch, mode):
     # an infinite depth passes the depth floor; the finite check on the
-    # band storage inside the linear march must end the run with exit 1
-    real_assemble = gn1d.linearized.assemble_T
+    # band storage inside the linear march must end the run with exit 1.  The
+    # march freezes its coefficient states through frozen_states, whose
+    # surfaces are made infinite at node 3 (the linearized mode's nonlinear
+    # reference run assembles through the same gn_rhs binding, so that one
+    # is left alone)
+    real_frozen_states = gn1d.linearized.frozen_states
 
-    def infinite_depth_at_node_3(h, *args):
-        h = h.copy()
-        h[3] = np.inf
-        return real_assemble(h, *args)
+    def infinite_depth_at_node_3(coeff, *args):
+        coeff = coeff.copy()
+        coeff[:, 0, 3] = np.inf
+        return real_frozen_states(coeff, *args)
 
-    monkeypatch.setattr(gn1d.linearized, "assemble_T", infinite_depth_at_node_3)
+    monkeypatch.setattr(gn1d.linearized, "frozen_states", infinite_depth_at_node_3)
     cfg_path = tmp_path / "run.cfg"
     _write_config(
         cfg_path,

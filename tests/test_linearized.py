@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gn1d.linearized
+import gn1d.time_integrator
 from gn1d import (
     Bathymetry,
     Grid,
@@ -283,14 +284,12 @@ def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     solves once in each.  The depths come from one stacked call, which
     serves every stage.  The coefficient
     fields of all stages come from one stacked derivative per block; a
-    stage differentiates only its own fields and Q1's argument."""
+    stage differentiates only its own fields and Q1's argument.  The march
+    freezes its states through gn_rhs.frozen_states, which makes these calls."""
     import gn1d.gn_rhs
-    import gn1d.linearized
 
     calls = {}
-    _count_calls(monkeypatch, calls, gn1d.linearized, "assemble_T")
-    _count_calls(monkeypatch, calls, gn1d.linearized, "compute_depth")
-    for name in ("solve_T", "d1_spectral", "apply_A", "eval_B"):
+    for name in ("assemble_T", "compute_depth", "solve_T", "d1_spectral", "apply_A", "eval_B"):
         _count_calls(monkeypatch, calls, gn1d.gn_rhs, name)
     grid = Grid(32, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
@@ -313,12 +312,10 @@ def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatc
     more stacked depth and coefficient derivative, and the operator at the
     seam is assembled once."""
     import gn1d.gn_rhs
-    import gn1d.linearized
 
     calls = {}
-    _count_calls(monkeypatch, calls, gn1d.linearized, "assemble_T")
-    _count_calls(monkeypatch, calls, gn1d.linearized, "compute_depth")
-    _count_calls(monkeypatch, calls, gn1d.gn_rhs, "d1_spectral")
+    for name in ("assemble_T", "compute_depth", "d1_spectral"):
+        _count_calls(monkeypatch, calls, gn1d.gn_rhs, name)
     grid = Grid(4096, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
     hump = gaussian_hump(0.3, 0.5, grid)
@@ -337,12 +334,16 @@ def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):
     """Each sweep's gap is a sup over its m + 1 snapshot times, one es_norm
     call each, weighted by the depths of the previous iterate.  Those are
     the depths the floor check took of that iterate (of the initial state
-    for iterate zero), so each iterate's depth is one stacked call."""
+    for iterate zero), so each iterate's depth is one stacked call.  The
+    stage depths are taken through gn_rhs.frozen_states, so both bindings
+    of compute_depth are counted together."""
+    import gn1d.gn_rhs
     import gn1d.linearized
 
     calls = {}
     _count_calls(monkeypatch, calls, gn1d.linearized, "es_norm")
     _count_calls(monkeypatch, calls, gn1d.linearized, "compute_depth")
+    _count_calls(monkeypatch, calls, gn1d.gn_rhs, "compute_depth")
     grid = Grid(32, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
     hump = gaussian_hump(0.3, 0.5, grid)
@@ -473,6 +474,45 @@ def test_a_step_below_the_end_tolerance_ends_the_linear_march(monkeypatch, march
     assert out.reason == (
         f"{prefix}step {dt:.3g} is shorter than the end tolerance 1e-13 (t = {dt:.6g})"
     )
+
+
+@pytest.mark.parametrize("t_end, cfl", [(0.1, 1e-310), (0.1, 5e-324), (1e-320, 5e-324)])
+@pytest.mark.parametrize("march", ("solve_linear", "picard_solve"))
+def test_a_cfl_step_too_short_to_count_ends_the_linear_march_as_run_does(
+    monkeypatch, march, t_end, cfl
+):
+    """At cfl = 1e-310 the span over the CFL step overflows, and at
+    cfl = 5e-324 the step underflows to 0; neither step is counted.  At
+    t_end = 1e-320, 1e-12 t_end underflows too, and the end tolerance is
+    the smallest positive double, so a step of 0 is still shorter.  Each
+    march ends as run() does: blowup_norm after its one step, with the same
+    reason (named by its sweep in Picard).  The RK4 kernels refuse a fifth
+    call, so a march that kept stepping fails instead of hanging."""
+    calls = []
+    for module in (gn1d.time_integrator, gn1d.linearized):
+        real_rk4 = module._rk4
+
+        def bounded(*args, real_rk4=real_rk4):
+            calls.append(args)
+            assert len(calls) <= 4, "a march kept stepping below the end tolerance"
+            return real_rk4(*args)
+
+        monkeypatch.setattr(module, "_rk4", bounded)
+    grid = Grid(32, 2.0 * np.pi)
+    params = Parameters(0.2, 0.5, h0=0.4)
+    flat = Bathymetry.flat(grid)
+    hump = gaussian_hump(0.3, 0.5, grid)
+    control = StepControl(t_end=t_end, cfl=cfl)
+    want = run(hump, flat, params, grid, control)
+    assert (want.status, want.steps) == ("blowup_norm", 1)
+    if march == "solve_linear":
+        ref = ReferenceTrajectory.constant(hump, t_end)
+        out, prefix = solve_linear(ref, hump, flat, params, grid, control), ""
+    else:
+        out, prefix = picard_solve(hump, flat, params, grid, control), "sweep 1: "
+    assert (out.status, out.steps, out.trajectory) == ("blowup_norm", 1, None)
+    assert out.reason == prefix + want.reason
+    assert "is shorter than the end tolerance" in out.reason
 
 
 def test_fixed_point_iteration_converges_to_the_nonlinear_flow():

@@ -325,6 +325,14 @@ def test_every_early_stop_keeps_its_reason(monkeypatch):
     assert out.reason == f"non-finite value in the state at grid index 23 (t = {t})"
 
 
+def test_the_end_tolerance_never_underflows_to_zero():
+    """1e-12 t_end underflows to 0 below t_end of about 5e-312; the end
+    tolerance is then the smallest positive double, so a CFL step that
+    underflows to 0 is shorter than it and ends the march."""
+    assert StepControl(t_end=0.1).end_tolerance == 1e-13
+    assert StepControl(t_end=1e-320).end_tolerance == math.ulp(0.0) > 0.0
+
+
 def test_a_step_below_the_end_tolerance_ends_the_run(monkeypatch):
     """A step shorter than end_tolerance would need more than 1e12 steps to
     reach t_end; the run ends blowup_norm after the first such step, once it

@@ -14,7 +14,9 @@ count rules, so a count break fails here and not only in a benchmark
 run.  tools/paired_bench.py, run for two tiny pairs of this checkout
 against itself, must print rows that parse and show no output
 difference.  tools/output_digest.py must hash every output of a case,
-and record an argv that argparse rejects as that case's stderr and exit.
+and record an argv that argparse rejects as that case's stderr and exit;
+run over all its cases, it must print tests/data/output_digest.txt line
+for line, on the numpy, scipy and BLAS that file's header names.
 The README's config table must list the RunConfig fields, in order,
 and its scenario row every name in SCENARIOS, so the documented keys
 cannot drift; every RunConfig field must be read by a run, so the
@@ -372,6 +374,52 @@ def test_output_digest_records_an_argv_that_argparse_rejects(capsys):
     assert [line.split(" ")[0] for line in lines] == [
         hashlib.sha256(text.encode()).hexdigest() for text in ["", usage, "2"]
     ]
+
+
+EXPECTED_DIGEST = ROOT / "tests" / "data" / "output_digest.txt"
+
+
+def _environment() -> str:
+    """numpy's and scipy's versions and BLAS builds, which the outputs' bytes
+    depend on, as the committed digest's header names them."""
+    import scipy
+
+    def blas(config):
+        build = config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"(blas {build['name']} {build['version']})"
+
+    return (
+        f"numpy {np.__version__} {blas(np.show_config)}, "
+        f"scipy {scipy.__version__} {blas(scipy.show_config)}"
+    )
+
+
+def test_output_digest_matches_the_committed_digest(monkeypatch, capsys):
+    """tools/output_digest.py, run in-process from the repository root,
+    prints tests/data/output_digest.txt line for line.  The bytes hold only
+    for the environment that file's header names; elsewhere the test fails
+    on that, and the file is to be regenerated with the tool."""
+    header, want = [], []
+    for line in EXPECTED_DIGEST.read_text(encoding="utf-8").splitlines():
+        (header if line.startswith("#") else want).append(line)
+    committed = next(line.split(": ", 1)[1] for line in header if line.startswith("# environment"))
+    assert _environment() == committed, (
+        f"the environment differs from the committed digest's ({committed}), so its bytes "
+        "do not apply; regenerate tests/data/output_digest.txt with tools/output_digest.py"
+    )
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src in front
+    assert _output_digest().main() == 0
+    got = capsys.readouterr().out.splitlines()
+    was, now = ({label: sha for sha, label in (line.split(" ", 1) for line in lines)}
+                for lines in (want, got))
+    changed = [
+        f"{label} ({'new' if label not in was else 'gone' if label not in now else 'changed'})"
+        for label in sorted(was.keys() | now.keys())
+        if was.get(label) != now.get(label)
+    ]
+    assert not changed, "outputs differ from the committed digest: " + ", ".join(changed)
+    assert got == want
 
 
 def _numeric_literal(node: ast.AST) -> bool:
