@@ -309,18 +309,17 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
         )
     # an s is at fault when its norm is not finite but the X^0 norm is;
     # a state too large for any norm is left to the run's labeled outcome
-    with np.errstate(over="ignore", invalid="ignore"):
-        xs = xs_norm(state.zu, params, grid, cfg.s)
-        if not math.isfinite(xs) and math.isfinite(xs_norm(state.zu, params, grid, 0.0)):
-            raise ConfigError(f"s = {cfg.s:g} gives the initial state a non-finite X^s norm ({xs})")
-    # every march ends within end_tolerance of t_end, so a shorter first
+    xs = xs_norm(state.zu, params, grid, cfg.s)
+    if not math.isfinite(xs) and math.isfinite(xs_norm(state.zu, params, grid, 0.0)):
+        raise ConfigError(f"s = {cfg.s:g} gives the initial state a non-finite X^s norm ({xs})")
+    # every march ends within its end tolerance of t_end, so a shorter first
     # step is refused here (run() ends at a later one as blowup_norm)
     if math.isfinite(xs):
-        dt = cfl_dt(state.u, h, params, grid, control)
-        if not dt >= control.end_tolerance:
+        dt, tol = cfl_dt(state.u, h, params, grid, control), control.end_tolerance(state.time)
+        if not dt >= tol:
             raise ConfigError(
                 f"cfl = {cfg.cfl:g} and dt_max = {cfg.dt_max:g} give a first step of {dt:.3g}, "
-                f"shorter than the end-time tolerance {control.end_tolerance:.3g}: "
+                f"shorter than the end-time tolerance {tol:.3g}: "
                 f"the run would take more than 1e12 steps"
             )
     return PreparedRun(cfg, grid, params, state, bathymetry, control, mollifier)
@@ -336,7 +335,8 @@ def _run_nonlinear(prep: PreparedRun) -> RunOutcome:
 
     # a snapshot at t0, whenever snapshot_every has elapsed, and of the state
     # that ends a completed run, each time read with the march's end tolerance
-    next_mark, t_end, tol = prep.state.time, prep.control.t_end, prep.control.end_tolerance
+    next_mark, t_end = prep.state.time, prep.control.t_end
+    tol = prep.control.end_tolerance(prep.state.time)
 
     def on_state(step: int, state: State) -> None:
         nonlocal next_mark
@@ -429,10 +429,7 @@ def command_run(cfg: RunConfig) -> int:
             or not os.path.isdir(os.path.dirname(os.path.realpath(path)))
         ):
             raise ConfigError(f"cannot write output {path!r}: it is a directory or not writable")
-    # an overflowing state is reported by the finite checks and monitors;
-    # numpy's warnings on the way there would only precede that message
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcome = _RUNS[cfg.mode](prep)
+    outcome = _RUNS[cfg.mode](prep)
     if not outcome.completed:
         print(f"{outcome.status}: {outcome.reason}", file=sys.stderr)
     return 0 if outcome.completed else 1

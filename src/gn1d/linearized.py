@@ -9,7 +9,8 @@ fixed-point iteration re-feeds each linear solution as the next
 coefficient trajectory, starting from the constant-in-time initial state.
 The march reads its frozen coefficient states from one stream in time
 order, which gn_rhs.frozen_states builds one block of steps at a time.
-Both end in a labeled RunOutcome, as run() does; Picard adds not_converged.
+Both end as run() does: in a labeled RunOutcome with no numpy warning,
+at the end tolerance their own start sets; Picard adds not_converged.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .core import Bathymetry, Grid, Parameters, State, StopError, compute_depth,
 from .diagnostics import es_norm
 from .gn_rhs import FrozenState, condensed_tendency, frozen_states
 from .grid_ops import apply_symbol
-from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, require_step
+from .time_integrator import RunOutcome, StepControl, _quiet_overflow, _rk4, cfl_dt, require_step
 
 
 def cutoff_profile(r) -> np.ndarray:
@@ -123,6 +125,7 @@ def _frozen_stream(
         yield from frozen_states(ref.at(stage_times), bathymetry, params, grid)
 
 
+@_quiet_overflow
 def solve_linear(
     ref: ReferenceTrajectory,
     initial: State,
@@ -143,10 +146,10 @@ def solve_linear(
     coefficient state's operator, which checks its depth.
     """
     t0 = ref.t0
-    span = control.t_end - t0
+    span, tol = control.t_end - t0, control.end_tolerance(t0)
     if span <= 0.0:
         raise ValueError(f"t_end {control.t_end} does not exceed trajectory start {t0}")
-    if ref.t1 < control.t_end - control.end_tolerance:
+    if ref.t1 < control.t_end - tol:
         raise ValueError(f"reference trajectory ends at {ref.t1}, before t_end {control.t_end}")
     if dt is None:
         h = compute_depth(ref.fields[:, 0], bathymetry, params)
@@ -154,7 +157,7 @@ def solve_linear(
     elif not dt > 0.0:
         raise ValueError(f"step dt must be positive, got {dt}")
     m = 1  # a step below the end tolerance ends the march, and its count may overflow
-    if dt >= control.end_tolerance:
+    if dt >= tol:
         m = max(1, math.ceil(span / dt - 1e-12))
         dt = span / m
 
@@ -175,7 +178,7 @@ def solve_linear(
         for _ in range(m):
             fields.append(fields[-1] + _rk4(fields[-1], dt, grid, tendency))
             del step[:2]
-            require_step(dt, control)
+            require_step(dt, tol)
     except StopError as exc:
         steps = len(fields) - 1
         return RunOutcome(exc.status, steps=steps, reason=exc.at(t0 + steps * dt, dt))
@@ -183,6 +186,7 @@ def solve_linear(
     return RunOutcome("completed", steps=m, trajectory=trajectory)
 
 
+@_quiet_overflow
 def picard_solve(
     initial: State,
     bathymetry: Bathymetry,
@@ -204,8 +208,8 @@ def picard_solve(
     is the last sweep's, with the gaps so far; a stopped sweep is named, and
     an iterate with a snapshot below h0 ends it blowup_depth.
     """
-    if not max_iters >= 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not (isinstance(max_iters, Integral) and max_iters >= 1):
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters}")
     ref = ReferenceTrajectory.constant(initial, control.t_end)
     prev, prev_h = initial.zu[None], compute_depth(initial.zeta, bathymetry, params)[None]
     # a CFL step that underflows to 0 is not refused as a caller's would be:

@@ -7,10 +7,10 @@ products spill aliased energy into the top third of the spectrum, where
 the finite-difference symbol inside the elliptic operator is too weak to
 regularize it, and without the truncation that band grows until the norm
 monitor trips.  Runs terminate early (with a labeled outcome, never an
-exception) when the depth drops below the floor, the factorization
-fails, or the solution norm blows up (a stage whose state or tendency
-overflows to a non-finite value, or a step that falls below the end
-tolerance, counts as a norm blow-up).  Stage errors and tripped
+exception or a numpy warning) when the depth drops below the floor, the
+factorization fails, or the solution norm blows up (a stage whose state or
+tendency overflows to a non-finite value, or a step that falls below the
+end tolerance, counts as a norm blow-up).  Stage errors and tripped
 post-step monitors raise a StopError alike; one handler ends the run
 with the error's status and keeps its message, with the time and RK
 stage, as the reason.
@@ -54,11 +54,11 @@ class StepControl:
         if not self.dt_max > 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
-    @property
-    def end_tolerance(self) -> float:
-        """Every march ends once its time is within this of t_end.  It is
-        never below the smallest positive double, so a step of 0 is shorter."""
-        return max(1e-12 * self.t_end, math.ulp(0.0))
+    def end_tolerance(self, t0: float) -> float:
+        """A march from t0 ends within this of t_end: 1e-12 of t_end or of the
+        span from t0 (scaled termwise, never inf), whichever is longer, and at
+        least the smallest positive double, so a step of 0 is shorter."""
+        return max(1e-12 * self.t_end, 1e-12 * self.t_end - 1e-12 * t0, math.ulp(0.0))
 
 
 def cfl_dt(
@@ -100,6 +100,11 @@ def rk4_step(
     return State(state.zu + increment, state.time + dt)
 
 
+# an overflowing state ends a march through its finite checks and monitors;
+# numpy's warnings on the way there would only precede that labeled outcome
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 class _MonitorError(StopError):
     """A monitor of an accepted step tripped: the X^s norm passed the run's
     ceiling, or the step fell below the end tolerance."""
@@ -107,13 +112,11 @@ class _MonitorError(StopError):
     status = "blowup_norm"
 
 
-def require_step(dt: float, control: StepControl) -> None:
-    """Stop a march whose step is shorter than the end tolerance (NaN
-    included): it would take more than 1e12 such steps to reach t_end."""
-    if not dt >= control.end_tolerance:
-        raise _MonitorError(
-            f"step {dt:.3g} is shorter than the end tolerance {control.end_tolerance:.3g}"
-        )
+def require_step(dt: float, tol: float) -> None:
+    """Stop a march whose step is shorter than its end tolerance tol (NaN
+    included): from a start <= 0 it would take over 1e12 such steps to t_end."""
+    if not dt >= tol:
+        raise _MonitorError(f"step {dt:.3g} is shorter than the end tolerance {tol:.3g}")
 
 
 @dataclass
@@ -133,6 +136,7 @@ class RunOutcome:
         return self.status == "completed"
 
 
+@_quiet_overflow
 def run(
     initial: State,
     bathymetry: Bathymetry,
@@ -155,8 +159,8 @@ def run(
     norm_ceiling = norm_factor * max(history[0].xs, 1e-300)
     on_state(0, state)
 
-    steps = 0
-    while state.time < control.t_end - control.end_tolerance:
+    steps, tol = 0, control.end_tolerance(initial.time)
+    while state.time < control.t_end - tol:
         dt = min(cfl_dt(state.u, h, params, grid, control), control.t_end - state.time)
         try:
             state = rk4_step(state, dt, bathymetry, params, grid)
@@ -170,7 +174,7 @@ def run(
             require_depth(h, params)
             if not rec.xs <= norm_ceiling:
                 raise _MonitorError(f"X^s norm {rec.xs:.6g} exceeds the ceiling {norm_ceiling:.6g}")
-            require_step(dt, control)
+            require_step(dt, tol)
         except StopError as exc:
             return RunOutcome(exc.status, state, history, steps, exc.at(state.time, dt))
         on_state(steps, state)

@@ -876,8 +876,7 @@ def test_main_run_reports_a_non_finite_operator_with_exit_one(tmp_path, capsys, 
         t_end=0.1,
         output_dir=str(tmp_path / "out"),
     )
-    with np.errstate(invalid="ignore"):
-        code = main(["run", "--config", str(cfg_path)])
+    code = main(["run", "--config", str(cfg_path)])
     assert code == 1
     sweep = "sweep 1: " if mode == "picard" else ""
     # T's stencil spreads node 3 over nodes 1 to 5; the first in factor order is named
@@ -894,8 +893,7 @@ def test_main_run_picard_on_an_overflowing_state_exits_one(tmp_path, capsys):
     _write_config(
         cfg_path, mode="picard", amplitude=1e200, h0=0.5, output_dir=str(tmp_path / "out")
     )
-    with np.errstate(all="ignore"):
-        code = main(["run", "--config", str(cfg_path)])
+    code = main(["run", "--config", str(cfg_path)])
     assert code == 1
     assert capsys.readouterr().err == (
         "blowup_norm: sweep 1: non-finite value in the band storage of T at grid index 0 "

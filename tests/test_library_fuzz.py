@@ -3,12 +3,14 @@
 A fixed seed draws calls of run, solve_linear and picard_solve on small
 grids (n <= 32) and sets one or two of each call's arguments to a value
 from an extreme pool: a StepControl field, a caller's step dt, the
-Picard iteration cap and tolerance, the norm index s, or a mollifier's
-cutoff scale delta.  Whatever the values, each call must return a
-RunOutcome or raise ValueError before its first RK4 step, and nothing
-else may raise or warn on the way.  No pool value starts a long march:
-t_end never exceeds the base run's, the iteration cap is small, and a
-step is only ever shortened, which ends a march after one step.
+Picard iteration cap and tolerance, the norm index s, a mollifier's
+cutoff scale delta, the march's start time t0, or the amplitude of its
+hump.  Whatever the values, each call must return a RunOutcome or raise
+ValueError before its first RK4 step, and nothing else may raise or warn
+on the way.  No pool value starts a long march: t_end never exceeds the
+base run's, the iteration cap is small or refused, a start before 0
+lengthens the span to at most 1.1 or else ends a march after one step,
+and a step is only ever shortened, which ends a march after one step.
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 
 import gn1d.linearized
 import gn1d.time_integrator
-from gn1d import Bathymetry, Grid, Parameters, bar_bathymetry, gaussian_hump
+from gn1d import Bathymetry, Grid, Parameters, State, bar_bathymetry, gaussian_hump
 from gn1d.linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
 from gn1d.time_integrator import RunOutcome, StepControl, run
 
@@ -32,18 +34,25 @@ POOLS = {
     "cfl": _EXTREMES,
     "dt_max": _EXTREMES,
     "dt": _EXTREMES,
-    "max_iters": (0, -1, 1, 2),
+    "max_iters": (0, -1, 1, 2, math.inf, 2.5, math.nan),
     "tol": (*_EXTREMES, -math.inf),
     "s": (*_EXTREMES, -math.inf),
     "delta": _EXTREMES,
+    "t0": (-1e20, -1e308, -1.0, 1e300),
+    "amplitude": (1e150, 1e200),
 }
 # the arguments each march takes
 ARGS = {
-    "run": ("t_end", "cfl", "dt_max", "s"),
-    "solve_linear": ("t_end", "cfl", "dt_max", "dt", "delta"),
-    "picard_solve": ("t_end", "cfl", "dt_max", "max_iters", "tol", "s", "delta"),
+    "run": ("t_end", "cfl", "dt_max", "s", "t0", "amplitude"),
+    "solve_linear": ("t_end", "cfl", "dt_max", "dt", "delta", "t0", "amplitude"),
+    "picard_solve": (
+        "t_end", "cfl", "dt_max", "max_iters", "tol", "s", "delta", "t0", "amplitude",
+    ),
 }
-BASE = {"t_end": 0.1, "cfl": 0.5, "dt_max": math.inf, "max_iters": 3, "tol": 1e-8, "s": 2.0}
+BASE = {
+    "t_end": 0.1, "cfl": 0.5, "dt_max": math.inf, "max_iters": 3, "tol": 1e-8, "s": 2.0,
+    "t0": 0.0, "amplitude": 0.3,
+}
 
 
 def _draw(rng: np.random.Generator) -> tuple[str, int, bool, dict]:
@@ -61,8 +70,8 @@ def _call(march: str, n: int, bar: bool, drawn: dict):
     grid = Grid(n, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
     bottom = bar_bathymetry(0.2, 0.8, grid) if bar else Bathymetry.flat(grid)
-    hump = gaussian_hump(0.3, 0.5, grid)
     arg = {**BASE, **drawn}
+    hump = State(gaussian_hump(arg["amplitude"], 0.5, grid).zu, arg["t0"])
     control = StepControl(t_end=arg["t_end"], cfl=arg["cfl"], dt_max=arg["dt_max"])
     mollifier = Mollifier.for_grid(arg["delta"], grid) if "delta" in arg else None
     if march == "run":

@@ -1,6 +1,7 @@
 """Frequency cutoff, reference trajectories, linearized marching, iteration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,11 +401,10 @@ def test_a_nan_picard_gap_never_counts_as_converged():
     grid = Grid(32, 2.0 * np.pi)
     hump = gaussian_hump(0.3, 0.5, grid)
     control = StepControl(t_end=0.02, dt_max=0.01)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = picard_solve(
-            hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, control,
-            max_iters=2, s=1000.0,
-        )
+    result = picard_solve(
+        hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, control,
+        max_iters=2, s=1000.0,
+    )
     assert result.status == "not_converged"
     assert result.reason == "not converged after 2 iterations"
     assert len(result.gaps) == 2
@@ -441,21 +441,39 @@ def test_linear_march_refuses_a_step_that_is_not_positive(dt):
         )
 
 
+def _bound_rk4(monkeypatch, cap):
+    """Make the RK4 kernels of both marches refuse call cap + 1 of a test,
+    so a march that kept stepping fails instead of hanging."""
+    calls = []
+    for module in (gn1d.time_integrator, gn1d.linearized):
+        real_rk4 = module._rk4
+
+        def bounded(*args, real_rk4=real_rk4):
+            calls.append(args)
+            assert len(calls) <= cap, "a march kept stepping"
+            return real_rk4(*args)
+
+        monkeypatch.setattr(module, "_rk4", bounded)
+    return calls
+
+
+def _march(march, state, bathymetry, params, grid, control, dt=None):
+    """Call one of the three library marches from state to control.t_end."""
+    if march == "run":
+        return run(state, bathymetry, params, grid, control)
+    if march == "solve_linear":
+        ref = ReferenceTrajectory.constant(state, control.t_end)
+        return solve_linear(ref, state, bathymetry, params, grid, control, dt=dt)
+    return picard_solve(state, bathymetry, params, grid, control)
+
+
 @pytest.mark.parametrize("march", ("solve_linear", "picard_solve"))
 def test_a_step_below_the_end_tolerance_ends_the_linear_march(monkeypatch, march):
     """Like run(), the linear march ends blowup_norm after its first step
     shorter than end_tolerance: a caller's step of 1e-20, and Picard's
     first sweep at cfl = 1e-300.  The RK4 step refuses a third call, so a
     march that kept stepping toward its 1e19 or more steps fails at once."""
-    real_rk4 = gn1d.linearized._rk4
-    calls = []
-
-    def bounded(*args):
-        calls.append(args)
-        assert len(calls) <= 2, "the linear march kept stepping below the end tolerance"
-        return real_rk4(*args)
-
-    monkeypatch.setattr(gn1d.linearized, "_rk4", bounded)
+    calls = _bound_rk4(monkeypatch, 2)
     grid = Grid(32, 20.0)
     params = Parameters(0.5, 0.5, h0=0.3)
     flat = Bathymetry.flat(grid)
@@ -488,16 +506,7 @@ def test_a_cfl_step_too_short_to_count_ends_the_linear_march_as_run_does(
     march ends as run() does: blowup_norm after its one step, with the same
     reason (named by its sweep in Picard).  The RK4 kernels refuse a fifth
     call, so a march that kept stepping fails instead of hanging."""
-    calls = []
-    for module in (gn1d.time_integrator, gn1d.linearized):
-        real_rk4 = module._rk4
-
-        def bounded(*args, real_rk4=real_rk4):
-            calls.append(args)
-            assert len(calls) <= 4, "a march kept stepping below the end tolerance"
-            return real_rk4(*args)
-
-        monkeypatch.setattr(module, "_rk4", bounded)
+    calls = _bound_rk4(monkeypatch, 4)
     grid = Grid(32, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
     flat = Bathymetry.flat(grid)
@@ -513,6 +522,52 @@ def test_a_cfl_step_too_short_to_count_ends_the_linear_march_as_run_does(
     assert (out.status, out.steps, out.trajectory) == ("blowup_norm", 1, None)
     assert out.reason == prefix + want.reason
     assert "is shorter than the end tolerance" in out.reason
+
+
+@pytest.mark.parametrize("t0", (-1e20, -1e308))
+@pytest.mark.parametrize("march", ("run", "solve_linear", "picard_solve"))
+def test_every_march_from_a_start_far_before_zero_ends_after_one_step(monkeypatch, march, t0):
+    """The end tolerance is 1e-12 of the longer of t_end and the span from
+    the start, so from t0 = -1e20 to t_end = 1 it is 1e8 and every step
+    is shorter: each march ends blowup_norm after one step, where a
+    tolerance of 1e-12 t_end left run() and Picard stepping for 1e20
+    steps and made solve_linear's count of 1e308 / 1e-3 overflow."""
+    calls = _bound_rk4(monkeypatch, 1)
+    grid = Grid(32, 2.0 * np.pi)
+    params = Parameters(0.2, 0.5, h0=0.4)
+    flat = Bathymetry.flat(grid)
+    hump = State(gaussian_hump(0.3, 0.5, grid).zu, t0)
+    control = StepControl(t_end=1.0)
+    dt = 1e-3 if march == "solve_linear" else cfl_dt(
+        hump.u, compute_depth(hump.zeta, flat, params), params, grid, control
+    )
+    out = _march(march, hump, flat, params, grid, control, dt=dt)
+    prefix = "sweep 1: " if march == "picard_solve" else ""
+    assert (out.status, out.steps, len(calls)) == ("blowup_norm", 1, 1)
+    assert out.reason == (
+        f"{prefix}step {dt:.3g} is shorter than the end tolerance "
+        f"{control.end_tolerance(t0):.3g} (t = {t0:.6g})"
+    )
+    assert control.end_tolerance(t0) == 1e-12 * (1.0 - t0)
+
+
+@pytest.mark.parametrize("march", ("run", "solve_linear", "picard_solve"))
+def test_every_march_on_an_overflowing_hump_ends_labeled_without_a_warning(march):
+    """At amplitude 1e200 the stage products overflow; the first stage
+    reports the non-finite operator as the labeled outcome, and numpy's
+    overflow and invalid-value warnings on the way there stay silent
+    inside the march, not only under gn1d run."""
+    grid = Grid(32, 2.0 * np.pi)
+    params = Parameters(0.2, 0.5, h0=0.4)
+    hump = gaussian_hump(1e200, 0.5, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _march(march, hump, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.1))
+    prefix = "sweep 1: " if march == "picard_solve" else ""
+    assert (out.status, out.steps) == ("blowup_norm", 0)
+    assert out.reason == (
+        f"{prefix}non-finite value in the band storage of T at grid index 0 (t = 0, RK stage 1)"
+    )
 
 
 def test_fixed_point_iteration_converges_to_the_nonlinear_flow():
@@ -550,16 +605,18 @@ def test_fixed_point_iteration_with_smoothing_still_converges():
 
 def test_picard_solve_refuses_fewer_than_one_sweep():
     # with no sweep there is no outcome to return: refused at entry, like a
-    # reference that ends before t_end
+    # reference that ends before t_end; so is a cap that is not an integer
+    # (inf and 2.5 raised a TypeError from the sweep loop), but a numpy
+    # integer is a cap
     grid = Grid(32, 2.0 * np.pi)
     params = Parameters(0.5, 0.5, h0=0.3)
     rest = State(np.zeros((2, grid.n)))
-    for max_iters in (0, -1):
-        with pytest.raises(ValueError, match="max_iters must be at least 1"):
-            picard_solve(
-                rest, Bathymetry.flat(grid), params, grid, StepControl(t_end=0.1),
-                max_iters=max_iters,
-            )
+    control = StepControl(t_end=0.1)
+    for max_iters in (0, -1, math.inf, 2.5, math.nan, 3.0):
+        with pytest.raises(ValueError, match="^max_iters must be an integer of at least 1, got "):
+            picard_solve(rest, Bathymetry.flat(grid), params, grid, control, max_iters=max_iters)
+    out = picard_solve(rest, Bathymetry.flat(grid), params, grid, control, max_iters=np.int64(1))
+    assert (out.status, out.gaps) == ("completed", [0.0])
 
 
 def test_picard_solve_on_an_overflowed_state_ends_with_the_labeled_outcome():
@@ -571,8 +628,7 @@ def test_picard_solve_on_an_overflowed_state_ends_with_the_labeled_outcome():
     wave = solitary_wave(0.4, params, grid)
     zu = wave.zu.copy()
     zu[1, 3] = 1e200
-    with np.errstate(all="ignore"):
-        out = picard_solve(State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
+    out = picard_solve(State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
     assert (out.status, out.steps, out.gaps, out.trajectory) == ("blowup_norm", 0, [], None)
     assert out.reason == (
         "sweep 1: non-finite value in the right-hand side of a solve with T at grid index 0 "

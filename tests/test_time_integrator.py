@@ -209,8 +209,7 @@ def test_stage_overflow_ends_the_run_as_a_norm_blowup():
     wave = solitary_wave(0.4, params, grid)
     zu = wave.zu.copy()
     zu[1, 3] = 1e200
-    with np.errstate(all="ignore"):
-        outcome = run(State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
+    outcome = run(State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
     assert outcome.status == "blowup_norm"
     assert outcome.steps == 0
     assert outcome.final_state.u[3] == 1e200
@@ -329,8 +328,8 @@ def test_the_end_tolerance_never_underflows_to_zero():
     """1e-12 t_end underflows to 0 below t_end of about 5e-312; the end
     tolerance is then the smallest positive double, so a CFL step that
     underflows to 0 is shorter than it and ends the march."""
-    assert StepControl(t_end=0.1).end_tolerance == 1e-13
-    assert StepControl(t_end=1e-320).end_tolerance == math.ulp(0.0) > 0.0
+    assert StepControl(t_end=0.1).end_tolerance(0.0) == 1e-13
+    assert StepControl(t_end=1e-320).end_tolerance(0.0) == math.ulp(0.0) > 0.0
 
 
 def test_a_step_below_the_end_tolerance_ends_the_run(monkeypatch):
