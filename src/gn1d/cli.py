@@ -20,17 +20,19 @@ import glob
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
 from .checks import verify_suite
-from .core import Bathymetry, Grid, Parameters, State, compute_depth
+from .core import (
+    Bathymetry, DepthError, Grid, Parameters, State, StopError, compute_depth, require_depth,
+)
 from .diagnostics import DiagnosticRecord, record_for, xs_norm
 from .linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
 from .scenarios import SCENARIOS, build_scenario
-from .time_integrator import RunOutcome, StepControl, cfl_dt, run
+from .time_integrator import RunOutcome, StepControl, cfl_dt, require_step, run
 
 
 class ConfigError(Exception):
@@ -219,7 +221,7 @@ def _write_table(path: str, header: str, rows: np.ndarray) -> None:
 
 
 def emit_timeseries(records: list[DiagnosticRecord], path: str) -> None:
-    _write_table(path, _TIMESERIES_HEADER, np.array([astuple(r) for r in records]))
+    _write_table(path, _TIMESERIES_HEADER, np.array(records, dtype=float))
 
 
 def emit_snapshot(
@@ -250,7 +252,13 @@ class PreparedRun:
 
 
 def prepare_run(cfg: RunConfig) -> PreparedRun:
-    """Materialize grid, parameters, initial data, and bathymetry."""
+    """Materialize grid, parameters, initial data, and bathymetry.
+
+    A start the marches would not take is a ConfigError: a depth below the
+    floor (require_depth), a first step below the end tolerance
+    (require_step), or, in linearized mode, a t_end so close to the start
+    that the reference run takes no step (StepControl.pending).
+    """
     # every comparison below is written so that NaN fails it
     if cfg.mode not in _RUNS:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
@@ -292,21 +300,21 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(str(exc)) from exc
 
     h = compute_depth(state.zeta, bathymetry, probe)
-    min_h = float(h.min())
     if cfg.h0 > 0.0:
         h0, origin = cfg.h0, "configured"
     else:
         # default floor: half the initial minimum depth, at most 1, the
         # largest floor Parameters admits (min keeps a NaN depth NaN)
-        h0, origin = min(0.5 * min_h, 1.0), "derived"
+        h0, origin = min(0.5 * float(h.min()), 1.0), "derived"
     try:
         params = Parameters(cfg.epsilon, cfg.mu, h0=h0)
+        require_depth(h, params)
     except ValueError as exc:
         raise ConfigError(f"{origin} depth floor is not admissible: {exc}") from exc
-    if not min_h >= params.h0:
+    except DepthError as exc:
         raise ConfigError(
-            f"initial state violates the depth floor: min depth {min_h:.6g} < h0 {params.h0:.6g}"
-        )
+            f"initial state violates the depth floor: min depth {exc.min_value:.6g} < h0 {h0:.6g}"
+        ) from exc
     # an s is at fault when its norm is not finite but the X^0 norm is;
     # a state too large for any norm is left to the run's labeled outcome
     xs = xs_norm(state.zu, params, grid, cfg.s)
@@ -314,14 +322,23 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(f"s = {cfg.s:g} gives the initial state a non-finite X^s norm ({xs})")
     # every march ends within its end tolerance of t_end, so a shorter first
     # step is refused here (run() ends at a later one as blowup_norm)
+    tol = control.end_tolerance(state.time)
     if math.isfinite(xs):
-        dt, tol = cfl_dt(state.u, h, params, grid, control), control.end_tolerance(state.time)
-        if not dt >= tol:
+        dt = cfl_dt(state.u, h, params, grid, control)
+        try:
+            require_step(dt, tol)
+        except StopError as exc:
             raise ConfigError(
                 f"cfl = {cfg.cfl:g} and dt_max = {cfg.dt_max:g} give a first step of {dt:.3g}, "
                 f"shorter than the end-time tolerance {tol:.3g}: "
                 f"the run would take more than 1e12 steps"
-            )
+            ) from exc
+    # the linear march follows its reference run(), which must take a step
+    if cfg.mode == "linearized" and not control.pending(state.time, tol):
+        raise ConfigError(
+            f"t_end = {cfg.t_end:g} lies within the end tolerance {tol:.3g} of the start: "
+            f"the linearized reference run would take no step"
+        )
     return PreparedRun(cfg, grid, params, state, bathymetry, control, mollifier)
 
 

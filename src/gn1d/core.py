@@ -7,6 +7,7 @@ grid is uniform and periodic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -184,7 +185,8 @@ class Bathymetry:
 @dataclass(frozen=True)
 class State:
     """Surface elevation and depth-averaged velocity at one instant, as the
-    (2, n) stack zu of (zeta, u); zeta and u are views of its rows."""
+    (2, n) stack zu of (zeta, u); zeta and u are views of its rows.  The
+    time must be finite: a march from a NaN or infinite one never ends at t_end."""
 
     zu: np.ndarray
     time: float = 0.0
@@ -193,8 +195,11 @@ class State:
         zu = np.asarray(self.zu, dtype=float)
         if zu.ndim != 2 or zu.shape[0] != 2:
             raise ValueError(f"a state must be a (2, n) stack of (zeta, u), got shape {zu.shape}")
+        time = float(self.time)
+        if not math.isfinite(time):
+            raise ValueError(f"a state's time must be finite, got {time}")
         object.__setattr__(self, "zu", zu)
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", time)
 
     @property
     def zeta(self) -> np.ndarray:

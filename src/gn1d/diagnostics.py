@@ -8,7 +8,7 @@ factors, never through an assembled matrix, so it costs O(n) per record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,9 @@ def es_norm(
     return float(np.sqrt(conserved_energy(lambda_s(zu, s, grid), h_ref, bathymetry, params, grid)))
 
 
-@dataclass(frozen=True)
-class DiagnosticRecord:
+class DiagnosticRecord(NamedTuple):
+    """The diagnostics of one state, a row of timeseries.dat in its column order."""
+
     t: float
     energy: float
     mass: float

@@ -72,6 +72,8 @@ class ReferenceTrajectory:
         fields = np.asarray(fields, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("a trajectory needs at least two snapshots")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("snapshot times must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("snapshot times must be strictly increasing")
         if fields.ndim != 3 or fields.shape[:2] != (times.size, 2):

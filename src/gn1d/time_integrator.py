@@ -13,7 +13,8 @@ tendency overflows to a non-finite value, or a step that falls below the
 end tolerance, counts as a norm blow-up).  Stage errors and tripped
 post-step monitors raise a StopError alike; one handler ends the run
 with the error's status and keeps its message, with the time and RK
-stage, as the reason.
+stage, as the reason.  A run refuses, with a ValueError, a start that
+does not precede t_end, since no march from there can end at t_end.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ class StepControl:
         span from t0 (scaled termwise, never inf), whichever is longer, and at
         least the smallest positive double, so a step of 0 is shorter."""
         return max(1e-12 * self.t_end, 1e-12 * self.t_end - 1e-12 * t0, math.ulp(0.0))
+
+    def pending(self, t: float, tol: float) -> bool:
+        """Whether a march at time t, whose end tolerance is tol, has a step
+        left to take: run()'s end rule, false once t is within tol of t_end."""
+        return t < self.t_end - tol
 
 
 def cfl_dt(
@@ -147,12 +153,15 @@ def run(
     norm_factor: float = 1e3,
     on_state=lambda step, state: None,
 ) -> RunOutcome:
-    """March the nonlinear system to t_end with adaptive CFL steps.
+    """March the nonlinear system to t_end with adaptive CFL steps from the
+    initial state, whose time must precede t_end (as solve_linear's must).
 
     A diagnostic record is appended after every accepted step, and
     on_state(step, state) is called with the initial state (step 0) and
     with every accepted step.
     """
+    if not initial.time < control.t_end:
+        raise ValueError(f"t_end {control.t_end} does not exceed the start {initial.time}")
     state = initial
     h = compute_depth(state.zeta, bathymetry, params)
     history = [record_for(state, h, bathymetry, params, grid, s)]
@@ -160,7 +169,7 @@ def run(
     on_state(0, state)
 
     steps, tol = 0, control.end_tolerance(initial.time)
-    while state.time < control.t_end - tol:
+    while control.pending(state.time, tol):
         dt = min(cfl_dt(state.u, h, params, grid, control), control.t_end - state.time)
         try:
             state = rk4_step(state, dt, bathymetry, params, grid)

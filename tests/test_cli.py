@@ -1048,6 +1048,35 @@ def test_prepare_run_rejects_a_step_too_small_to_finish(key, mode):
         prepare_run(RunConfig(mode=mode, t_end=0.05, **{key: 1e-300}))
 
 
+@pytest.mark.parametrize(
+    "mode, t_end, code, steps",
+    [
+        ("linearized", 5e-324, 2, None),
+        ("linearized", 1e-323, 0, "(1 steps)"),
+        ("nonlinear", 5e-324, 0, "steps = 0"),
+        ("picard", 5e-324, 0, None),
+    ],
+)
+def test_a_t_end_within_the_end_tolerance_of_the_start(tmp_path, capsys, mode, t_end, code, steps):
+    # the reference run() of linearized mode takes no step when t_end lies
+    # within its end tolerance of 0, and one state is no trajectory: that is
+    # refused before any work, while the other modes finish at once
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(cfg_path, mode=mode, n=16, t_end=t_end, output_dir=str(out))
+    assert main(["run", "--config", str(cfg_path)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err == (
+            "config error: t_end = 4.94066e-324 lies within the end tolerance 4.94e-324 "
+            "of the start: the linearized reference run would take no step\n"
+        )
+        assert not out.exists()
+    else:
+        assert captured.err == "" and (out / "timeseries.dat").exists()
+        assert steps is None or steps in captured.out
+
+
 @pytest.mark.parametrize("mode", ("linearized", "picard"))
 def test_main_rejects_snapshots_outside_nonlinear_mode(tmp_path, capsys, mode):
     # only a nonlinear run writes snap_*.dat; a linear mode must not drop the

@@ -4,7 +4,8 @@ A fixed seed draws short, small runs (n <= 64, t_end <= 0.05) in every
 mode and scenario, and sets one or two keys of each to a value from an
 extreme pool: 0, negative, NaN, infinite, huge, tiny, unparsable, or an
 odd or tiny n.  A second seed draws such runs over a bathymetry file from
-a pool of good and bad ones, with at most one extreme key.  Whatever the
+a pool of good and bad ones, with at most one extreme key, and a fixed
+cross runs every mode at every t_end of the pool.  Whatever the
 values, `main` must return 0, 1 or 2, a failing run must say why in
 exactly one labeled line on stderr, and nothing may raise or warn on the
 way.
@@ -120,3 +121,15 @@ def test_no_drawn_bathymetry_file_raises_warns_or_exits_unlabeled(tmp_path, caps
     # the draws name every file, and runs over a good file complete
     assert set(names) == set(BATHYMETRY_FILES)
     assert {0, 2} <= set(codes)
+
+
+def test_every_t_end_in_every_mode_exits_labeled(tmp_path, capsys):
+    # a fixed cross, so no seed decides whether a mode meets a t_end so
+    # short that its march takes no step
+    configs = [
+        {"mode": mode, "n": "16", "t_end": t_end, "dt_max": "0.01", "picard_max_iters": "4"}
+        for mode in MODES
+        for t_end in POOLS["t_end"]
+    ]
+    assert len(configs) == 27
+    _run_each(configs, tmp_path, capsys)

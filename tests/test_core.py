@@ -1,5 +1,7 @@
 """Parameter validation, grid bookkeeping, and the depth condition."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,11 @@ def test_profile_derivatives_match_calculus():
     bath = Bathymetry.from_profile(np.cos(3.0 * x), grid)
     assert np.allclose(bath.b_x, -3.0 * np.sin(3.0 * x), atol=1e-12)
     assert np.allclose(bath.b_xx, -9.0 * np.cos(3.0 * x), atol=1e-12)
+
+
+@pytest.mark.parametrize("time", (math.nan, math.inf, -math.inf))
+def test_a_state_refuses_a_time_that_is_not_finite(time):
+    # a march from it would never end at t_end: run() "completed" at -inf
+    # or NaN after 0 steps, and picard_solve raised from its step count
+    with pytest.raises(ValueError, match="a state's time must be finite"):
+        State(np.zeros((2, 8)), time)

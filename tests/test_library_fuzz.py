@@ -4,13 +4,15 @@ A fixed seed draws calls of run, solve_linear and picard_solve on small
 grids (n <= 32) and sets one or two of each call's arguments to a value
 from an extreme pool: a StepControl field, a caller's step dt, the
 Picard iteration cap and tolerance, the norm index s, a mollifier's
-cutoff scale delta, the march's start time t0, or the amplitude of its
-hump.  Whatever the values, each call must return a RunOutcome or raise
-ValueError before its first RK4 step, and nothing else may raise or warn
-on the way.  No pool value starts a long march: t_end never exceeds the
-base run's, the iteration cap is small or refused, a start before 0
-lengthens the span to at most 1.1 or else ends a march after one step,
-and a step is only ever shortened, which ends a march after one step.
+cutoff scale delta, the march's start time t0 (NaN and infinite ones
+included), or the amplitude of its hump.  Whatever the values, each call
+must return a RunOutcome or raise ValueError before its first RK4 step,
+nothing else may raise or warn on the way, and a completed march must end
+within its end tolerance of t_end.  No pool value starts a long march:
+t_end never exceeds the base run's, the iteration cap is small or
+refused, a start before 0 lengthens the span to at most 1.1 or else ends
+a march after one step, and a step is only ever shortened, which ends a
+march after one step.
 """
 
 import math
@@ -38,7 +40,7 @@ POOLS = {
     "tol": (*_EXTREMES, -math.inf),
     "s": (*_EXTREMES, -math.inf),
     "delta": _EXTREMES,
-    "t0": (-1e20, -1e308, -1.0, 1e300),
+    "t0": (-1e20, -1e308, -1.0, 1e300, math.nan, -math.inf, math.inf),
     "amplitude": (1e150, 1e200),
 }
 # the arguments each march takes
@@ -110,6 +112,11 @@ def test_no_drawn_library_call_raises_warns_or_ends_unlabeled(monkeypatch):
             else:
                 assert isinstance(out, RunOutcome), call
                 assert out.completed or out.reason, f"{call}: {out.status} with no reason"
+                if out.completed:
+                    arg = {**BASE, **call[3]}
+                    end = out.final_state.time if call[0] == "run" else out.trajectory.t1
+                    tol = StepControl(arg["t_end"]).end_tolerance(arg["t0"])
+                    assert abs(end - arg["t_end"]) <= tol, f"{call}: completed at {end}"
                 ends.add(out.status)
         assert not caught, f"{call} warned: {[str(w.message) for w in caught]}"
     # the draws reach a refusal, a completed march and a step-length stop

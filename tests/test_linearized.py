@@ -133,6 +133,9 @@ def test_trajectory_validation():
         ReferenceTrajectory(np.array([0.0, 0.0]), z)
     with pytest.raises(ValueError):
         ReferenceTrajectory(np.array([1.0, 0.5]), z)
+    for times in ([math.nan, 1.0], [-math.inf, 1.0], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="snapshot times must be finite"):
+            ReferenceTrajectory(np.array(times), z)
     with pytest.raises(ValueError):
         ReferenceTrajectory(np.array([0.0, 1.0]), np.zeros((3, 2, 8)))
     for fields in (np.zeros((2, 8)), np.zeros((2, 3, 8))):

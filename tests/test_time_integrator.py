@@ -1,6 +1,7 @@
 """Time stepping: order of accuracy, safety monitors, and snapshots."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -366,3 +367,15 @@ def test_nonlinear_march_about_rest_misses_the_rk4_oracle_linearly_in_the_amplit
     as a falls.  ACCEPTANCE 13 prints the same ratios."""
     ratios = nonlinear_march_oracle_ratios((1e-4, 1e-6, 1e-8))
     assert max(ratios) <= 1.01 * min(ratios), ratios
+
+
+@pytest.mark.parametrize("t0", (0.1, 1e300))
+def test_run_refuses_a_start_that_does_not_precede_t_end(t0):
+    # as solve_linear does: a march from there cannot end at t_end, and
+    # run() used to report it completed at its start after 0 steps
+    grid = Grid(16, 2.0 * np.pi)
+    with pytest.raises(ValueError, match=re.escape(f"t_end 0.1 does not exceed the start {t0}")):
+        run(
+            State(np.zeros((2, grid.n)), t0), Bathymetry.flat(grid), Parameters(0.5, 0.5),
+            grid, StepControl(t_end=0.1),
+        )
