@@ -27,7 +27,8 @@ import numpy as np
 
 from .checks import verify_suite
 from .core import (
-    Bathymetry, DepthError, Grid, Parameters, State, StopError, compute_depth, require_depth,
+    Bathymetry, DepthError, Grid, Parameters, State, StopError, compute_depth, quiet_overflow,
+    require_depth,
 )
 from .diagnostics import DiagnosticRecord, record_for, xs_norm
 from .linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
@@ -145,9 +146,7 @@ def load_config(path: str) -> RunConfig:
     return parse_config(_read_text(path, "config"))
 
 
-# samples near the float limit overflow in the spacing checks and the
-# resampling; what overflows is refused by its test or the final one
-@np.errstate(over="ignore", invalid="ignore")
+@quiet_overflow
 def load_bathymetry(path: str, grid: Grid) -> Bathymetry:
     """Read a two-column `x b(x)` file and resample onto the grid.
 

@@ -59,10 +59,10 @@ class FactorizationError(StopError):
 
 
 class NonFiniteError(StopError):
-    """An array about to be handed to LAPACK holds an infinity or a NaN.
+    """An array a march holds or hands to LAPACK has an infinity or a NaN.
 
-    Raised by the explicit finite checks of the elliptic assembly and
-    solve, and by run()'s check of each accepted state.
+    Raised by require_finite, for the band storage of an assembly, each
+    right-hand side of a solve, and each state run() accepts.
     """
 
     status = "blowup_norm"
@@ -222,3 +222,18 @@ def require_depth(h: np.ndarray, params: Parameters) -> None:
     m = float(h.min())
     if not m >= params.h0:  # catches NaN as well
         raise DepthError(m, int(h.argmin()))
+
+
+# an overflowing state ends a march through its finite checks and monitors;
+# numpy's warnings on the way there would only precede that labeled outcome
+# (a decorator: each call sets its own state, where a with-block cannot nest)
+quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+def require_finite(a: np.ndarray, what: str, nodes: np.ndarray | None = None) -> None:
+    """Raise NonFiniteError, naming the lowest grid index of a non-finite column of a
+    (column j is node j, or nodes[j]), unless a is all finite: every march's finite test."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.reshape(-1, a.shape[-1]).all(axis=0))
+        raise NonFiniteError(what, bad[0] if nodes is None else nodes[bad].min())

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Bathymetry, Grid, Parameters, State, compute_depth
+from .core import Bathymetry, Grid, Parameters, State, compute_depth, quiet_overflow
 from .grid_ops import d1_spectral, inner_product, l2_norm, lambda_s
 from .t_operator import build_factor_ops
 
@@ -44,10 +44,7 @@ def conserved_energy(
     return inner_product(zeta, zeta, grid) + weighted_velocity_form(u, h, bathymetry, params, grid)
 
 
-# At an s so large that the Lambda^s weight overflows, a norm is inf or NaN,
-# without a warning: the monitor that reads it ends the march (a NaN X^s
-# norm passes no ceiling, a NaN Picard gap never converges)
-@np.errstate(over="ignore", invalid="ignore")
+@quiet_overflow
 def xs_norm(zu: np.ndarray, params: Parameters, grid: Grid, s: float = 2.0) -> float:
     """Dispersive Sobolev norm: |zeta|_{H^s}^2 + |u|_{H^s}^2 + mu |u_x|_{H^s}^2."""
     lz, lu, lux = lambda_s(np.array((*zu, d1_spectral(zu[1], grid))), s, grid)
@@ -56,7 +53,7 @@ def xs_norm(zu: np.ndarray, params: Parameters, grid: Grid, s: float = 2.0) -> f
     ))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@quiet_overflow
 def es_norm(
     zu: np.ndarray, h_ref: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid,
     s: float = 2.0,

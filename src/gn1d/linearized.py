@@ -22,11 +22,13 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import Bathymetry, Grid, Parameters, State, StopError, compute_depth, require_depth
+from .core import (
+    Bathymetry, Grid, Parameters, State, StopError, compute_depth, quiet_overflow, require_depth,
+)
 from .diagnostics import es_norm
 from .gn_rhs import FrozenState, condensed_tendency, frozen_states
 from .grid_ops import apply_symbol
-from .time_integrator import RunOutcome, StepControl, _quiet_overflow, _rk4, cfl_dt, require_step
+from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, require_step
 
 
 def cutoff_profile(r) -> np.ndarray:
@@ -127,7 +129,7 @@ def _frozen_stream(
         yield from frozen_states(ref.at(stage_times), bathymetry, params, grid)
 
 
-@_quiet_overflow
+@quiet_overflow
 def solve_linear(
     ref: ReferenceTrajectory,
     initial: State,
@@ -188,7 +190,7 @@ def solve_linear(
     return RunOutcome("completed", steps=m, trajectory=trajectory)
 
 
-@_quiet_overflow
+@quiet_overflow
 def picard_solve(
     initial: State,
     bathymetry: Bathymetry,
@@ -200,7 +202,8 @@ def picard_solve(
     s: float = 2.0,
     mollifier: Mollifier | None = None,
 ) -> RunOutcome:
-    """Fixed-point iteration on the linearized flow.
+    """Fixed-point iteration on the linearized flow, to a gap of at most tol
+    (>= 0) in the energy norm of finite index s, in at most max_iters sweeps.
 
     Iterate zero is the initial state at every time; each sweep solves the
     system linearized about the previous iterate on the same steps.  The gap
@@ -212,6 +215,10 @@ def picard_solve(
     """
     if not (isinstance(max_iters, Integral) and max_iters >= 1):
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     ref = ReferenceTrajectory.constant(initial, control.t_end)
     prev, prev_h = initial.zu[None], compute_depth(initial.zeta, bathymetry, params)[None]
     # a CFL step that underflows to 0 is not refused as a caller's would be:

@@ -37,9 +37,11 @@ concatenated in offset order, which one bincount scatters into lower
 band storage, Fortran-ordered so that pbtrf factors it in place, with no
 copy.  LAPACK's pbtrf and pbtrs are looked up once at import and called
 directly.  In place of scipy's per-call finite scans, every array handed
-to them passes one explicit np.isfinite check: the band storage before
-pbtrf, and each right-hand side before pbtrs.  A failed check raises
-NonFiniteError with the grid index of an offending node.
+to them passes core.require_finite: the band storage before pbtrf, and
+each right-hand side before pbtrs.  A failed check raises NonFiniteError
+with the lowest grid index of an offending node.  The assembly computes
+under core.quiet_overflow, so a non-finite depth or bottom ends in that
+error without a numpy warning, called on its own as within a march.
 
 The two index permutations depend only on n and are built once,
 read-only: the interleaved order and its inverse, and the (source,
@@ -49,6 +51,7 @@ destination) plan of the band-storage scatter.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -57,10 +60,11 @@ from .core import (
     Bathymetry,
     FactorizationError,
     Grid,
-    NonFiniteError,
     Parameters,
+    quiet_overflow,
     read_only,
     require_depth,
+    require_finite,
 )
 from .grid_ops import BandedOperator, d1_fd
 
@@ -84,16 +88,15 @@ def build_factor_ops(
     return BandedOperator(a), (params.epsilon / 2.0) * bathymetry.b_x
 
 
-class TOperator:
+class TOperator(NamedTuple):
     """Assembled and factorized operator tied to one (h, bathymetry) pair."""
 
-    def __init__(self, grid, params, h, bathymetry, banded, cho):
-        self.grid = grid
-        self.params = params
-        self.h = h
-        self.bathymetry = bathymetry
-        self.banded = banded  # over the (9, n) band stack, rows at offsets -4..4
-        self.cho = cho  # lower banded Cholesky factor in interleaved order
+    grid: Grid
+    params: Parameters
+    h: np.ndarray
+    bathymetry: Bathymetry
+    banded: BandedOperator  # over the (9, n) band stack, rows at offsets -4..4
+    cho: np.ndarray  # lower banded Cholesky factor in interleaved order
 
 
 @lru_cache(maxsize=16)
@@ -133,14 +136,7 @@ def _lower_band_storage(bands: np.ndarray) -> np.ndarray:
     return flat.reshape((rows, n), order="F")
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    """Raise NonFiniteError unless a, whose columns are in interleaved order, is all finite."""
-    finite = np.isfinite(a)
-    if not finite.all():
-        order, _ = _interleaved_order(a.shape[-1])
-        raise NonFiniteError(what, order[np.nonzero(~finite)[-1][0]])
-
-
+@quiet_overflow
 def assemble_T(
     h: np.ndarray, bathymetry: Bathymetry, params: Parameters, grid: Grid
 ) -> TOperator:
@@ -174,7 +170,7 @@ def assemble_T(
     bands[:4] = np.ndarray((4, n), up.dtype, up, 0, ((n + 5) * s, s))
 
     ab = _lower_band_storage(bands)
-    _require_finite(ab, "band storage of T")
+    require_finite(ab, "band storage of T", _interleaved_order(n)[0])
     cho, info = _PBTRF(ab, lower=1, overwrite_ab=1)
     if info > 0:  # a leading minor is not positive definite
         raise FactorizationError(float(h.min()))
@@ -190,7 +186,7 @@ def apply_T(op: TOperator, w: np.ndarray) -> np.ndarray:
 def _cho_solve(op: TOperator, f: np.ndarray) -> np.ndarray:
     order, position = _interleaved_order(op.grid.n)
     b = f[order]
-    _require_finite(b, "right-hand side of a solve with T")
+    require_finite(b, "right-hand side of a solve with T", order)
     w, info = _PBTRS(op.cho, b, lower=1, overwrite_b=1)
     if info != 0:
         raise ValueError(f"pbtrs rejected its argument {-info}")

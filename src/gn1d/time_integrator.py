@@ -27,12 +27,13 @@ import numpy as np
 from .core import (
     Bathymetry,
     Grid,
-    NonFiniteError,
     Parameters,
     State,
     StopError,
     compute_depth,
+    quiet_overflow,
     require_depth,
+    require_finite,
 )
 from .diagnostics import DiagnosticRecord, record_for
 from .gn_rhs import nonlinear_rhs
@@ -106,11 +107,6 @@ def rk4_step(
     return State(state.zu + increment, state.time + dt)
 
 
-# an overflowing state ends a march through its finite checks and monitors;
-# numpy's warnings on the way there would only precede that labeled outcome
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
-
-
 class _MonitorError(StopError):
     """A monitor of an accepted step tripped: the X^s norm passed the run's
     ceiling, or the step fell below the end tolerance."""
@@ -142,7 +138,7 @@ class RunOutcome:
         return self.status == "completed"
 
 
-@_quiet_overflow
+@quiet_overflow
 def run(
     initial: State,
     bathymetry: Bathymetry,
@@ -155,6 +151,8 @@ def run(
 ) -> RunOutcome:
     """March the nonlinear system to t_end with adaptive CFL steps from the
     initial state, whose time must precede t_end (as solve_linear's must).
+    The norm index s must be finite and norm_factor, the X^s norm's
+    ceiling as a multiple of its initial value, positive.
 
     A diagnostic record is appended after every accepted step, and
     on_state(step, state) is called with the initial state (step 0) and
@@ -162,6 +160,10 @@ def run(
     """
     if not initial.time < control.t_end:
         raise ValueError(f"t_end {control.t_end} does not exceed the start {initial.time}")
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    if not norm_factor > 0.0:
+        raise ValueError(f"norm_factor must be positive, got {norm_factor}")
     state = initial
     h = compute_depth(state.zeta, bathymetry, params)
     history = [record_for(state, h, bathymetry, params, grid, s)]
@@ -174,9 +176,7 @@ def run(
         try:
             state = rk4_step(state, dt, bathymetry, params, grid)
             steps += 1
-            bad = np.flatnonzero(~np.isfinite(state.zu).all(axis=0))
-            if bad.size:
-                raise NonFiniteError("state", bad[0])
+            require_finite(state.zu, "state")
             h = compute_depth(state.zeta, bathymetry, params)
             rec = record_for(state, h, bathymetry, params, grid, s)
             history.append(rec)

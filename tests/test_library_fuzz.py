@@ -3,16 +3,16 @@
 A fixed seed draws calls of run, solve_linear and picard_solve on small
 grids (n <= 32) and sets one or two of each call's arguments to a value
 from an extreme pool: a StepControl field, a caller's step dt, the
-Picard iteration cap and tolerance, the norm index s, a mollifier's
-cutoff scale delta, the march's start time t0 (NaN and infinite ones
-included), or the amplitude of its hump.  Whatever the values, each call
-must return a RunOutcome or raise ValueError before its first RK4 step,
-nothing else may raise or warn on the way, and a completed march must end
-within its end tolerance of t_end.  No pool value starts a long march:
-t_end never exceeds the base run's, the iteration cap is small or
-refused, a start before 0 lengthens the span to at most 1.1 or else ends
-a march after one step, and a step is only ever shortened, which ends a
-march after one step.
+Picard iteration cap and tolerance, the norm index s, run's norm ceiling
+factor, a mollifier's cutoff scale delta, the march's start time t0 (NaN
+and infinite ones included), or the amplitude of its hump.  Whatever the
+values, each call must return a RunOutcome or raise ValueError before
+its first RK4 step, nothing else may raise or warn on the way, and a
+completed march must end within its end tolerance of t_end.  No pool
+value starts a long march: t_end never exceeds the base run's, the
+iteration cap is small or refused, a start before 0 lengthens the span
+to at most 1.1 or else ends a march after one step, and a step is only
+ever shortened, which ends a march after one step.
 """
 
 import math
@@ -39,13 +39,14 @@ POOLS = {
     "max_iters": (0, -1, 1, 2, math.inf, 2.5, math.nan),
     "tol": (*_EXTREMES, -math.inf),
     "s": (*_EXTREMES, -math.inf),
+    "norm_factor": _EXTREMES,
     "delta": _EXTREMES,
     "t0": (-1e20, -1e308, -1.0, 1e300, math.nan, -math.inf, math.inf),
     "amplitude": (1e150, 1e200),
 }
 # the arguments each march takes
 ARGS = {
-    "run": ("t_end", "cfl", "dt_max", "s", "t0", "amplitude"),
+    "run": ("t_end", "cfl", "dt_max", "s", "norm_factor", "t0", "amplitude"),
     "solve_linear": ("t_end", "cfl", "dt_max", "dt", "delta", "t0", "amplitude"),
     "picard_solve": (
         "t_end", "cfl", "dt_max", "max_iters", "tol", "s", "delta", "t0", "amplitude",
@@ -53,7 +54,7 @@ ARGS = {
 }
 BASE = {
     "t_end": 0.1, "cfl": 0.5, "dt_max": math.inf, "max_iters": 3, "tol": 1e-8, "s": 2.0,
-    "t0": 0.0, "amplitude": 0.3,
+    "norm_factor": 1e3, "t0": 0.0, "amplitude": 0.3,
 }
 
 
@@ -77,7 +78,7 @@ def _call(march: str, n: int, bar: bool, drawn: dict):
     control = StepControl(t_end=arg["t_end"], cfl=arg["cfl"], dt_max=arg["dt_max"])
     mollifier = Mollifier.for_grid(arg["delta"], grid) if "delta" in arg else None
     if march == "run":
-        return run(hump, bottom, params, grid, control, s=arg["s"])
+        return run(hump, bottom, params, grid, control, arg["s"], arg["norm_factor"])
     if march == "solve_linear":
         ref = ReferenceTrajectory.constant(hump, control.t_end)
         return solve_linear(ref, hump, bottom, params, grid, control, mollifier, arg.get("dt"))

@@ -698,3 +698,29 @@ def test_a_picard_iterate_stops_at_its_earliest_low_snapshot(monkeypatch):
     assert out.reason == (
         "sweep 1: depth condition violated: min depth 0.45 at grid index 3 (t = 0.05)"
     )
+
+
+def _hump_picard(**kwargs):
+    grid = Grid(32, 2.0 * np.pi)
+    return picard_solve(
+        gaussian_hump(0.3, 0.5, grid), Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4),
+        grid, StepControl(t_end=0.05), **kwargs,
+    )
+
+
+@pytest.mark.parametrize("tol", (math.nan, -1.0, -math.inf))
+def test_picard_refuses_a_tolerance_that_is_nan_or_negative(tol):
+    # no gap is at most a NaN or negative tolerance: every sweep would run to not_converged
+    with pytest.raises(ValueError, match=f"tol must be >= 0, got {tol}"):
+        _hump_picard(tol=tol)
+
+
+def test_picard_accepts_a_tolerance_of_zero():
+    out = _hump_picard(tol=0.0)
+    assert out.completed and out.gaps[-1] == 0.0
+
+
+@pytest.mark.parametrize("s", (math.nan, math.inf, -math.inf))
+def test_picard_refuses_a_norm_index_that_is_not_finite(s):
+    with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
+        _hump_picard(s=s)

@@ -295,10 +295,32 @@ def test_non_finite_data_raise_the_labeled_error():
     bx[3] = np.nan
     cases = [(h, op.bathymetry), (op.h, Bathymetry(op.bathymetry.b, bx, op.bathymetry.b_xx))]
     for depth, bath in cases:
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
+        with pytest.raises(NonFiniteError) as info:
             assemble_T(depth, bath, params, grid)
         d = (info.value.location - 3) % grid.n
         assert min(d, grid.n - d) <= 4
+
+
+def test_a_solve_names_the_lowest_grid_index_of_a_non_finite_right_hand_side():
+    # the interleaved order puts node 510 before node 5; the error names 5
+    op, grid, _ = _random_operator(n=512, seed=5)
+    f = np.ones(grid.n)
+    f[[5, 510]] = np.inf
+    with pytest.raises(NonFiniteError) as info:
+        solve_T(op, f)
+    assert info.value.location == 5
+
+
+def test_an_infinite_depth_node_ends_the_assembly_without_a_warning():
+    # the assembly keeps the overflow policy when called on its own: the
+    # suite turns numpy's invalid-value warnings on the way into errors
+    grid = Grid(512, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5)
+    h = np.ones(grid.n)
+    h[300] = np.inf
+    with pytest.raises(NonFiniteError) as info:
+        assemble_T(h, bumpy_bathymetry(grid), params, grid)
+    assert abs(info.value.location - 300) <= 4
 
 
 def test_derivative_solve_matches_flat_oracle():

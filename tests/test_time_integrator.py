@@ -12,7 +12,7 @@ import gn1d.time_integrator
 from gn1d import (
     Bathymetry, FactorizationError, Grid, Parameters, State, compute_depth, solitary_wave,
 )
-from gn1d.scenarios import bar_bathymetry, rest_state
+from gn1d.scenarios import bar_bathymetry, gaussian_hump, rest_state
 from gn1d.time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, rk4_step, run
 
 from helpers import l2_diff, nonlinear_march_oracle_ratios
@@ -379,3 +379,25 @@ def test_run_refuses_a_start_that_does_not_precede_t_end(t0):
             State(np.zeros((2, grid.n)), t0), Bathymetry.flat(grid), Parameters(0.5, 0.5),
             grid, StepControl(t_end=0.1),
         )
+
+
+def _hump_run(**kwargs):
+    grid = Grid(32, 2.0 * np.pi)
+    return run(
+        gaussian_hump(0.3, 0.5, grid), Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4),
+        grid, StepControl(t_end=0.05), **kwargs,
+    )
+
+
+@pytest.mark.parametrize("norm_factor", (math.nan, 0.0, -1.0))
+def test_run_refuses_a_norm_factor_that_is_not_positive(norm_factor):
+    # as `gn1d run` refuses blowup_factor: no norm passes a NaN ceiling, so
+    # the run would end blowup_norm after one step, as if the norm had grown
+    with pytest.raises(ValueError, match=f"norm_factor must be positive, got {norm_factor}"):
+        _hump_run(norm_factor=norm_factor)
+
+
+@pytest.mark.parametrize("s", (math.nan, math.inf, -math.inf))
+def test_run_refuses_a_norm_index_that_is_not_finite(s):
+    with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
+        _hump_run(s=s)

@@ -23,7 +23,9 @@ cannot drift; every RunConfig field must be read by a run, so the
 config of `gn1d run` carries no key that only `gn1d verify` reads.  The
 README's table of outcome statuses must list exactly the statuses a
 march can end with, and every StopError subclass must carry one of them.
-A state travels through gn1d as one (2, n) stack: no module unpacks a
+Only core raises NonFiniteError or quiets numpy's overflow and
+invalid-value warnings, so every march shares one finite test and one
+overflow policy.  A state travels through gn1d as one (2, n) stack: no module unpacks a
 stack into State(*...) or restacks (....zeta, ....u).  No
 module of gn1d or of its tests may import a name it never uses, so a
 deletion cannot leave a stale import behind (checked with ast; no
@@ -307,6 +309,22 @@ def test_no_module_splits_or_restacks_a_state():
         if split.search(line) or restack.search(line)
     ]
     assert found == []
+
+
+def test_only_core_raises_the_non_finite_stop_or_quiets_overflow():
+    # core.require_finite is every march's finite test and core.quiet_overflow
+    # its one np.errstate ignoring both overflow and invalid values
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            ignored = {k.arg for k in node.keywords if getattr(k.value, "value", None) == "ignore"}
+            if name == "NonFiniteError" or (name == "errstate" and {"over", "invalid"} <= ignored):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert [line for line in found if not line.startswith("core.py:")] == []
+    assert sorted(line.split(": ")[1] for line in found) == ["NonFiniteError", "errstate"]
 
 
 def _unused_imports(path: Path) -> list[str]:
