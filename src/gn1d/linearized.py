@@ -8,7 +8,8 @@ cutoff-removal study solves on a shrinking ladder of cutoff scales.  The
 fixed-point iteration re-feeds each linear solution as the next
 coefficient trajectory, starting from the constant-in-time initial state.
 The march reads its frozen coefficient states from one stream in time
-order, which gn_rhs.frozen_states builds one block of steps at a time.
+order, at the nodes t0 + dt * (i / 2) of one time line, which
+gn_rhs.frozen_states builds one block of nodes at a time.
 Both end as run() does: in a labeled RunOutcome with no numpy warning,
 at the end tolerance their own start sets; Picard adds not_converged.
 """
@@ -28,7 +29,7 @@ from .core import (
 from .diagnostics import es_norm
 from .gn_rhs import FrozenState, condensed_tendency, frozen_states
 from .grid_ops import apply_symbol
-from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, require_step
+from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, require_start, require_step
 
 
 def cutoff_profile(r) -> np.ndarray:
@@ -66,7 +67,10 @@ class ReferenceTrajectory:
     """Time-stamped snapshots with linear interpolation between them.
 
     fields is one (m, 2, n) stack, row j the pair (zeta, u) at times[j];
-    at(times) returns the (len(times), 2, n) stack of interpolants.
+    at(times) returns the (len(times), 2, n) stack of interpolants.  At a
+    snapshot's time the interpolant is that snapshot exactly, and a
+    constant reference (two equal snapshots) returns its state exactly at
+    every time.
     """
 
     def __init__(self, times: np.ndarray, fields: np.ndarray):
@@ -105,6 +109,8 @@ class ReferenceTrajectory:
         out = ~((t >= self.t0 - 1e-9 * span) & (t <= self.t1 + 1e-9 * span))
         if np.any(out):
             raise ValueError(f"time {t[out][0]} outside trajectory range [{self.t0}, {self.t1}]")
+        if self.times.size == 2 and np.array_equal(*self.fields):
+            return np.repeat(self.fields[:1], t.size, axis=0)
         t = np.clip(t, self.t0, self.t1)
         j = np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
         w = ((t - self.times[j]) / (self.times[j + 1] - self.times[j]))[:, None, None]
@@ -116,17 +122,15 @@ def _frozen_stream(
     grid: Grid,
 ) -> Iterator[FrozenState]:
     """The frozen coefficient states of an m-step march from ref.t0 with
-    steps dt, in time order: t0, then offsets 1/2 and 1 of each step.  They
-    are read from ref one block of steps at a time, so a long march holds
-    one block's stage stack (about 2^18 values) beside its trajectory."""
-    t0 = ref.t0
-    block = max(1, 2**17 // grid.n)
-    for j0 in range(0, m, block):
-        starts = t0 + dt * np.arange(j0, min(j0 + block, m))
-        stage_times = np.stack((starts + 0.5 * dt, starts + dt), axis=1).ravel()
-        if j0 == 0:
-            stage_times = np.append(t0, stage_times)
-        yield from frozen_states(ref.at(stage_times), bathymetry, params, grid)
+    steps dt, in time order: node i = 0 ... 2m sits at t0 + dt * (i / 2), so
+    node 2j is the march's snapshot time t0 + dt * j bit for bit and node
+    2j + 1 is step j's midpoint.  They are read from ref in blocks of
+    2 (2^17 // n) nodes, so a long march holds one block's stage stack
+    (about 2^19 values) beside its trajectory."""
+    block = 2 * max(1, 2**17 // grid.n)
+    for i0 in range(0, 2 * m + 1, block):
+        i = np.arange(i0, min(i0 + block, 2 * m + 1))
+        yield from frozen_states(ref.at(ref.t0 + dt * (i / 2)), bathymetry, params, grid)
 
 
 @quiet_overflow
@@ -147,12 +151,19 @@ def solve_linear(
     A step below the end tolerance is taken as it is, once: the march stops
     after it, as run() does.  A snapshot is kept at every step, so the
     trajectory can serve as the next reference.  A stage assembles each
-    coefficient state's operator, which checks its depth.
+    coefficient state's operator, which checks its depth.  The march starts
+    at ref.t0, where the initial state must lie, and a mollifier must be
+    built for grid.
     """
     t0 = ref.t0
+    if initial.time != t0:
+        raise ValueError(f"initial state at t = {initial.time} is not at the reference start {t0}")
+    require_start(t0, control)
+    if mollifier is not None and mollifier.symbol.shape != (grid.n // 2 + 1,):
+        raise ValueError(
+            f"mollifier has {mollifier.symbol.size} wavenumbers, the grid {grid.n // 2 + 1}"
+        )
     span, tol = control.t_end - t0, control.end_tolerance(t0)
-    if span <= 0.0:
-        raise ValueError(f"t_end {control.t_end} does not exceed trajectory start {t0}")
     if ref.t1 < control.t_end - tol:
         raise ValueError(f"reference trajectory ends at {ref.t1}, before t_end {control.t_end}")
     if dt is None:
@@ -205,14 +216,17 @@ def picard_solve(
     """Fixed-point iteration on the linearized flow, to a gap of at most tol
     (>= 0) in the energy norm of finite index s, in at most max_iters sweeps.
 
-    Iterate zero is the initial state at every time; each sweep solves the
-    system linearized about the previous iterate on the same steps.  The gap
+    Iterate zero is the initial state, exactly, at every time; each sweep
+    solves the system linearized about the previous iterate on the same
+    steps, so each step-end coefficient state is that iterate's snapshot
+    exactly and only the midpoints are interpolated.  The gap
     is the sup over snapshot times of the energy norm of the difference of
     consecutive iterates, weighted by the depths the floor check took of the
     previous one; the loop holds both and derives neither again.  The outcome
     is the last sweep's, with the gaps so far; a stopped sweep is named, and
     an iterate with a snapshot below h0 ends it blowup_depth.
     """
+    require_start(initial.time, control)
     if not (isinstance(max_iters, Integral) and max_iters >= 1):
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters}")
     if not tol >= 0.0:

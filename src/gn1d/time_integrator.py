@@ -121,6 +121,13 @@ def require_step(dt: float, tol: float) -> None:
         raise _MonitorError(f"step {dt:.3g} is shorter than the end tolerance {tol:.3g}")
 
 
+def require_start(t0: float, control: StepControl) -> None:
+    """Refuse, with a ValueError, a march from t0 that does not precede
+    t_end: the one start test of run, solve_linear and picard_solve."""
+    if not t0 < control.t_end:
+        raise ValueError(f"t_end {control.t_end} does not exceed the start {t0}")
+
+
 @dataclass
 class RunOutcome:
     """How a march (run, solve_linear or picard_solve) ended, after steps steps."""
@@ -150,7 +157,7 @@ def run(
     on_state=lambda step, state: None,
 ) -> RunOutcome:
     """March the nonlinear system to t_end with adaptive CFL steps from the
-    initial state, whose time must precede t_end (as solve_linear's must).
+    initial state, whose time must precede t_end (require_start).
     The norm index s must be finite and norm_factor, the X^s norm's
     ceiling as a multiple of its initial value, positive.
 
@@ -158,8 +165,7 @@ def run(
     on_state(step, state) is called with the initial state (step 0) and
     with every accepted step.
     """
-    if not initial.time < control.t_end:
-        raise ValueError(f"t_end {control.t_end} does not exceed the start {initial.time}")
+    require_start(initial.time, control)
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     if not norm_factor > 0.0:

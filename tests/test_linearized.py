@@ -183,11 +183,18 @@ def test_trajectory_stack_equals_the_single_time_calls():
 
 
 def test_constant_trajectory_holds_the_state():
-    st = State(np.array((np.full(8, 0.3), np.full(8, -0.1))), time=1.0)
-    traj = ReferenceTrajectory.constant(st, 4.0)
-    for zeta, u in traj.at([1.0, 2.5, 4.0]):
-        assert np.array_equal(zeta, st.zeta)
-        assert np.array_equal(u, st.u)
+    """A constant reference returns its state exactly at every time: Picard's
+    iterate zero is the initial state.  Interpolated, (1 - w) a + w a misses
+    a random a by an ulp at most of these times."""
+    rng = np.random.default_rng(8)
+    for st in (
+        State(np.array((np.full(8, 0.3), np.full(8, -0.1))), time=1.0),
+        State(rng.standard_normal((2, 64)), time=1.0),
+    ):
+        traj = ReferenceTrajectory.constant(st, 4.0)
+        for zeta, u in traj.at(np.linspace(1.0, 4.0, 81)):
+            assert np.array_equal(zeta, st.zeta)
+            assert np.array_equal(u, st.u)
 
 
 def test_trajectory_depth_guard():
@@ -428,8 +435,113 @@ def test_linear_march_requires_t_end_after_the_reference_start():
     params = Parameters(0.5, 0.5, h0=0.5)
     st = State(np.zeros((2, grid.n)), 1.0)
     ref = ReferenceTrajectory.constant(st, 2.0)
-    with pytest.raises(ValueError, match="t_end 1.0 does not exceed trajectory start 1.0"):
+    with pytest.raises(ValueError, match="t_end 1.0 does not exceed the start 1.0"):
         solve_linear(ref, st, Bathymetry.flat(grid), params, grid, StepControl(t_end=1.0))
+
+
+@pytest.mark.parametrize("t0", (1.0, -3.0))
+def test_linear_march_refuses_an_initial_state_off_the_reference_start(t0):
+    # the march starts at the reference's start: from another time it
+    # stepped from 0 to t_end all the same and reported completion
+    grid = Grid(32, 2.0 * np.pi)
+    hump = gaussian_hump(0.3, 0.5, grid)
+    ref = ReferenceTrajectory.constant(hump, 2.0)
+    want = f"^initial state at t = {t0} is not at the reference start 0.0$"
+    with pytest.raises(ValueError, match=want):
+        solve_linear(
+            ref, State(hump.zu, t0), Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid,
+            StepControl(t_end=0.5),
+        )
+
+
+def test_picard_refuses_a_start_that_does_not_precede_t_end():
+    # as run() does; the constant reference from there raised that its
+    # snapshot times were not increasing
+    grid = Grid(32, 2.0 * np.pi)
+    hump = State(gaussian_hump(0.3, 0.5, grid).zu, 1.0)
+    with pytest.raises(ValueError, match="^t_end 0.5 does not exceed the start 1.0$"):
+        picard_solve(
+            hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid,
+            StepControl(t_end=0.5),
+        )
+
+
+@pytest.mark.parametrize("march", ("solve_linear", "picard_solve"))
+def test_a_linear_march_refuses_a_mollifier_of_another_grid(monkeypatch, march):
+    # refused before the first RK4 step, where numpy raised from stage 1
+    # that the shapes could not be broadcast together
+    calls = _bound_rk4(monkeypatch, 0)
+    grid = Grid(32, 2.0 * np.pi)
+    hump = gaussian_hump(0.3, 0.5, grid)
+    mollifier = Mollifier.for_grid(0.5, Grid(64, 20.0))
+    args = (Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, StepControl(t_end=0.5))
+    with pytest.raises(ValueError, match="^mollifier has 33 wavenumbers, the grid 17$"):
+        if march == "solve_linear":
+            solve_linear(ReferenceTrajectory.constant(hump, 2.0), hump, *args, mollifier)
+        else:
+            picard_solve(hump, *args, mollifier=mollifier)
+    assert not calls
+
+
+def test_a_linear_march_reads_its_reference_at_the_nodes_of_one_time_line(monkeypatch):
+    """Node i = 0 ... 2m of an m-step march sits at t0 + dt * (i / 2), so its
+    even nodes are the trajectory's snapshot times bit for bit.  Counted
+    from each step's start, (t0 + dt j) + dt missed t0 + dt (j + 1) by an
+    ulp at some steps."""
+    grid = Grid(32, 2.0 * np.pi)
+    hump = State(gaussian_hump(0.3, 0.5, grid).zu, 0.1)
+    control = StepControl(t_end=1.0)
+    ref = ReferenceTrajectory.constant(hump, control.t_end)
+    asked = []
+    real_at = ref.at
+    monkeypatch.setattr(ref, "at", lambda times: asked.append(times) or real_at(times))
+    out = solve_linear(
+        ref, hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, control, dt=0.03
+    )
+    m = out.steps
+    assert (out.status, m) == ("completed", 30)
+    dt = (control.t_end - hump.time) / m
+    nodes = np.concatenate(asked)
+    assert np.array_equal(nodes, hump.time + dt * (np.arange(2 * m + 1) / 2))
+    assert np.array_equal(nodes[::2], out.trajectory.times)
+
+
+@pytest.mark.parametrize("setting", ["plain", "bar"])
+def test_a_picard_sweep_freezes_the_held_iterate_at_every_step_end(monkeypatch, setting):
+    """Sweep 1 freezes the initial state, exactly, at all 2m + 1 nodes, and
+    each later sweep freezes the previous iterate's snapshots, bit for bit,
+    at its step ends; only the midpoints are interpolated."""
+    import gn1d.linearized
+
+    grid = Grid(64, 20.0)
+    params = Parameters(0.5, 0.5, h0=0.4)
+    hump = gaussian_hump(0.3, 2.0, grid)
+    bath = bar_bathymetry(0.3, 1.5, grid, x0=15.0) if setting == "bar" else Bathymetry.flat(grid)
+    control = StepControl(t_end=0.3, dt_max=0.02)
+    frozen, iterates = [], []
+    real_frozen_states = gn1d.linearized.frozen_states
+    real_solve_linear = gn1d.linearized.solve_linear
+
+    def recorded_frozen_states(coeff, *args):
+        frozen[-1].append(coeff)
+        return real_frozen_states(coeff, *args)
+
+    def recorded_solve_linear(*args, **kwargs):
+        frozen.append([])
+        out = real_solve_linear(*args, **kwargs)
+        iterates.append(out.trajectory)
+        return out
+
+    monkeypatch.setattr(gn1d.linearized, "frozen_states", recorded_frozen_states)
+    monkeypatch.setattr(gn1d.linearized, "solve_linear", recorded_solve_linear)
+    result = picard_solve(hump, bath, params, grid, control, max_iters=3, tol=0.0)
+    m = result.steps
+    assert (result.status, len(iterates), m) == ("not_converged", 3, 15)
+    coeff = [np.concatenate(blocks) for blocks in frozen]
+    assert coeff[0].shape == (2 * m + 1, 2, grid.n)
+    assert all(np.array_equal(row, hump.zu) for row in coeff[0])
+    for prev, sweep in zip(iterates, coeff[1:]):
+        assert np.array_equal(sweep[::2], prev.fields)
 
 
 @pytest.mark.parametrize("dt", (0.0, -0.01, math.nan))
