@@ -112,13 +112,16 @@ class Grid:
         # even for the real-FFT layout; d1_fd's stencil and T's nine bands need n >= 8
         if not (self.n >= 8 and self.n % 2 == 0):
             raise ValueError(f"grid size must be an even integer of at least 8, got n = {self.n}")
-        # a length that underflows the spacing to 0 would leave no wavenumbers
-        if not (0.0 < float(self.length) / self.n and float(self.length) < np.inf):
+        # the wavenumbers need a spacing that does not underflow to 0 and a top
+        # one, pi n / length taken as wavenumbers() takes it, that does not overflow
+        length, n = float(self.length), self.n
+        if not (0.0 < length / n and length < np.inf
+                and math.isfinite(2.0 * math.pi * (n // 2 * (1.0 / (n * (length / n)))))):
             raise ValueError(
                 f"domain length must be positive and finite, with a nonzero spacing "
-                f"length / n, got {self.length}"
+                f"length / n and a finite top wavenumber pi n / length, got {self.length}"
             )
-        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "length", length)
 
     @property
     def dx(self) -> float:
@@ -224,10 +227,10 @@ def require_depth(h: np.ndarray, params: Parameters) -> None:
         raise DepthError(m, int(h.argmin()))
 
 
-# an overflowing state ends a march through its finite checks and monitors;
-# numpy's warnings on the way there would only precede that labeled outcome
-# (a decorator: each call sets its own state, where a with-block cannot nest)
-quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+# gn1d's one numpy error state: a profile that overflows or divides by 0 is refused by
+# its builder and a march ends through its finite checks, so a warning would only precede
+# that outcome (a decorator: each call sets its own state, where a with-block cannot nest)
+quiet_overflow = np.errstate(all="ignore")
 
 
 def require_finite(a: np.ndarray, what: str, nodes: np.ndarray | None = None) -> None:

@@ -29,9 +29,12 @@ from .core import (
 from .diagnostics import es_norm
 from .gn_rhs import FrozenState, condensed_tendency, frozen_states
 from .grid_ops import apply_symbol
-from .time_integrator import RunOutcome, StepControl, _rk4, cfl_dt, require_start, require_step
+from .time_integrator import (
+    RunOutcome, StepControl, _rk4, cfl_dt, require_nodes, require_start, require_step,
+)
 
 
+@quiet_overflow
 def cutoff_profile(r) -> np.ndarray:
     """Smooth frequency cutoff: 1 on [0, 1], 0 on [2, inf), C^inf between.
 
@@ -40,9 +43,8 @@ def cutoff_profile(r) -> np.ndarray:
     """
     t = 2.0 - np.abs(np.asarray(r, dtype=float))  # 1 -> keep, 0 -> drop
     # with t clamped at 0, exp(-1/t) is exp(-inf) = 0 wherever t <= 0
-    with np.errstate(divide="ignore"):
-        ga = np.exp(-1.0 / np.maximum(t, 0.0))
-        gb = np.exp(-1.0 / np.maximum(1.0 - t, 0.0))
+    ga = np.exp(-1.0 / np.maximum(t, 0.0))
+    gb = np.exp(-1.0 / np.maximum(1.0 - t, 0.0))
     return ga / (ga + gb)
 
 
@@ -53,6 +55,7 @@ class Mollifier:
     symbol: np.ndarray
 
     @classmethod
+    @quiet_overflow
     def for_grid(cls, delta: float, grid: Grid) -> "Mollifier":
         if not 0.0 < delta < math.inf:
             raise ValueError(f"cutoff scale must be positive and finite, got {delta}")
@@ -152,13 +155,14 @@ def solve_linear(
     after it, as run() does.  A snapshot is kept at every step, so the
     trajectory can serve as the next reference.  A stage assembles each
     coefficient state's operator, which checks its depth.  The march starts
-    at ref.t0, where the initial state must lie, and a mollifier must be
-    built for grid.
+    at ref.t0, where the initial state must lie; the state, bottom,
+    reference and mollifier must be built for grid.
     """
     t0 = ref.t0
     if initial.time != t0:
         raise ValueError(f"initial state at t = {initial.time} is not at the reference start {t0}")
     require_start(t0, control)
+    require_nodes(grid, state=initial.zu, bottom=bathymetry.b, reference=ref.fields)
     if mollifier is not None and mollifier.symbol.shape != (grid.n // 2 + 1,):
         raise ValueError(
             f"mollifier has {mollifier.symbol.size} wavenumbers, the grid {grid.n // 2 + 1}"
@@ -227,6 +231,7 @@ def picard_solve(
     an iterate with a snapshot below h0 ends it blowup_depth.
     """
     require_start(initial.time, control)
+    require_nodes(grid, state=initial.zu, bottom=bathymetry.b)
     if not (isinstance(max_iters, Integral) and max_iters >= 1):
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters}")
     if not tol >= 0.0:

@@ -14,7 +14,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .core import Bathymetry, Grid, Parameters, State
+from .core import Bathymetry, Grid, Parameters, State, quiet_overflow
 
 # largest relative size a solitary profile may keep at the periodic seam
 SEAM_TOL = 1e-12
@@ -31,6 +31,7 @@ def _wrapped_offset(grid: Grid, x0: float | None) -> np.ndarray:
     return (grid.nodes() - x0 + 0.5 * length) % length - 0.5 * length
 
 
+@quiet_overflow
 def solitary_wave(
     amplitude: float,
     params: Parameters,
@@ -53,8 +54,7 @@ def solitary_wave(
         raise ValueError(f"amplitude {amplitude} overflows the solitary-wave width")
     # on a long domain cosh^2 overflows to inf where sech^2 is below the
     # smallest double; 1 / inf = 0 is then the right value
-    with np.errstate(over="ignore"):
-        seam = 1.0 / np.cosh(kappa * 0.5 * grid.length) ** 2
+    seam = 1.0 / np.cosh(kappa * 0.5 * grid.length) ** 2
     if seam > SEAM_TOL:
         raise ValueError(
             f"domain too short for a clean solitary wave: seam value {seam:.3e} "
@@ -64,8 +64,7 @@ def solitary_wave(
     if not np.isfinite(float(c) * float(amplitude)):  # bounds c zeta, since zeta <= amplitude
         raise ValueError(f"amplitude {amplitude} overflows the solitary-wave velocity")
     r = _wrapped_offset(grid, x0)
-    with np.errstate(over="ignore"):
-        zeta = amplitude / np.cosh(kappa * r) ** 2
+    zeta = amplitude / np.cosh(kappa * r) ** 2
     return State(np.array((zeta, c * zeta / (1.0 + eps * zeta))))
 
 
@@ -74,6 +73,7 @@ def _require_finite(what: str, *profiles: np.ndarray) -> None:
         raise ValueError(f"{what} gives a non-finite profile or derivative on this grid")
 
 
+@quiet_overflow
 def _gaussian(
     name: str, height: float, width: float, grid: Grid, x0: float | None
 ) -> tuple[np.ndarray, np.float64, np.ndarray]:
@@ -85,8 +85,7 @@ def _gaussian(
     # a numpy width makes an extreme one overflow to inf, not raise; the
     # powers are the same libm calls, so every value keeps its bits
     width = np.float64(width)
-    with np.errstate(all="ignore"):
-        return r, width, height * np.exp(-(r**2) / (2.0 * width**2))
+    return r, width, height * np.exp(-(r**2) / (2.0 * width**2))
 
 
 def gaussian_hump(
@@ -98,14 +97,14 @@ def gaussian_hump(
     return State(np.array((zeta, np.zeros(grid.n))))
 
 
+@quiet_overflow
 def bar_bathymetry(
     height: float, width: float, grid: Grid, x0: float | None = None
 ) -> Bathymetry:
     """Gaussian bar with analytic first and second derivatives."""
     r, width, b = _gaussian("bar", height, width, grid, x0)
-    with np.errstate(all="ignore"):
-        b_x = -(r / width**2) * b
-        b_xx = (r**2 / width**4 - 1.0 / width**2) * b
+    b_x = -(r / width**2) * b
+    b_xx = (r**2 / width**4 - 1.0 / width**2) * b
     _require_finite(f"bar width {width:g}", b, b_x, b_xx)
     return Bathymetry(b, b_x, b_xx)
 

@@ -89,12 +89,11 @@ def build_factor_ops(
 
 
 class TOperator(NamedTuple):
-    """Assembled and factorized operator tied to one (h, bathymetry) pair."""
+    """Assembled and factorized operator of one depth h; no solve reads the bottom."""
 
     grid: Grid
     params: Parameters
     h: np.ndarray
-    bathymetry: Bathymetry
     banded: BandedOperator  # over the (9, n) band stack, rows at offsets -4..4
     cho: np.ndarray  # lower banded Cholesky factor in interleaved order
 
@@ -176,7 +175,7 @@ def assemble_T(
         raise FactorizationError(float(h.min()))
     if info != 0:
         raise ValueError(f"pbtrf rejected its argument {-info}")
-    return TOperator(grid, params, h, bathymetry, BandedOperator(bands), cho)
+    return TOperator(grid, params, h, BandedOperator(bands), cho)
 
 
 def apply_T(op: TOperator, w: np.ndarray) -> np.ndarray:

@@ -128,6 +128,14 @@ def require_start(t0: float, control: StepControl) -> None:
         raise ValueError(f"t_end {control.t_end} does not exceed the start {t0}")
 
 
+def require_nodes(grid: Grid, **fields: np.ndarray) -> None:
+    """Refuse, with a ValueError, a field whose last axis is not grid.n nodes:
+    the one grid test of the state, bottom and reference of every march."""
+    for name, a in fields.items():
+        if a.shape[-1] != grid.n:
+            raise ValueError(f"{name} has {a.shape[-1]} nodes, the grid {grid.n}")
+
+
 @dataclass
 class RunOutcome:
     """How a march (run, solve_linear or picard_solve) ended, after steps steps."""
@@ -157,7 +165,8 @@ def run(
     on_state=lambda step, state: None,
 ) -> RunOutcome:
     """March the nonlinear system to t_end with adaptive CFL steps from the
-    initial state, whose time must precede t_end (require_start).
+    initial state, whose time must precede t_end (require_start) and whose
+    nodes, as the bottom's, must be grid's (require_nodes).
     The norm index s must be finite and norm_factor, the X^s norm's
     ceiling as a multiple of its initial value, positive.
 
@@ -166,6 +175,7 @@ def run(
     with every accepted step.
     """
     require_start(initial.time, control)
+    require_nodes(grid, state=initial.zu, bottom=bathymetry.b)
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     if not norm_factor > 0.0:

@@ -929,6 +929,30 @@ def test_main_run_on_an_overflowing_state_prints_only_the_labeled_outcome(
     )
 
 
+def test_main_run_with_a_cutoff_scale_of_1e308_completes_without_a_warning(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    _write_config(
+        cfg_path, mode="picard", n=64, t_end=0.2, mollifier_delta=1e308,
+        output_dir=str(tmp_path / "out"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--config", str(cfg_path)])
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
+def test_main_run_refuses_a_length_whose_wavenumbers_overflow(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    # marched, such a grid gives a first record of energy NaN and a
+    # non-finite operator in the first stage
+    _write_config(
+        cfg_path, scenario="hump", n=16, length=1e-308, t_end=0.1,
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "top wavenumber" in capsys.readouterr().err
+
+
 def test_main_config_error_exits_two(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     with open(cfg_path, "w", encoding="utf-8") as fh:

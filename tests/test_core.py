@@ -1,6 +1,7 @@
 """Parameter validation, grid bookkeeping, and the depth condition."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +62,31 @@ def test_grid_rejects_bad_length():
     for length in (0.0, -1.0, np.inf, np.nan, 5e-324):
         with pytest.raises(ValueError):
             Grid(8, length)
+
+
+@pytest.mark.parametrize("n", [16, 26, 512])
+def test_grid_refuses_exactly_the_lengths_whose_wavenumbers_overflow(n):
+    # bisect the bit patterns to the two adjacent lengths where the rule
+    # flips: wavenumbers() is finite at the kept one and, taken as it takes
+    # them, not at the refused one; the edge is pi n / DBL_MAX up to rounding
+    # (at n = 16 between 2.7e-307 and 3e-307; at n = 26 the quotient
+    # pi n / length itself flips one length away from the edge)
+    def accepted(bits):
+        try:
+            Grid(n, float(np.int64(bits).view(np.float64)))
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = (int(np.float64(v).view(np.int64)) for v in (1e-312, 1e-290))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    refused, kept = (float(np.int64(b).view(np.float64)) for b in (lo, hi))
+    assert kept == pytest.approx(math.pi * n / sys.float_info.max, rel=1e-15)
+    assert np.isfinite(Grid(n, kept).wavenumbers()).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(2.0 * np.pi * np.fft.rfftfreq(n, d=refused / n)).all()
 
 
 @pytest.mark.parametrize(

@@ -162,10 +162,10 @@ def test_stacked_coefficient_fields_match_the_one_row_call_bit_for_bit():
             assert np.array_equal(a, b), name
 
 
-def _tendency_by_the_source_split(op, coeff_u, zeta, u, cutoff):
+def _tendency_by_the_source_split(op, bath, coeff_u, zeta, u, cutoff):
     """The condensed tendency composed from q1_apply and the q2 field,
     each checked against its formula written out in full."""
-    grid, bath, params, h = op.grid, op.bathymetry, op.params, op.h
+    grid, params, h = op.grid, op.params, op.h
     eps, mu = params.epsilon, params.mu
     bx, bxx = bath.b_x, bath.b_xx
 
@@ -217,6 +217,6 @@ def test_frozen_state_tendency_matches_the_source_split_bit_for_bit():
     mol = Mollifier.for_grid(0.1, grid)
     for cutoff, cut in ((None, None), (mol.symbol, lambda f: mollify(f, mol, grid))):
         got = condensed_tendency(frozen, stage, cut)
-        want = _tendency_by_the_source_split(op, u, *stage, cutoff)
+        want = _tendency_by_the_source_split(op, bath, u, *stage, cutoff)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])

@@ -19,6 +19,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 import gn1d.linearized
 import gn1d.time_integrator
@@ -85,6 +86,30 @@ def _call(march: str, n: int, bar: bool, drawn: dict):
     return picard_solve(
         hump, bottom, params, grid, control, arg["max_iters"], arg["tol"], arg["s"], mollifier
     )
+
+
+@pytest.mark.parametrize("case", ["reference", "linear state", "run", "picard"])
+def test_every_march_refuses_data_of_another_grid_before_its_first_step(monkeypatch, case):
+    def no_step(*args):
+        raise AssertionError("an RK4 step was started")
+
+    for module in (gn1d.time_integrator, gn1d.linearized):
+        monkeypatch.setattr(module, "_rk4", no_step)
+    g64, g32 = Grid(64, 20.0), Grid(32, 20.0)
+    params = Parameters(0.2, 0.5, h0=0.4)
+    hump64, hump32 = gaussian_hump(0.3, 2.0, g64), gaussian_hump(0.3, 2.0, g32)
+    flat64, flat32, control = Bathymetry.flat(g64), Bathymetry.flat(g32), StepControl(t_end=0.5)
+    with pytest.raises(ValueError, match=r"has 32 nodes, the grid 64$"):
+        if case == "reference":
+            ref = ReferenceTrajectory.constant(hump32, 1.0)
+            solve_linear(ref, hump64, flat64, params, g64, control, dt=0.01)
+        elif case == "linear state":
+            ref = ReferenceTrajectory.constant(hump64, 1.0)
+            solve_linear(ref, hump32, flat64, params, g64, control, dt=0.01)
+        elif case == "run":
+            run(hump32, flat32, params, g64, control)
+        else:
+            picard_solve(hump32, flat32, params, g64, control)
 
 
 def test_no_drawn_library_call_raises_warns_or_ends_unlabeled(monkeypatch):

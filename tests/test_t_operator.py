@@ -291,9 +291,10 @@ def test_non_finite_data_raise_the_labeled_error():
     # within the stencil's reach of the bad node
     h = op.h.copy()
     h[3] = np.inf
-    bx = op.bathymetry.b_x.copy()
+    bath = bumpy_bathymetry(grid)
+    bx = bath.b_x.copy()
     bx[3] = np.nan
-    cases = [(h, op.bathymetry), (op.h, Bathymetry(op.bathymetry.b, bx, op.bathymetry.b_xx))]
+    cases = [(h, bath), (op.h, Bathymetry(bath.b, bx, bath.b_xx))]
     for depth, bath in cases:
         with pytest.raises(NonFiniteError) as info:
             assemble_T(depth, bath, params, grid)
@@ -374,7 +375,7 @@ def test_quadratic_form_stays_above_bound():
 def test_quadratic_form_matches_factored_sum():
     """(T v, v) equals |sqrt(h) v|^2 + mu |sqrt(h) T1 v|^2 + mu |sqrt(h) T2 v|^2."""
     op, grid, params = _random_operator(seed=3)
-    t1, t2_diag = build_factor_ops(op.h, op.bathymetry, params, grid)
+    t1, t2_diag = build_factor_ops(op.h, bumpy_bathymetry(grid), params, grid)
     rng = np.random.default_rng(12)
     for _ in range(5):
         v = rng.standard_normal(grid.n)

@@ -41,6 +41,14 @@ def test_cfl_step_at_rest_uses_gravity_speed():
     assert cfl_dt(u, h, params, grid, capped) == 1e-3
 
 
+def test_cfl_step_counts_the_advection_speed():
+    # speed eps |u| + sqrt(h) = 0.5 * 2 + 1 = 2, so dt = 0.5 dx / 2, exactly
+    grid = Grid(64, 2.0 * np.pi)
+    params = Parameters(0.5, 0.5, h0=0.3)
+    control = StepControl(t_end=1.0, cfl=0.5)
+    assert cfl_dt(np.full(grid.n, 2.0), np.ones(grid.n), params, grid, control) == 0.25 * grid.dx
+
+
 def test_cfl_step_of_a_trajectory_stack_is_its_fastest_state_step():
     # one rule for a state and for (m, n) stacks of them: the stack's step
     # is the smallest of its states' steps, bit for bit

@@ -313,15 +313,14 @@ def test_no_module_splits_or_restacks_a_state():
 
 def test_only_core_raises_the_non_finite_stop_or_quiets_overflow():
     # core.require_finite is every march's finite test and core.quiet_overflow
-    # its one np.errstate ignoring both overflow and invalid values
+    # the package's one numpy error state: no other call sets one, whatever its keywords
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            ignored = {k.arg for k in node.keywords if getattr(k.value, "value", None) == "ignore"}
-            if name == "NonFiniteError" or (name == "errstate" and {"over", "invalid"} <= ignored):
+            if name in ("NonFiniteError", "errstate", "seterr"):
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert [line for line in found if not line.startswith("core.py:")] == []
     assert sorted(line.split(": ")[1] for line in found) == ["NonFiniteError", "errstate"]
