@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -110,17 +111,18 @@ class Grid:
 
     def __post_init__(self):
         # even for the real-FFT layout; d1_fd's stencil and T's nine bands need n >= 8
-        if not (self.n >= 8 and self.n % 2 == 0):
+        if not (isinstance(self.n, Integral) and self.n >= 8 and self.n % 2 == 0):
             raise ValueError(f"grid size must be an even integer of at least 8, got n = {self.n}")
         # the wavenumbers need a spacing that does not underflow to 0 and a top
         # one, pi n / length taken as wavenumbers() takes it, that does not overflow
-        length, n = float(self.length), self.n
+        length, n = float(self.length), int(self.n)
         if not (0.0 < length / n and length < np.inf
                 and math.isfinite(2.0 * math.pi * (n // 2 * (1.0 / (n * (length / n)))))):
             raise ValueError(
                 f"domain length must be positive and finite, with a nonzero spacing "
                 f"length / n and a finite top wavenumber pi n / length, got {self.length}"
             )
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "length", length)
 
     @property

@@ -7,9 +7,9 @@ U_t + J A[Ubar] J U_x + B(Ubar) = 0, which is the regularized problem the
 cutoff-removal study solves on a shrinking ladder of cutoff scales.  The
 fixed-point iteration re-feeds each linear solution as the next
 coefficient trajectory, starting from the constant-in-time initial state.
-The march reads its frozen coefficient states from one stream in time
-order, at the nodes t0 + dt * (i / 2) of one time line, which
-gn_rhs.frozen_states builds one block of nodes at a time.
+The march reads its frozen coefficient states in time order at one array
+of node times t0 + dt * (i / 2), whose even nodes stamp its trajectory;
+gn_rhs.frozen_states builds them one block of nodes at a time.
 Both end as run() does: in a labeled RunOutcome with no numpy warning,
 at the end tolerance their own start sets; Picard adds not_converged.
 """
@@ -30,7 +30,7 @@ from .diagnostics import es_norm
 from .gn_rhs import FrozenState, condensed_tendency, frozen_states
 from .grid_ops import apply_symbol
 from .time_integrator import (
-    RunOutcome, StepControl, _rk4, cfl_dt, require_nodes, require_start, require_step,
+    RunOutcome, StepControl, _rk4, cfl_dt, require_march, require_step,
 )
 
 
@@ -121,19 +121,18 @@ class ReferenceTrajectory:
 
 
 def _frozen_stream(
-    ref: ReferenceTrajectory, dt: float, m: int, bathymetry: Bathymetry, params: Parameters,
+    ref: ReferenceTrajectory, nodes: np.ndarray, bathymetry: Bathymetry, params: Parameters,
     grid: Grid,
 ) -> Iterator[FrozenState]:
-    """The frozen coefficient states of an m-step march from ref.t0 with
-    steps dt, in time order: node i = 0 ... 2m sits at t0 + dt * (i / 2), so
-    node 2j is the march's snapshot time t0 + dt * j bit for bit and node
-    2j + 1 is step j's midpoint.  They are read from ref in blocks of
-    2 (2^17 // n) nodes, so a long march holds one block's stage stack
-    (about 2^19 values) beside its trajectory."""
+    """The frozen coefficient states at a march's node times, in time order.
+    Each node is read from ref no later than ref.t1, since the march's entry
+    admits a reference that ends within the end tolerance before t_end.
+    They are read in blocks of 2 (2^17 // n) nodes, so a long march holds
+    one block's stage stack (about 2^19 values) beside its trajectory."""
     block = 2 * max(1, 2**17 // grid.n)
-    for i0 in range(0, 2 * m + 1, block):
-        i = np.arange(i0, min(i0 + block, 2 * m + 1))
-        yield from frozen_states(ref.at(ref.t0 + dt * (i / 2)), bathymetry, params, grid)
+    for i0 in range(0, nodes.size, block):
+        times = np.minimum(nodes[i0:i0 + block], ref.t1)
+        yield from frozen_states(ref.at(times), bathymetry, params, grid)
 
 
 @quiet_overflow
@@ -152,17 +151,17 @@ def solve_linear(
     The step is chosen once from the reference coefficients, or passed in,
     when it must be positive; it is rounded down so the span divides evenly.
     A step below the end tolerance is taken as it is, once: the march stops
-    after it, as run() does.  A snapshot is kept at every step, so the
-    trajectory can serve as the next reference.  A stage assembles each
-    coefficient state's operator, which checks its depth.  The march starts
-    at ref.t0, where the initial state must lie; the state, bottom,
-    reference and mollifier must be built for grid.
+    after it, as run() does.  Node i = 0 ... 2m sits at t0 + dt * (i / 2),
+    and a snapshot is kept at every even node, so the trajectory can serve
+    as the next reference.  A stage assembles each coefficient state's
+    operator, which checks its depth.  The march starts at ref.t0, where the
+    initial state must lie; the state, bottom, reference and mollifier must
+    be built for grid, and the reference must reach t_end's end tolerance.
     """
     t0 = ref.t0
     if initial.time != t0:
         raise ValueError(f"initial state at t = {initial.time} is not at the reference start {t0}")
-    require_start(t0, control)
-    require_nodes(grid, state=initial.zu, bottom=bathymetry.b, reference=ref.fields)
+    require_march(initial, bathymetry, grid, control, reference=ref.fields)
     if mollifier is not None and mollifier.symbol.shape != (grid.n // 2 + 1,):
         raise ValueError(
             f"mollifier has {mollifier.symbol.size} wavenumbers, the grid {grid.n // 2 + 1}"
@@ -180,9 +179,10 @@ def solve_linear(
         m = max(1, math.ceil(span / dt - 1e-12))
         dt = span / m
 
+    nodes = t0 + dt * (np.arange(2 * m + 1) / 2)
     fields = [initial.zu]
     cut = None if mollifier is None else (lambda f: mollify(f, mollifier, grid))
-    frozen = _frozen_stream(ref, dt, m, bathymetry, params, grid)
+    frozen = _frozen_stream(ref, nodes, bathymetry, params, grid)
     # the frozen states at offsets 0, 1/2 and 1 of the step, each taken when a
     # stage first needs it (stages 2 and 3 share it); the end starts the next step
     step = []
@@ -200,8 +200,8 @@ def solve_linear(
             require_step(dt, tol)
     except StopError as exc:
         steps = len(fields) - 1
-        return RunOutcome(exc.status, steps=steps, reason=exc.at(t0 + steps * dt, dt))
-    trajectory = ReferenceTrajectory(t0 + dt * np.arange(m + 1), fields)
+        return RunOutcome(exc.status, steps=steps, reason=exc.at(nodes[2 * steps], dt))
+    trajectory = ReferenceTrajectory(nodes[::2], fields)
     return RunOutcome("completed", steps=m, trajectory=trajectory)
 
 
@@ -230,8 +230,7 @@ def picard_solve(
     is the last sweep's, with the gaps so far; a stopped sweep is named, and
     an iterate with a snapshot below h0 ends it blowup_depth.
     """
-    require_start(initial.time, control)
-    require_nodes(grid, state=initial.zu, bottom=bathymetry.b)
+    require_march(initial, bathymetry, grid, control)
     if not (isinstance(max_iters, Integral) and max_iters >= 1):
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters}")
     if not tol >= 0.0:

@@ -21,7 +21,9 @@ SEAM_TOL = 1e-12
 
 
 def _placed(grid: Grid, x0: float | None) -> float:
-    """x0, or the centre of the domain when x0 is None."""
+    """x0, or the centre of the domain when x0 is None; a non-finite x0 is refused."""
+    if x0 is not None and not np.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     return 0.5 * grid.length if x0 is None else x0
 
 

@@ -121,17 +121,15 @@ def require_step(dt: float, tol: float) -> None:
         raise _MonitorError(f"step {dt:.3g} is shorter than the end tolerance {tol:.3g}")
 
 
-def require_start(t0: float, control: StepControl) -> None:
-    """Refuse, with a ValueError, a march from t0 that does not precede
-    t_end: the one start test of run, solve_linear and picard_solve."""
-    if not t0 < control.t_end:
-        raise ValueError(f"t_end {control.t_end} does not exceed the start {t0}")
-
-
-def require_nodes(grid: Grid, **fields: np.ndarray) -> None:
-    """Refuse, with a ValueError, a field whose last axis is not grid.n nodes:
-    the one grid test of the state, bottom and reference of every march."""
-    for name, a in fields.items():
+def require_march(
+    initial: State, bathymetry: Bathymetry, grid: Grid, control: StepControl, **fields: np.ndarray
+) -> None:
+    """Refuse, with a ValueError, a march whose start does not precede t_end,
+    then one whose state, bottom or extra field's last axis is not grid.n
+    nodes: the one entry test of run, solve_linear and picard_solve."""
+    if not initial.time < control.t_end:
+        raise ValueError(f"t_end {control.t_end} does not exceed the start {initial.time}")
+    for name, a in dict(state=initial.zu, bottom=bathymetry.b, **fields).items():
         if a.shape[-1] != grid.n:
             raise ValueError(f"{name} has {a.shape[-1]} nodes, the grid {grid.n}")
 
@@ -165,8 +163,8 @@ def run(
     on_state=lambda step, state: None,
 ) -> RunOutcome:
     """March the nonlinear system to t_end with adaptive CFL steps from the
-    initial state, whose time must precede t_end (require_start) and whose
-    nodes, as the bottom's, must be grid's (require_nodes).
+    initial state, whose time must precede t_end and whose nodes, as the
+    bottom's, must be grid's (require_march).
     The norm index s must be finite and norm_factor, the X^s norm's
     ceiling as a multiple of its initial value, positive.
 
@@ -174,8 +172,7 @@ def run(
     on_state(step, state) is called with the initial state (step 0) and
     with every accepted step.
     """
-    require_start(initial.time, control)
-    require_nodes(grid, state=initial.zu, bottom=bathymetry.b)
+    require_march(initial, bathymetry, grid, control)
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     if not norm_factor > 0.0:

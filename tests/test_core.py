@@ -57,6 +57,17 @@ def test_grid_rejects_bad_size(n):
         Grid(n, 1.0)
 
 
+@pytest.mark.parametrize("n", [16.0, 16.5, "16", np.int64(16)])
+def test_grid_takes_only_an_integer_node_count(n):
+    # 16.0 passed the evenness test, and a builder's np.zeros(grid.n) then
+    # raised a TypeError; "16" raised one from the comparison with 8
+    if isinstance(n, np.integer):
+        assert Grid(n, 6.28) == Grid(16, 6.28)
+    else:
+        with pytest.raises(ValueError, match="^grid size must be an even integer"):
+            Grid(n, 6.28)
+
+
 def test_grid_rejects_bad_length():
     # 5e-324 / 8 underflows the spacing to 0, which leaves no wavenumbers
     for length in (0.0, -1.0, np.inf, np.nan, 5e-324):

@@ -5,14 +5,18 @@ grids (n <= 32) and sets one or two of each call's arguments to a value
 from an extreme pool: a StepControl field, a caller's step dt, the
 Picard iteration cap and tolerance, the norm index s, run's norm ceiling
 factor, a mollifier's cutoff scale delta, the march's start time t0 (NaN
-and infinite ones included), or the amplitude of its hump.  Whatever the
+and infinite ones included), the amplitude of its hump, the position x0
+of its hump and bar, or its grid's node count (a float or a string).  A
+linear march may instead start a short span before t_end, about a
+reference that ends half its end tolerance before t_end.  Whatever the
 values, each call must return a RunOutcome or raise ValueError before
 its first RK4 step, nothing else may raise or warn on the way, and a
 completed march must end within its end tolerance of t_end.  No pool
 value starts a long march: t_end never exceeds the base run's, the
 iteration cap is small or refused, a start before 0 lengthens the span
-to at most 1.1 or else ends a march after one step, and a step is only
-ever shortened, which ends a march after one step.
+to at most 1.1 or else ends a march after one step, a short span only
+shortens it, and a step is only ever shortened, which ends a march after
+one step.
 """
 
 import math
@@ -44,18 +48,22 @@ POOLS = {
     "delta": _EXTREMES,
     "t0": (-1e20, -1e308, -1.0, 1e300, math.nan, -math.inf, math.inf),
     "amplitude": (1e150, 1e200),
+    "x0": (math.nan, math.inf, -math.inf, 1e308),
+    "n": (16.0, "16"),
+    # a start this span before t_end, where 1e-9 of the span is below the
+    # reference's shortfall at the two shorter ones
+    "span": (1e-11, 1e-6, 0.05),
 }
 # the arguments each march takes
+_BUILT = ("t0", "amplitude", "x0", "n")
 ARGS = {
-    "run": ("t_end", "cfl", "dt_max", "s", "norm_factor", "t0", "amplitude"),
-    "solve_linear": ("t_end", "cfl", "dt_max", "dt", "delta", "t0", "amplitude"),
-    "picard_solve": (
-        "t_end", "cfl", "dt_max", "max_iters", "tol", "s", "delta", "t0", "amplitude",
-    ),
+    "run": ("t_end", "cfl", "dt_max", "s", "norm_factor", *_BUILT),
+    "solve_linear": ("t_end", "cfl", "dt_max", "dt", "delta", "span", *_BUILT),
+    "picard_solve": ("t_end", "cfl", "dt_max", "max_iters", "tol", "s", "delta", *_BUILT),
 }
 BASE = {
     "t_end": 0.1, "cfl": 0.5, "dt_max": math.inf, "max_iters": 3, "tol": 1e-8, "s": 2.0,
-    "norm_factor": 1e3, "t0": 0.0, "amplitude": 0.3,
+    "norm_factor": 1e3, "t0": 0.0, "amplitude": 0.3, "x0": None,
 }
 
 
@@ -68,20 +76,32 @@ def _draw(rng: np.random.Generator) -> tuple[str, int, bool, dict]:
     return march, int(rng.choice((8, 16, 32))), bool(rng.integers(2)), drawn
 
 
+def _arguments(drawn: dict) -> dict:
+    """The drawn arguments over BASE; a drawn span sets the start t0."""
+    arg = {**BASE, **drawn}
+    if "span" in arg:
+        arg["t0"] = arg["t_end"] - arg["span"]
+    return arg
+
+
 def _call(march: str, n: int, bar: bool, drawn: dict):
     """Build the drawn call's arguments and make it; the arguments' own
-    checks (StepControl, Mollifier) are part of its entry."""
-    grid = Grid(n, 2.0 * np.pi)
+    checks (Grid, the builders, StepControl, Mollifier, ReferenceTrajectory)
+    are part of its entry."""
+    arg = _arguments(drawn)
+    grid = Grid(arg.get("n", n), 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
-    bottom = bar_bathymetry(0.2, 0.8, grid) if bar else Bathymetry.flat(grid)
-    arg = {**BASE, **drawn}
-    hump = State(gaussian_hump(arg["amplitude"], 0.5, grid).zu, arg["t0"])
+    bottom = bar_bathymetry(0.2, 0.8, grid, arg["x0"]) if bar else Bathymetry.flat(grid)
+    hump = State(gaussian_hump(arg["amplitude"], 0.5, grid, arg["x0"]).zu, arg["t0"])
     control = StepControl(t_end=arg["t_end"], cfl=arg["cfl"], dt_max=arg["dt_max"])
     mollifier = Mollifier.for_grid(arg["delta"], grid) if "delta" in arg else None
     if march == "run":
         return run(hump, bottom, params, grid, control, arg["s"], arg["norm_factor"])
     if march == "solve_linear":
         ref = ReferenceTrajectory.constant(hump, control.t_end)
+        if "span" in arg:
+            end = control.t_end - 0.5 * control.end_tolerance(hump.time)
+            ref = ReferenceTrajectory([hump.time, end], [hump.zu] * 2)
         return solve_linear(ref, hump, bottom, params, grid, control, mollifier, arg.get("dt"))
     return picard_solve(
         hump, bottom, params, grid, control, arg["max_iters"], arg["tol"], arg["s"], mollifier
@@ -139,7 +159,7 @@ def test_no_drawn_library_call_raises_warns_or_ends_unlabeled(monkeypatch):
                 assert isinstance(out, RunOutcome), call
                 assert out.completed or out.reason, f"{call}: {out.status} with no reason"
                 if out.completed:
-                    arg = {**BASE, **call[3]}
+                    arg = _arguments(call[3])
                     end = out.final_state.time if call[0] == "run" else out.trajectory.t1
                     tol = StepControl(arg["t_end"]).end_tolerance(arg["t0"])
                     assert abs(end - arg["t_end"]) <= tol, f"{call}: completed at {end}"

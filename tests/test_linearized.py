@@ -1,7 +1,9 @@
 """Frequency cutoff, reference trajectories, linearized marching, iteration."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from gn1d import (
     gaussian_hump,
     solitary_wave,
 )
+from gn1d.cli import RunConfig, prepare_run
 from gn1d.diagnostics import es_norm, xs_norm
 from gn1d.gn_rhs import FrozenState, coefficient_fields, condensed_rhs, condensed_tendency
 from gn1d.grid_ops import apply_symbol, inner_product, lambda_s
@@ -521,6 +524,71 @@ def test_a_linear_march_reads_its_reference_at_the_nodes_of_one_time_line(monkey
     nodes = np.concatenate(asked)
     assert np.array_equal(nodes, hump.time + dt * (np.arange(2 * m + 1) / 2))
     assert np.array_equal(nodes[::2], out.trajectory.times)
+
+
+@pytest.mark.parametrize("n", [64, 32768])
+def test_a_linear_march_reads_a_reference_that_ends_within_the_end_tolerance(monkeypatch, n):
+    """The entry admits a reference that ends within the end tolerance
+    before t_end, so the march reads every later node at the reference's
+    end.  On a span short against t_end the reference's own margin, 1e-9 of
+    its span, is narrower: the read of t_end raised a ValueError inside an
+    RK4 stage, at n = 32768 (blocks of 8 nodes) after 3 completed steps."""
+    _bound_rk4(monkeypatch, 6)
+    grid = Grid(n, 20.0)
+    hump = gaussian_hump(0.3, 2.0, grid)
+    control = StepControl(t_end=1 + 1e-11)
+    ref = ReferenceTrajectory([1.0, 1 + 1e-11 - 5e-13], [hump.zu, hump.zu])
+    out = solve_linear(
+        ref, State(hump.zu, 1.0), Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid,
+        control, dt=2e-12,
+    )
+    assert (out.status, out.steps, out.trajectory.t1) == ("completed", 6, control.t_end)
+
+
+def test_picards_largest_ratio_bound_holds_the_distance_to_the_limit(monkeypatch):
+    """A contraction with ratio r puts iterate k within r g_k / (1 - r) of
+    the limit, g_k being sweep k's gap.  On the digest's PICARD_BENCH seven
+    sweeps reach the rounding floor, so iterate 7 stands for the limit, and
+    iterate k's distance is the sup over snapshots of es_norm(F_k - F_7)
+    weighted by F_k's depths; iterate 6's, 6.1e-16, is the floor.  Sweeps
+    2-4 lie at least 17 times above it.  With r the largest gap ratio so
+    far the bound holds at each (quotients 1.66, 2.44, 2.14); with the last
+    ratio alone it fails at sweep 4 (0.87)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    prep = prepare_run(RunConfig(**digest.PICARD_BENCH))
+    bath, params, grid, s = prep.bathymetry, prep.params, prep.grid, prep.cfg.s
+    iterates = []
+    original = gn1d.linearized.solve_linear
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        iterates.append(out.trajectory)
+        return out
+
+    monkeypatch.setattr(gn1d.linearized, "solve_linear", recorded)
+    result = picard_solve(
+        prep.state, bath, params, grid, prep.control, max_iters=7, tol=0.0, s=s,
+        mollifier=prep.mollifier,
+    )
+    assert (result.status, len(iterates)) == ("not_converged", 7)
+
+    def distance(k):
+        fields = iterates[k - 1].fields
+        h = compute_depth(fields[:, 0], bath, params)
+        diff = fields - iterates[-1].fields
+        return max(es_norm(d, h_j, bath, params, grid, s) for d, h_j in zip(diff, h))
+
+    g, floor = result.gaps, distance(6)
+    for k in (2, 3, 4):
+        true = distance(k)
+        assert true >= 17.0 * floor
+        r = max(b / a for a, b in zip(g[: k - 1], g[1:k]))
+        assert r * g[k - 1] / (1.0 - r) >= true
+    last = g[3] / g[2]
+    assert last * g[3] / (1.0 - last) < distance(4)
 
 
 @pytest.mark.parametrize("setting", ["plain", "bar"])

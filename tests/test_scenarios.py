@@ -147,6 +147,20 @@ def test_bar_bathymetry_rejects_bad_width():
         bar_bathymetry(0.3, -1.0, grid)
 
 
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("builder", ["solitary", "hump", "bar"])
+def test_every_builder_refuses_a_position_that_is_not_finite(builder, x0):
+    # the solitary wave came out all NaN, and the hump and bar blamed their width
+    grid = Grid(256, 60.0)
+    with pytest.raises(ValueError, match=f"^x0 must be finite, got {x0}$"):
+        if builder == "solitary":
+            solitary_wave(0.4, Parameters(0.5, 0.5, h0=0.25), grid, x0=x0)
+        elif builder == "hump":
+            gaussian_hump(0.3, 2.0, grid, x0=x0)
+        else:
+            bar_bathymetry(0.3, 4.0, grid, x0=x0)
+
+
 def test_rest_state_is_zero():
     grid = Grid(64, 10.0)
     state = rest_state(grid)

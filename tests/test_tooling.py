@@ -25,7 +25,9 @@ README's table of outcome statuses must list exactly the statuses a
 march can end with, and every StopError subclass must carry one of them.
 Only core raises NonFiniteError or quiets numpy's overflow and
 invalid-value warnings, so every march shares one finite test and one
-overflow policy.  A state travels through gn1d as one (2, n) stack: no module unpacks a
+overflow policy.  Each march calls time_integrator.require_march once,
+and only require_march words its start and grid refusals, so a second
+entry test cannot grow back beside it.  A state travels through gn1d as one (2, n) stack: no module unpacks a
 stack into State(*...) or restacks (....zeta, ....u).  No
 module of gn1d or of its tests may import a name it never uses, so a
 deletion cannot leave a stale import behind (checked with ast; no
@@ -324,6 +326,31 @@ def test_only_core_raises_the_non_finite_stop_or_quiets_overflow():
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert [line for line in found if not line.startswith("core.py:")] == []
     assert sorted(line.split(": ")[1] for line in found) == ["NonFiniteError", "errstate"]
+
+
+def test_every_march_enters_through_require_march_alone():
+    functions, texts = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                functions[f"{path.stem}.{node.name}"] = node
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                texts += [(path.stem, node.lineno, text) for text in (
+                    "does not exceed the start", "nodes, the grid") if text in node.value]
+    calls = {
+        name: sum(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require_march"
+            for node in ast.walk(functions[name])
+        )
+        for name in ("time_integrator.run", "linearized.solve_linear", "linearized.picard_solve")
+    }
+    assert set(calls.values()) == {1}
+    entry = functions["time_integrator.require_march"]
+    outside = [
+        (module, line, text) for module, line, text in texts
+        if not (module == "time_integrator" and entry.lineno <= line <= entry.end_lineno)
+    ]
+    assert len(texts) == 2 and outside == []
 
 
 def _unused_imports(path: Path) -> list[str]:
