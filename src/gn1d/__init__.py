@@ -15,7 +15,7 @@ from .core import (
 from .diagnostics import equivalence_report, es_norm, xs_norm
 from .gn_rhs import nonlinear_rhs
 from .grid_ops import d1_spectral, inner_product, l2_norm
-from .linearized import Mollifier, ReferenceTrajectory, mollify, picard_solve, solve_linear
+from .linearized import ReferenceTrajectory, cutoff_symbol, mollify, picard_solve, solve_linear
 from .scenarios import (
     SCENARIOS,
     bar_bathymetry,

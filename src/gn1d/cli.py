@@ -31,7 +31,7 @@ from .core import (
     require_depth,
 )
 from .diagnostics import DiagnosticRecord, record_for, xs_norm
-from .linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
+from .linearized import ReferenceTrajectory, cutoff_symbol, picard_solve, solve_linear
 from .scenarios import SCENARIOS, build_scenario
 from .time_integrator import RunOutcome, StepControl, cfl_dt, require_step, run
 
@@ -247,7 +247,7 @@ class PreparedRun:
     state: State
     bathymetry: Bathymetry
     control: StepControl
-    mollifier: Mollifier | None  # the cutoff of the linear modes; None when delta = 0
+    mollifier: np.ndarray | None  # the linear modes' cutoff symbol; None when delta = 0
 
 
 def prepare_run(cfg: RunConfig) -> PreparedRun:
@@ -284,7 +284,7 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
             dt_max=cfg.dt_max if cfg.dt_max > 0.0 else math.inf,
         )
         delta = cfg.mollifier_delta
-        mollifier = Mollifier.for_grid(delta, grid) if delta > 0.0 else None
+        mollifier = cutoff_symbol(delta, grid) if delta > 0.0 else None
         # build with a provisional floor; the configured/derived floor is applied below
         probe = Parameters(cfg.epsilon, cfg.mu, h0=1e-12)
         # a bottom read from a file takes the place of the scenario's own

@@ -138,7 +138,7 @@ class Grid:
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
-    """Mark an array held in a per-grid cache read-only and return it."""
+    """Mark an array shared by its callers, such as a per-grid symbol, read-only; return it."""
     a.flags.writeable = False
     return a
 

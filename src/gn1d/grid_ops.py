@@ -19,7 +19,9 @@ reduction, bit-exact to a per-band loop of adds.
 The spectral operators (apply_symbol, d1_spectral, dealias, lambda_s)
 take one field or a (k, n) stack of fields and transform along the last
 axis, so k fields cost one rfft/irfft pair.  Each row of a stacked result
-is bit-identical to the single-field call on that row.
+is bit-identical to the single-field call on that row.  The third symbol,
+linearized.cutoff_symbol's frequency cutoff, goes through apply_symbol
+too, and an H^s norm is l2_norm(lambda_s(f, s, grid), grid).
 """
 
 from __future__ import annotations
@@ -129,8 +131,3 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: Grid) -> float:
 
 def l2_norm(f: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(grid.dx) * np.linalg.norm(f))
-
-
-def hs_norm(f: np.ndarray, s: float, grid: Grid) -> float:
-    """Sobolev norm |Lambda^s f|_2."""
-    return l2_norm(lambda_s(f, s, grid), grid)

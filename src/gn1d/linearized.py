@@ -4,7 +4,9 @@ The linear solver advances U_t + A[Ubar(t)] U_x + B(Ubar(t)) = 0, where
 the coefficient state Ubar is interpolated from stored snapshots.  With a
 frequency cutoff J applied around the advection map the system becomes
 U_t + J A[Ubar] J U_x + B(Ubar) = 0, which is the regularized problem the
-cutoff-removal study solves on a shrinking ladder of cutoff scales.  The
+cutoff-removal study solves on a shrinking ladder of cutoff scales.  J is
+a Fourier multiplier like d_x and Lambda^s: cutoff_symbol builds its
+symbol, which the marches take as their mollifier argument.  The
 fixed-point iteration re-feeds each linear solution as the next
 coefficient trajectory, starting from the constant-in-time initial state.
 The march reads its frozen coefficient states in time order at one array
@@ -18,13 +20,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from numbers import Integral
 
 import numpy as np
 
 from .core import (
-    Bathymetry, Grid, Parameters, State, StopError, compute_depth, quiet_overflow, require_depth,
+    Bathymetry, Grid, Parameters, State, StopError, compute_depth, quiet_overflow, read_only,
+    require_depth,
 )
 from .diagnostics import es_norm
 from .gn_rhs import FrozenState, condensed_tendency, frozen_states
@@ -48,22 +51,18 @@ def cutoff_profile(r) -> np.ndarray:
     return ga / (ga + gb)
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Fourier-side cutoff at scale delta: multiplier phi(delta |k|)."""
-
-    symbol: np.ndarray
-
-    @classmethod
-    @quiet_overflow
-    def for_grid(cls, delta: float, grid: Grid) -> "Mollifier":
-        if not 0.0 < delta < math.inf:
-            raise ValueError(f"cutoff scale must be positive and finite, got {delta}")
-        return cls(cutoff_profile(delta * grid.wavenumbers()))
+@quiet_overflow
+def cutoff_symbol(delta: float, grid: Grid) -> np.ndarray:
+    """The cutoff J at scale delta, the Fourier symbol phi(delta |k|) that
+    mollify applies, read-only like grid_ops' derivative and Bessel-potential
+    symbols."""
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"cutoff scale must be positive and finite, got {delta}")
+    return read_only(cutoff_profile(delta * grid.wavenumbers()))
 
 
-def mollify(f: np.ndarray, m: Mollifier, grid: Grid) -> np.ndarray:
-    return apply_symbol(f, m.symbol, grid)
+def mollify(f: np.ndarray, symbol: np.ndarray, grid: Grid) -> np.ndarray:
+    return apply_symbol(f, symbol, grid)
 
 
 class ReferenceTrajectory:
@@ -143,7 +142,7 @@ def solve_linear(
     params: Parameters,
     grid: Grid,
     control: StepControl,
-    mollifier: Mollifier | None = None,
+    mollifier: np.ndarray | None = None,
     dt: float | None = None,
 ) -> RunOutcome:
     """March the linearized system with fixed uniform steps.
@@ -155,16 +154,16 @@ def solve_linear(
     and a snapshot is kept at every even node, so the trajectory can serve
     as the next reference.  A stage assembles each coefficient state's
     operator, which checks its depth.  The march starts at ref.t0, where the
-    initial state must lie; the state, bottom, reference and mollifier must
-    be built for grid, and the reference must reach t_end's end tolerance.
+    initial state must lie; the state, bottom, reference and cutoff symbol
+    must be built for grid, and the reference must reach t_end's end tolerance.
     """
     t0 = ref.t0
     if initial.time != t0:
         raise ValueError(f"initial state at t = {initial.time} is not at the reference start {t0}")
     require_march(initial, bathymetry, grid, control, reference=ref.fields)
-    if mollifier is not None and mollifier.symbol.shape != (grid.n // 2 + 1,):
+    if mollifier is not None and np.shape(mollifier) != (grid.n // 2 + 1,):
         raise ValueError(
-            f"mollifier has {mollifier.symbol.size} wavenumbers, the grid {grid.n // 2 + 1}"
+            f"mollifier has {np.size(mollifier)} wavenumbers, the grid {grid.n // 2 + 1}"
         )
     span, tol = control.t_end - t0, control.end_tolerance(t0)
     if ref.t1 < control.t_end - tol:
@@ -215,7 +214,7 @@ def picard_solve(
     max_iters: int = 25,
     tol: float = 1e-8,
     s: float = 2.0,
-    mollifier: Mollifier | None = None,
+    mollifier: np.ndarray | None = None,
 ) -> RunOutcome:
     """Fixed-point iteration on the linearized flow, to a gap of at most tol
     (>= 0) in the energy norm of finite index s, in at most max_iters sweeps.

@@ -14,8 +14,8 @@ from scipy.linalg import cholesky_banded
 
 from gn1d import (
     Bathymetry,
+    cutoff_symbol,
     Grid,
-    Mollifier,
     Parameters,
     ReferenceTrajectory,
     State,
@@ -110,15 +110,14 @@ def linear_march_oracle_miss(delta: float) -> float:
     """Max abs miss of the linear march about rest on a flat bottom against
     rk4_about_rest, plain (delta = 0) or mollified with cutoff delta."""
     grid, params, zu, t_end, m = _oracle_setting()
-    mollifier = Mollifier.for_grid(delta, grid) if delta > 0.0 else None
+    mollifier = cutoff_symbol(delta, grid) if delta > 0.0 else None
     rest = ReferenceTrajectory.constant(State(np.zeros((2, grid.n))), t_end)
     out = solve_linear(
         rest, State(zu), Bathymetry.flat(grid), params, grid, StepControl(t_end=t_end),
         mollifier, dt=t_end / m,
     )
     assert out.completed and out.steps == m, out.reason
-    phi = None if mollifier is None else mollifier.symbol
-    want = rk4_about_rest(zu, params, grid, t_end / m, m, phi)
+    want = rk4_about_rest(zu, params, grid, t_end / m, m, mollifier)
     return float(np.max(np.abs(out.trajectory.fields[-1] - want)))
 
 

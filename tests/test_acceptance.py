@@ -23,13 +23,13 @@ from gn1d import (
     bar_bathymetry,
     coercivity_bound,
     compute_depth,
+    cutoff_symbol,
     equivalence_report,
     es_norm,
     gaussian_hump,
     inner_product,
     inverse_bound_spreads,
     mollify,
-    Mollifier,
     picard_solve,
     rayleigh_ratio,
     ReferenceTrajectory,
@@ -340,7 +340,7 @@ def test_09_mollifier_properties():
     # self-adjointness and commutation with the smoothing multiplier
     grid = Grid(128, 2.0 * np.pi)
     kmax = float(grid.wavenumbers().max())
-    mol = Mollifier.for_grid(4.0 / kmax, grid)
+    mol = cutoff_symbol(4.0 / kmax, grid)
     rng = np.random.default_rng(9)
     worst_adj = worst_comm = 0.0
     for _ in range(20):
@@ -350,7 +350,7 @@ def test_09_mollifier_properties():
         worst_comm = max(worst_comm, mollifier_commutation(f, mol, grid))
     lam_symbol = (1.0 + grid.wavenumbers() ** 2) ** 1.0
     symbols_commute = np.array_equal(
-        mol.symbol * lam_symbol, lam_symbol * mol.symbol
+        mol * lam_symbol, lam_symbol * mol
     )
 
     # sup-norm control on a fixed corpus of smooth and rough profiles
@@ -371,7 +371,7 @@ def test_09_mollifier_properties():
     deltas = [16.0 / big_kmax, 8.0 / big_kmax, 4.0 / big_kmax, 2.5 / big_kmax, 0.5]
     worst_sup = 0.0
     for delta in deltas:
-        m = Mollifier.for_grid(delta, big)
+        m = cutoff_symbol(delta, big)
         for f in corpus:
             ratio = float(np.max(np.abs(mollify(f, m, big))) / np.max(np.abs(f)))
             worst_sup = max(worst_sup, ratio)
@@ -387,7 +387,7 @@ def test_09_mollifier_properties():
     for delta in (16.0 / pk, 8.0 / pk, 4.0 / pk, 2.0 / pk):
         res = picard_solve(
             hump, bath, params, pg, control,
-            tol=1e-10, mollifier=Mollifier.for_grid(delta, pg),
+            tol=1e-10, mollifier=cutoff_symbol(delta, pg),
         )
         assert res.completed, res.reason
         finals.append(res.trajectory.fields[-1])

@@ -14,7 +14,7 @@ from gn1d.gn_rhs import (
     q_total,
 )
 from gn1d.grid_ops import apply_symbol, d1_spectral, l2_norm
-from gn1d.linearized import Mollifier, mollify
+from gn1d.linearized import cutoff_symbol, mollify
 from gn1d.t_operator import assemble_T, solve_T
 
 from helpers import bumpy_bathymetry, fd_symbol, random_state
@@ -214,8 +214,8 @@ def test_frozen_state_tendency_matches_the_source_split_bit_for_bit():
     assert np.array_equal(fields.q1_bx, eps**2 * mu * h**2 * bath.b_x * ux)
     assert np.array_equal(fields.q1_bxx, eps**2 * mu * h**2 * bath.b_xx * u)
     assert np.array_equal(fields.b1, -eps * bath.b_x * u)
-    mol = Mollifier.for_grid(0.1, grid)
-    for cutoff, cut in ((None, None), (mol.symbol, lambda f: mollify(f, mol, grid))):
+    mol = cutoff_symbol(0.1, grid)
+    for cutoff, cut in ((None, None), (mol, lambda f: mollify(f, mol, grid))):
         got = condensed_tendency(frozen, stage, cut)
         want = _tendency_by_the_source_split(op, bath, u, *stage, cutoff)
         assert np.array_equal(got[0], want[0])

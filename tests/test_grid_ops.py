@@ -8,7 +8,7 @@ roundoff, and discrete mode orthogonality pins every norm in closed form.
 import numpy as np
 import pytest
 
-from gn1d import Grid
+from gn1d import Grid, cutoff_symbol
 from gn1d.grid_ops import (
     BandedOperator,
     _lambda_symbol,
@@ -16,11 +16,11 @@ from gn1d.grid_ops import (
     d1_fd,
     d1_spectral,
     dealias,
-    hs_norm,
     inner_product,
     l2_norm,
     lambda_s,
 )
+from gn1d.linearized import cutoff_profile
 
 from helpers import fd_symbol
 
@@ -65,7 +65,9 @@ def test_banded_rejects_offsets_beyond_the_halo():
 def test_cached_grid_arrays_cannot_be_corrupted():
     grid = Grid(32, 2.0 * np.pi)
     c1, c2 = 8.0 / (12.0 * grid.dx), 1.0 / (12.0 * grid.dx)
-    for arr in (grid.wavenumbers(), d1_fd(grid).bands, _lambda_symbol(grid, 2.0)):
+    # the cutoff is the third spectral symbol, read-only like the other two
+    symbols = (grid.wavenumbers(), _lambda_symbol(grid, 2.0), cutoff_symbol(0.5, grid))
+    for arr in (*symbols, d1_fd(grid).bands):
         with pytest.raises(ValueError):
             arr[0] = 99.0
         with pytest.raises(ValueError):
@@ -73,6 +75,7 @@ def test_cached_grid_arrays_cannot_be_corrupted():
     k = 2.0 * np.pi * np.fft.rfftfreq(32, d=grid.dx)
     assert np.array_equal(grid.wavenumbers(), k)
     assert np.array_equal(_lambda_symbol(grid, 2.0), (1.0 + k * k) ** 1.0)
+    assert np.array_equal(cutoff_symbol(0.5, grid), cutoff_profile(0.5 * k))
     want = np.repeat([[c2], [-c1], [0.0], [c1], [-c2]], grid.n, axis=1)
     assert np.array_equal(d1_fd(grid).bands, want)
     assert not np.signbit(d1_fd(grid).bands[2]).any()
@@ -169,8 +172,8 @@ def test_sobolev_weight_on_single_mode():
 def test_sobolev_norm_of_single_mode():
     grid = Grid(64, 2.0 * np.pi)
     f = np.cos(3.0 * grid.nodes())
-    assert hs_norm(f, 1.0, grid) == pytest.approx(np.sqrt(10.0 * np.pi), rel=1e-13)
-    assert hs_norm(f, 0.0, grid) == pytest.approx(l2_norm(f, grid), rel=1e-13)
+    assert l2_norm(lambda_s(f, 1.0, grid), grid) == pytest.approx(np.sqrt(10.0 * np.pi), rel=1e-13)
+    assert l2_norm(lambda_s(f, 0.0, grid), grid) == pytest.approx(l2_norm(f, grid), rel=1e-13)
 
 
 def test_spectral_roundtrip_and_symbol_application():

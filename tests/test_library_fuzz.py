@@ -28,7 +28,7 @@ import pytest
 import gn1d.linearized
 import gn1d.time_integrator
 from gn1d import Bathymetry, Grid, Parameters, State, bar_bathymetry, gaussian_hump
-from gn1d.linearized import Mollifier, ReferenceTrajectory, picard_solve, solve_linear
+from gn1d.linearized import ReferenceTrajectory, cutoff_symbol, picard_solve, solve_linear
 from gn1d.time_integrator import RunOutcome, StepControl, run
 
 SEED = 31
@@ -86,7 +86,7 @@ def _arguments(drawn: dict) -> dict:
 
 def _call(march: str, n: int, bar: bool, drawn: dict):
     """Build the drawn call's arguments and make it; the arguments' own
-    checks (Grid, the builders, StepControl, Mollifier, ReferenceTrajectory)
+    checks (Grid, the builders, StepControl, cutoff_symbol, ReferenceTrajectory)
     are part of its entry."""
     arg = _arguments(drawn)
     grid = Grid(arg.get("n", n), 2.0 * np.pi)
@@ -94,7 +94,7 @@ def _call(march: str, n: int, bar: bool, drawn: dict):
     bottom = bar_bathymetry(0.2, 0.8, grid, arg["x0"]) if bar else Bathymetry.flat(grid)
     hump = State(gaussian_hump(arg["amplitude"], 0.5, grid, arg["x0"]).zu, arg["t0"])
     control = StepControl(t_end=arg["t_end"], cfl=arg["cfl"], dt_max=arg["dt_max"])
-    mollifier = Mollifier.for_grid(arg["delta"], grid) if "delta" in arg else None
+    mollifier = cutoff_symbol(arg["delta"], grid) if "delta" in arg else None
     if march == "run":
         return run(hump, bottom, params, grid, control, arg["s"], arg["norm_factor"])
     if march == "solve_linear":

@@ -25,9 +25,9 @@ from gn1d.diagnostics import es_norm, xs_norm
 from gn1d.gn_rhs import FrozenState, coefficient_fields, condensed_rhs, condensed_tendency
 from gn1d.grid_ops import apply_symbol, inner_product, lambda_s
 from gn1d.linearized import (
-    Mollifier,
     ReferenceTrajectory,
     cutoff_profile,
+    cutoff_symbol,
     mollify,
     picard_solve,
     solve_linear,
@@ -62,43 +62,43 @@ def test_cutoff_profile_accepts_negative_arguments():
 
 def test_mollifier_requires_positive_scale():
     with pytest.raises(ValueError):
-        Mollifier.for_grid(0.0, Grid(16, 1.0))
+        cutoff_symbol(0.0, Grid(16, 1.0))
 
 
 def test_mollifier_requires_a_finite_scale():
     # phi(inf * 0) would put a NaN in the symbol's zero mode
     with pytest.raises(ValueError, match="finite"):
-        Mollifier.for_grid(math.inf, Grid(16, 1.0))
+        cutoff_symbol(math.inf, Grid(16, 1.0))
     with pytest.raises(ValueError):
-        Mollifier.for_grid(math.nan, Grid(16, 1.0))
+        cutoff_symbol(math.nan, Grid(16, 1.0))
 
 
 def test_a_cutoff_scale_whose_products_overflow_keeps_the_mean_without_a_warning():
     # delta k overflows to inf above k = 0, where the cutoff is 0; under the
     # suite's error::RuntimeWarning filter a warning would raise
-    symbol = Mollifier.for_grid(1e308, Grid(256, 60.0)).symbol
+    symbol = cutoff_symbol(1e308, Grid(256, 60.0))
     assert symbol[0] == 1.0 and not symbol[1:].any()
 
 
 def test_mollifier_passband_is_the_identity():
     grid = Grid(64, 2.0 * np.pi)
     x = grid.nodes()
-    m = Mollifier.for_grid(0.2, grid)  # passes |k| <= 5 untouched
+    m = cutoff_symbol(0.2, grid)  # passes |k| <= 5 untouched
     f = np.cos(4.0 * x) - 0.3 * np.sin(2.0 * x)
     assert np.allclose(mollify(f, m, grid), f, atol=1e-13)
-    assert m.symbol[0] == 1.0
+    assert m[0] == 1.0
 
 
 def test_mollifier_kills_far_band():
     grid = Grid(64, 2.0 * np.pi)
     x = grid.nodes()
-    m = Mollifier.for_grid(0.5, grid)  # zero beyond |k| = 4
+    m = cutoff_symbol(0.5, grid)  # zero beyond |k| = 4
     assert np.allclose(mollify(np.cos(8.0 * x), m, grid), 0.0, atol=1e-14)
 
 
 def test_mollifier_is_self_adjoint():
     grid = Grid(64, 2.0 * np.pi)
-    m = Mollifier.for_grid(0.1, grid)
+    m = cutoff_symbol(0.1, grid)
     rng = np.random.default_rng(14)
     for _ in range(5):
         f = rng.standard_normal(grid.n)
@@ -110,7 +110,7 @@ def test_mollifier_is_self_adjoint():
 
 def test_mollifier_commutes_with_sobolev_weight():
     grid = Grid(64, 2.0 * np.pi)
-    m = Mollifier.for_grid(0.1, grid)
+    m = cutoff_symbol(0.1, grid)
     k = grid.wavenumbers()
     lam = (1.0 + k * k) ** 1.0
     rng = np.random.default_rng(15)
@@ -118,7 +118,7 @@ def test_mollifier_commutes_with_sobolev_weight():
     # the fused symbols are identical floats, so one-shot application
     # is exactly order-independent
     assert np.array_equal(
-        apply_symbol(f, m.symbol * lam, grid), apply_symbol(f, lam * m.symbol, grid)
+        apply_symbol(f, m * lam, grid), apply_symbol(f, lam * m, grid)
     )
     ab = mollify(lambda_s(f, 2.0, grid), m, grid)
     ba = lambda_s(mollify(f, m, grid), 2.0, grid)
@@ -130,7 +130,7 @@ def test_mollifier_keeps_sup_norm_controlled():
     x = grid.nodes()
     fields = [np.sign(np.sin(x)), 1.0 / np.cosh(4.0 * (x - np.pi)), band_limited(grid, 30, 3)]
     for delta in (0.05, 0.2, 0.5):
-        m = Mollifier.for_grid(delta, grid)
+        m = cutoff_symbol(delta, grid)
         for f in fields:
             assert np.max(np.abs(mollify(f, m, grid))) <= 1.2 * np.max(np.abs(f))
 
@@ -298,6 +298,7 @@ def _count_calls(monkeypatch, calls, module, name):
     monkeypatch.setattr(module, name, counted)
 
 
+@pytest.mark.pinned
 def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     """Stages 2 and 3 share the midpoint operator and each step-end
     operator is reused as the next step's start: 2m + 1 assemblies.
@@ -328,6 +329,7 @@ def test_linear_march_assembles_twice_per_step_plus_once(monkeypatch):
     assert calls["compute_depth"] == 1
 
 
+@pytest.mark.pinned
 def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatch):
     """At n = 4096 a block holds 32 steps, so 33 steps take two blocks: one
     more stacked depth and coefficient derivative, and the operator at the
@@ -351,6 +353,7 @@ def test_linear_march_over_two_stage_blocks_assembles_each_stage_once(monkeypatc
     assert calls["d1_spectral"] == 2 * 4 * m + 2
 
 
+@pytest.mark.pinned
 def test_picard_gap_takes_one_energy_norm_per_snapshot(monkeypatch):
     """Each sweep's gap is a sup over its m + 1 snapshot times, one es_norm
     call each, weighted by the depths of the previous iterate.  Those are
@@ -397,7 +400,7 @@ def test_each_picard_gap_is_the_gap_to_the_interpolated_previous_iterate(monkeyp
         initial = State(np.array((np.zeros(grid.n), band_limited(grid, 8, 3, 0.3))))
         control = StepControl(t_end=2.0, dt_max=0.02)
     bath = bar_bathymetry(0.3, 1.5, grid, x0=15.0) if setting == "bar" else Bathymetry.flat(grid)
-    mollifier = Mollifier.for_grid(0.5, grid) if setting == "mollified" else None
+    mollifier = cutoff_symbol(0.5, grid) if setting == "mollified" else None
     iterates = [ReferenceTrajectory.constant(initial, control.t_end)]
     original = gn1d.linearized.solve_linear
 
@@ -493,7 +496,7 @@ def test_a_linear_march_refuses_a_mollifier_of_another_grid(monkeypatch, march):
     calls = _bound_rk4(monkeypatch, 0)
     grid = Grid(32, 2.0 * np.pi)
     hump = gaussian_hump(0.3, 0.5, grid)
-    mollifier = Mollifier.for_grid(0.5, Grid(64, 20.0))
+    mollifier = cutoff_symbol(0.5, Grid(64, 20.0))
     args = (Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, StepControl(t_end=0.5))
     with pytest.raises(ValueError, match="^mollifier has 33 wavenumbers, the grid 17$"):
         if march == "solve_linear":
@@ -545,20 +548,31 @@ def test_a_linear_march_reads_a_reference_that_ends_within_the_end_tolerance(mon
     assert (out.status, out.steps, out.trajectory.t1) == ("completed", 6, control.t_end)
 
 
-def test_picards_largest_ratio_bound_holds_the_distance_to_the_limit(monkeypatch):
+@pytest.mark.parametrize(
+    "mu, sweeps, checked",
+    [(None, 7, [2, 3, 4]), (0.05, 8, [2, 3, 4, 5])],
+    ids=["bench", "mu_0.05"],
+)
+def test_picards_largest_ratio_bound_holds_the_distance_to_the_limit(
+    monkeypatch, mu, sweeps, checked
+):
     """A contraction with ratio r puts iterate k within r g_k / (1 - r) of
-    the limit, g_k being sweep k's gap.  On the digest's PICARD_BENCH seven
-    sweeps reach the rounding floor, so iterate 7 stands for the limit, and
-    iterate k's distance is the sup over snapshots of es_norm(F_k - F_7)
-    weighted by F_k's depths; iterate 6's, 6.1e-16, is the floor.  Sweeps
-    2-4 lie at least 17 times above it.  With r the largest gap ratio so
-    far the bound holds at each (quotients 1.66, 2.44, 2.14); with the last
-    ratio alone it fails at sweep 4 (0.87)."""
+    the limit, g_k being sweep k's gap.  On the digest's PICARD_BENCH, and
+    on it at mu = 0.05, the last sweep reaches the rounding floor and stands
+    for the limit; iterate k's distance is the sup over snapshots of
+    es_norm(F_k - F_last) weighted by F_k's depths, and the iterate before
+    the last one's is the floor.  The bound, with r the largest gap ratio so
+    far, must hold at every sweep k >= 2 that lies at least 17 times above
+    the floor.  On PICARD_BENCH those are sweeps 2-4 (quotients 1.66, 2.44,
+    2.14), and with the last ratio alone the bound fails at sweep 4 (0.87),
+    as the ratios rise there.  At mu = 0.05 they are sweeps 2-5, and the gap
+    ratios of sweeps 2-6 fall at every sweep (7.4e-3 ... 1.2e-3)."""
     path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("digest", path)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
-    prep = prepare_run(RunConfig(**digest.PICARD_BENCH))
+    cfg = digest.PICARD_BENCH if mu is None else {**digest.PICARD_BENCH, "mu": mu}
+    prep = prepare_run(RunConfig(**cfg))
     bath, params, grid, s = prep.bathymetry, prep.params, prep.grid, prep.cfg.s
     iterates = []
     original = gn1d.linearized.solve_linear
@@ -570,10 +584,10 @@ def test_picards_largest_ratio_bound_holds_the_distance_to_the_limit(monkeypatch
 
     monkeypatch.setattr(gn1d.linearized, "solve_linear", recorded)
     result = picard_solve(
-        prep.state, bath, params, grid, prep.control, max_iters=7, tol=0.0, s=s,
+        prep.state, bath, params, grid, prep.control, max_iters=sweeps, tol=0.0, s=s,
         mollifier=prep.mollifier,
     )
-    assert (result.status, len(iterates)) == ("not_converged", 7)
+    assert (result.status, len(iterates)) == ("not_converged", sweeps)
 
     def distance(k):
         fields = iterates[k - 1].fields
@@ -581,14 +595,18 @@ def test_picards_largest_ratio_bound_holds_the_distance_to_the_limit(monkeypatch
         diff = fields - iterates[-1].fields
         return max(es_norm(d, h_j, bath, params, grid, s) for d, h_j in zip(diff, h))
 
-    g, floor = result.gaps, distance(6)
-    for k in (2, 3, 4):
-        true = distance(k)
-        assert true >= 17.0 * floor
-        r = max(b / a for a, b in zip(g[: k - 1], g[1:k]))
-        assert r * g[k - 1] / (1.0 - r) >= true
-    last = g[3] / g[2]
-    assert last * g[3] / (1.0 - last) < distance(4)
+    g, floor = result.gaps, distance(sweeps - 1)
+    ratios = [b / a for a, b in zip(g, g[1:])]
+    true = {k: distance(k) for k in range(2, sweeps - 1)}
+    assert [k for k, d in true.items() if d >= 17.0 * floor] == checked
+    for k in checked:
+        r = max(ratios[: k - 1])
+        assert r * g[k - 1] / (1.0 - r) >= true[k]
+    if mu is None:
+        last = ratios[2]
+        assert last * g[3] / (1.0 - last) < true[4]
+    else:
+        assert np.all(np.diff(ratios[:5]) < 0.0)
 
 
 @pytest.mark.parametrize("setting", ["plain", "bar"])
@@ -789,7 +807,7 @@ def test_fixed_point_iteration_with_smoothing_still_converges():
     grid = Grid(64, 2.0 * np.pi)
     params = Parameters(0.2, 0.5, h0=0.4)
     hump = gaussian_hump(0.2, 0.6, grid)
-    m = Mollifier.for_grid(4.0 / float(grid.wavenumbers()[-1]), grid)
+    m = cutoff_symbol(4.0 / float(grid.wavenumbers()[-1]), grid)
     result = picard_solve(
         hump,
         Bathymetry.flat(grid),

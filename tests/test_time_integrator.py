@@ -190,6 +190,7 @@ def test_a_run_hands_each_state_depth_to_its_record(monkeypatch):
     assert out.completed and out.steps > 0
 
 
+@pytest.mark.pinned
 def test_a_run_takes_one_depth_per_accepted_state(monkeypatch):
     """The step rule reads the depth run() took for the record and the floor
     check, so a run takes steps + 1 depths: one of the initial state and one

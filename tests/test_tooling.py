@@ -107,7 +107,7 @@ def test_a_picard_solve_calls_every_traced_linear_path_target():
     counter = tracer.CallCounter(targets)
     try:
         # once plain and once mollified, so the cutoff's own targets are reached
-        for mollifier in (None, linearized.Mollifier.for_grid(0.5, grid)):
+        for mollifier in (None, linearized.cutoff_symbol(0.5, grid)):
             linearized.picard_solve(
                 hump, Bathymetry.flat(grid), Parameters(0.2, 0.5, h0=0.4), grid, control,
                 max_iters=2, mollifier=mollifier,
@@ -143,6 +143,7 @@ TINY_WORKLOADS = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("workload", sorted(TINY_WORKLOADS))
 def test_a_tiny_benchmark_run_keeps_the_exact_count_rules(tmp_path, capsys, worker, workload):
     workloads = sys.modules[worker.check.__module__]
@@ -438,6 +439,7 @@ def _environment() -> str:
     )
 
 
+@pytest.mark.pinned
 def test_output_digest_matches_the_committed_digest(monkeypatch, capsys):
     """tools/output_digest.py, run in-process from the repository root,
     prints tests/data/output_digest.txt line for line.  The bytes hold only
